@@ -39,9 +39,7 @@ the spec are rejected before any computation starts.
 CSV output starts with versioned schema comments ("# polyemit-csv 1",
 subcommand, column docs) followed by a header row; JSON output is a
 single sorted-key document. Output bytes are deterministic for fixed
-inputs and worker count 1; the map subcommand's node order is grid-major
-regardless of --workers, so worker counts only change thread scheduling,
-not values beyond roundoff (within 1e-12).
+inputs; the map subcommand's node order is grid-major.
 """
 import argparse
 import json
@@ -80,7 +78,6 @@ class RunConfig:
     ensemble: Optional[str] = None
     out: Optional[str] = None
     format: str = "csv"
-    workers: int = 1
     tol_rel: Optional[float] = None
     channels: Optional[frozenset] = None
     quiet: bool = False
@@ -96,8 +93,6 @@ class RunConfig:
             raise InputError(f"unknown subcommand {self.subcommand!r}")
         if self.format not in ("csv", "json"):
             raise InputError("format must be csv or json")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise InputError("worker count must be a positive integer")
         if self.tol_rel is not None and not (0.0 < self.tol_rel < 1.0):
             raise InputError("tol-rel must lie in (0, 1)")
         if not (self.index >= 1.0 and math.isfinite(self.index)):
@@ -261,7 +256,7 @@ def _cmd_free_space(cfg: RunConfig) -> int:
 def _cmd_map(cfg: RunConfig) -> int:
     grid = _load_grid_file(cfg.grid)
     e = _load_emitter(cfg.emitters[0], cfg.channels)
-    kwargs = {"workers": cfg.workers}
+    kwargs = {}
     if cfg.tol_rel is not None:
         kwargs["freq_rtol"] = cfg.tol_rel
     reports = enhancement_map(grid, e, **kwargs)
@@ -523,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="enhancement map over a sampled grid")
     common(p, emitters=1, grid=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="thread pool size for per-node work")
 
     p = sub.add_parser("couple",
                        help="pairwise coupling and collective decay in a "
@@ -558,8 +551,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         data["grid"] = args.grid
     if getattr(args, "ensemble", None) is not None:
         data["ensemble"] = args.ensemble
-    if hasattr(args, "workers"):
-        data["workers"] = args.workers
     if hasattr(args, "index"):
         data["index"] = args.index
     if getattr(args, "frequency", None) is not None:

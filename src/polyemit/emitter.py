@@ -49,6 +49,28 @@ for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 SPECTRAL_NORM = 1.0 / (HBAR * np.pi * EPS0 * C0 ** 2)
 
 
+# channel -> (derivative order, power of 1/w, ket tensor of an emitter):
+# D = d + (Q + (i/w) M) . grad, with the derivative acting on the Green
+# argument the emitter sits at
+_CHANNEL_TABLE = {
+    "ED": (0, 0, lambda e: e.d),
+    "EQ": (1, 0, lambda e: e.Q),
+    "MD": (1, 1, lambda e: 1j * e.magnetic_coupling()),
+}
+
+# (bra derivative order, ket derivative order) -> jet block, and the outer
+# product of bra and ket tensors laid out like that block
+_PRODUCT = {(0, 0): ("value", 'm,n->mn'), (1, 0): ("d_obs", 'mk,n->mnk'),
+            (0, 1): ("d_src", 'm,nl->mnl'), (1, 1): ("d_mixed", 'mk,nl->mnkl')}
+
+_BLOCKS = ("value", "d_obs", "d_src", "d_mixed")
+
+
+def _jet_blocks(jet: GreensJet) -> dict:
+    """Block name -> stored array, None where the jet lacks the block."""
+    return {name: getattr(jet, name) for name in _BLOCKS}
+
+
 def normalize_channels(channels) -> frozenset:
     if channels is None:
         return frozenset(CHANNELS)
@@ -137,15 +159,6 @@ class MultipoleEmitter:
         """M[mu, k] = sum_p eps[p, k, mu] m_p (the i/w factor lives elsewhere)."""
         return np.einsum('pkm,p->mk', _EPS, self.m)
 
-    def derivative_coefficient(self, omega: float,
-                               channels: frozenset) -> np.ndarray:
-        c = np.zeros((3, 3), dtype=complex)
-        if "EQ" in channels:
-            c = c + self.Q
-        if "MD" in channels:
-            c = c + (1j / omega) * self.magnetic_coupling()
-        return c
-
     def active_channels(self) -> frozenset:
         out = set()
         if np.any(self.d != 0):
@@ -212,10 +225,6 @@ class MultipoleEmitter:
         return cls.from_dict(data)
 
 
-def _value_coefficient(e: MultipoleEmitter, channels: frozenset) -> np.ndarray:
-    return e.d if "ED" in channels else np.zeros(3, dtype=complex)
-
-
 def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
                   omega: float, channels_a=None, channels_b=None) -> complex:
     """Pair two emitters through a Green jet: sum over tensor entries of
@@ -230,27 +239,8 @@ def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
     """
     if not (isinstance(omega, (int, float)) and omega > 0):
         raise InputError("bilinear_form needs a real positive frequency")
-    cha = normalize_channels(channels_a)
-    chb = normalize_channels(channels_b)
-
-    da = _value_coefficient(a, cha)
-    db = _value_coefficient(b, chb)
-    ca = a.derivative_coefficient(omega, cha)
-    cb = b.derivative_coefficient(omega, chb)
-
-    have_da, have_db = bool(np.any(da != 0)), bool(np.any(db != 0))
-    have_ca, have_cb = bool(np.any(ca != 0)), bool(np.any(cb != 0))
-
-    total = 0.0 + 0.0j
-    if have_da and have_db:
-        total += np.einsum('m,mn,n->', da.conj(), jet.value, db)
-    if have_ca and have_db:
-        total += np.einsum('mk,mnk,n->', ca.conj(), jet.block("d_obs"), db)
-    if have_da and have_cb:
-        total += np.einsum('m,mnl,nl->', da.conj(), jet.block("d_src"), cb)
-    if have_ca and have_cb:
-        total += np.einsum('mk,mnkl,nl->', ca.conj(), jet.block("d_mixed"), cb)
-    return complex(total)
+    bundle = moment_product_bundle(a, b, channels_a, channels_b)
+    return bundle.contract(_jet_blocks(jet), bundle.at(omega)) / SPECTRAL_NORM
 
 
 def channel_decompose(a: MultipoleEmitter, b: MultipoleEmitter,
@@ -272,30 +262,23 @@ class CoefficientBundle:
     Each field maps block name (value/d_obs/d_src/d_mixed) to a constant
     complex tensor shaped like the block. Real and imaginary parts of F(w)
     are the spectral coefficient tensors commonly written R_mn and I_mn.
+    contract is the one place where coefficient tensors meet jet blocks.
     """
 
     f0: dict
     f1: dict
     f2: dict
 
-    _SHAPES = {"value": (3, 3), "d_obs": (3, 3, 3), "d_src": (3, 3, 3),
-               "d_mixed": (3, 3, 3, 3)}
     _SUM = {"value": 'mn,mn->', "d_obs": 'mnk,mnk->',
             "d_src": 'mnl,mnl->', "d_mixed": 'mnkl,mnkl->'}
 
     def at(self, omega: complex) -> dict:
-        """F(omega) per block, by analytic continuation in 1/omega."""
+        """F(omega) per block present, by analytic continuation in 1/omega."""
         out = {}
-        for name in self._SHAPES:
-            acc = np.zeros(self._SHAPES[name], dtype=complex)
-            if name in self.f0:
-                acc = acc + self.f0[name]
-            if name in self.f1:
-                acc = acc + self.f1[name] / omega
-            if name in self.f2:
-                acc = acc + self.f2[name] / omega ** 2
-            if np.any(acc != 0):
-                out[name] = acc
+        for power, coeffs in enumerate((self.f0, self.f1, self.f2)):
+            for name, tensor in coeffs.items():
+                term = tensor / omega ** power
+                out[name] = out[name] + term if name in out else term
         return out
 
     def required_blocks(self) -> set:
@@ -320,57 +303,40 @@ class CoefficientBundle:
 
     def spectral_density(self, jet: GreensJet, omega: float) -> complex:
         """Z(omega) = sum F(omega) dot Im-part jet blocks."""
-        im = jet.imag_part()
-        blocks = {n: getattr(im, n) for n in self._SHAPES}
-        return self.contract(blocks, self.at(omega))
-
-    def real_part_contraction(self, jet: GreensJet, omega: float) -> complex:
-        """sum F(omega) dot Re-part blocks (needs a full jet)."""
-        jet.require_full()
-        blocks = {n: None if getattr(jet, n) is None else getattr(jet, n).real
-                  for n in self._SHAPES}
-        return self.contract(blocks, self.at(omega))
+        return self.contract(_jet_blocks(jet.imag_part()), self.at(omega))
 
 
 def moment_product_bundle(a: MultipoleEmitter, b: MultipoleEmitter,
                           channels_a=None, channels_b=None) -> CoefficientBundle:
     """Coefficient tensors of conj(D_a) x D_b / (hbar pi eps0 c^2).
 
-    f0 collects the frequency-independent parts (d and Q), f1 the single
-    magnetic factors, f2 the double magnetic factor. Channel selections mask
-    moments per side before the products are formed.
+    Every pairing of a channel of a with a channel of b contributes
+    conj(bra tensor) x ket tensor to the block fixed by the two derivative
+    orders, at the power of 1/w the two channels sum to: f0 collects d and
+    Q, f1 single magnetic factors, f2 the double magnetic factor. Channel
+    selections mask moments per side before the products are formed;
+    all-zero products are dropped.
     """
-    cha = normalize_channels(channels_a)
-    chb = normalize_channels(channels_b)
-    zero3 = np.zeros(3, dtype=complex)
-    zero33 = np.zeros((3, 3), dtype=complex)
+    def terms(e, channels):
+        chans = normalize_channels(channels)
+        out = []
+        for c, (order, power, ket) in _CHANNEL_TABLE.items():
+            if c in chans:
+                tensor = ket(e)
+                if tensor.any():
+                    out.append((order, power, tensor))
+        return out
 
-    da = a.d if "ED" in cha else zero3
-    db = b.d if "ED" in chb else zero3
-    qa = a.Q if "EQ" in cha else zero33
-    qb = b.Q if "EQ" in chb else zero33
-    ma = a.magnetic_coupling() if "MD" in cha else zero33
-    mb = b.magnetic_coupling() if "MD" in chb else zero33
-
-    s = SPECTRAL_NORM
-    f0, f1, f2 = {}, {}, {}
-
-    def put(d, name, tensor):
-        if np.any(tensor != 0):
-            d[name] = tensor
-
-    put(f0, "value", s * np.einsum('m,n->mn', da.conj(), db))
-    put(f0, "d_obs", s * np.einsum('mk,n->mnk', qa.conj(), db))
-    put(f0, "d_src", s * np.einsum('m,nl->mnl', da.conj(), qb))
-    put(f0, "d_mixed", s * np.einsum('mk,nl->mnkl', qa.conj(), qb))
-
-    put(f1, "d_obs", -1j * s * np.einsum('mk,n->mnk', ma.conj(), db))
-    put(f1, "d_src", 1j * s * np.einsum('m,nl->mnl', da.conj(), mb))
-    put(f1, "d_mixed", 1j * s * (np.einsum('mk,nl->mnkl', qa.conj(), mb)
-                                 - np.einsum('mk,nl->mnkl', ma.conj(), qb)))
-
-    put(f2, "d_mixed", s * np.einsum('mk,nl->mnkl', ma.conj(), mb))
-
+    powers = ({}, {}, {})
+    for order_a, power_a, ta in terms(a, channels_a):
+        bra = ta.conj()
+        for order_b, power_b, tb in terms(b, channels_b):
+            name, spec = _PRODUCT[(order_a, order_b)]
+            term = SPECTRAL_NORM * np.einsum(spec, bra, tb)
+            acc = powers[power_a + power_b]
+            acc[name] = acc[name] + term if name in acc else term
+    f0, f1, f2 = ({name: t for name, t in acc.items() if t.any()}
+                  for acc in powers)
     return CoefficientBundle(f0=f0, f1=f1, f2=f2)
 
 

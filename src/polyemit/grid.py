@@ -169,13 +169,15 @@ class TensorGrid:
         m = self.meters_per_unit
         return tuple(a * m for a in self.axes)
 
+    def _si_scale(self, key: str) -> float:
+        return self.meters_per_unit ** (
+            self.value_unit_exponent - _derivative_order(key))
+
     def block_si(self, key: str) -> np.ndarray:
         """One block converted to SI (m^(exponent - derivative order))."""
         if key not in self.blocks:
             raise GridDomainError(f"grid has no {key!r} block")
-        scale = self.meters_per_unit ** (
-            self.value_unit_exponent - _derivative_order(key))
-        return self.blocks[key] * scale
+        return self.blocks[key] * self._si_scale(key)
 
     def node_points(self) -> np.ndarray:
         """All grid nodes as an (N, 3) SI array, row-major (z fastest)."""
@@ -211,7 +213,8 @@ class TensorGrid:
         return locs
 
     def _interp(self, key: str, locs: list) -> np.ndarray:
-        arr = self.block_si(key)
+        # index the stored block first and rescale only the 3x3 result
+        arr = self.blocks[key]
         for lo, hi, t in locs:
             # exact node hits keep the stored tensor bit-identical
             if t == 0.0:
@@ -220,7 +223,7 @@ class TensorGrid:
                 arr = arr[hi]
             else:
                 arr = (1.0 - t) * arr[lo] + t * arr[hi]
-        return arr
+        return arr * self._si_scale(key)
 
     def jet_at(self, point, require_derivatives: bool = False) -> GreensJet:
         """Multilinear imaginary-part jet at an SI point inside the hull.

@@ -236,16 +236,11 @@ def coincident_im_jet(omega, medium: Medium = Medium()) -> GreensJet:
 
     value = (k / (6.0 * math.pi)) * np.eye(3)
     zeros1 = np.zeros((3, 3, 3))
-    dm = np.zeros((3, 3, 3, 3))
     c1 = k ** 3 / (15.0 * math.pi)
     c2 = k ** 3 / (60.0 * math.pi)
-    for m in range(3):
-        for nn in range(3):
-            for kk in range(3):
-                for ll in range(3):
-                    dm[m, nn, kk, ll] = (c1 * (m == nn) * (kk == ll)
-                                         - c2 * ((m == kk) * (nn == ll)
-                                                 + (m == ll) * (nn == kk)))
+    dm = (c1 * np.einsum('mn,kl->mnkl', _EYE, _EYE)
+          - c2 * (np.einsum('mk,nl->mnkl', _EYE, _EYE)
+                  + np.einsum('ml,nk->mnkl', _EYE, _EYE)))
     return GreensJet(value=value, d_obs=zeros1, d_src=zeros1.copy(),
                      d_mixed=dm, part="imag")
 

@@ -59,13 +59,6 @@ class GreensJet:
     def has_mixed(self) -> bool:
         return self.d_mixed is not None
 
-    def block(self, name: str) -> np.ndarray:
-        arr = getattr(self, name)
-        if arr is None:
-            raise MissingDerivativeError(
-                f"jet lacks the {name} derivative block required here")
-        return arr
-
     def imag_part(self) -> "GreensJet":
         """Project onto the imaginary part (real-array jet)."""
         if self.part == "imag":
@@ -77,10 +70,3 @@ class GreensJet:
         return GreensJet(value=im(self.value), d_obs=im(self.d_obs),
                          d_src=im(self.d_src), d_mixed=im(self.d_mixed),
                          part="imag")
-
-    def require_full(self) -> "GreensJet":
-        if self.part != "full":
-            raise PartFlagError(
-                "operation needs the full complex Green tensor, but this jet "
-                "carries only the imaginary part")
-        return self

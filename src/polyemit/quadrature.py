@@ -75,6 +75,7 @@ class QuadratureResult:
     error: float
     neval: int
     panels: int = 0
+    peak: float = 0.0  # largest |f| sampled
 
     def __iter__(self):  # allow value, err = result
         return iter((self.value, self.error))
@@ -94,7 +95,7 @@ def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
     """
     if not b > a:
         raise QuadratureError("empty or inverted integration interval")
-    val, err, _ = _panel(f, a, b)
+    val, err, peak = _panel(f, a, b)
     heap = [(-err, a, b, val)]
     neval = 15
     while True:
@@ -109,9 +110,10 @@ def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
         if mid <= pa or mid >= pb:
             heapq.heappush(heap, (nerr, pa, pb, _))
             break  # interval at floating-point resolution
-        v1, e1, _ = _panel(f, pa, mid)
-        v2, e2, _ = _panel(f, mid, pb)
+        v1, e1, p1 = _panel(f, pa, mid)
+        v2, e2, p2 = _panel(f, mid, pb)
         neval += 30
+        peak = max(peak, p1, p2)
         heapq.heappush(heap, (-e1, pa, mid, v1))
         heapq.heappush(heap, (-e2, mid, pb, v2))
     panels = sorted(heap, key=lambda t: t[1])
@@ -124,7 +126,7 @@ def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
             f"adaptive budget exhausted: residual error estimate "
             f"{total_err:.3e} exceeds tolerance {tol:.3e}")
     return QuadratureResult(value=complex(total), error=float(total_err),
-                            neval=neval, panels=len(panels))
+                            neval=neval, panels=len(panels), peak=peak)
 
 
 def _integrate_tail(f, start: float, scale: float, rel_tol: float,
@@ -150,8 +152,7 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
         total += res.value
         total_err += res.error
         neval += res.neval
-        _, _, panel_peak = _panel(f, a, a + width)
-        peak = max(peak, panel_peak)
+        peak = max(peak, res.peak)
         mag = abs(res.value)
         if mag > prev_mag * 1.02:
             grow_streak += 1
@@ -161,7 +162,7 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
                     "refusing to truncate a divergent tail")
         else:
             grow_streak = 0
-        if panel_peak <= peak_floor * peak and mag <= max(
+        if res.peak <= peak_floor * peak and mag <= max(
                 rel_tol * abs(total), 1e-300):
             return QuadratureResult(total, total_err, neval)
         prev_mag = mag
@@ -292,10 +293,6 @@ def check_imaginary_axis_reality(model: SpectralGreenModel, kappas,
     return worst
 
 
-def _contract_blocks(bundle, coeffs: dict, jet_blocks: dict) -> complex:
-    return bundle.contract(jet_blocks, coeffs)
-
-
 def _jet_block_dict(jet: GreensJet, part: str) -> dict:
     out = {}
     for name in ("value", "d_obs", "d_src", "d_mixed"):
@@ -329,8 +326,10 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     shift the identity: k^2 G(ik) stays finite so the f0 term needs no
     change, the f1 term picks up the closed-form correction
     -(pi/2) f1 . S / omega0, and the f2 term diverges on the imaginary axis
-    (the pole and the 1/w^2 coefficient compound), so that combination is
-    rejected rather than mis-integrated.
+    (the pole and the 1/w^2 coefficient compound) unless f2 . S vanishes.
+    A nonvanishing f2 . S is rejected rather than mis-integrated; it does
+    vanish for magnetic dipoles in a uniform medium, whose two curls
+    annihilate the gradient field of the electrostatic pole.
     """
     if not model.supports_imaginary_axis:
         raise ModelDomainError(
@@ -355,16 +354,17 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     f1 = bundle.f1
     f2 = bundle.f2
 
-    statics = model.static_pole_blocks or {}
-    if statics and f2:
-        for name, s_blk in statics.items():
-            if name in f2 and np.any(f2[name] != 0) and np.any(
-                    np.asarray(s_blk) != 0):
-                raise ModelDomainError(
-                    "1/w^2 coefficient terms combined with a model that has "
-                    "a static pole at zero frequency diverge on the "
-                    "imaginary axis; restrict channels or use "
-                    "pv_spectral_form")
+    statics = {name: np.asarray(s_blk) for name, s_blk in
+               (model.static_pole_blocks or {}).items()}
+    f2_static = {name: f2[name] for name in f2 if name in statics}
+    if f2_static:
+        scale = sum(float(np.sum(np.abs(t) * np.abs(statics[name])))
+                    for name, t in f2_static.items())
+        if abs(bundle.contract(statics, f2_static)) > 1e-10 * scale:
+            raise ModelDomainError(
+                "1/w^2 coefficient terms combined with a model that has "
+                "a static pole at zero frequency diverge on the "
+                "imaginary axis; restrict channels")
 
     # resonant term: pi p(omega0) . Re G(omega0)
     jet0 = model.jet(omega0)
@@ -380,7 +380,7 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
         if name in f2:
             acc = acc + f2[name]
         p0[name] = acc
-    resonant = math.pi * _contract_blocks(bundle, p0, re_blocks)
+    resonant = math.pi * bundle.contract(re_blocks, p0)
 
     # k-integral with coefficient [(f0 w0 + f1) k^2 - f2 w0] / (k^2 + w0^2)
     def integrand(kappa: float) -> complex:
@@ -397,7 +397,7 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
             if name in f2:
                 acc = acc - f2[name] * omega0
             coeffs[name] = acc
-        return _contract_blocks(bundle, coeffs, blocks) / (k2 + omega0 ** 2)
+        return bundle.contract(blocks, coeffs) / (k2 + omega0 ** 2)
 
     head = integrate_adaptive(integrand, 0.0, omega0, rel_tol=rel_tol)
     tail = _integrate_tail(integrand, omega0, omega0, rel_tol=rel_tol)
@@ -408,21 +408,20 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     if f0 and g2:
         shared = {name: f0[name] for name in f0 if name in g2}
         if shared:
-            arc = -0.5 * math.pi * _contract_blocks(
-                bundle, shared, {n: g2[n] for n in shared})
+            arc = -0.5 * math.pi * bundle.contract(g2, shared)
 
     # static-pole correction: -(pi/2) f1 . S / omega0
     pole_term = 0.0 + 0.0j
     if statics and f1:
         shared = {name: f1[name] for name in f1 if name in statics}
         if shared:
-            pole_term = -(0.5 * math.pi / omega0) * _contract_blocks(
-                bundle, shared, {n: np.asarray(statics[n]) for n in shared})
+            pole_term = -(0.5 * math.pi / omega0) * bundle.contract(
+                statics, shared)
 
     value = resonant + head.value + tail.value + arc + pole_term
     error = head.error + tail.error
     return QuadratureResult(value=complex(value), error=float(error),
-                            neval=head.neval + tail.neval + 15)
+                            neval=head.neval + tail.neval + 1)
 
 
 def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
@@ -439,7 +438,7 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
         coeffs = bundle.at(w)
         for name in coeffs:
             coeffs[name] = coeffs[name] * w * w
-        return _contract_blocks(bundle, coeffs, blocks)
+        return bundle.contract(blocks, coeffs)
 
     # the 1/w and 1/w^2 coefficient factors must be tamed by the w^2 from
     # the measure; probe near zero and refuse non-finite integrands

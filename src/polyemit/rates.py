@@ -21,15 +21,15 @@ closed forms, which double as the central cross-oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .constants import C0, EPS0, HBAR
-from .emitter import (CHANNELS, MultipoleEmitter, bilinear_form,
-                      moment_product_bundle, normalize_channels)
+from .emitter import (CHANNELS, SPECTRAL_NORM, MultipoleEmitter,
+                      bilinear_form, moment_product_bundle,
+                      normalize_channels)
 from .errors import InputError, ModelDomainError
 from .jets import GreensJet
 from .quadrature import (SpectralGreenModel, imaginary_axis_form,
@@ -95,13 +95,6 @@ class CouplingReport:
                 "xi_error": self.xi_error, "gamma_error": self.gamma_error}
 
 
-def _rate_prefactor(omega: float) -> float:
-    # 2/(hbar eps0) * (omega/c)^2, the factor turning a moment-contracted
-    # Im G into a rate; equals 2 pi omega^2 when folded with the 1/(hbar pi
-    # eps0 c^2) normalization carried by the coefficient bundles
-    return 2.0 / (HBAR * EPS0) * (omega / C0) ** 2
-
-
 def emission_rate(e: MultipoleEmitter, jet: GreensJet,
                   channels=None) -> RateReport:
     """Spontaneous decay rate from a coincident Green jet.
@@ -112,7 +105,8 @@ def emission_rate(e: MultipoleEmitter, jet: GreensJet,
     """
     chans = normalize_channels(channels)
     active = e.active_channels() & chans
-    pref = _rate_prefactor(e.omega0)
+    # 2 pi w0^2 Z(w0), the collective_rate formula, per channel pair
+    pref = 2.0 * math.pi * e.omega0 ** 2 * SPECTRAL_NORM
     im = jet.imag_part()
 
     by_pair = {}
@@ -282,14 +276,14 @@ def _node_report(e: MultipoleEmitter, jet: GreensJet, chans,
     return rep
 
 
-def enhancement_map(grid, e: MultipoleEmitter, workers: Optional[int] = None,
+def enhancement_map(grid, e: MultipoleEmitter,
                     freq_rtol: float = 1e-6) -> list:
     """Emission-rate reports over all grid nodes, normalized to free space.
 
     The reference gamma_fs is the n = 1 closed-form rate restricted to the
     emitter's active channels (so a purely magnetic emitter is normalized
     to its magnetic free-space rate, not to zero dipole decay). Node order
-    is grid-major and independent of the worker count.
+    is grid-major.
     """
     if abs(grid.frequency - e.omega0) > freq_rtol * e.omega0:
         raise InputError(
@@ -304,17 +298,6 @@ def enhancement_map(grid, e: MultipoleEmitter, workers: Optional[int] = None,
     gamma_fs = sum(fs[c] for c in active)
     fs_by_channel = {c: fs[c] for c in sorted(active)}
 
-    points = grid.node_points()
-
-    def work(idx_point):
-        _, point = idx_point
-        jet = grid.jet_at(point)
-        return _node_report(e, jet, active, gamma_fs, fs_by_channel)
-
-    items = list(enumerate(points))
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(work, items))
-    else:
-        reports = [work(it) for it in items]
-    return reports
+    return [_node_report(e, grid.jet_at(point), active, gamma_fs,
+                         fs_by_channel)
+            for point in grid.node_points()]

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from polyemit.cli import RunConfig, main, parse_frequency
+from polyemit.emitter import MultipoleEmitter
 from polyemit.errors import InputError
 from polyemit.grid import grid_from_homogeneous, save_grid
 from polyemit.homogeneous import Medium
+from polyemit.rates import free_space_rates
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -79,9 +81,6 @@ def test_run_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(InputError, match="format"):
         RunConfig.from_dict({"subcommand": "validate", "grid": "g",
                              "format": "yaml"})
-    with pytest.raises(InputError, match="worker"):
-        RunConfig.from_dict({"subcommand": "map", "grid": "g",
-                             "emitters": ("e",), "workers": 0})
     with pytest.raises(InputError, match="t-max"):
         RunConfig.from_dict({"subcommand": "dynamics", "ensemble": "s"})
 
@@ -159,13 +158,13 @@ def test_map_json_document(grid_file, emitter_file, capsys):
     assert doc["channels"] == ["ED"]
 
 
-def test_map_worker_count_does_not_change_bytes(grid_file, emitter_file,
-                                                tmp_path):
+def test_map_output_bytes_repeat_across_runs(grid_file, emitter_file,
+                                             tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["map", "--grid", grid_file, "--emitter", emitter_file,
                  "--out", str(a), "--quiet"]) == 0
     assert main(["map", "--grid", grid_file, "--emitter", emitter_file,
-                 "--out", str(b), "--quiet", "--workers", "4"]) == 0
+                 "--out", str(b), "--quiet"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -211,6 +210,20 @@ def test_couple_colocated_reports_rate_but_no_coupling(tmp_path, emitter_file,
     assert doc["xi_rad_per_s"] is None
     assert doc["gamma_cross_per_s"]["re"] == pytest.approx(
         doc["gamma_a_per_s"]["re"], rel=1e-12)
+
+
+def test_couple_magnetic_dipole_pair(tmp_path, capsys):
+    docs = [{"position_m": [0.0, 0.0, z], "omega0_rad_per_s": W384,
+             "m_bohr_magnetons": [1.0, 0.0, 0.0]} for z in (0.0, 80e-9)]
+    a = write_json(tmp_path / "ma.json", docs[0])
+    b = write_json(tmp_path / "mb.json", docs[1])
+    assert main(["couple", "--emitter", a, "--emitter", b, "--index", "1.5",
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    g_md = free_space_rates(MultipoleEmitter.from_dict(docs[0]), 1.5,
+                            W384)[1]
+    assert doc["gamma_a_per_s"]["re"] == pytest.approx(g_md, rel=1e-10)
+    assert doc["xi_rad_per_s"]["re"] != 0.0
 
 
 def test_couple_inert_pair_is_zero(tmp_path, capsys):

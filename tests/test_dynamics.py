@@ -23,7 +23,8 @@ from polyemit.grid import grid_from_homogeneous
 from polyemit.homogeneous import (Medium, coincident_im_jet,
                                   eval_homogeneous_jet)
 from polyemit.quadrature import homogeneous_pair_model, lorentzian_model
-from polyemit.rates import collective_rate, coupling_strength, lamb_shift
+from polyemit.rates import (collective_rate, coupling_strength,
+                            emission_rate, lamb_shift)
 
 
 # --- independent reference propagator --------------------------------------
@@ -412,6 +413,35 @@ def test_build_ensemble_homogeneous():
     assert model.xi[0, 1] == pytest.approx(xi12, rel=1e-9)
     assert model.xi[1, 0] == np.conj(model.xi[0, 1])
     assert np.linalg.eigvalsh(model.gamma).min() > -1e-10 * abs(g11)
+
+
+def test_build_ensemble_random_multipole_sets(rng):
+    # every channel pairing, MD-MD included, in vacuum and in a dielectric
+    w0 = 3.2e15
+    moments = {"d": ((3,), 1e-29), "m": ((3,), 1e-23), "Q": ((3, 3), 1e-39)}
+
+    def moment(kind):
+        shape, scale = moments[kind]
+        return scale * (rng.standard_normal(shape)
+                        + 1j * rng.standard_normal(shape))
+
+    for draw in range(6):
+        med = Medium((1.0, 1.5)[draw % 2])
+        ems = []
+        for _ in range(3):
+            kinds = [k for k in moments if rng.random() < 0.6] or ["m"]
+            ems.append(MultipoleEmitter(
+                position=rng.uniform(-150e-9, 150e-9, 3), omega0=w0,
+                **{k: moment(k) for k in kinds}))
+        model = build_ensemble(ems, med)
+        assert np.array_equal(model.xi, model.xi.conj().T)
+        assert np.array_equal(model.gamma, model.gamma.conj().T)
+        scale = np.max(np.abs(model.gamma))
+        assert np.linalg.eigvalsh(model.gamma).min() >= -1e-9 * scale
+        jet0 = coincident_im_jet(w0, med)
+        for a, e in enumerate(ems):
+            rate = emission_rate(e, jet0).gamma_total
+            assert abs(model.gamma[a, a] - rate) <= 1e-12 * rate
 
 
 def test_build_ensemble_inert_pair():

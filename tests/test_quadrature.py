@@ -2,6 +2,7 @@
 imaginary-axis representation, checked against independent oracles
 (closed-form integrals and scipy's Cauchy-weight rule)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from polyemit.errors import (CoincidentPointError, ModelDomainError,
                              QuadratureError)
 from polyemit.homogeneous import Medium
 from polyemit.jets import GreensJet
-from polyemit.quadrature import (SpectralGreenModel,
+from polyemit.quadrature import (SpectralGreenModel, _integrate_tail,
                                  check_imaginary_axis_reality,
                                  homogeneous_pair_model, imaginary_axis_form,
                                  integrate_adaptive, kk_residual,
@@ -285,6 +286,38 @@ def test_homogeneous_model_real_and_tolerance_stable(rng):
     assert abs(res.value.imag) < 1e-10 * abs(res.value)
     tight = imaginary_axis_form(model, bundle, WR1, rel_tol=1e-10)
     assert abs(res.value - tight.value) < 1e-7 * abs(tight.value)
+
+
+class CountingCalls:
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def test_neval_counts_every_evaluation(rng):
+    f = CountingCalls(lambda x: math.exp(-x) / (1.0 + x * x))
+    tail = _integrate_tail(f, 1.0, 1.0, rel_tol=1e-8)
+    assert tail.neval == f.calls
+
+    # ED+EQ pair in n = 1.5 at 0.2 wavelengths
+    sep = 0.2 * 2 * math.pi * C0 / (1.5 * WR1)
+    pos = [np.zeros(3), np.array([0.0, 0.0, sep])]
+
+    def emitter(p):
+        d = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e-29
+        Q = rng.standard_normal((3, 3)) * 1e-39
+        return MultipoleEmitter(position=p, omega0=WR1, d=d, Q=Q + Q.T)
+
+    model = homogeneous_pair_model(Medium(1.5), pos[0], pos[1])
+    jet = CountingCalls(model.evaluator)
+    counted = dataclasses.replace(model, evaluator=jet)
+    bundle = moment_product_bundle(emitter(pos[0]), emitter(pos[1]))
+    res = imaginary_axis_form(counted, bundle, WR1)
+    assert res.neval == jet.calls
 
 
 def test_homogeneous_real_axis_pv_refuses(rng):
