@@ -226,13 +226,14 @@ class MultipoleEmitter:
 
 
 def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
-                  omega: float, channels_a=None, channels_b=None) -> complex:
+                  omega: float, channels_a=None, channels_b=None):
     """Pair two emitters through a Green jet: sum over tensor entries of
     conj(D_a) x D_b applied to the jet blocks.
 
     Conjugation sits on the a side. For a full jet this contracts the
     complex Green blocks; for an imaginary-part jet it contracts the stored
-    Im values (result then carries Im G semantics). Requires omega > 0 and
+    Im values (result then carries Im G semantics). A batched jet gives an
+    array over its batch shape. Requires omega > 0 and
     real (the spectral machinery handles complex frequencies by analytic
     continuation of coefficient bundles, never by conjugating at complex
     frequency).
@@ -269,8 +270,9 @@ class CoefficientBundle:
     f1: dict
     f2: dict
 
-    _SUM = {"value": 'mn,mn->', "d_obs": 'mnk,mnk->',
-            "d_src": 'mnl,mnl->', "d_mixed": 'mnkl,mnkl->'}
+    # coefficients are constant tensors; blocks may carry a leading batch
+    _SUM = {"value": 'mn,...mn->...', "d_obs": 'mnk,...mnk->...',
+            "d_src": 'mnl,...mnl->...', "d_mixed": 'mnkl,...mnkl->...'}
 
     def at(self, omega: complex) -> dict:
         """F(omega) per block present, by analytic continuation in 1/omega."""
@@ -289,8 +291,12 @@ class CoefficientBundle:
                     names.add(name)
         return names
 
-    def contract(self, blocks: Mapping, coeffs: Mapping) -> complex:
-        """sum over blocks of coeff tensor (conjugate-free) dot block array."""
+    def contract(self, blocks: Mapping, coeffs: Mapping):
+        """sum over blocks of coeff tensor (conjugate-free) dot block array.
+
+        complex for unbatched blocks; for blocks with a leading batch shape,
+        a complex array of that shape (one contraction per batch entry).
+        """
         total = 0.0 + 0.0j
         for name, coeff in coeffs.items():
             blk = blocks.get(name)
@@ -299,9 +305,9 @@ class CoefficientBundle:
                     f"jet lacks the {name} block needed by the enabled "
                     f"channels")
             total += np.einsum(self._SUM[name], coeff, blk)
-        return complex(total)
+        return complex(total) if np.ndim(total) == 0 else total
 
-    def spectral_density(self, jet: GreensJet, omega: float) -> complex:
+    def spectral_density(self, jet: GreensJet, omega: float):
         """Z(omega) = sum F(omega) dot Im-part jet blocks."""
         return self.contract(_jet_blocks(jet.imag_part()), self.at(omega))
 

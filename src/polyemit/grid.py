@@ -213,8 +213,9 @@ class TensorGrid:
         return locs
 
     def _interp(self, key: str, locs: list) -> np.ndarray:
-        # index the stored block first and rescale only the 3x3 result
-        arr = self.blocks[key]
+        # index the real part of the stored block first and rescale only
+        # the 3x3 result
+        arr = self.blocks[key].real
         for lo, hi, t in locs:
             # exact node hits keep the stored tensor bit-identical
             if t == 0.0:
@@ -236,26 +237,42 @@ class TensorGrid:
         raises instead.
         """
         locs = self._locate(point)
-        value = self._interp("value", locs).real
+        return self._jet(lambda key: self._interp(key, locs),
+                         require_derivatives)
+
+    def node_jet(self) -> GreensJet:
+        """Imaginary-part jet over every node, batched in node_points()
+        order: block shapes (N, 3, 3), (N, 3, 3, 3), ...
+
+        Entry i equals jet_at(node_points()[i]) bit for bit; the block and
+        semantics rules are jet_at's.
+        """
+        n = math.prod(self.shape)
+        return self._jet(
+            lambda key: (self.blocks[key].real.reshape(n, 3, 3)
+                         * self._si_scale(key)),
+            False)
+
+    def _jet(self, take: Callable, require_derivatives: bool) -> GreensJet:
+        """Assemble a jet from take(key), the real SI 3x3 block(s) of one
+        stored key, applying the semantics and missing-block rules."""
+        value = take("value")
 
         d_obs = d_src = d_mixed = None
         missing = []
         if self.derivative_semantics == "split":
             if all(k in self.blocks for k in _D1_KEYS):
-                d_obs = np.stack(
-                    [self._interp(k, locs).real for k in _D1_KEYS], axis=-1)
+                d_obs = np.stack([take(k) for k in _D1_KEYS], axis=-1)
             else:
                 missing += [k for k in _D1_KEYS if k not in self.blocks]
             if all(k in self.blocks for k in _D1_SRC_KEYS):
-                d_src = np.stack(
-                    [self._interp(k, locs).real for k in _D1_SRC_KEYS], axis=-1)
+                d_src = np.stack([take(k) for k in _D1_SRC_KEYS], axis=-1)
             else:
                 missing += [k for k in _D1_SRC_KEYS if k not in self.blocks]
             if all(k in self.blocks for k in _D2_KEYS):
                 d_mixed = np.stack(
-                    [np.stack([self._interp(f"d2_{a}{b}", locs).real
-                               for b in _AXES], axis=-1)
-                     for a in _AXES], axis=2)
+                    [np.stack([take(f"d2_{a}{b}") for b in _AXES], axis=-1)
+                     for a in _AXES], axis=-2)
             else:
                 missing += [k for k in _D2_KEYS if k not in self.blocks]
         else:

@@ -2,7 +2,9 @@
 
 A jet bundles the 3x3 Green tensor at one (field point, source point) pair
 together with its first derivatives in each argument and the mixed second
-derivative. Index layout:
+derivative. Index layout (after an optional leading batch shape shared by
+every block, e.g. one entry per grid node; a single point has batch
+shape ()):
 
     value[m, n]            G_mn
     d_obs[m, n, k]         d G_mn / d r_k          (field-point gradient)
@@ -39,6 +41,7 @@ class GreensJet:
         if self.part not in ("full", "imag"):
             raise PartFlagError(f"unknown jet part flag {self.part!r}")
         want = complex if self.part == "full" else float
+        batch = None
         for name, shape in _SHAPES.items():
             arr = getattr(self, name)
             if arr is None:
@@ -46,10 +49,20 @@ class GreensJet:
                     raise MissingDerivativeError("jet must carry a value block")
                 continue
             arr = np.asarray(arr, dtype=want)
-            if arr.shape != shape:
+            k = len(shape)
+            if arr.shape[-k:] != shape:
                 raise ValueError(f"jet block {name} has shape {arr.shape}, "
-                                 f"expected {shape}")
+                                 f"expected (...,) + {shape}")
+            if batch is None:
+                batch = arr.shape[:-k]
+            elif arr.shape[:-k] != batch:
+                raise ValueError(f"jet block {name} has batch shape "
+                                 f"{arr.shape[:-k]}, expected {batch}")
             object.__setattr__(self, name, arr)
+
+    @property
+    def batch_shape(self) -> tuple:
+        return self.value.shape[:-2]
 
     @property
     def has_first(self) -> bool:

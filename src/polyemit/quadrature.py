@@ -197,7 +197,8 @@ def pv_integral(f: Callable[[float], complex], pole: float,
                                       pole - delta, rel_tol=rel_tol)
         value = res_core.value + res_left.value
         error = res_core.error + res_left.error
-        neval = res_core.neval + res_left.neval
+        # each core node evaluates f on both sides of the pole
+        neval = 2 * res_core.neval + res_left.neval
         if math.isfinite(upper):
             res_right = integrate_adaptive(lambda w: f(w) / (w - pole),
                                            pole + delta, upper,
@@ -449,7 +450,9 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
             "structure incompatible with the w^2 measure")
 
     upper = hi if math.isfinite(hi) else math.inf
-    return pv_integral(numerator, omega0, upper=upper, rel_tol=rel_tol)
+    res = pv_integral(numerator, omega0, upper=upper, rel_tol=rel_tol)
+    res.neval += 1  # the probe
+    return res
 
 
 def kk_residual(omegas, values, test_frequencies) -> np.ndarray:

@@ -95,6 +95,35 @@ class CouplingReport:
                 "xi_error": self.xi_error, "gamma_error": self.gamma_error}
 
 
+def _channel_pair_rates(e: MultipoleEmitter, jet: GreensJet,
+                        active: frozenset) -> tuple:
+    """Per-channel-pair decay rates and their total over a jet's batch
+    shape, as real arrays; rejects any batch entry whose jet violates the
+    positivity of a physical spectral density."""
+    # 2 pi w0^2 Z(w0), the collective_rate formula, per channel pair
+    pref = 2.0 * math.pi * e.omega0 ** 2 * SPECTRAL_NORM
+    im = jet.imag_part()
+    zero = np.zeros(im.batch_shape)
+    # conjugate channel pairs have conjugate values; the imaginary parts
+    # cancel in the (real) total and are dropped per entry
+    by_pair = {
+        (ca, cb): (np.real(pref * bilinear_form(e, e, im, e.omega0,
+                                                {ca}, {cb}))
+                   if ca in active and cb in active else zero)
+        for ca in CHANNELS for cb in CHANNELS}
+    total = sum(by_pair.values())
+    scale = np.maximum(np.max(np.abs(list(by_pair.values())), axis=0),
+                       1e-300)
+    for c in CHANNELS:
+        if np.any(by_pair[(c, c)] < -1e-12 * scale):
+            raise InputError(
+                f"negative diagonal {c}-{c} rate: the supplied jet violates "
+                f"the positivity of a physical spectral density")
+    if np.any(total < -1e-12 * scale):
+        raise InputError("negative total decay rate: inconsistent jet data")
+    return by_pair, np.maximum(total, 0.0)
+
+
 def emission_rate(e: MultipoleEmitter, jet: GreensJet,
                   channels=None) -> RateReport:
     """Spontaneous decay rate from a coincident Green jet.
@@ -103,34 +132,15 @@ def emission_rate(e: MultipoleEmitter, jet: GreensJet,
     channel pairs. Works on full or Im-part jets; derivative blocks are
     required only for channels the emitter actually drives.
     """
-    chans = normalize_channels(channels)
-    active = e.active_channels() & chans
-    # 2 pi w0^2 Z(w0), the collective_rate formula, per channel pair
-    pref = 2.0 * math.pi * e.omega0 ** 2 * SPECTRAL_NORM
-    im = jet.imag_part()
-
-    by_pair = {}
-    total = 0.0
-    for ca in CHANNELS:
-        for cb in CHANNELS:
-            if ca not in active or cb not in active:
-                by_pair[(ca, cb)] = 0.0
-                continue
-            term = pref * bilinear_form(e, e, im, e.omega0, {ca}, {cb})
-            # conjugate channel pairs have conjugate values; the imaginary
-            # parts cancel in the (real) total and are dropped per entry
-            by_pair[(ca, cb)] = float(term.real)
-            total += term.real
-    scale = max(abs(v) for v in by_pair.values()) if by_pair else 0.0
-    for c in CHANNELS:
-        if by_pair[(c, c)] < -1e-12 * max(scale, 1e-300):
-            raise InputError(
-                f"negative diagonal {c}-{c} rate: the supplied jet violates "
-                f"the positivity of a physical spectral density")
-    if total < -1e-12 * max(scale, 1e-300):
-        raise InputError("negative total decay rate: inconsistent jet data")
-    return RateReport(gamma_total=float(max(total, 0.0)),
-                      gamma_by_channel_pair=by_pair, delta=None)
+    if jet.batch_shape != ():
+        raise InputError(f"emission_rate takes a single-point jet, got "
+                         f"batch shape {jet.batch_shape}")
+    active = e.active_channels() & normalize_channels(channels)
+    by_pair, total = _channel_pair_rates(e, jet, active)
+    return RateReport(gamma_total=float(total),
+                      gamma_by_channel_pair={k: float(v)
+                                             for k, v in by_pair.items()},
+                      delta=None)
 
 
 def free_space_rates(e: MultipoleEmitter, n: float,
@@ -260,22 +270,6 @@ def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
                           method=method)
 
 
-def _node_report(e: MultipoleEmitter, jet: GreensJet, chans,
-                 gamma_fs: float, fs_by_channel: dict) -> RateReport:
-    rep = emission_rate(e, jet, channels=chans)
-    norm = {
-        "gamma_fs": {"value": gamma_fs, "unit": "1/s"},
-        "channels": sorted(chans),
-        "enhancement_total": rep.gamma_total / gamma_fs,
-        "enhancement_by_channel_pair": {
-            f"{ca}-{cb}": v / gamma_fs
-            for (ca, cb), v in sorted(rep.gamma_by_channel_pair.items())},
-        "gamma_fs_by_channel": fs_by_channel,
-    }
-    rep.normalization = norm
-    return rep
-
-
 def enhancement_map(grid, e: MultipoleEmitter,
                     freq_rtol: float = 1e-6) -> list:
     """Emission-rate reports over all grid nodes, normalized to free space.
@@ -283,7 +277,10 @@ def enhancement_map(grid, e: MultipoleEmitter,
     The reference gamma_fs is the n = 1 closed-form rate restricted to the
     emitter's active channels (so a purely magnetic emitter is normalized
     to its magnetic free-space rate, not to zero dipole decay). Node order
-    is grid-major.
+    is grid-major (node_points() order). All nodes are contracted in one
+    pass over the grid's batched node jet, through the same channel-pair
+    rates and positivity guards as emission_rate, so each report equals
+    emission_rate at that node up to floating-point summation order.
     """
     if abs(grid.frequency - e.omega0) > freq_rtol * e.omega0:
         raise InputError(
@@ -298,6 +295,23 @@ def enhancement_map(grid, e: MultipoleEmitter,
     gamma_fs = sum(fs[c] for c in active)
     fs_by_channel = {c: fs[c] for c in sorted(active)}
 
-    return [_node_report(e, grid.jet_at(point), active, gamma_fs,
-                         fs_by_channel)
-            for point in grid.node_points()]
+    by_pair, total = _channel_pair_rates(e, grid.node_jet(), active)
+    # result columns as per-node Python floats
+    rates = {p: col.tolist() for p, col in by_pair.items()}
+    enhancements = {f"{ca}-{cb}": (by_pair[(ca, cb)] / gamma_fs).tolist()
+                    for ca, cb in sorted(by_pair)}
+    reports = []
+    for i, gamma in enumerate(total.tolist()):
+        norm = {
+            "gamma_fs": {"value": gamma_fs, "unit": "1/s"},
+            "channels": sorted(active),
+            "enhancement_total": gamma / gamma_fs,
+            "enhancement_by_channel_pair": {
+                name: col[i] for name, col in enhancements.items()},
+            "gamma_fs_by_channel": fs_by_channel,
+        }
+        reports.append(RateReport(
+            gamma_total=gamma,
+            gamma_by_channel_pair={p: col[i] for p, col in rates.items()},
+            normalization=norm))
+    return reports

@@ -5,6 +5,7 @@ atomic-dipole emitter at 2 pi * 384 THz in vacuum, frozen from an
 independent evaluation of w^3 d^2 / (3 pi hbar eps0 c^3) with CODATA
 constants: 4257926.9227325665 1/s.
 """
+import dataclasses
 import json
 import math
 import os
@@ -181,6 +182,26 @@ def test_map_frequency_mismatch_exits_2_without_output(grid_file, tmp_path,
     assert "frequency" in capsys.readouterr().err
 
 
+def test_map_quadrupole_on_total_semantics_grid_exits_2(tmp_path, capsys):
+    # a total derivative cannot feed the quadrupole's split gradients
+    ax = np.array([-50e-9, 0.0, 50e-9])
+    split = grid_from_homogeneous(Medium(1.0), W384, (ax, ax, 0.0))
+    total = dataclasses.replace(split, derivative_semantics="total",
+                                blocks={"value": split.blocks["value"]})
+    grid = tmp_path / "total.json"
+    grid.write_bytes(save_grid(total))
+    quad = write_json(tmp_path / "eq.json",
+                      {"position_m": [0.0, 0.0, 0.0],
+                       "omega0_rad_per_s": W384,
+                       "Q_atomic": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                                    [0.0, 0.0, 0.0]]})
+    out = tmp_path / "never.csv"
+    assert main(["map", "--grid", str(grid), "--emitter", quad,
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "d_" in capsys.readouterr().err
+
+
 # --- couple ---------------------------------------------------------------------
 
 def test_couple_free_space_pair(tmp_path, emitter_file, capsys):
@@ -322,6 +343,28 @@ def test_dynamics_from_emitters_in_medium(tmp_path, capsys):
     assert doc["model"]["gamma_rad_per_s"]["re"][0][0] == pytest.approx(
         GAMMA_ED_UNIT_ATOMIC, rel=1e-10)
     assert doc["model"]["xi_rad_per_s"]["re"][0][1] != 0.0
+
+
+def test_dynamics_magnetic_dipole_emitters(tmp_path, capsys):
+    em = {"position_m": [0, 0, 0], "omega0_rad_per_s": W384,
+          "m_bohr_magnetons": [0.0, 1.0, 0.0]}
+    g = free_space_rates(MultipoleEmitter.from_dict(em), 1.0, W384)[1]
+    spec = write_json(tmp_path / "md.json",
+                      {"emitters": [em], "medium_index": 1.0,
+                       "initial": "e"})
+    assert main(["dynamics", "--ensemble", spec, "--t-max", repr(2.0 / g),
+                 "--t-points", "9"]) == 0
+    _, headers, rows = parse_csv(capsys.readouterr().out)
+    assert headers[-1] == "sigma_z_1"
+    for r in rows:
+        t, sz = float(r[0]), float(r[3])
+        assert sz == pytest.approx(2.0 * math.exp(-g * t) - 1.0, abs=1e-9)
+
+    pair = write_json(tmp_path / "md_pair.json",
+                      {"emitters": [em, dict(em, position_m=[0, 0, 60e-9])],
+                       "medium_index": 1.0, "initial": "eg"})
+    assert main(["dynamics", "--ensemble", pair, "--t-max", repr(2.0 / g),
+                 "--t-points", "5"]) == 0
 
 
 # --- validate --------------------------------------------------------------------

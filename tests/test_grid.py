@@ -241,6 +241,44 @@ def test_split_semantics_partial_blocks():
         g.jet_at(np.array([5e-9, 5e-9, 2e-9]), require_derivatives=True)
 
 
+def all_block_keys():
+    axes = "xyz"
+    return ([f"d1_{a}" for a in axes] + [f"d1_{a}_src" for a in axes]
+            + [f"d2_{a}{b}" for a in axes for b in axes])
+
+
+def test_node_jet_matches_jet_at_bitwise():
+    rng = np.random.default_rng(8)
+    ax = (np.array([0.0, 4.0, 11.0]), np.array([-3.0, 2.0]),
+          np.array([1.0, 6.0, 7.5, 9.0]))
+
+    def grid(semantics, keys):
+        shape = tuple(a.size for a in ax) + (3, 3)
+        blocks = {k: rng.normal(size=shape) + 1e-3j * rng.normal(size=shape)
+                  for k in ("value", *keys)}
+        return TensorGrid(frequency=W0, length_unit="nm",
+                          value_unit_exponent=-1,
+                          derivative_semantics=semantics, axes=ax,
+                          fixed_axes=(False, False, False), blocks=blocks)
+
+    split = grid("split", all_block_keys())
+    partial = grid("split", ["d1_x", "d1_y", "d1_z"])
+    total = grid("total", ["d1_x", "d1_y", "d1_z", "d2_xy"])
+    for g in (split, partial, total):
+        batched = g.node_jet()
+        assert batched.batch_shape == (24,)
+        for i, point in enumerate(g.node_points()):
+            jet = g.jet_at(point)
+            for name in ("value", "d_obs", "d_src", "d_mixed"):
+                want, got = getattr(jet, name), getattr(batched, name)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[i].tobytes() == want.tobytes()
+    assert total.node_jet().d_obs is None
+    assert split.node_jet().d_mixed.shape == (24, 3, 3, 3, 3)
+
+
 def test_node_points_row_major():
     g = grid_from_homogeneous(Medium(1.0), W0,
                               (np.array([0.0, 1e-9]),

@@ -320,6 +320,18 @@ def test_neval_counts_every_evaluation(rng):
     assert res.neval == jet.calls
 
 
+def test_pv_neval_counts_every_evaluation(rng):
+    f = CountingCalls(lambda w: math.exp(-w) + 0j)
+    res = pv_integral(f, 1.0)
+    assert res.neval == f.calls
+
+    model = lorentzian_model([(real_blocks(rng, 1e5), WR1, ETA1)])
+    jet = CountingCalls(model.evaluator)
+    counted = dataclasses.replace(model, evaluator=jet)
+    res = pv_spectral_form(counted, random_pair_bundle(rng), 0.8 * WR1)
+    assert res.neval == jet.calls
+
+
 def test_homogeneous_real_axis_pv_refuses(rng):
     # the real-axis spectral integrand oscillates with a growing envelope;
     # the tail guard must refuse rather than silently truncate

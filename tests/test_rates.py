@@ -1,6 +1,7 @@
 """Rates and couplings: closed-form cross-oracles, spectral-integral level
 shifts, Hermiticity, and free-space anchors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from polyemit.constants import C0, EPS0, HBAR
 from polyemit.emitter import MultipoleEmitter, moment_product_bundle
 from polyemit.errors import (InputError, MissingDerivativeError,
                              ModelDomainError)
+from polyemit.grid import TensorGrid
 from polyemit.homogeneous import Medium, coincident_im_jet, eval_homogeneous_jet
 from polyemit.jets import GreensJet
 from polyemit.quadrature import homogeneous_pair_model, lorentzian_model
@@ -140,6 +142,14 @@ def test_emission_rate_rejects_unphysical_jet(rng):
                         d_src=good.d_src, d_mixed=good.d_mixed, part="imag")
     with pytest.raises(InputError, match="positivity|negative"):
         emission_rate(e, flipped)
+
+
+def test_emission_rate_rejects_batched_jet(rng):
+    e = random_emitter(rng, channels="d")
+    value = coincident_im_jet(W0, Medium(1.0)).value
+    with pytest.raises(InputError, match="single-point"):
+        emission_rate(e, GreensJet(value=np.stack([value, value]),
+                                   part="imag"))
 
 
 def test_rate_report_serialization(rng):
@@ -346,8 +356,7 @@ def test_pair_hermiticity(rng):
     assert abs(g_ab - np.conj(g_ba)) < 1e-10 * abs(g_ab)
 
     # coherent coupling, all channels, on a resonance model pair related
-    # by reciprocity (free space cannot host the 1/w^2 magnetic-magnetic
-    # spectral weight on the imaginary axis; see quadrature docs)
+    # by reciprocity
     blocks = {"value": rng.standard_normal((3, 3)) * 1e5,
               "d_obs": rng.standard_normal((3, 3, 3)) * 5e5,
               "d_src": rng.standard_normal((3, 3, 3)) * 5e5,
@@ -359,15 +368,17 @@ def test_pair_hermiticity(rng):
     x_ba = coupling_strength(eb, ea, m_ba).xi
     assert abs(x_ab - np.conj(x_ba)) < 1e-8 * abs(x_ab)
 
-    # coherent coupling through free space for channels without the
-    # 1/w^2 weight (electric dipole + quadrupole)
-    ea2 = random_emitter(rng, pos=pa, channels="dq")
-    eb2 = random_emitter(rng, pos=pb, channels="dq")
-    x2_ab = coupling_strength(ea2, eb2,
-                              homogeneous_pair_model(med, pa, pb)).xi
-    x2_ba = coupling_strength(eb2, ea2,
-                              homogeneous_pair_model(med, pb, pa)).xi
-    assert abs(x2_ab - np.conj(x2_ba)) < 1e-7 * abs(x2_ab)
+    # coherent coupling through the uniform medium: the 1/w^2 MD-MD weight
+    # passes the static-pole guard, since the two curls annihilate the
+    # electrostatic pole's gradient field
+    for channels in ("dq", "dmq"):
+        ea2 = random_emitter(rng, pos=pa, channels=channels)
+        eb2 = random_emitter(rng, pos=pb, channels=channels)
+        x2_ab = coupling_strength(ea2, eb2,
+                                  homogeneous_pair_model(med, pa, pb)).xi
+        x2_ba = coupling_strength(eb2, ea2,
+                                  homogeneous_pair_model(med, pb, pa)).xi
+        assert abs(x2_ab - np.conj(x2_ba)) < 1e-7 * abs(x2_ab)
 
 
 def test_coupling_scaling_covariance(rng):
@@ -430,8 +441,17 @@ class _StubGrid:
     def node_points(self):
         return self._pts
 
-    def jet_at(self, point):
-        return coincident_im_jet(self.frequency, self._med)
+    def node_jet(self):
+        jet = coincident_im_jet(self.frequency, self._med)
+        n = len(self._pts)
+
+        def tile(blk):
+            return None if blk is None else np.broadcast_to(
+                blk, (n,) + blk.shape)
+
+        return GreensJet(value=tile(jet.value), d_obs=tile(jet.d_obs),
+                         d_src=tile(jet.d_src), d_mixed=tile(jet.d_mixed),
+                         part="imag")
 
 
 def test_enhancement_map_unity_and_index_scaling(rng):
@@ -444,6 +464,81 @@ def test_enhancement_map_unity_and_index_scaling(rng):
         doubled = enhancement_map(_StubGrid(W0, 2.0, pts), e)
         assert all(abs(r.normalization["enhancement_total"] - expected)
                    < 1e-10 * expected for r in doubled)
+
+
+def kernel_grid(rng, semantics="split", shape=(5, 4)):
+    """Split grid whose node jets come from random positive semidefinite
+    12 x 12 kernels over (ED index n; derivative pair (n, l)), so every
+    node is a physical, non-uniform spectral density with nonzero
+    cross-channel blocks."""
+    nx, ny = shape
+    k = W0 / C0
+    scale = np.concatenate([np.ones(3), np.full(9, k)])
+    a = rng.standard_normal((nx, ny, 1, 12, 12))
+    K = (scale[:, None] * np.einsum('...ij,...kj->...ik', a, a)
+         * scale[None, :] * 4e5 / 12)
+    value = K[..., :3, :3]
+    d_obs = K[..., 3:, :3].reshape(nx, ny, 1, 3, 3, 3).transpose(
+        0, 1, 2, 3, 5, 4)          # [m, k, n] -> [m, n, k]
+    d_src = K[..., :3, 3:].reshape(nx, ny, 1, 3, 3, 3)  # [m, n, l]
+    d_mixed = K[..., 3:, 3:].reshape(nx, ny, 1, 3, 3, 3, 3).transpose(
+        0, 1, 2, 3, 5, 4, 6)       # [m, k, n, l] -> [m, n, k, l]
+    blocks = {"value": value}
+    if semantics == "split":
+        for i, a in enumerate("xyz"):
+            blocks[f"d1_{a}"] = d_obs[..., i]
+            blocks[f"d1_{a}_src"] = d_src[..., i]
+            for j, b in enumerate("xyz"):
+                blocks[f"d2_{a}{b}"] = d_mixed[..., i, j]
+    return TensorGrid(frequency=W0, length_unit="m", value_unit_exponent=-1,
+                      derivative_semantics=semantics,
+                      axes=(np.arange(nx) * 1e-8, np.arange(ny) * 1e-8,
+                            np.array([0.0])),
+                      fixed_axes=(False, False, True), blocks=blocks)
+
+
+def test_enhancement_map_matches_per_node_emission_rate(rng):
+    g = kernel_grid(rng)
+    e = random_emitter(rng)
+    reports = enhancement_map(g, e)
+    points = g.node_points()
+    assert len(reports) == len(points)
+    cross = 0.0
+    for point, rep in zip(points, reports):
+        ref = emission_rate(e, g.jet_at(point))
+        tol = 1e-14 * ref.gamma_total
+        assert abs(rep.gamma_total - ref.gamma_total) <= tol
+        assert list(rep.gamma_by_channel_pair) == list(
+            ref.gamma_by_channel_pair)
+        for pair, v in ref.gamma_by_channel_pair.items():
+            assert abs(rep.gamma_by_channel_pair[pair] - v) <= tol
+            if pair[0] != pair[1]:
+                cross = max(cross, abs(v) / ref.gamma_total)
+        gamma_fs = rep.normalization["gamma_fs"]["value"]
+        assert rep.normalization["enhancement_total"] == (
+            rep.gamma_total / gamma_fs)
+    # the kernels drive every cross-channel pair, not only the diagonal
+    assert cross > 1e-3
+
+
+def test_enhancement_map_rejects_one_unphysical_node(rng):
+    g = kernel_grid(rng)
+    blocks = {key: blk.copy() for key, blk in g.blocks.items()}
+    for blk in blocks.values():
+        blk[3, 2] *= -1.0
+    bad = dataclasses.replace(g, blocks=blocks)
+    e = random_emitter(rng)
+    enhancement_map(g, e)
+    with pytest.raises(InputError, match="negative"):
+        enhancement_map(bad, e)
+
+
+def test_enhancement_map_total_semantics_is_dipole_only(rng):
+    g = kernel_grid(rng, semantics="total")
+    reports = enhancement_map(g, random_emitter(rng, channels="d"))
+    assert all(r.gamma_total > 0 for r in reports)
+    with pytest.raises(MissingDerivativeError):
+        enhancement_map(g, random_emitter(rng, channels="q"))
 
 
 def test_enhancement_map_guards(rng):
