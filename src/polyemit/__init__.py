@@ -21,7 +21,7 @@ from .quadrature import (QuadratureResult, SpectralGreenModel,
 from .rates import (RateReport, CouplingReport, emission_rate,
                     free_space_rates, lamb_shift, coupling_strength,
                     collective_rate, enhancement_map)
-from .grid import (TensorGrid, jet_at, save_grid, load_grid, validate_grid,
+from .grid import (TensorGrid, save_grid, load_grid, validate_grid,
                    finite_difference_blocks, grid_from_homogeneous,
                    GridValidationReport)
 from .dynamics import (EmitterEnsembleModel, Trajectory, lowering_operators,

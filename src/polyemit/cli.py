@@ -36,10 +36,13 @@ or emitters plus a uniform background
 with optional "rtol"/"atol" integrator overrides. Unknown keys anywhere in
 the spec are rejected before any computation starts.
 
+couple reads xi and rates of separated emitters from build_ensemble, with
+its 1 % reference-frequency rule; at zero separation xi is divergent.
+
 CSV output starts with versioned schema comments ("# polyemit-csv 1",
 subcommand, column docs) followed by a header row; JSON output is a
 single sorted-key document. Output bytes are deterministic for fixed
-inputs; the map subcommand's node order is grid-major.
+inputs and any PYTHONHASHSEED; map node order is grid-major.
 """
 import argparse
 import json
@@ -57,10 +60,12 @@ from .emitter import MultipoleEmitter, normalize_channels
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
                      PartFlagError, PolyemitError, QuadratureError)
 from .grid import TensorGrid, load_grid, validate_grid
-from .homogeneous import Medium, coincident_im_jet, eval_homogeneous_jet
-from .quadrature import homogeneous_pair_model
-from .rates import (collective_rate, coupling_strength, enhancement_map,
-                    free_space_rates)
+from .homogeneous import Medium, coincident_im_jet
+# not called here (couple goes through build_ensemble); perfbench/tracing.py
+# wraps these two names on this module
+from .quadrature import homogeneous_pair_model  # noqa: F401
+from .rates import (collective_rate, coupling_strength,  # noqa: F401
+                    enhancement_map, free_space_rates)
 
 _CSV_SCHEMA = "polyemit-csv 1"
 
@@ -302,25 +307,24 @@ def _cmd_couple(cfg: RunConfig) -> int:
     rel_tol = cfg.tol_rel if cfg.tol_rel is not None else 1e-8
     separation = float(np.linalg.norm(a.position - b.position))
 
-    jet0 = coincident_im_jet(wbar, med)
-    gamma_a = collective_rate(a, a, jet0, omega_bar=wbar).gamma_cross
-    gamma_b = collective_rate(b, b, jet0, omega_bar=wbar).gamma_cross
     if separation == 0.0:
-        cross = collective_rate(a, b, jet0, omega_bar=wbar)
-        xi = None  # coherent coupling diverges at zero separation
+        # coherent coupling diverges; every rate is the coincident jet's
+        jet0 = coincident_im_jet(wbar, med)
+        gamma = [[collective_rate(x, y, jet0, omega_bar=wbar).gamma_cross
+                  for y in (a, b)] for x in (a, b)]
+        xi = None
     else:
-        jet = eval_homogeneous_jet(a.position, b.position, wbar, med)
-        cross = collective_rate(a, b, jet, omega_bar=wbar)
-        pair = homogeneous_pair_model(med, a.position, b.position)
-        xi = coupling_strength(a, b, pair, omega_bar=wbar,
-                               rel_tol=rel_tol).xi
+        model = build_ensemble([a, b], med, omega_ref=wbar, rel_tol=rel_tol)
+        gamma = model.gamma
+        xi = model.xi[0][1]
+    gamma_a, cross, gamma_b = gamma[0][0], gamma[0][1], gamma[1][1]
 
     def split(z):
         return (0.0, 0.0) if z is None else (complex(z).real, complex(z).imag)
 
     rows = [["xi", *split(xi), "rad/s",
              "" if xi is not None else "divergent at zero separation"],
-            ["gamma_cross", *split(cross.gamma_cross), "1/s", ""],
+            ["gamma_cross", *split(cross), "1/s", ""],
             ["gamma_a", *split(gamma_a), "1/s", ""],
             ["gamma_b", *split(gamma_b), "1/s", ""]]
     comments = [f"refractive index: {cfg.index!r}",
@@ -335,7 +339,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
     doc = {"subcommand": "couple", "refractive_index": cfg.index,
            "mean_frequency_rad_per_s": wbar, "separation_m": separation,
            "xi_rad_per_s": czdoc(xi),
-           "gamma_cross_per_s": czdoc(cross.gamma_cross),
+           "gamma_cross_per_s": czdoc(cross),
            "gamma_a_per_s": czdoc(gamma_a), "gamma_b_per_s": czdoc(gamma_b)}
     _deliver(cfg, (comments, ["quantity", "re", "im", "unit", "note"], rows),
              doc)

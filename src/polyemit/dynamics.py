@@ -45,8 +45,8 @@ from .emitter import MultipoleEmitter
 from .errors import (CoincidentPointError, InputError, IntegrationError,
                      ModelDomainError)
 from .grid import TensorGrid
-from .homogeneous import Medium, coincident_im_jet, eval_homogeneous_jet
-from .quadrature import homogeneous_pair_model
+from .homogeneous import Medium, coincident_im_jet
+from .quadrature import SpectralGreenModel, homogeneous_pair_model
 from .rates import collective_rate, coupling_strength, lamb_shift
 
 _MAX_EMITTERS = 10       # dense propagation cap, dimension 2**10
@@ -210,11 +210,7 @@ class Trajectory:
     error_estimate: Optional[float] = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-            raise InputError("time grid must be a finite 1-D array")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise InputError("time grid must be strictly increasing")
+        times = _time_grid(self.times)
         nt = times.size
 
         sigma = np.asarray(self.sigma, dtype=complex)
@@ -523,12 +519,43 @@ def _reference_frequency(emitters, omega_ref, freq_ratio_tol) -> float:
     return omega_ref
 
 
+def _pair_source(environment, omega_ref: float, freq_ratio_tol: float):
+    """environment as (a, b, diagonal) -> GreensJet, spectral model or None."""
+    if isinstance(environment, Medium):
+        jet0 = coincident_im_jet(omega_ref, environment)
+
+        def medium(a, b, diagonal):
+            if diagonal:
+                return jet0
+            if float(np.linalg.norm(a.position - b.position)) == 0.0:
+                raise CoincidentPointError(
+                    "coherent coupling diverges for emitters at the "
+                    "same position; assemble the model directly with "
+                    "the xi you intend")
+            return homogeneous_pair_model(environment, a.position,
+                                          b.position)
+        return medium
+    if isinstance(environment, TensorGrid):
+        if abs(environment.frequency - omega_ref) > freq_ratio_tol * omega_ref:
+            raise InputError(
+                "grid frequency differs from the reference frequency by "
+                "more than the allowed fraction")
+        return lambda a, b, diagonal: (environment.jet_at(a.position)
+                                       if diagonal else None)
+    if callable(environment):
+        return lambda a, b, diagonal: environment(a, b)
+    raise InputError(
+        "environment must be a homogeneous Medium, a sampled "
+        "TensorGrid, or a callable mapping an emitter pair to a "
+        "spectral model")
+
+
 def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
                    freq_ratio_tol: float = 1e-2, method: str = "auto",
                    rel_tol: float = 1e-8) -> EmitterEnsembleModel:
     """Ensemble coefficients from pairwise environment responses.
 
-    environment selects the route:
+    environment selects what each emitter pair sees:
 
     * Medium: uniform-medium analytics. Decay entries come from the
       two-point imaginary-part jet (coincident jet on the diagonal),
@@ -543,9 +570,11 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
     * callable (a, b) -> spectral model or None: fully custom. Diagonal
       models supply the decay entry, and the level shift when they
       declare themselves scattered; off-diagonal models supply decay and
-      coherent coupling. None leaves the pair at zero.
+      coherent coupling (a bare jet is rejected there). None leaves the
+      pair at zero.
 
-    Off-diagonal entries are computed once per unordered pair and
+    One loop over the pairs a <= b serves every environment, with the
+    diagonal decided by index. Off-diagonal entries are computed once and
     mirrored, so the matrices are exactly Hermitian; positive
     semidefiniteness of the decay matrix is then enforced by the model
     container. Emitters with no moments contribute zero rows and columns.
@@ -559,83 +588,38 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
     if isinstance(environment, TensorGrid) and omega_ref is None:
         omega_ref = environment.frequency
     wbar = _reference_frequency(ems, omega_ref, freq_ratio_tol)
+    source = _pair_source(environment, wbar, freq_ratio_tol)
 
     n = len(ems)
     delta = np.zeros(n)
     xi = np.zeros((n, n), dtype=complex)
     gamma = np.zeros((n, n), dtype=complex)
-
-    if isinstance(environment, Medium):
-        jet0 = coincident_im_jet(wbar, environment)
-        for a in range(n):
-            gamma[a, a] = _real_entry(
-                collective_rate(ems[a], ems[a], jet0, omega_bar=wbar,
-                                freq_ratio_tol=freq_ratio_tol).gamma_cross,
-                "decay rate")
-        for a in range(n):
-            for b in range(a + 1, n):
-                if not (ems[a].active_channels() and ems[b].active_channels()):
-                    continue
-                ra, rb = ems[a].position, ems[b].position
-                if float(np.linalg.norm(ra - rb)) == 0.0:
-                    raise CoincidentPointError(
-                        "coherent coupling diverges for emitters at the "
-                        "same position; assemble the model directly with "
-                        "the xi you intend")
-                jet = eval_homogeneous_jet(ra, rb, wbar, environment)
-                gamma[a, b] = collective_rate(
-                    ems[a], ems[b], jet, omega_bar=wbar,
-                    freq_ratio_tol=freq_ratio_tol).gamma_cross
-                gamma[b, a] = np.conj(gamma[a, b])
-                pair = homogeneous_pair_model(environment, ra, rb)
-                xi[a, b] = coupling_strength(
-                    ems[a], ems[b], pair, omega_bar=wbar, method=method,
-                    freq_ratio_tol=freq_ratio_tol, rel_tol=rel_tol).xi
-                xi[b, a] = np.conj(xi[a, b])
-
-    elif isinstance(environment, TensorGrid):
-        if abs(environment.frequency - wbar) > freq_ratio_tol * wbar:
-            raise InputError(
-                "grid frequency differs from the reference frequency by "
-                "more than the allowed fraction")
-        for a in range(n):
-            jet = environment.jet_at(ems[a].position)
-            gamma[a, a] = _real_entry(
-                collective_rate(ems[a], ems[a], jet, omega_bar=wbar,
-                                freq_ratio_tol=freq_ratio_tol).gamma_cross,
-                "decay rate")
-
-    elif callable(environment):
-        for a in range(n):
-            pair = environment(ems[a], ems[a])
+    for a in range(n):
+        for b in range(a, n):
+            ea, eb = ems[a], ems[b]
+            if not (ea.active_channels() and eb.active_channels()):
+                continue
+            pair = source(ea, eb, a == b)
             if pair is None:
                 continue
-            gamma[a, a] = _real_entry(
-                collective_rate(ems[a], ems[a], pair, omega_bar=wbar,
-                                freq_ratio_tol=freq_ratio_tol).gamma_cross,
-                "decay rate")
-            if pair.scattered:
-                delta[a] = lamb_shift(ems[a], pair, method=method,
-                                      rel_tol=rel_tol)
-        for a in range(n):
-            for b in range(a + 1, n):
-                pair = environment(ems[a], ems[b])
-                if pair is None:
-                    continue
-                gamma[a, b] = collective_rate(
-                    ems[a], ems[b], pair, omega_bar=wbar,
-                    freq_ratio_tol=freq_ratio_tol).gamma_cross
-                gamma[b, a] = np.conj(gamma[a, b])
-                xi[a, b] = coupling_strength(
-                    ems[a], ems[b], pair, omega_bar=wbar, method=method,
-                    freq_ratio_tol=freq_ratio_tol, rel_tol=rel_tol).xi
-                xi[b, a] = np.conj(xi[a, b])
-
-    else:
-        raise InputError(
-            "environment must be a homogeneous Medium, a sampled "
-            "TensorGrid, or a callable mapping an emitter pair to a "
-            "spectral model")
+            rate = collective_rate(ea, eb, pair, omega_bar=wbar,
+                                   freq_ratio_tol=freq_ratio_tol).gamma_cross
+            if a == b:
+                gamma[a, a] = _real_entry(rate, "decay rate")
+                if isinstance(pair, SpectralGreenModel) and pair.scattered:
+                    delta[a] = lamb_shift(ea, pair, method=method,
+                                          rel_tol=rel_tol)
+                continue
+            if not isinstance(pair, SpectralGreenModel):
+                raise InputError(
+                    f"emitters {a} and {b} need a spectral model for their "
+                    f"coupling, not a {type(pair).__name__}")
+            gamma[a, b] = rate
+            gamma[b, a] = np.conj(rate)
+            xi[a, b] = coupling_strength(
+                ea, eb, pair, omega_bar=wbar, method=method,
+                freq_ratio_tol=freq_ratio_tol, rel_tol=rel_tol).xi
+            xi[b, a] = np.conj(xi[a, b])
 
     return EmitterEnsembleModel(omega_ref=wbar, delta=delta, xi=xi,
                                 gamma=gamma)

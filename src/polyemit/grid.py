@@ -49,7 +49,7 @@ from .jets import GreensJet
 
 __all__ = [
     "TensorGrid", "CheckResult", "GridValidationReport",
-    "load_grid", "save_grid", "jet_at", "validate_grid",
+    "load_grid", "save_grid", "validate_grid",
     "finite_difference_blocks", "grid_from_homogeneous",
 ]
 
@@ -302,10 +302,6 @@ class TensorGrid:
             return False
         return all(np.array_equal(self.blocks[k], other.blocks[k])
                    for k in self.blocks)
-
-
-def jet_at(grid: TensorGrid, point, require_derivatives: bool = False) -> GreensJet:
-    return grid.jet_at(point, require_derivatives=require_derivatives)
 
 
 # ---------------------------------------------------------------------------

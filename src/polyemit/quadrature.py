@@ -141,6 +141,7 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
     total = 0.0 + 0.0j
     total_err = 0.0
     neval = 0
+    panels = 0
     a = start
     width = scale
     peak = 0.0
@@ -152,6 +153,7 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
         total += res.value
         total_err += res.error
         neval += res.neval
+        panels += res.panels
         peak = max(peak, res.peak)
         mag = abs(res.value)
         if mag > prev_mag * 1.02:
@@ -164,7 +166,7 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
             grow_streak = 0
         if res.peak <= peak_floor * peak and mag <= max(
                 rel_tol * abs(total), 1e-300):
-            return QuadratureResult(total, total_err, neval)
+            return QuadratureResult(total, total_err, neval, panels, peak)
         prev_mag = mag
         a += width
         width *= 2.0
@@ -181,49 +183,56 @@ def pv_integral(f: Callable[[float], complex], pole: float,
     Symmetric excision around the pole: on [pole-d, pole+d] the even part
     of f cancels and the odd part gives the regular difference quotient
     [f(pole+s) - f(pole-s)]/s, integrated adaptively. The excision radius
-    is halved once to confirm convergence.
+    is halved once to confirm convergence. neval and peak cover every
+    evaluation of f, panels the adaptive panels of both excisions.
     """
     if not (pole > 0 and math.isfinite(pole)):
         raise QuadratureError("pole must lie inside (0, upper)")
     if upper <= pole:
         raise QuadratureError("pole must lie inside (0, upper)")
 
-    def evaluate(delta: float) -> QuadratureResult:
+    neval, peak = 0, 0.0
+
+    def sampled(w: float) -> complex:
+        nonlocal neval, peak
+        value = f(w)
+        neval, peak = neval + 1, max(peak, abs(value))
+        return value
+
+    def divided(w: float) -> complex:
+        return sampled(w) / (w - pole)
+
+    def evaluate(delta: float) -> tuple:
+        """(value, error, panels) for excision radius delta."""
         def core(s: float) -> complex:
-            return (f(pole + s) - f(pole - s)) / s
+            return (sampled(pole + s) - sampled(pole - s)) / s
 
         res_core = integrate_adaptive(core, 0.0, delta, rel_tol=rel_tol)
-        res_left = integrate_adaptive(lambda w: f(w) / (w - pole), 0.0,
-                                      pole - delta, rel_tol=rel_tol)
-        value = res_core.value + res_left.value
-        error = res_core.error + res_left.error
-        # each core node evaluates f on both sides of the pole
-        neval = 2 * res_core.neval + res_left.neval
+        res_left = integrate_adaptive(divided, 0.0, pole - delta,
+                                      rel_tol=rel_tol)
         if math.isfinite(upper):
-            res_right = integrate_adaptive(lambda w: f(w) / (w - pole),
-                                           pole + delta, upper,
+            res_right = integrate_adaptive(divided, pole + delta, upper,
                                            rel_tol=rel_tol)
         else:
             scale = tail_scale if tail_scale else pole
-            res_right = _integrate_tail(lambda w: f(w) / (w - pole),
-                                        pole + delta, scale,
+            res_right = _integrate_tail(divided, pole + delta, scale,
                                         rel_tol=rel_tol)
-        return QuadratureResult(value + res_right.value,
-                                error + res_right.error,
-                                neval + res_right.neval)
+        value = res_core.value + res_left.value + res_right.value
+        error = res_core.error + res_left.error + res_right.error
+        return (value, error,
+                res_core.panels + res_left.panels + res_right.panels)
 
     half_span = min(pole, (upper - pole) if math.isfinite(upper) else pole)
-    first = evaluate(0.5 * half_span)
-    second = evaluate(0.25 * half_span)
-    drift = abs(first.value - second.value)
-    budget = 10 * max(first.error + second.error,
-                      rel_tol * abs(second.value), 1e-300)
+    first, first_err, first_panels = evaluate(0.5 * half_span)
+    value, error, panels = evaluate(0.25 * half_span)
+    drift = abs(first - value)
+    budget = 10 * max(first_err + error, rel_tol * abs(value), 1e-300)
     if drift > budget:
         raise QuadratureError(
             f"principal value did not stabilize under excision halving: "
             f"drift {drift:.3e} vs budget {budget:.3e}")
-    return QuadratureResult(second.value, max(second.error, drift),
-                            first.neval + second.neval)
+    return QuadratureResult(value, max(error, drift), neval,
+                            first_panels + panels, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +380,9 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     jet0 = model.jet(omega0)
     re_blocks = _jet_block_dict(jet0, "re")
     p0 = {}
-    names = set(f0) | set(f1) | set(f2)
+    # one fixed block order, so the contraction sums in the same order in
+    # every process (set order would follow the string-hash seed)
+    names = list(dict.fromkeys([*f0, *f1, *f2]))
     for name in names:
         acc = 0.0
         if name in f0:
@@ -422,7 +433,9 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     value = resonant + head.value + tail.value + arc + pole_term
     error = head.error + tail.error
     return QuadratureResult(value=complex(value), error=float(error),
-                            neval=head.neval + tail.neval + 1)
+                            neval=head.neval + tail.neval + 1,
+                            panels=head.panels + tail.panels,
+                            peak=max(head.peak, tail.peak))
 
 
 def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,

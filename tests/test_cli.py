@@ -9,10 +9,13 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polyemit
 from polyemit.cli import RunConfig, main, parse_frequency
 from polyemit.emitter import MultipoleEmitter
 from polyemit.errors import InputError
@@ -257,6 +260,42 @@ def test_couple_inert_pair_is_zero(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["xi_rad_per_s"] == {"re": 0.0, "im": 0.0}
     assert doc["gamma_cross_per_s"] == {"re": 0.0, "im": 0.0}
+
+
+def test_couple_frequency_must_be_near_every_emitter(tmp_path, emitter_file):
+    # the ensemble rule: each emitter within 1 % of the reference frequency
+    other = write_json(tmp_path / "b.json",
+                       {"position_m": [0.0, 0.0, 80e-9],
+                        "omega0_rad_per_s": W384,
+                        "d_atomic": [1.0, 0.0, 0.0]})
+    assert main(["couple", "--emitter", emitter_file, "--emitter", other,
+                 "--frequency", "450THz", "--quiet"]) == 2
+
+
+def test_couple_bytes_do_not_depend_on_hash_seed(tmp_path):
+    # ED+EQ pair whose block contributions sum in a hash-dependent order
+    # when blocks are iterated as a set (seeds 0 and 3 differ then)
+    docs = [{"position_m": [0, 0, 0], "omega0_rad_per_s": 3.1394e15,
+             "d_atomic": [0.61, 0.62, 0.03],
+             "Q_atomic": [[0.387, -1.07, 0.77], [-1.07, -0.573, -0.6],
+                          [0.77, -0.6, 0.187]]},
+            {"position_m": [-2.6e-08, 1.9e-07, 1.59e-07],
+             "omega0_rad_per_s": 3.1394e15,
+             "d_atomic": [0.69, -0.22, -0.01],
+             "Q_atomic": [[0.327, -1.34, 0.47], [-1.34, 1.147, -0.13],
+                          [0.47, -0.13, -1.473]]}]
+    files = [write_json(tmp_path / f"e{i}.json", d) for i, d in enumerate(docs)]
+    src = os.path.dirname(os.path.dirname(polyemit.__file__))
+    outs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyemit.cli", "couple",
+             "--emitter", files[0], "--emitter", files[1], "--quiet"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # --- dynamics --------------------------------------------------------------------

@@ -447,16 +447,20 @@ def test_build_ensemble_random_multipole_sets(rng):
 def test_build_ensemble_inert_pair():
     a = MultipoleEmitter(position=np.zeros(3), omega0=3.2e15)
     b = MultipoleEmitter(position=np.array([0.0, 0.0, 50e-9]), omega0=3.2e15)
-    model = build_ensemble([a, b], Medium(1.0))
-    assert np.all(model.gamma == 0.0)
-    assert np.all(model.xi == 0.0)
-    assert np.all(model.delta == 0.0)
+    for pair in ([a, b], [a, a]):   # inert twins at one position: no error
+        model = build_ensemble(pair, Medium(1.0))
+        assert np.all(model.gamma == 0.0)
+        assert np.all(model.xi == 0.0)
+        assert np.all(model.delta == 0.0)
 
 
 def test_build_ensemble_colocated_coupling_diverges():
     e1, e2 = _pair(separation=0.0)
     with pytest.raises(CoincidentPointError):
         build_ensemble([e1, e2], Medium(1.0))
+    # the diagonal is decided by index: one emitter listed twice is a pair
+    with pytest.raises(CoincidentPointError, match="same position"):
+        build_ensemble([e1, e1], Medium(1.0))
 
 
 def test_build_ensemble_frequency_guard():
@@ -505,3 +509,7 @@ def test_build_ensemble_rejects_unknown_environment():
     e1, e2 = _pair()
     with pytest.raises(InputError, match="environment"):
         build_ensemble([e1, e2], object())
+    # a jet has no frequency dependence to integrate for the coupling xi
+    jet = coincident_im_jet(e1.omega0, Medium(1.0))
+    with pytest.raises(InputError, match="spectral model"):
+        build_ensemble([e1, e2], lambda a, b: jet)

@@ -10,7 +10,7 @@ import pytest
 from polyemit.emitter import MultipoleEmitter
 from polyemit.errors import GridDomainError, GridFormatError, InputError
 from polyemit.grid import (TensorGrid, finite_difference_blocks,
-                           grid_from_homogeneous, jet_at, load_grid,
+                           grid_from_homogeneous, load_grid,
                            save_grid, validate_grid)
 from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
                                   eval_homogeneous_jet)
@@ -551,14 +551,3 @@ def test_grid_pipeline_enhancements_match_analytic():
         for rep in reports:
             enh = rep.normalization["enhancement_total"]
             assert abs(enh - want[name]) <= 5e-5 * want[name]
-
-
-def test_module_level_jet_at_delegates():
-    g = grid_from_homogeneous(Medium(1.0), W0,
-                              (np.array([0.0, 10e-9]),
-                               np.array([0.0, 10e-9]), 0.0))
-    p = np.array([5e-9, 5e-9, 0.0])
-    a = jet_at(g, p)
-    b = g.jet_at(p)
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(a.d_mixed, b.d_mixed)

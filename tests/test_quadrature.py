@@ -291,17 +291,28 @@ def test_homogeneous_model_real_and_tolerance_stable(rng):
 class CountingCalls:
     def __init__(self, fn):
         self.fn = fn
-        self.calls = 0
+        self.values = []
+
+    @property
+    def calls(self):
+        return len(self.values)
+
+    @property
+    def peak(self):
+        return max(abs(v) for v in self.values)
 
     def __call__(self, x):
-        self.calls += 1
-        return self.fn(x)
+        value = self.fn(x)
+        self.values.append(value)
+        return value
 
 
 def test_neval_counts_every_evaluation(rng):
     f = CountingCalls(lambda x: math.exp(-x) / (1.0 + x * x))
     tail = _integrate_tail(f, 1.0, 1.0, rel_tol=1e-8)
     assert tail.neval == f.calls
+    assert tail.peak == f.peak
+    assert tail.panels > 0
 
     # ED+EQ pair in n = 1.5 at 0.2 wavelengths
     sep = 0.2 * 2 * math.pi * C0 / (1.5 * WR1)
@@ -318,18 +329,22 @@ def test_neval_counts_every_evaluation(rng):
     bundle = moment_product_bundle(emitter(pos[0]), emitter(pos[1]))
     res = imaginary_axis_form(counted, bundle, WR1)
     assert res.neval == jet.calls
+    assert res.panels > 0 and res.peak > 0.0
 
 
 def test_pv_neval_counts_every_evaluation(rng):
     f = CountingCalls(lambda w: math.exp(-w) + 0j)
     res = pv_integral(f, 1.0)
     assert res.neval == f.calls
+    assert res.peak == f.peak
+    assert res.panels > 0
 
     model = lorentzian_model([(real_blocks(rng, 1e5), WR1, ETA1)])
     jet = CountingCalls(model.evaluator)
     counted = dataclasses.replace(model, evaluator=jet)
     res = pv_spectral_form(counted, random_pair_bundle(rng), 0.8 * WR1)
     assert res.neval == jet.calls
+    assert res.panels > 0 and res.peak > 0.0
 
 
 def test_homogeneous_real_axis_pv_refuses(rng):
