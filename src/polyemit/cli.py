@@ -36,8 +36,9 @@ or emitters plus a uniform background
 with optional "rtol"/"atol" integrator overrides. Unknown keys anywhere in
 the spec are rejected before any computation starts.
 
-couple reads xi and rates of separated emitters from build_ensemble, with
-its 1 % reference-frequency rule; at zero separation xi is divergent.
+couple reads xi and rates of separated emitters from build_ensemble; its
+1 % reference-frequency rule holds at every separation, and at zero
+separation xi is divergent.
 
 CSV output starts with versioned schema comments ("# polyemit-csv 1",
 subcommand, column docs) followed by a header row; JSON output is a
@@ -54,8 +55,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (EmitterEnsembleModel, Trajectory, build_ensemble,
-                       evolve_ensemble, product_density, pure_density)
+from .dynamics import (EmitterEnsembleModel, Trajectory, _reference_frequency,
+                       build_ensemble, evolve_ensemble, product_density,
+                       pure_density)
 from .emitter import MultipoleEmitter, normalize_channels
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
                      PartFlagError, PolyemitError, QuadratureError)
@@ -308,6 +310,8 @@ def _cmd_couple(cfg: RunConfig) -> int:
     separation = float(np.linalg.norm(a.position - b.position))
 
     if separation == 0.0:
+        # build_ensemble's frequency rule, which this branch bypasses
+        _reference_frequency([a, b], wbar, freq_ratio_tol=1e-2)
         # coherent coupling diverges; every rate is the coincident jet's
         jet0 = coincident_im_jet(wbar, med)
         gamma = [[collective_rate(x, y, jet0, omega_bar=wbar).gamma_cross

@@ -13,11 +13,16 @@ at the reference frequency w_ref under
                                     + rho sigma_a^+ sigma_b) / 2)
 
 Heisenberg equations close for one emitter but couple ever higher operator
-products once two or more emitters interact, so the state is propagated
-densely instead; exact for small ensembles, capped at 10 emitters
-(dimension 1024). The decay matrix is factored into jump operators through
-its eigenbasis, with negative eigenvalues inside the model's tolerance
-band clipped to zero.
+products once two or more emitters interact, so the density matrix itself
+is propagated. H conserves the number of excited emitters and every jump
+lowers it by one, so rho splits into blocks rho_(k,l) between the sectors
+of k and l excitations, and the blocks with one value of k - l form a
+closed family, each fed only by the block one sector up. Only the
+families and sectors the initial state populates are integrated, with
+sector operators read off the basis bit patterns (a single excitation is
+an (n+1)-dimensional problem); exact, capped at 10 emitters (dimension
+1024). Negative decay-matrix eigenvalues inside the model's tolerance band
+are clipped to zero.
 
 Rate convention: gamma_aa is the population decay rate of emitter a, so a
 lone coherence decays at gamma_aa / 2. The diagonal of xi acts as an
@@ -49,7 +54,7 @@ from .homogeneous import Medium, coincident_im_jet
 from .quadrature import SpectralGreenModel, homogeneous_pair_model
 from .rates import collective_rate, coupling_strength, lamb_shift
 
-_MAX_EMITTERS = 10       # dense propagation cap, dimension 2**10
+_MAX_EMITTERS = 10       # propagation cap, state dimension 2**10
 _MAX_SNAPSHOT = 6        # density matrices retained on trajectories
 _HERM_RTOL = 1e-8        # relative asymmetry allowed before rejection
 _PSD_RTOL = 1e-10        # decay-matrix eigenvalue floor, relative to norm
@@ -373,17 +378,97 @@ def _check_density(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
+def _sectors(n: int) -> tuple:
+    """Excitation sectors of the 2**n basis, read off the bit patterns.
+
+    members[k] lists the basis indices with k excited emitters, ascending
+    (emitter a is excited when bit n-1-a is set), and occupation[k] is
+    their (C(n,k), n) excitation table. raising[k] (n, C(n,k)) gives the
+    place in sector k+1 of each member with emitter b excited as well, or
+    C(n,k+1), a zero pad row, when b already is.
+    """
+    index = np.arange(2 ** n)
+    count = np.bitwise_count(index)
+    members = [np.flatnonzero(count == k) for k in range(n + 1)]
+    place = np.empty(index.size, dtype=np.intp)
+    for m in members:
+        place[m] = np.arange(m.size)
+    bits = 1 << (n - 1 - np.arange(n))
+    occupation = [(m[:, None] & bits) != 0 for m in members]
+    raising = [np.where(occupation[k].T, members[k + 1].size,
+                        place[members[k] | bits[:, None]])
+               for k in range(n)]
+    return members, occupation, raising
+
+
+def _sector_operators(model: EmitterEnsembleModel, raising: list,
+                      top: int) -> tuple:
+    """Drift and gain blocks of the master equation for sectors 0 to top.
+
+    drift[k] is D = -i H - (1/2) sum_ab gamma_ab sigma_a^+ sigma_b on
+    sector k. gain[k] (C(n,k), n C(n,k-1)) holds, for each emitter b, the
+    block sum_a gamma_ab sigma_a^+ from sector k-1 to k; right-multiplying
+    rho_(k+1,l+1) by gain[l+1] and lowering emitter b on the left gives
+    the jump term sum_ab gamma_ab sigma_b rho sigma_a^+ of block (k, l).
+    Negative decay eigenvalues inside the model's tolerance band are
+    clipped to zero.
+    """
+    n = model.n_emitters
+    eig, vec = np.linalg.eigh(model.gamma)
+    gamma = (vec * np.where(eig > 0.0, eig, 0.0)) @ vec.conj().T
+    coef = -1j * (np.diag(model.delta) + model.xi) - 0.5 * gamma
+    drift, gain = [np.zeros((1, 1), dtype=complex)], [None]
+    for k in range(1, top + 1):
+        below, size = math.comb(n, k - 1), math.comb(n, k)
+        # 0/1 blocks lowering each emitter from sector k to k-1
+        low = np.zeros((n, below, size + 1))
+        low[np.arange(n)[:, None], np.arange(below), raising[k - 1]] = 1.0
+        low = low[:, :, :size]
+        mixed = np.tensordot(coef, low, axes=(1, 0))
+        drift.append(low.reshape(n * below, size).T
+                     @ mixed.reshape(n * below, size))
+        gain.append(np.einsum("ajc,ab->cbj", low, gamma)
+                    .reshape(size, n * below))
+    return drift, gain
+
+
+def _dense(blocks: dict, members: list, dim: int) -> np.ndarray:
+    """Full (nt, dim, dim) states from the carried (k, l) blocks, k >= l."""
+    nt = next(iter(blocks.values())).shape[0]
+    out = np.zeros((nt, dim, dim), dtype=complex)
+    for (k, l), arr in blocks.items():
+        out[:, members[k][:, None], members[l]] = arr
+        if k != l:
+            out[:, members[l][:, None], members[k]] = \
+                np.conj(np.swapaxes(arr, 1, 2))
+    return out
+
+
 def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
                     rtol: float = 1e-10, atol: float = 1e-12,
                     keep_states: Optional[bool] = None) -> Trajectory:
-    """Dense master-equation propagation of the full ensemble state.
+    """Master-equation propagation of the ensemble state, sector by sector.
 
-    Integrates the rotating-frame equation with an adaptive high-order
-    Runge-Kutta scheme, evaluates expectations on the requested grid, and
-    verifies at every output time that the trace stays at one (within
-    1e-9) and the state stays positive: spectral check up to dimension 64,
-    diagonal and purity bounds beyond that. Violations raise
-    IntegrationError (loosened rtol/atol surface here first).
+    The state is split into blocks rho_(k,l) between the sectors of k and
+    l excited emitters. Only the families k - l in which rho0 has an
+    exactly nonzero entry are carried, up to the highest excitation rho0
+    populates, and of each Hermitian pair of families only k >= l; all
+    other blocks stay exactly zero. Each block obeys
+
+        d rho_kl/dt = D_k rho_kl + rho_kl D_l^+
+                      + sum_ab gamma_ab sigma_b rho_(k+1,l+1) sigma_a^+
+
+    with D = -i H - (1/2) sum_ab gamma_ab sigma_a^+ sigma_b restricted to
+    a sector. The blocks are integrated together with an adaptive
+    high-order Runge-Kutta scheme; no 2**n x 2**n operator is formed.
+
+    Expectations are evaluated on the requested grid, and at every output
+    time the trace must stay at one (within 1e-9) and the state positive.
+    A start with only the k = l family stays block diagonal, so every
+    (k, k) block gets a spectral check; otherwise the state is assembled
+    and checked spectrally up to dimension 64, by diagonal and purity
+    bounds beyond that. Violations raise IntegrationError (loosened
+    rtol/atol surface here first).
 
     Density snapshots are retained for up to 6 emitters by default;
     keep_states forces or suppresses that. The returned error_estimate is
@@ -395,7 +480,7 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     n = model.n_emitters
     if n > _MAX_EMITTERS:
         raise InputError(
-            f"dense propagation is capped at {_MAX_EMITTERS} emitters "
+            f"propagation is capped at {_MAX_EMITTERS} emitters "
             f"(state dimension {2 ** _MAX_EMITTERS})")
     dim = 2 ** n
     if keep_states is None:
@@ -410,74 +495,105 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     times = _time_grid(times)
     rho_init = _check_density(rho0, dim, "initial state")
 
-    sig = lowering_operators(n)
-    ham = np.zeros((dim, dim), dtype=complex)
-    for a in range(n):
-        ham += model.delta[a] * (sig[a].conj().T @ sig[a])
-        for b in range(n):
-            if model.xi[a, b] != 0.0:
-                ham += model.xi[a, b] * (sig[a].conj().T @ sig[b])
-
-    eig, vec = np.linalg.eigh(model.gamma)
-    jumps = []
-    for k in range(n):
-        if eig[k] <= 0.0:      # tolerance-band noise, clipped by contract
-            continue
-        op = np.zeros((dim, dim), dtype=complex)
-        for b in range(n):
-            op += np.conj(vec[b, k]) * sig[b]
-        jumps.append((float(eig[k]), op, op.conj().T))
-
-    drift = -1j * ham
-    for w, op, opd in jumps:
-        drift = drift - 0.5 * w * (opd @ op)
-    drift_h = drift.conj().T
-    m2 = dim * dim
+    members, occupation, raising = _sectors(n)
+    top = max(k for k in range(n + 1) if np.any(rho_init[members[k]] != 0))
+    families = [d for d in range(top + 1)
+                if any(np.any(rho_init[np.ix_(members[k], members[k - d])]
+                              != 0) for k in range(d, top + 1))]
+    layout = {}     # (k, l) -> (slice of the packed state, block shape)
+    size = 0
+    for d in families:
+        for k in range(d, top + 1):
+            shape = (members[k].size, members[k - d].size)
+            layout[k, k - d] = (slice(size, size + shape[0] * shape[1]), shape)
+            size += shape[0] * shape[1]
+    drift, gain = _sector_operators(model, raising, top)
+    drift_h = [d.conj().T for d in drift]
+    lowered = np.arange(n)[:, None]
+    # jump-term workspaces (row, lowered emitter, column); the last row
+    # is the zero pad that raising points to
+    work = {(k, l): np.zeros((members[k + 1].size + 1, n, members[l].size),
+                             dtype=complex)
+            for k, l in layout if (k + 1, l + 1) in layout}
 
     def rhs(_t, y):
-        rho = y[:m2].reshape(dim, dim) + 1j * y[m2:].reshape(dim, dim)
-        out = drift @ rho + rho @ drift_h
-        for w, op, opd in jumps:
-            out += w * (op @ rho @ opd)
-        return np.concatenate([out.real.ravel(), out.imag.ravel()])
+        z = y[:size] + 1j * y[size:]
+        out = np.empty(size, dtype=complex)
+        for (k, l), (part, shape) in layout.items():
+            rho = z[part].reshape(shape)
+            if k == l:
+                der = drift[k] @ rho
+                der += der.conj().T
+            else:
+                der = drift[k] @ rho + rho @ drift_h[l]
+            buf = work.get((k, l))
+            if buf is not None:
+                upper, (rows, cols) = layout[k + 1, l + 1]
+                np.matmul(z[upper].reshape(rows, cols), gain[l + 1],
+                          out=buf[:-1].reshape(rows, -1))
+                der += buf[raising[k], lowered].sum(axis=0)
+            out[part] = der.ravel()
+        return np.concatenate([out.real, out.imag])
 
     tau = times - times[0]
+    y0 = np.concatenate([rho_init[np.ix_(members[k], members[l])].ravel()
+                         for k, l in layout])
     if times.size == 1:
-        states = rho_init[None, :, :].copy()
+        path = y0[:, None]
     else:
-        y0 = np.concatenate([rho_init.real.ravel(), rho_init.imag.ravel()])
-        sol = solve_ivp(rhs, (0.0, float(tau[-1])), y0, method="DOP853",
+        sol = solve_ivp(rhs, (0.0, float(tau[-1])),
+                        np.concatenate([y0.real, y0.imag]), method="DOP853",
                         t_eval=tau, rtol=rtol, atol=atol)
         if not sol.success:
             raise IntegrationError(f"step control failed: {sol.message}")
-        states = (sol.y[:m2].T.reshape(-1, dim, dim)
-                  + 1j * sol.y[m2:].T.reshape(-1, dim, dim))
-        states = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
+        path = sol.y[:size] + 1j * sol.y[size:]
+    nt = times.size
+    blocks = {}
+    for (k, l), (part, shape) in layout.items():
+        arr = path[part].T.reshape(nt, *shape)
+        if k == l:
+            arr = 0.5 * (arr + np.conj(np.swapaxes(arr, 1, 2)))
+        blocks[k, l] = arr
+    diagonals = [np.diagonal(blocks[k, k], axis1=1, axis2=2).real
+                 for k in range(top + 1)]
 
     # state invariants at every output time
     pos_tol = _BOUND_TOL
-    for i, snap in enumerate(states):
-        if abs(np.trace(snap).real - 1.0) > _TRACE_TOL:
+    trace = sum(diag.sum(axis=1) for diag in diagonals)
+    block_diagonal = families == [0]
+    if block_diagonal:
+        # the state stays block diagonal: exact spectral check per sector
+        lowest = np.min([np.linalg.eigvalsh(blocks[k, k])[:, 0]
+                         for k in range(top + 1)], axis=0)
+    for i in range(nt):
+        if abs(trace[i] - 1.0) > _TRACE_TOL:
             raise IntegrationError(
                 f"trace drifted beyond {_TRACE_TOL:g} at output time "
                 f"{times[i]:.6g}; tighten rtol/atol")
-        bad = (np.min(np.diagonal(snap).real) < -pos_tol
-               or float(np.sum(np.abs(snap) ** 2)) > 1.0 + pos_tol)
-        if not bad and dim <= 64:
-            bad = np.linalg.eigvalsh(snap)[0] < -pos_tol
+        if block_diagonal:
+            bad = lowest[i] < -pos_tol
+        else:
+            snap = _dense({key: arr[i:i + 1] for key, arr in blocks.items()},
+                          members, dim)[0]
+            bad = (np.min(np.diagonal(snap).real) < -pos_tol
+                   or float(np.sum(np.abs(snap) ** 2)) > 1.0 + pos_tol)
+            if not bad and dim <= 64:
+                bad = np.linalg.eigvalsh(snap)[0] < -pos_tol
         if bad:
             raise IntegrationError(
                 f"state positivity violated beyond {pos_tol:g} at output "
                 f"time {times[i]:.6g}; tighten rtol/atol")
 
-    nt = times.size
-    sig_rot = np.empty((nt, n), dtype=complex)
-    sz = np.empty((nt, n))
-    for a in range(n):
-        num = sig[a].conj().T @ sig[a]
-        for i in range(nt):
-            sig_rot[i, a] = np.einsum("ij,ji->", states[i], sig[a])
-            sz[i, a] = 2.0 * np.einsum("ij,ji->", states[i], num).real - 1.0
+    sz = 2.0 * sum(diag @ occupation[k]
+                   for k, diag in enumerate(diagonals)) - 1.0
+    sig_rot = np.zeros((nt, n), dtype=complex)
+    if 1 in families:
+        # <sigma_a> sums the (k, k-1) entries that pair a member of sector
+        # k-1 with the same member with emitter a excited
+        for k in range(1, top + 1):
+            arr = np.pad(blocks[k, k - 1], ((0, 0), (0, 1), (0, 0)))
+            cols = np.arange(members[k - 1].size)
+            sig_rot += arr[:, raising[k - 1], cols].sum(axis=2)
     sigma_lab = sig_rot * np.exp(-1j * model.omega_ref * tau)[:, None]
 
     rate_scale = max(float(np.max(np.abs(np.linalg.eigvalsh(model.gamma)))),
@@ -488,7 +604,7 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
 
     return Trajectory(times=times, sigma=sigma_lab, sigma_z=sz,
                       omega_ref=model.omega_ref,
-                      rho=states if keep_states else None,
+                      rho=_dense(blocks, members, dim) if keep_states else None,
                       error_estimate=estimate)
 
 

@@ -272,6 +272,22 @@ def test_couple_frequency_must_be_near_every_emitter(tmp_path, emitter_file):
                  "--frequency", "450THz", "--quiet"]) == 2
 
 
+def test_couple_colocated_frequency_must_be_near_every_emitter(
+        tmp_path, emitter_file, capsys):
+    # zero separation follows the same rule, with the same message
+    other = write_json(tmp_path / "b.json",
+                       {"position_m": [0.0, 0.0, 80e-9],
+                        "omega0_rad_per_s": W384,
+                        "d_atomic": [1.0, 0.0, 0.0]})
+    messages = []
+    for second in (other, emitter_file):
+        assert main(["couple", "--emitter", emitter_file, "--emitter",
+                     second, "--frequency", "450THz", "--quiet"]) == 2
+        messages.append(capsys.readouterr().err)
+    assert "deviate from the reference" in messages[0]
+    assert messages[1] == messages[0]
+
+
 def test_couple_bytes_do_not_depend_on_hash_seed(tmp_path):
     # ED+EQ pair whose block contributions sum in a hash-dependent order
     # when blocks are iterated as a set (seeds 0 and 3 differ then)

@@ -1,10 +1,11 @@
-"""Open-system dynamics: closed forms, dense propagation, model assembly.
+"""Open-system dynamics: closed forms, sector propagation, model assembly.
 
 The reference for every multi-emitter trajectory here is a brute-force
 Liouvillian built as an explicit superoperator matrix and exponentiated
 with scipy, written before and independently of the package integrator
 (direct pair sums, column-stacked vec convention, no eigenbasis of the
-decay matrix, no ODE stepping).
+decay matrix, no ODE stepping). Beyond its reach (8 and 10 emitters) the
+references are the single-excitation propagator and the Dicke ladder.
 """
 import json
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import polyemit.dynamics
 from polyemit.dynamics import (EmitterEnsembleModel, Trajectory,
                                build_ensemble, evolve_ensemble,
                                evolve_single, lowering_operators,
@@ -230,7 +232,7 @@ def test_model_echo_is_json_ready():
     assert doc["gamma_rad_per_s"]["re"][0][0] > 0
 
 
-# --- dense propagation vs independent oracle --------------------------------
+# --- ensemble propagation vs independent oracle -----------------------------
 
 def test_ensemble_single_emitter_reduces_to_closed_form():
     gamma, delta, wref = 1.7e7, 3e6, 2e8
@@ -321,6 +323,143 @@ def test_total_excitation_never_increases():
     for snap in traj.rho:
         assert abs(np.trace(snap) - 1.0) < 1e-9
         assert np.linalg.eigvalsh(snap).min() > -1e-9
+
+
+# --- sector propagation vs the brute-force oracle --------------------------
+
+def _popcount_mask(n, counts):
+    return np.isin(np.bitwise_count(np.arange(2 ** n)), counts)
+
+
+def _assert_matches_brute(model, rho0, t, tol=1e-9):
+    n = model.n_emitters
+    traj = evolve_ensemble(model, rho0, t, keep_states=True)
+    states = brute_states(model.delta, model.xi, model.gamma, rho0, t)
+    ref_sig, ref_sz = brute_expectations(states, n)
+    phase = np.exp(-1j * model.omega_ref * (t - t[0]))[:, None]
+    assert np.max(np.abs(traj.sigma - ref_sig * phase)) < tol
+    assert np.max(np.abs(traj.sigma_z - ref_sz)) < tol
+    assert np.max(np.abs(traj.rho - states)) < tol
+    return traj
+
+
+@pytest.mark.parametrize("labels", ["eee", "egg", "geg", "eeg",
+                                    "eeee", "gege", "egee"])
+def test_sector_propagation_product_starts(labels):
+    rng = np.random.default_rng(len(labels))
+    model = random_model(rng, len(labels))
+    t = np.linspace(0.0, 1.2e-7, 6)
+    traj = _assert_matches_brute(model, product_density(labels), t)
+    assert np.all(traj.sigma == 0.0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sector_propagation_pure_superposition(n):
+    rng = np.random.default_rng(20 + n)
+    model = random_model(rng, n)
+    t = np.linspace(0.0, 1.2e-7, 6)
+    traj = _assert_matches_brute(model, random_density(rng, 2 ** n), t)
+    assert np.max(np.abs(traj.sigma)) > 1e-2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sector_propagation_mixed_state_with_coherences(n):
+    rng = np.random.default_rng(30 + n)
+    model = random_model(rng, n)
+    a = rng.normal(size=(2 ** n, 3)) + 1j * rng.normal(size=(2 ** n, 3))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0).real
+    t = np.linspace(0.0, 1.2e-7, 6)
+    traj = _assert_matches_brute(model, rho0, t)
+    assert np.max(np.abs(traj.sigma)) > 1e-2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sector_propagation_neighbouring_sectors(n):
+    # one and two excitations: only the k - l = 0 and +-1 families
+    rng = np.random.default_rng(40 + n)
+    model = random_model(rng, n)
+    amp = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amp[~_popcount_mask(n, [1, 2])] = 0.0
+    t = np.linspace(0.0, 1.2e-7, 6)
+    traj = _assert_matches_brute(model, pure_density(amp), t)
+    assert np.max(np.abs(traj.sigma)) > 1e-2
+
+
+def test_sector_propagation_without_neighbouring_coherence():
+    # zero and two excitations: no k - l = +-1 family, so <sigma> is 0
+    rng = np.random.default_rng(50)
+    model = random_model(rng, 3)
+    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amp[~_popcount_mask(3, [0, 2])] = 0.0
+    t = np.linspace(0.0, 1.2e-7, 6)
+    traj = _assert_matches_brute(model, pure_density(amp), t)
+    assert np.all(traj.sigma == 0.0)
+
+
+def test_single_excitation_of_ten_emitters_follows_effective_hamiltonian(
+        monkeypatch):
+    def no_dense_operators(n):
+        raise AssertionError("evolve_ensemble built 2**n operators")
+    monkeypatch.setattr(polyemit.dynamics, "lowering_operators",
+                        no_dense_operators)
+    n = 10
+    model = random_model(np.random.default_rng(60), n)
+    t = np.linspace(0.0, 1.5e-7, 13)
+    traj = evolve_ensemble(model, product_density("e" + "g" * (n - 1)), t)
+    h_eff = np.diag(model.delta) + model.xi - 0.5j * model.gamma
+    c0 = np.zeros(n, dtype=complex)
+    c0[0] = 1.0
+    want = np.array([2.0 * np.abs(expm(-1j * h_eff * s) @ c0) ** 2 - 1.0
+                     for s in t])
+    assert np.max(np.abs(traj.sigma_z - want)) < 1e-7
+    assert np.all(traj.sigma == 0.0)
+
+
+def test_superradiant_cascade_follows_dicke_ladder():
+    # identical emitters at one point: |J, M> decays to |J, M-1> at
+    # g (J + M)(J - M + 1), and the total inversion is 2 M
+    n, g = 8, 2.0e7
+    model = EmitterEnsembleModel(omega_ref=3e8, delta=np.zeros(n),
+                                 xi=np.zeros((n, n)),
+                                 gamma=np.full((n, n), g))
+    t = np.linspace(0.0, 1.0 / g, 21)
+    traj = evolve_ensemble(model, product_density("e" * n), t)
+    j = 0.5 * n
+    m = j - np.arange(n + 1)
+    rate = g * (j + m) * (j - m + 1.0)
+    ladder = np.diag(-rate) + np.diag(rate[:-1], -1)
+    p0 = np.zeros(n + 1)
+    p0[0] = 1.0
+    want = np.array([2.0 * m @ (expm(ladder * s) @ p0) for s in t])
+    assert np.max(np.abs(traj.sigma_z.sum(axis=1) - want)) < 1e-7
+    assert want[-1] < -0.9 * n      # the cascade has run its course
+
+
+@pytest.mark.parametrize("start", ["product", "superposition"])
+def test_invariant_checks_catch_a_corrupted_state(monkeypatch, start):
+    # 2 rho(T) - rho(0) keeps the trace but, once the fidelity with the
+    # start has fallen below 1/2, not positivity; 1.5 rho(T) keeps neither
+    real_solve = polyemit.dynamics.solve_ivp
+    rng = np.random.default_rng(70)
+    model = random_model(rng, 2)
+    rho0 = (product_density("eg") if start == "product"
+            else random_density(rng, 4))
+    t = np.linspace(0.0, 3e-7, 4)
+
+    def corrupt(edit):
+        def solve(*args, **kwargs):
+            sol = real_solve(*args, **kwargs)
+            sol.y[:, -1] = edit(sol.y)
+            return sol
+        monkeypatch.setattr(polyemit.dynamics, "solve_ivp", solve)
+
+    corrupt(lambda y: 2.0 * y[:, -1] - y[:, 0])
+    with pytest.raises(IntegrationError, match="positivity"):
+        evolve_ensemble(model, rho0, t)
+    corrupt(lambda y: 1.5 * y[:, -1])
+    with pytest.raises(IntegrationError, match="trace"):
+        evolve_ensemble(model, rho0, t)
 
 
 def test_halved_tolerance_stays_within_reported_estimate():
