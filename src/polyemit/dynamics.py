@@ -361,7 +361,15 @@ def evolve_single(gamma: float, delta: float, omega0: float, initial,
                       omega_ref=0.0, rho=rho, error_estimate=0.0)
 
 
-def _check_density(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
+def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:
+    """rho as a Hermitian, unit-trace, positive semidefinite density over
+    the basis that members splits into excitation sectors (see _sectors).
+
+    Without coherence between sectors (exactly zero entries there) the
+    spectrum is checked block by block on the populated (k, k) blocks;
+    otherwise on the full matrix.
+    """
+    dim = sum(m.size for m in members)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise InputError(f"{what} has shape {rho.shape}, expected "
@@ -373,7 +381,15 @@ def _check_density(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
         raise InputError(f"{what} must be Hermitian")
     if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
         raise InputError(f"{what} must have unit trace within {_TRACE_TOL:g}")
-    if np.linalg.eigvalsh(rho)[0] < -1e-9:
+    sector = np.empty(dim, dtype=np.intp)
+    for k, m in enumerate(members):
+        sector[m] = k
+    if np.any(rho[sector[:, None] != sector]):
+        blocks = [rho]
+    else:
+        blocks = [blk for blk in (rho[np.ix_(m, m)] for m in members)
+                  if np.any(blk)]
+    if min(np.linalg.eigvalsh(blk)[0] for blk in blocks) < -1e-9:
         raise InputError(f"{what} must be positive semidefinite")
     return 0.5 * (rho + rho.conj().T)
 
@@ -493,9 +509,8 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     if not (0.0 < rtol <= 1e-6 and 0.0 < atol <= 1e-6):
         raise InputError("tolerances must be positive, at most 1e-6")
     times = _time_grid(times)
-    rho_init = _check_density(rho0, dim, "initial state")
-
     members, occupation, raising = _sectors(n)
+    rho_init = _check_density(rho0, members, "initial state")
     top = max(k for k in range(n + 1) if np.any(rho_init[members[k]] != 0))
     families = [d for d in range(top + 1)
                 if any(np.any(rho_init[np.ix_(members[k], members[k - d])]

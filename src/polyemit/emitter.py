@@ -270,9 +270,9 @@ class CoefficientBundle:
     f1: dict
     f2: dict
 
-    # coefficients are constant tensors; blocks may carry a leading batch
-    _SUM = {"value": 'mn,...mn->...', "d_obs": 'mnk,...mnk->...',
-            "d_src": 'mnl,...mnl->...', "d_mixed": 'mnkl,...mnkl->...'}
+    # coefficients and blocks may each carry leading axes; they broadcast
+    _SUM = {"value": '...mn,...mn->...', "d_obs": '...mnk,...mnk->...',
+            "d_src": '...mnl,...mnl->...', "d_mixed": '...mnkl,...mnkl->...'}
 
     def at(self, omega: complex) -> dict:
         """F(omega) per block present, by analytic continuation in 1/omega."""
@@ -294,8 +294,10 @@ class CoefficientBundle:
     def contract(self, blocks: Mapping, coeffs: Mapping):
         """sum over blocks of coeff tensor (conjugate-free) dot block array.
 
-        complex for unbatched blocks; for blocks with a leading batch shape,
-        a complex array of that shape (one contraction per batch entry).
+        complex for unbatched blocks and coefficients; otherwise a complex
+        array over the broadcast of their leading shapes (one contraction
+        per batch entry, e.g. coefficients of shape (s, 1, ...) against
+        blocks batched over n frequencies give an (s, n) array).
         """
         total = 0.0 + 0.0j
         for name, coeff in coeffs.items():

@@ -47,6 +47,9 @@ __all__ = [
 SERIES_SWITCH = 0.5
 
 _EYE = np.eye(3)
+# delta_ik delta_jl + delta_jk delta_il, the R-free part of d2G/dR_k dR_l
+_SYM3 = (np.einsum('ik,jl->ijkl', _EYE, _EYE)
+         + np.einsum('jk,il->ijkl', _EYE, _EYE))
 
 
 @dataclass(frozen=True)
@@ -75,63 +78,75 @@ class Medium:
     def is_constant(self) -> bool:
         return not callable(self.refractive_index)
 
-    def index(self, omega: complex) -> complex:
+    def index(self, omega):
+        """n at omega; for an array of frequencies, an array of the same
+        shape (a callable index is evaluated once per frequency)."""
         n = self.refractive_index
-        return n(omega) if callable(n) else n
+        if not callable(n):
+            return n
+        if np.ndim(omega) == 0:
+            return n(omega)
+        w = np.asarray(omega)
+        return np.array([n(complex(x)) for x in w.ravel()],
+                        dtype=complex).reshape(w.shape)
 
-    def wavenumber(self, omega: complex) -> complex:
+    def wavenumber(self, omega):
         """k = n(omega) * omega / c."""
         return self.index(omega) * omega / C0
 
 
-def _check_omega(omega) -> complex:
-    w = complex(omega)
-    if w == 0:
+def _frequencies(omega) -> np.ndarray:
+    """omega as a complex array: every entry nonzero, real ones positive."""
+    w = np.asarray(omega, dtype=complex)
+    if np.any(w == 0):
         raise InputError("frequency must be nonzero")
-    if w.imag == 0.0 and w.real <= 0.0:
+    if np.any((w.imag == 0.0) & (w.real <= 0.0)):
         raise InputError("real-axis frequency must be positive")
     return w
 
 
-def _pa_pb(x: float) -> tuple[float, float]:
-    """Stable radial factors of Im G for real nonnegative x = k r."""
-    if x < SERIES_SWITCH:
-        # pa = sum_j (-1)^j (2j+2)^2 x^(2j+1) / (2j+3)!
-        # pb = sum_{j>=2} (-1)^j 4 j (j-1) x^(2j-1) / (2j+1)!
-        x2 = x * x
-        pa = 0.0
-        pb = 0.0
-        for j in range(11, -1, -1):
-            ca = (-1.0) ** j * (2 * j + 2) ** 2 / math.factorial(2 * j + 3)
-            pa = pa * x2 + ca
-        pa *= x
-        for j in range(12, 1, -1):
-            cb = (-1.0) ** j * 4.0 * j * (j - 1) / math.factorial(2 * j + 1)
-            pb = pb * x2 + cb
-        pb *= x ** 3
-        return pa, pb
-    s, c = math.sin(x), math.cos(x)
-    pa = s + (x * c - s) / (x * x)
-    pb = ((3.0 - x * x) * s - 3.0 * x * c) / (x * x)
+# power-series coefficients of the stable Im G factors, highest order first:
+# pa = sum_j (-1)^j (2j+2)^2 x^(2j+1) / (2j+3)!
+# pb = sum_{j>=2} (-1)^j 4 j (j-1) x^(2j-1) / (2j+1)!
+_PA_SERIES = [(-1.0) ** j * (2 * j + 2) ** 2 / math.factorial(2 * j + 3)
+              for j in range(11, -1, -1)]
+_PB_SERIES = [(-1.0) ** j * 4.0 * j * (j - 1) / math.factorial(2 * j + 1)
+              for j in range(12, 1, -1)]
+
+
+def _pa_pb(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable radial factors of Im G for real positive x = k r (1-d)."""
+    pa = np.empty_like(x)
+    pb = np.empty_like(x)
+    low = x < SERIES_SWITCH
+    xs = x[low]
+    x2 = xs * xs
+    sa = np.zeros_like(xs)
+    sb = np.zeros_like(xs)
+    for ca in _PA_SERIES:
+        sa = sa * x2 + ca
+    for cb in _PB_SERIES:
+        sb = sb * x2 + cb
+    pa[low] = sa * xs
+    pb[low] = sb * xs ** 3
+    xt = x[~low]
+    s, c = np.sin(xt), np.cos(xt)
+    pa[~low] = s + (xt * c - s) / (xt * xt)
+    pb[~low] = ((3.0 - xt * xt) * s - 3.0 * xt * c) / (xt * xt)
     return pa, pb
 
 
-def _stable_im(R: np.ndarray, r: float, k: float) -> np.ndarray:
-    pa, pb = _pa_pb(k * r)
-    rh = R / r
-    return (pa * _EYE + pb * np.outer(rh, rh)) / (4.0 * math.pi * r)
-
-
-def _radial_functions(r: float, k: complex):
+def _radial_functions(r: float, k: np.ndarray):
     """g1, g2 and their first two radial derivatives."""
     x = k * r
+    x2, x3, x4 = x ** 2, x ** 3, x ** 4
     E = np.exp(1j * x) / (4.0 * math.pi * k * k)
     g1 = E * (x * x + 1j * x - 1.0) / r ** 3
-    g1p = E * (1j * x ** 3 - 2.0 * x ** 2 - 3j * x + 3.0) / r ** 4
-    g1pp = E * (-x ** 4 - 3j * x ** 3 + 7.0 * x ** 2 + 12j * x - 12.0) / r ** 5
+    g1p = E * (1j * x3 - 2.0 * x2 - 3j * x + 3.0) / r ** 4
+    g1pp = E * (-x4 - 3j * x3 + 7.0 * x2 + 12j * x - 12.0) / r ** 5
     g2 = E * (3.0 - 3j * x - x * x) / r ** 5
-    g2p = E * (-1j * x ** 3 + 6.0 * x ** 2 + 15j * x - 15.0) / r ** 6
-    g2pp = E * (x ** 4 + 9j * x ** 3 - 39.0 * x ** 2 - 90j * x + 90.0) / r ** 7
+    g2p = E * (-1j * x3 + 6.0 * x2 + 15j * x - 15.0) / r ** 6
+    g2pp = E * (x4 + 9j * x3 - 39.0 * x2 - 90j * x + 90.0) / r ** 7
     return g1, g1p, g1pp, g2, g2p, g2pp
 
 
@@ -147,25 +162,37 @@ def _separation(R) -> tuple[np.ndarray, float]:
     return R, r
 
 
-def _im_is_stable_case(omega: complex, medium: Medium) -> bool:
-    n = medium.index(omega)
-    return omega.imag == 0.0 and complex(n).imag == 0.0
+def _value(R: np.ndarray, r: float, w: np.ndarray, medium: Medium):
+    """G at separation R for the 1-d frequency array w, and the radial
+    functions. Where w and n(w) are both real, Im G comes from the stable
+    real forms."""
+    n = medium.index(w)
+    k = n * w / C0
+    radial = _radial_functions(r, k)
+    g1, g2 = radial[0], radial[3]
+    G = g1[:, None, None] * _EYE + g2[:, None, None] * np.outer(R, R)
+    stable = (w.imag == 0.0) & (np.imag(n) == 0.0)
+    if np.any(stable):
+        pa, pb = _pa_pb(k.real[stable] * r)
+        rh = R / r
+        im = (pa[:, None, None] * _EYE + pb[:, None, None] * np.outer(rh, rh)
+              ) / (4.0 * math.pi * r)
+        G[stable] = G[stable].real + 1j * im
+    return G, radial
 
 
 def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:
     """Green tensor for separation vector R (m) at frequency omega (rad/s).
 
-    Returns the complex 3x3 tensor in 1/m. Frequencies on the positive
-    imaginary axis are accepted (the tensor is then purely real).
+    Returns the complex 3x3 tensor in 1/m, or one per frequency, with
+    shape omega.shape + (3, 3), for an array of frequencies. Frequencies
+    on the positive imaginary axis are accepted (the tensor is then purely
+    real).
     """
     R, r = _separation(R)
-    w = _check_omega(omega)
-    k = medium.wavenumber(w)
-    g1, _, _, g2, _, _ = _radial_functions(r, k)
-    G = g1 * _EYE + g2 * np.outer(R, R)
-    if _im_is_stable_case(w, medium):
-        G = G.real + 1j * _stable_im(R, r, float(complex(k).real))
-    return G
+    w = _frequencies(omega)
+    G, _ = _value(R, r, w.reshape(-1), medium)
+    return G.reshape(w.shape + (3, 3))
 
 
 def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> GreensJet:
@@ -174,43 +201,54 @@ def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> Gree
     d_obs[:, :, k] is the gradient in the field point, d_src[:, :, l] in the
     source point, d_mixed[:, :, k, l] the mixed second derivative. All blocks
     follow from closed-form differentiation of the radial split.
+
+    omega may be an array of frequencies; the jet then has its shape as
+    batch shape. A single frequency is the batch shape () case of the same
+    evaluation, so each batch entry equals the single-frequency jet bit
+    for bit.
     """
     r_obs = np.asarray(r_obs, dtype=float)
     r_src = np.asarray(r_src, dtype=float)
     if r_obs.shape != (3,) or r_src.shape != (3,):
         raise InputError("points must be 3-vectors")
     R, r = _separation(r_obs - r_src)
-    w = _check_omega(omega)
-    k = medium.wavenumber(w)
-    g1, g1p, g1pp, g2, g2p, g2pp = _radial_functions(r, k)
+    w = _frequencies(omega)
+    value, (g1, g1p, g1pp, g2, g2p, g2pp) = _value(R, r, w.reshape(-1),
+                                                   medium)
 
+    # geometry tensors, fixed by R alone
     rh = R / r
     RR = np.outer(R, R)
     P = np.outer(rh, rh)
     T = (_EYE - P) / r
+    eye_rh = np.einsum('ij,k->ijk', _EYE, rh)
+    rr_rh = np.einsum('ij,k->ijk', RR, rh)
+    sym1 = (np.einsum('ik,j->ijk', _EYE, R) + np.einsum('jk,i->ijk', _EYE, R))
+    sym2 = (np.einsum('k,il,j->ijkl', rh, _EYE, R)
+            + np.einsum('k,jl,i->ijkl', rh, _EYE, R)
+            + np.einsum('l,ik,j->ijkl', rh, _EYE, R)
+            + np.einsum('l,jk,i->ijkl', rh, _EYE, R))
 
-    value = g1 * _EYE + g2 * RR
-    if _im_is_stable_case(w, medium):
-        value = value.real + 1j * _stable_im(R, r, float(complex(k).real))
+    def per(g, ndim):
+        return g.reshape(g.shape + (1,) * ndim)
 
     # dG/dR_k
-    d1 = (g1p * np.einsum('ij,k->ijk', _EYE, rh)
-          + g2p * np.einsum('ij,k->ijk', RR, rh)
-          + g2 * (np.einsum('ik,j->ijk', _EYE, R)
-                  + np.einsum('jk,i->ijk', _EYE, R)))
+    d1 = (per(g1p, 3) * eye_rh + per(g2p, 3) * rr_rh + per(g2, 3) * sym1)
 
     # d2G/dR_k dR_l
-    d2 = (np.einsum('ij,kl->ijkl', _EYE, g1pp * P + g1p * T)
-          + np.einsum('ij,kl->ijkl', RR, g2pp * P + g2p * T)
-          + g2p * (np.einsum('k,il,j->ijkl', rh, _EYE, R)
-                   + np.einsum('k,jl,i->ijkl', rh, _EYE, R)
-                   + np.einsum('l,ik,j->ijkl', rh, _EYE, R)
-                   + np.einsum('l,jk,i->ijkl', rh, _EYE, R))
-          + g2 * (np.einsum('ik,jl->ijkl', _EYE, _EYE)
-                  + np.einsum('jk,il->ijkl', _EYE, _EYE)))
+    d2 = (_EYE[:, :, None, None] * (per(g1pp, 2) * P + per(g1p, 2) * T)[
+              :, None, None]
+          + RR[:, :, None, None] * (per(g2pp, 2) * P + per(g2p, 2) * T)[
+              :, None, None]
+          + per(g2p, 4) * sym2
+          + per(g2, 4) * _SYM3)
 
+    shape = w.shape
     # d/dr = +d/dR, d/dr' = -d/dR, so the mixed block flips sign once
-    return GreensJet(value=value, d_obs=d1, d_src=-d1, d_mixed=-d2,
+    return GreensJet(value=value.reshape(shape + (3, 3)),
+                     d_obs=d1.reshape(shape + (3, 3, 3)),
+                     d_src=-d1.reshape(shape + (3, 3, 3)),
+                     d_mixed=-d2.reshape(shape + (3, 3, 3, 3)),
                      part="full")
 
 
@@ -224,7 +262,7 @@ def coincident_im_jet(omega, medium: Medium = Medium()) -> GreensJet:
         (k^3/15pi) delta_mn delta_kl
         - (k^3/60pi) (delta_mk delta_nl + delta_ml delta_nk).
     """
-    w = _check_omega(omega)
+    w = complex(_frequencies(omega))
     if w.imag != 0.0:
         raise InputError("coincident imaginary-part jet needs a real frequency")
     n = complex(medium.index(w))
@@ -256,7 +294,7 @@ def small_R_series_im(R, omega, medium: Medium = Medium()) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3,):
         raise InputError("separation must be a 3-vector")
-    w = _check_omega(omega)
+    w = complex(_frequencies(omega))
     if w.imag != 0.0:
         raise InputError("series is defined for real frequencies")
     n = complex(medium.index(w))

@@ -20,6 +20,13 @@ Three layers:
     The k-integrand decays instead of oscillating, which is the point of
     moving off the real axis. The g2inf term is the surviving arc
     contribution; models declare it (zero for faster-than-quadratic decay).
+
+The unit of work is the 15-node Kronrod panel: one engine integrates
+vector integrands, which map the array of a panel's nodes to their values
+in one call. The spectral forms therefore evaluate one batched Green jet
+(SpectralGreenModel.jet on the node array) and make one contraction per
+panel. integrate_adaptive and pv_integral take scalar integrands f(x) and
+lift them onto the same engine (one call per node).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -51,22 +58,29 @@ _WGK = np.array([
 _WG = np.array([
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469])
+# the 15 nodes of a panel on [-1, 1], ascending, with their Kronrod weights
+# and the Gauss-7 weights of every second node
+_X15 = np.concatenate((-_XGK[:-1], [0.0], _XGK[-2::-1]))
+_W15 = np.concatenate((_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]))
+_W7 = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
 
 
 def _panel(f, a: float, b: float):
-    """15-point Kronrod value, embedded 7-point Gauss error, peak |f|."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    xs = np.concatenate((c - h * _XGK[:-1], [c], c + h * _XGK[-2::-1]))
-    vals = np.array([f(x) for x in xs], dtype=complex)
+    """15-point Kronrod value, embedded 7-point Gauss error, peak |f|; f is
+    called once, on the array of the 15 nodes."""
+    xs = 0.5 * (a + b) + 0.5 * (b - a) * _X15
+    vals = np.asarray(f(xs), dtype=complex)
     if not np.all(np.isfinite(vals.view(float))):
         raise QuadratureError(f"integrand not finite on [{a:g}, {b:g}]")
-    wk = np.concatenate((_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]))
-    k15 = h * np.sum(wk * vals)
-    gauss_vals = vals[1:-1:2]
-    wg = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
-    g7 = h * np.sum(wg * gauss_vals)
+    h = 0.5 * (b - a)
+    k15 = h * np.sum(_W15 * vals)
+    g7 = h * np.sum(_W7 * vals[1:-1:2])
     return k15, abs(k15 - g7), float(np.max(np.abs(vals)))
+
+
+def _lift(f: Callable[[float], complex]):
+    """A scalar integrand as a vector one (one call per node)."""
+    return lambda xs: np.array([f(x) for x in xs], dtype=complex)
 
 
 @dataclass
@@ -85,7 +99,17 @@ def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
                        rel_tol: float = 1e-8, abs_tol: float = 0.0,
                        magnitude_tol: float = 1e-10,
                        max_panels: int = 2048) -> QuadratureResult:
-    """Adaptive bisection with the Gauss-Kronrod embedded error estimate.
+    """Adaptive bisection with the Gauss-Kronrod embedded error estimate,
+    for a scalar integrand f(x) (see _adaptive)."""
+    return _adaptive(_lift(f), a, b, rel_tol, abs_tol, magnitude_tol,
+                     max_panels)
+
+
+def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
+              abs_tol: float = 0.0, magnitude_tol: float = 1e-10,
+              max_panels: int = 2048) -> QuadratureResult:
+    """Adaptive bisection with the Gauss-Kronrod embedded error estimate,
+    for a vector integrand (f maps an array of nodes to their values).
 
     Panels split worst-first; the final sum runs left to right so the
     result does not depend on the splitting schedule. Tolerance is met when
@@ -132,7 +156,8 @@ def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
 def _integrate_tail(f, start: float, scale: float, rel_tol: float,
                     peak_floor: float = 1e-12,
                     max_doublings: int = 60) -> QuadratureResult:
-    """Geometric panel extension of int_start^inf f, for decaying f.
+    """Geometric panel extension of int_start^inf f, for a decaying vector
+    integrand f.
 
     Stops when panel peaks fall below peak_floor of the global peak and
     panel contributions are negligible; raises if the panel sequence stops
@@ -148,8 +173,7 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
     prev_mag = math.inf
     grow_streak = 0
     for _ in range(max_doublings):
-        res = integrate_adaptive(f, a, a + width, rel_tol=rel_tol,
-                                 max_panels=256)
+        res = _adaptive(f, a, a + width, rel_tol=rel_tol, max_panels=256)
         total += res.value
         total_err += res.error
         neval += res.neval
@@ -178,7 +202,16 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
 def pv_integral(f: Callable[[float], complex], pole: float,
                 upper: float = math.inf, rel_tol: float = 1e-8,
                 tail_scale: Optional[float] = None) -> QuadratureResult:
-    """Cauchy principal value of int_0^upper f(w)/(w - pole) dw.
+    """Cauchy principal value of int_0^upper f(w)/(w - pole) dw, for a
+    scalar f(w) (see _pv_integral)."""
+    return _pv_integral(_lift(f), pole, upper, rel_tol, tail_scale)
+
+
+def _pv_integral(f, pole: float, upper: float = math.inf,
+                 rel_tol: float = 1e-8,
+                 tail_scale: Optional[float] = None) -> QuadratureResult:
+    """Cauchy principal value of int_0^upper f(w)/(w - pole) dw, for a
+    vector f.
 
     Symmetric excision around the pole: on [pole-d, pole+d] the even part
     of f cancels and the odd part gives the regular difference quotient
@@ -193,26 +226,26 @@ def pv_integral(f: Callable[[float], complex], pole: float,
 
     neval, peak = 0, 0.0
 
-    def sampled(w: float) -> complex:
+    def sampled(ws: np.ndarray) -> np.ndarray:
         nonlocal neval, peak
-        value = f(w)
-        neval, peak = neval + 1, max(peak, abs(value))
-        return value
+        values = f(ws)
+        neval += ws.size
+        peak = max(peak, float(np.max(np.abs(values))))
+        return values
 
-    def divided(w: float) -> complex:
-        return sampled(w) / (w - pole)
+    def divided(ws: np.ndarray) -> np.ndarray:
+        return sampled(ws) / (ws - pole)
 
     def evaluate(delta: float) -> tuple:
         """(value, error, panels) for excision radius delta."""
-        def core(s: float) -> complex:
-            return (sampled(pole + s) - sampled(pole - s)) / s
+        def core(ss: np.ndarray) -> np.ndarray:
+            return (sampled(pole + ss) - sampled(pole - ss)) / ss
 
-        res_core = integrate_adaptive(core, 0.0, delta, rel_tol=rel_tol)
-        res_left = integrate_adaptive(divided, 0.0, pole - delta,
-                                      rel_tol=rel_tol)
+        res_core = _adaptive(core, 0.0, delta, rel_tol=rel_tol)
+        res_left = _adaptive(divided, 0.0, pole - delta, rel_tol=rel_tol)
         if math.isfinite(upper):
-            res_right = integrate_adaptive(divided, pole + delta, upper,
-                                           rel_tol=rel_tol)
+            res_right = _adaptive(divided, pole + delta, upper,
+                                  rel_tol=rel_tol)
         else:
             scale = tail_scale if tail_scale else pole
             res_right = _integrate_tail(divided, pole + delta, scale,
@@ -251,9 +284,25 @@ class SpectralGreenModel:
     marks models that represent only the structure-induced part of the
     response (finite at the source point), the part level shifts are
     computed from.
+
+    Evaluator contract: evaluator(w) takes one complex frequency (a Python
+    complex) or a complex ndarray of frequencies, and returns a GreensJet
+    whose batch shape is the shape of w (a single frequency gives batch
+    shape ()). The integrators call it once per panel, on 15 frequencies;
+    lorentzian_model and homogeneous_pair_model broadcast natively. An
+    evaluator that handles one frequency at a time is wrapped by
+    evaluating each entry and stacking the blocks:
+
+        def batched(w):
+            jets = [scalar(complex(x)) for x in np.ravel(w)]
+            blocks = {name: np.reshape([getattr(j, name) for j in jets],
+                                       np.shape(w) + getattr(jets[0], name).shape)
+                      for name in ("value", "d_obs", "d_src", "d_mixed")
+                      if getattr(jets[0], name) is not None}
+            return GreensJet(**blocks, part=jets[0].part)
     """
 
-    evaluator: Callable[[complex], GreensJet]
+    evaluator: Callable[[Union[complex, np.ndarray]], GreensJet]
     supports_imaginary_axis: bool = False
     omega_range: tuple = (0.0, math.inf)
     uhp_quadratic_limit: Optional[dict] = None
@@ -263,19 +312,26 @@ class SpectralGreenModel:
     decays_in_uhp: bool = True
     label: str = ""
 
-    def jet(self, omega: complex) -> GreensJet:
-        w = complex(omega)
-        if w.imag == 0.0:
-            lo, hi = self.omega_range
-            if not (lo <= w.real <= hi):
-                raise ModelDomainError(
-                    f"frequency {w.real:g} outside model validity range "
-                    f"[{lo:g}, {hi:g}]")
-        elif not self.supports_imaginary_axis:
+    def jet(self, omega) -> GreensJet:
+        """The jet at omega, or at every entry of an array of frequencies.
+
+        Every real entry must lie in omega_range, and complex entries need
+        the imaginary-axis declaration. A single frequency reaches the
+        evaluator as a Python complex, an array as a complex ndarray.
+        """
+        w = np.asarray(omega, dtype=complex)
+        real = w.imag == 0.0
+        lo, hi = self.omega_range
+        outside = real & ~((lo <= w.real) & (w.real <= hi))
+        if np.any(outside):
+            raise ModelDomainError(
+                f"frequency {w.real[outside].flat[0]:g} outside model "
+                f"validity range [{lo:g}, {hi:g}]")
+        if not (self.supports_imaginary_axis or np.all(real)):
             raise ModelDomainError(
                 "model does not declare imaginary-axis support; "
                 "use the principal-value path")
-        return self.evaluator(w)
+        return self.evaluator(complex(w) if w.ndim == 0 else w)
 
     def quadratic_limit_blocks(self) -> dict:
         return {} if self.uhp_quadratic_limit is None else self.uhp_quadratic_limit
@@ -285,22 +341,34 @@ def check_imaginary_axis_reality(model: SpectralGreenModel, kappas,
                                  rtol: float = 1e-8) -> float:
     """Largest relative imaginary residue of jet blocks on the imaginary
     axis (must vanish by Schwarz reflection for causal models)."""
+    jet = model.jet(1j * np.asarray(kappas, dtype=float).reshape(-1))
     worst = 0.0
-    for kappa in kappas:
-        jet = model.jet(1j * kappa)
-        for name in ("value", "d_obs", "d_src", "d_mixed"):
-            blk = getattr(jet, name)
-            if blk is None:
-                continue
-            scale = float(np.max(np.abs(blk)))
-            if scale == 0.0:
-                continue
-            worst = max(worst, float(np.max(np.abs(blk.imag))) / scale)
+    for name in ("value", "d_obs", "d_src", "d_mixed"):
+        blk = getattr(jet, name)
+        if blk is None:
+            continue
+        # one row per frequency
+        rows = blk.reshape(math.prod(jet.batch_shape), -1)
+        scale = np.max(np.abs(rows), axis=1)
+        seen = scale > 0.0
+        if np.any(seen):
+            residue = np.max(np.abs(rows.imag), axis=1)[seen] / scale[seen]
+            worst = max(worst, float(np.max(residue)))
     if worst > rtol:
         raise ModelDomainError(
             f"jet not real on the imaginary axis (relative residue "
             f"{worst:.2e}); model violates Schwarz reflection")
     return worst
+
+
+def _coefficient_rows(names, *rows) -> dict:
+    """Block name -> the tensors of several coefficient sets for that block
+    (zero where a set lacks it), stacked on a leading axis and followed by
+    a unit axis. One contraction against blocks batched over frequency then
+    gives one row of values per set."""
+    return {name: np.stack(np.broadcast_arrays(
+                *(row.get(name, 0.0) for row in rows)))[:, None]
+            for name in names}
 
 
 def _jet_block_dict(jet: GreensJet, part: str) -> dict:
@@ -394,24 +462,21 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
         p0[name] = acc
     resonant = math.pi * bundle.contract(re_blocks, p0)
 
-    # k-integral with coefficient [(f0 w0 + f1) k^2 - f2 w0] / (k^2 + w0^2)
-    def integrand(kappa: float) -> complex:
-        jet = model.jet(1j * kappa)
-        blocks = _jet_block_dict(jet, "raw")
-        coeffs = {}
-        k2 = kappa * kappa
-        for name in names:
-            acc = 0.0
-            if name in f0:
-                acc = acc + f0[name] * (omega0 * k2)
-            if name in f1:
-                acc = acc + f1[name] * k2
-            if name in f2:
-                acc = acc - f2[name] * omega0
-            coeffs[name] = acc
-        return bundle.contract(blocks, coeffs) / (k2 + omega0 ** 2)
+    # k-integrand (k^2 A.G + B.G) / (k^2 + w0^2) with A = f0 w0 + f1 and
+    # B = -f2 w0: one jet evaluation and one contraction per panel
+    kernel = _coefficient_rows(
+        names,
+        {name: f0.get(name, 0.0) * omega0 + f1.get(name, 0.0)
+         for name in names},
+        {name: -f2[name] * omega0 for name in f2})
 
-    head = integrate_adaptive(integrand, 0.0, omega0, rel_tol=rel_tol)
+    def integrand(kappas: np.ndarray) -> np.ndarray:
+        blocks = _jet_block_dict(model.jet(1j * kappas), "raw")
+        a, b = bundle.contract(blocks, kernel)
+        k2 = kappas * kappas
+        return (k2 * a + b) / (k2 + omega0 ** 2)
+
+    head = _adaptive(integrand, 0.0, omega0, rel_tol=rel_tol)
     tail = _integrate_tail(integrand, omega0, omega0, rel_tol=rel_tol)
 
     # arc term: -(pi/2) f0 . g2inf
@@ -446,24 +511,26 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
     if not (lo < omega0 < hi):
         raise ModelDomainError("pole frequency outside model validity range")
 
-    def numerator(w: float) -> complex:
-        jet = model.jet(w)
-        blocks = _jet_block_dict(jet, "im")
-        coeffs = bundle.at(w)
-        for name in coeffs:
-            coeffs[name] = coeffs[name] * w * w
-        return bundle.contract(blocks, coeffs)
+    # w^2 F(w) = f0 w^2 + f1 w + f2: one contraction per panel
+    kernel = _coefficient_rows(
+        dict.fromkeys([*bundle.f0, *bundle.f1, *bundle.f2]),
+        bundle.f0, bundle.f1, bundle.f2)
+
+    def numerator(ws: np.ndarray) -> np.ndarray:
+        blocks = _jet_block_dict(model.jet(ws), "im")
+        p0, p1, p2 = bundle.contract(blocks, kernel)
+        return ws * ws * p0 + ws * p1 + p2
 
     # the 1/w and 1/w^2 coefficient factors must be tamed by the w^2 from
     # the measure; probe near zero and refuse non-finite integrands
-    probe = numerator(1e-9 * omega0)
-    if not (math.isfinite(probe.real) and math.isfinite(probe.imag)):
+    probe = numerator(np.array([1e-9 * omega0]))
+    if not np.all(np.isfinite(probe.view(float))):
         raise QuadratureError(
             "spectral integrand is singular at zero frequency; coefficient "
             "structure incompatible with the w^2 measure")
 
     upper = hi if math.isfinite(hi) else math.inf
-    res = pv_integral(numerator, omega0, upper=upper, rel_tol=rel_tol)
+    res = _pv_integral(numerator, omega0, upper=upper, rel_tol=rel_tol)
     res.neval += 1  # the probe
     return res
 
@@ -546,15 +613,21 @@ def lorentzian_model(terms, label: str = "lorentzian",
 
     all_names = sorted({n for blk, _, _ in parsed for n in blk})
 
-    def evaluator(w: complex) -> GreensJet:
-        acc = {n: np.zeros(shapes[n], dtype=complex) for n in all_names}
+    def evaluator(w) -> GreensJet:
+        w = np.asarray(w, dtype=complex)
+        flat = w.reshape(-1)
+        acc = {n: np.zeros(flat.shape + shapes[n], dtype=complex)
+               for n in all_names}
         for blk, omega_r, eta in parsed:
-            den = omega_r ** 2 - w * w - 1j * eta * w
+            den = omega_r ** 2 - flat * flat - 1j * eta * flat
             for n, tensor in blk.items():
-                acc[n] = acc[n] + tensor / den
-        return GreensJet(value=acc.get("value", np.zeros((3, 3), complex)),
-                         d_obs=acc.get("d_obs"), d_src=acc.get("d_src"),
-                         d_mixed=acc.get("d_mixed"), part="full")
+                acc[n] = acc[n] + tensor / den.reshape(
+                    den.shape + (1,) * tensor.ndim)
+        out = {n: acc[n].reshape(w.shape + shapes[n]) if n in acc else None
+               for n in shapes}
+        if out["value"] is None:
+            out["value"] = np.zeros(w.shape + shapes["value"], complex)
+        return GreensJet(**out, part="full")
 
     g2 = {}
     for blk, _, _ in parsed:
@@ -593,21 +666,19 @@ def homogeneous_pair_model(medium, r_obs, r_src,
             "homogeneous pair model needs distinct points; coincident "
             "spectral densities come from coincident_im_jet")
 
-    def evaluator(w: complex) -> GreensJet:
+    def evaluator(w) -> GreensJet:
         return eval_homogeneous_jet(r_obs, r_src, w, medium)
 
     # static pole: S = -lim k^2 G(ik). Richardson in k^2 removes the next
     # expansion order (G is even in w up to the first radiative term).
     kappa = 1e-4 * C0 / dist
-    j1 = evaluator(1j * kappa)
-    j2 = evaluator(2j * kappa)
+    probe = evaluator(np.array([1j, 2j]) * kappa)
     statics = {}
     for name in ("value", "d_obs", "d_src", "d_mixed"):
-        b1 = getattr(j1, name)
-        b2 = getattr(j2, name)
-        if b1 is None:
+        blk = getattr(probe, name)
+        if blk is None:
             continue
-        s = -(4.0 * kappa ** 2 * b1 - 4.0 * kappa ** 2 * b2) / 3.0
+        s = -(4.0 * kappa ** 2 * blk[0] - 4.0 * kappa ** 2 * blk[1]) / 3.0
         statics[name] = np.ascontiguousarray(s.real)
 
     return SpectralGreenModel(evaluator=evaluator,

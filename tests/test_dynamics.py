@@ -506,6 +506,40 @@ def test_ensemble_input_guards():
         evolve_ensemble(seven, rho7, t, keep_states=True)
 
 
+def test_block_diagonal_start_with_negative_sector_eigenvalue_is_rejected():
+    # no coherence between sectors: positivity is checked on each (k, k)
+    # block. The one-excitation block [[0.3, 0.4], [0.4, 0.2]] has the
+    # eigenvalue 0.25 - sqrt(0.1625) < 0 although every diagonal entry of
+    # the state is nonnegative.
+    model = random_model(np.random.default_rng(5), 2)
+    t = np.linspace(0.0, 1e-7, 5)
+    rho = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+    rho[1, 2] = rho[2, 1] = 0.4
+    with pytest.raises(InputError, match="semidefinite"):
+        evolve_ensemble(model, rho, t)
+    # coherence with the ground state: the full matrix is checked
+    rho[0, 1] = rho[1, 0] = 0.01
+    with pytest.raises(InputError, match="semidefinite"):
+        evolve_ensemble(model, rho, t)
+
+
+def test_single_excitation_start_of_ten_emitters_is_checked_by_sector(
+        monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    n = 10
+    model = random_model(np.random.default_rng(61), n)
+    evolve_ensemble(model, product_density("e" + "g" * (n - 1)),
+                    np.linspace(0.0, 1e-8, 3))
+    assert sizes and max(sizes) < 2 ** n
+
+
 def test_state_helpers():
     rho = product_density("eg")
     assert rho.shape == (4, 4)

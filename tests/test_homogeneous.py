@@ -179,6 +179,67 @@ def test_jet_rejects_coincident():
         eval_homogeneous_jet(p, p, W0)
 
 
+def lossless_dispersion(w):
+    # an ultraviolet resonance far above the test frequencies: real on
+    # both frequency axes, n(-conj w) = conj n(w)
+    return np.sqrt(1.69 + 0.2 / (1.0 - (w / (50 * W0)) ** 2))
+
+
+def lossy_dispersion(w):
+    # complex on the real axis, real on the imaginary axis
+    return np.sqrt(2.25 + 0.3j * W0 / (w + 1j * W0))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5, lossless_dispersion,
+                                   lossy_dispersion])
+def test_batched_jet_equals_scalar_calls_bitwise(index):
+    med = Medium(index)
+    r_obs, r_src = np.array([40e-9, -25e-9, 60e-9]), np.array([5e-9, 0, 1e-9])
+    dist = float(np.linalg.norm(r_obs - r_src))
+    # real axis on both sides of the series switch (k r / n from 0.05 to
+    # 3), and the imaginary axis over seven decades
+    real = np.array([0.05, 0.3, 0.49, 0.51, 0.8, 3.0]) * C0 / dist
+    omegas = np.concatenate([real, 1j * np.geomspace(1e10, 1e17, 9)])
+    batched = eval_homogeneous_jet(r_obs, r_src, omegas, med)
+    assert batched.batch_shape == omegas.shape
+    for i, w in enumerate(omegas):
+        single = eval_homogeneous_jet(r_obs, r_src, w, med)
+        assert single.batch_shape == ()
+        for name in ("value", "d_obs", "d_src", "d_mixed"):
+            assert same_bits(getattr(batched, name)[i], getattr(single, name))
+        assert same_bits(eval_homogeneous(r_obs - r_src, omegas, med)[i],
+                         eval_homogeneous(r_obs - r_src, w, med))
+    grid = eval_homogeneous_jet(r_obs, r_src, omegas.reshape(3, 5), med)
+    assert same_bits(grid.d_mixed.reshape(batched.d_mixed.shape),
+                     batched.d_mixed)
+
+
+def test_callable_index_is_evaluated_once_per_frequency():
+    seen = []
+
+    def index(w):
+        seen.append(w)
+        return lossless_dispersion(w)
+
+    omegas = W0 * np.array([0.5, 1.0, 1.5, 2.0j])
+    eval_homogeneous_jet(np.array([30e-9, 0, 0]), np.zeros(3), omegas,
+                         Medium(index))
+    assert seen == [complex(w) for w in omegas]
+    assert all(type(w) is complex for w in seen)
+
+
+def test_batched_jet_rejects_any_bad_frequency():
+    p = np.array([30e-9, 0, 0])
+    with pytest.raises(InputError, match="nonzero"):
+        eval_homogeneous_jet(p, np.zeros(3), np.array([W0, 0.0]))
+    with pytest.raises(InputError, match="positive"):
+        eval_homogeneous_jet(p, np.zeros(3), np.array([W0, -W0]))
+
+
 def test_coincident_jet_values():
     k = 1.0  # pick omega so that k = 1/m at n = 1
     omega = k * C0

@@ -37,6 +37,12 @@ def real_blocks(rng, scale):
     }
 
 
+def over_w2(S_blk, w):
+    """S / w^2 for every entry of the frequency batch w."""
+    w = np.asarray(w)
+    return S_blk / w.reshape(w.shape + (1,) * S_blk.ndim) ** 2
+
+
 def random_pair_bundle(rng):
     def emitter(pos):
         d = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e-29
@@ -166,9 +172,9 @@ def test_identity_with_static_double_pole(rng):
 
     def synth_eval(w):
         base = lor_only.evaluator(w)
-        return GreensJet(value=base.value + S["value"] / w ** 2,
-                         d_obs=base.d_obs + S["d_obs"] / w ** 2,
-                         d_src=base.d_src + S["d_src"] / w ** 2,
+        return GreensJet(value=base.value + over_w2(S["value"], w),
+                         d_obs=base.d_obs + over_w2(S["d_obs"], w),
+                         d_src=base.d_src + over_w2(S["d_src"], w),
                          d_mixed=base.d_mixed, part="full")
 
     g2inf = {k: lor_only.uhp_quadratic_limit.get(k, 0) + S.get(k, 0)
@@ -193,7 +199,7 @@ def test_identity_rejects_f2_with_static_pole(rng):
         base = lor_only.evaluator(w)
         return GreensJet(value=base.value, d_obs=base.d_obs,
                          d_src=base.d_src,
-                         d_mixed=base.d_mixed + S["d_mixed"] / w ** 2,
+                         d_mixed=base.d_mixed + over_w2(S["d_mixed"], w),
                          part="full")
 
     synth = SpectralGreenModel(evaluator=synth_eval,
@@ -289,26 +295,26 @@ def test_homogeneous_model_real_and_tolerance_stable(rng):
 
 
 class CountingCalls:
+    """Counts the frequencies fn is asked for (np.size of its argument)."""
+
     def __init__(self, fn):
         self.fn = fn
+        self.calls = 0
         self.values = []
 
     @property
-    def calls(self):
-        return len(self.values)
-
-    @property
     def peak(self):
-        return max(abs(v) for v in self.values)
+        return max(float(np.max(np.abs(v))) for v in self.values)
 
     def __call__(self, x):
         value = self.fn(x)
+        self.calls += np.size(x)
         self.values.append(value)
         return value
 
 
 def test_neval_counts_every_evaluation(rng):
-    f = CountingCalls(lambda x: math.exp(-x) / (1.0 + x * x))
+    f = CountingCalls(lambda x: np.exp(-x) / (1.0 + x * x))
     tail = _integrate_tail(f, 1.0, 1.0, rel_tol=1e-8)
     assert tail.neval == f.calls
     assert tail.peak == f.peak
@@ -345,6 +351,146 @@ def test_pv_neval_counts_every_evaluation(rng):
     res = pv_spectral_form(counted, random_pair_bundle(rng), 0.8 * WR1)
     assert res.neval == jet.calls
     assert res.panels > 0 and res.peak > 0.0
+
+
+def test_lorentzian_batched_equals_scalar_calls_bitwise(rng):
+    blocks = real_blocks(rng, 1e5)
+    del blocks["d_src"]
+    model = lorentzian_model([(blocks, WR1, ETA1),
+                              ({"value": np.eye(3) * 3e4}, WR2, ETA2)])
+    omegas = np.concatenate([np.linspace(0.1, 3.0, 7) * WR1,
+                             1j * np.geomspace(1e12, 1e18, 8)])
+    batched = model.jet(omegas)
+    assert batched.batch_shape == omegas.shape and batched.d_src is None
+    for i, w in enumerate(omegas):
+        single = model.jet(w)
+        assert single.batch_shape == ()
+        for name in ("value", "d_obs", "d_mixed"):
+            got, want = getattr(batched, name)[i], getattr(single, name)
+            assert got.tobytes() == want.tobytes()
+    grid = model.jet(omegas.reshape(5, 3))
+    assert grid.d_mixed.tobytes() == batched.d_mixed.tobytes()
+
+
+def pointwise_imaginary_axis_form(model, bundle, w0, rel_tol=1e-8):
+    """Reference: the imaginary-axis form with one jet and one contraction
+    per frequency, its k-integrand lifted node by node onto the panels."""
+    f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
+    names = list(dict.fromkeys([*f0, *f1, *f2]))
+
+    def integrand(kappa):
+        jet = model.jet(1j * kappa)
+        blocks = {name: getattr(jet, name).real for name in names}
+        k2 = kappa * kappa
+        coeffs = {name: f0.get(name, 0.0) * (w0 * k2)
+                  + f1.get(name, 0.0) * k2 - f2.get(name, 0.0) * w0
+                  for name in names}
+        return bundle.contract(blocks, coeffs) / (k2 + w0 ** 2)
+
+    head = integrate_adaptive(integrand, 0.0, w0, rel_tol=rel_tol)
+    tail = _integrate_tail(
+        lambda ks: np.array([integrand(k) for k in ks], dtype=complex),
+        w0, w0, rel_tol=rel_tol)
+    jet0 = model.jet(w0)
+    p0 = {name: f0.get(name, 0.0) * w0 ** 2 + f1.get(name, 0.0) * w0
+          + f2.get(name, 0.0) for name in names}
+    resonant = math.pi * bundle.contract(
+        {name: getattr(jet0, name).real for name in names}, p0)
+    statics = model.static_pole_blocks
+    pole = -(0.5 * math.pi / w0) * bundle.contract(
+        statics, {name: f1[name] for name in f1})
+    assert model.uhp_quadratic_limit is None  # no arc term
+    return resonant + head.value + tail.value + pole
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5])
+@pytest.mark.parametrize("wavelengths", [0.03, 0.4])
+def test_imaginary_axis_form_matches_pointwise_reference(rng, n, wavelengths):
+    sep = wavelengths * 2 * math.pi * C0 / (n * WR1)
+    pos = [np.zeros(3), sep * np.array([0.36, -0.48, 0.8])]
+
+    def emitter(p):
+        d = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e-29
+        m = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e-23
+        Q = rng.standard_normal((3, 3)) * 1e-39
+        return MultipoleEmitter(position=p, omega0=WR1, d=d, m=m,
+                                Q=Q + Q.T)
+
+    bundle = moment_product_bundle(emitter(pos[0]), emitter(pos[1]))
+    assert bundle.f0 and bundle.f1 and bundle.f2  # ED, EQ, MD all enter
+    model = homogeneous_pair_model(Medium(n), pos[0], pos[1])
+    got = imaginary_axis_form(model, bundle, WR1).value
+    want = pointwise_imaginary_axis_form(model, bundle, WR1)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_one_jet_evaluation_per_panel(rng):
+    sizes = []
+
+    def recorded(model):
+        def evaluator(w):
+            sizes.append(np.size(w))
+            return model.evaluator(w)
+        return dataclasses.replace(model, evaluator=evaluator)
+
+    bundle = random_pair_bundle(rng)
+    pos = [np.zeros(3), np.array([0.0, 0.0, 50e-9])]
+    homogeneous = homogeneous_pair_model(Medium(1.5), pos[0], pos[1])
+    res = imaginary_axis_form(recorded(homogeneous),
+                              ed_bundle(np.array([1e-29, 0, 0]), pos), WR1)
+    # the resonant jet, then one call on the 15 nodes of each panel
+    assert sizes[0] == 1 and set(sizes[1:]) == {15}
+    assert sum(sizes) == res.neval
+
+    sizes.clear()
+    model = lorentzian_model([(real_blocks(rng, 1e5), WR1, ETA1)])
+    res = pv_spectral_form(recorded(model), bundle, 0.8 * WR1)
+    # the zero-frequency probe, then one call per panel node array
+    assert sizes[0] == 1 and set(sizes[1:]) == {15}
+    assert sum(sizes) == res.neval
+
+    sizes.clear()
+    check_imaginary_axis_reality(recorded(model), [1e14, 1e15, 1e16])
+    assert sizes == [3]
+
+
+def test_static_pole_probe_is_one_batched_jet(monkeypatch):
+    import polyemit.homogeneous as homogeneous
+    calls = []
+    original = homogeneous.eval_homogeneous_jet
+
+    def counted(r_obs, r_src, omega, medium):
+        calls.append(np.shape(omega))
+        return original(r_obs, r_src, omega, medium)
+
+    monkeypatch.setattr(homogeneous, "eval_homogeneous_jet", counted)
+    homogeneous_pair_model(Medium(1.5), np.zeros(3),
+                           np.array([0.0, 0.0, 120e-9]))
+    assert calls == [(2,)]
+
+
+def test_wrapped_scalar_evaluator_matches_batched_model(rng):
+    # the wrapping recipe of the SpectralGreenModel docstring
+    model = lorentzian_model([(real_blocks(rng, 1e5), WR1, ETA1)])
+
+    def scalar(w):
+        assert isinstance(w, complex)
+        return model.evaluator(w)
+
+    def batched(w):
+        jets = [scalar(complex(x)) for x in np.ravel(w)]
+        blocks = {name: np.reshape([getattr(j, name) for j in jets],
+                                   np.shape(w) + getattr(jets[0], name).shape)
+                  for name in ("value", "d_obs", "d_src", "d_mixed")
+                  if getattr(jets[0], name) is not None}
+        return GreensJet(**blocks, part=jets[0].part)
+
+    wrapped = dataclasses.replace(model, evaluator=batched)
+    bundle = random_pair_bundle(rng)
+    for form in (imaginary_axis_form, pv_spectral_form):
+        want = form(model, bundle, 0.9 * WR1)
+        got = form(wrapped, bundle, 0.9 * WR1)
+        assert got.value == want.value and got.neval == want.neval
 
 
 def test_homogeneous_real_axis_pv_refuses(rng):
