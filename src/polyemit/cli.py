@@ -55,9 +55,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (EmitterEnsembleModel, Trajectory, _reference_frequency,
-                       build_ensemble, evolve_ensemble, product_density,
-                       pure_density)
+from .dynamics import (EmitterEnsembleModel, Trajectory, build_ensemble,
+                       evolve_ensemble, product_density, pure_density)
 from .emitter import MultipoleEmitter, normalize_channels
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
                      PartFlagError, PolyemitError, QuadratureError)
@@ -310,8 +309,6 @@ def _cmd_couple(cfg: RunConfig) -> int:
     separation = float(np.linalg.norm(a.position - b.position))
 
     if separation == 0.0:
-        # build_ensemble's frequency rule, which this branch bypasses
-        _reference_frequency([a, b], wbar, freq_ratio_tol=1e-2)
         # coherent coupling diverges; every rate is the coincident jet's
         jet0 = coincident_im_jet(wbar, med)
         gamma = [[collective_rate(x, y, jet0, omega_bar=wbar).gamma_cross

@@ -52,7 +52,8 @@ from .errors import (CoincidentPointError, InputError, IntegrationError,
 from .grid import TensorGrid
 from .homogeneous import Medium, coincident_im_jet
 from .quadrature import SpectralGreenModel, homogeneous_pair_model
-from .rates import collective_rate, coupling_strength, lamb_shift
+from .rates import (_reference_frequency, collective_rate,
+                    coupling_strength, lamb_shift)
 
 _MAX_EMITTERS = 10       # propagation cap, state dimension 2**10
 _MAX_SNAPSHOT = 6        # density matrices retained on trajectories
@@ -632,22 +633,6 @@ def _real_entry(value: complex, what: str) -> float:
             f"{what} came out complex beyond tolerance; the environment's "
             f"spectral density is not Hermitian for this emitter")
     return float(value.real)
-
-
-def _reference_frequency(emitters, omega_ref, freq_ratio_tol) -> float:
-    if omega_ref is None:
-        omega_ref = float(np.mean([e.omega0 for e in emitters]))
-    else:
-        omega_ref = float(omega_ref)
-    if not (omega_ref > 0 and math.isfinite(omega_ref)):
-        raise InputError("reference frequency must be positive and finite")
-    worst = max(abs(e.omega0 - omega_ref) for e in emitters)
-    if worst > freq_ratio_tol * omega_ref:
-        raise InputError(
-            f"emitter transition frequencies deviate from the reference by "
-            f"more than a fraction {freq_ratio_tol:g}; the collective "
-            f"coefficients assume near-degenerate emitters")
-    return omega_ref
 
 
 def _pair_source(environment, omega_ref: float, freq_ratio_tol: float):

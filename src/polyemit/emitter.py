@@ -63,14 +63,6 @@ _CHANNEL_TABLE = {
 _PRODUCT = {(0, 0): ("value", 'm,n->mn'), (1, 0): ("d_obs", 'mk,n->mnk'),
             (0, 1): ("d_src", 'm,nl->mnl'), (1, 1): ("d_mixed", 'mk,nl->mnkl')}
 
-_BLOCKS = ("value", "d_obs", "d_src", "d_mixed")
-
-
-def _jet_blocks(jet: GreensJet) -> dict:
-    """Block name -> stored array, None where the jet lacks the block."""
-    return {name: getattr(jet, name) for name in _BLOCKS}
-
-
 def normalize_channels(channels) -> frozenset:
     if channels is None:
         return frozenset(CHANNELS)
@@ -241,7 +233,7 @@ def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
     if not (isinstance(omega, (int, float)) and omega > 0):
         raise InputError("bilinear_form needs a real positive frequency")
     bundle = moment_product_bundle(a, b, channels_a, channels_b)
-    return bundle.contract(_jet_blocks(jet), bundle.at(omega)) / SPECTRAL_NORM
+    return bundle.contract(jet.blocks, bundle.at(omega)) / SPECTRAL_NORM
 
 
 def channel_decompose(a: MultipoleEmitter, b: MultipoleEmitter,
@@ -311,7 +303,7 @@ class CoefficientBundle:
 
     def spectral_density(self, jet: GreensJet, omega: float):
         """Z(omega) = sum F(omega) dot Im-part jet blocks."""
-        return self.contract(_jet_blocks(jet.imag_part()), self.at(omega))
+        return self.contract(jet.imag_part().blocks, self.at(omega))
 
 
 def moment_product_bundle(a: MultipoleEmitter, b: MultipoleEmitter,

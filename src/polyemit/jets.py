@@ -11,6 +11,10 @@ shape ()):
     d_src[m, n, l]         d G_mn / d r'_l         (source-point gradient)
     d_mixed[m, n, k, l]    d^2 G_mn / d r_k d r'_l
 
+BLOCK_SHAPES maps each block name to its trailing shape, in the one block
+order every module iterates; no other module lists the blocks. A jet's
+.blocks gives name -> array for the blocks it carries, in that order.
+
 ``part`` declares the content: "full" jets store complex tensors, "imag"
 jets store only the imaginary part as real float arrays (the real part is
 structurally unavailable, e.g. for sampled data that only resolves the
@@ -25,8 +29,8 @@ import numpy as np
 
 from .errors import MissingDerivativeError, PartFlagError
 
-_SHAPES = {"value": (3, 3), "d_obs": (3, 3, 3), "d_src": (3, 3, 3),
-           "d_mixed": (3, 3, 3, 3)}
+BLOCK_SHAPES = {"value": (3, 3), "d_obs": (3, 3, 3), "d_src": (3, 3, 3),
+                "d_mixed": (3, 3, 3, 3)}
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class GreensJet:
             raise PartFlagError(f"unknown jet part flag {self.part!r}")
         want = complex if self.part == "full" else float
         batch = None
-        for name, shape in _SHAPES.items():
+        for name, shape in BLOCK_SHAPES.items():
             arr = getattr(self, name)
             if arr is None:
                 if name == "value":
@@ -65,21 +69,23 @@ class GreensJet:
         return self.value.shape[:-2]
 
     @property
-    def has_first(self) -> bool:
-        return self.d_obs is not None and self.d_src is not None
+    def blocks(self) -> dict:
+        """Block name -> stored array, for the blocks present, in
+        BLOCK_SHAPES order."""
+        return {name: arr for name in BLOCK_SHAPES
+                if (arr := getattr(self, name)) is not None}
 
-    @property
-    def has_mixed(self) -> bool:
-        return self.d_mixed is not None
+    def real_blocks(self) -> dict:
+        """Block name -> real part, for the blocks present of a full jet;
+        an Im-part jet has no real part to give."""
+        if self.part != "full":
+            raise PartFlagError("an imaginary-part jet carries no real part")
+        return {name: arr.real for name, arr in self.blocks.items()}
 
     def imag_part(self) -> "GreensJet":
         """Project onto the imaginary part (real-array jet)."""
         if self.part == "imag":
             return self
-
-        def im(a):
-            return None if a is None else np.ascontiguousarray(a.imag)
-
-        return GreensJet(value=im(self.value), d_obs=im(self.d_obs),
-                         d_src=im(self.d_src), d_mixed=im(self.d_mixed),
+        return GreensJet(**{name: np.ascontiguousarray(arr.imag)
+                            for name, arr in self.blocks.items()},
                          part="imag")

@@ -27,6 +27,13 @@ in one call. The spectral forms therefore evaluate one batched Green jet
 (SpectralGreenModel.jet on the node array) and make one contraction per
 panel. integrate_adaptive and pv_integral take scalar integrands f(x) and
 lift them onto the same engine (one call per node).
+
+Tolerance: an adaptive integral is done when its error estimate falls
+below the largest of rel_tol |I|, a fixed fraction of the absolute mass
+Sum |panel|, and an absolute floor abs_tol. imaginary_axis_form sets that
+floor from the uncancelled size of its resonant term, so an integral that
+cancels to roundoff (a pair coupling that vanishes by symmetry) stops at
+roundoff instead of chasing a relative tolerance no sum can meet.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ModelDomainError, QuadratureError
-from .jets import GreensJet
+from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = ["QuadratureResult", "integrate_adaptive", "pv_integral",
            "SpectralGreenModel", "imaginary_axis_form", "pv_spectral_form",
@@ -63,6 +70,13 @@ _WG = np.array([
 _X15 = np.concatenate((-_XGK[:-1], [0.0], _XGK[-2::-1]))
 _W15 = np.concatenate((_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]))
 _W7 = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
+
+# error allowed per unit of absolute panel mass Sum |panel|
+_MAGNITUDE_TOL = 1e-10
+# tail extension: stop once panel peaks fall below this fraction of the
+# global peak; give up after this many width doublings
+_TAIL_PEAK_FLOOR = 1e-12
+_TAIL_DOUBLINGS = 60
 
 
 def _panel(f, a: float, b: float):
@@ -97,16 +111,14 @@ class QuadratureResult:
 
 def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
                        rel_tol: float = 1e-8, abs_tol: float = 0.0,
-                       magnitude_tol: float = 1e-10,
                        max_panels: int = 2048) -> QuadratureResult:
     """Adaptive bisection with the Gauss-Kronrod embedded error estimate,
     for a scalar integrand f(x) (see _adaptive)."""
-    return _adaptive(_lift(f), a, b, rel_tol, abs_tol, magnitude_tol,
-                     max_panels)
+    return _adaptive(_lift(f), a, b, rel_tol, abs_tol, max_panels)
 
 
 def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
-              abs_tol: float = 0.0, magnitude_tol: float = 1e-10,
+              abs_tol: float = 0.0,
               max_panels: int = 2048) -> QuadratureResult:
     """Adaptive bisection with the Gauss-Kronrod embedded error estimate,
     for a vector integrand (f maps an array of nodes to their values).
@@ -114,8 +126,10 @@ def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
     Panels split worst-first; the final sum runs left to right so the
     result does not depend on the splitting schedule. Tolerance is met when
     the summed panel error drops below
-    max(abs_tol, rel_tol*|I|, magnitude_tol*M) with M the accumulated
-    absolute mass Sum |panel|.
+    max(abs_tol, rel_tol*|I|, _MAGNITUDE_TOL*M) with M the accumulated
+    absolute mass Sum |panel|. abs_tol is the absolute floor: an integrand
+    that is pure roundoff has no relative accuracy to reach, and without a
+    floor the bisection runs on until the budget or the integrand gives out.
     """
     if not b > a:
         raise QuadratureError("empty or inverted integration interval")
@@ -126,7 +140,7 @@ def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
         total = sum(item[3] for item in heap)
         total_err = sum(-item[0] for item in heap)
         mass = sum(abs(item[3]) for item in heap)
-        tol = max(abs_tol, rel_tol * abs(total), magnitude_tol * mass)
+        tol = max(abs_tol, rel_tol * abs(total), _MAGNITUDE_TOL * mass)
         if total_err <= tol or len(heap) >= max_panels:
             break
         nerr, pa, pb, _ = heapq.heappop(heap)
@@ -144,7 +158,7 @@ def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
     total = sum(p[3] for p in panels)
     total_err = sum(-p[0] for p in panels)
     mass = sum(abs(p[3]) for p in panels)
-    tol = max(abs_tol, rel_tol * abs(total), magnitude_tol * mass)
+    tol = max(abs_tol, rel_tol * abs(total), _MAGNITUDE_TOL * mass)
     if total_err > 10 * max(tol, 1e-300):
         raise QuadratureError(
             f"adaptive budget exhausted: residual error estimate "
@@ -154,14 +168,15 @@ def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
 
 
 def _integrate_tail(f, start: float, scale: float, rel_tol: float,
-                    peak_floor: float = 1e-12,
-                    max_doublings: int = 60) -> QuadratureResult:
+                    abs_tol: float = 0.0) -> QuadratureResult:
     """Geometric panel extension of int_start^inf f, for a decaying vector
     integrand f.
 
-    Stops when panel peaks fall below peak_floor of the global peak and
-    panel contributions are negligible; raises if the panel sequence stops
-    decaying (non-integrable or non-decaying integrand).
+    Stops when panel peaks fall below _TAIL_PEAK_FLOOR of the global peak
+    and panel contributions are negligible (below rel_tol of the running
+    total or below abs_tol, which also floors each panel's own tolerance);
+    raises if the panel sequence stops decaying (non-integrable or
+    non-decaying integrand).
     """
     total = 0.0 + 0.0j
     total_err = 0.0
@@ -172,8 +187,9 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
     peak = 0.0
     prev_mag = math.inf
     grow_streak = 0
-    for _ in range(max_doublings):
-        res = _adaptive(f, a, a + width, rel_tol=rel_tol, max_panels=256)
+    for _ in range(_TAIL_DOUBLINGS):
+        res = _adaptive(f, a, a + width, rel_tol=rel_tol, abs_tol=abs_tol,
+                        max_panels=256)
         total += res.value
         total_err += res.error
         neval += res.neval
@@ -188,28 +204,27 @@ def _integrate_tail(f, start: float, scale: float, rel_tol: float,
                     "refusing to truncate a divergent tail")
         else:
             grow_streak = 0
-        if res.peak <= peak_floor * peak and mag <= max(
-                rel_tol * abs(total), 1e-300):
+        if res.peak <= _TAIL_PEAK_FLOOR * peak and mag <= max(
+                rel_tol * abs(total), abs_tol, 1e-300):
             return QuadratureResult(total, total_err, neval, panels, peak)
         prev_mag = mag
         a += width
         width *= 2.0
     raise QuadratureError(
         "tail extension budget exhausted before the integrand decayed "
-        f"below {peak_floor:g} of its peak")
+        f"below {_TAIL_PEAK_FLOOR:g} of its peak")
 
 
 def pv_integral(f: Callable[[float], complex], pole: float,
-                upper: float = math.inf, rel_tol: float = 1e-8,
-                tail_scale: Optional[float] = None) -> QuadratureResult:
+                upper: float = math.inf,
+                rel_tol: float = 1e-8) -> QuadratureResult:
     """Cauchy principal value of int_0^upper f(w)/(w - pole) dw, for a
     scalar f(w) (see _pv_integral)."""
-    return _pv_integral(_lift(f), pole, upper, rel_tol, tail_scale)
+    return _pv_integral(_lift(f), pole, upper, rel_tol)
 
 
 def _pv_integral(f, pole: float, upper: float = math.inf,
-                 rel_tol: float = 1e-8,
-                 tail_scale: Optional[float] = None) -> QuadratureResult:
+                 rel_tol: float = 1e-8) -> QuadratureResult:
     """Cauchy principal value of int_0^upper f(w)/(w - pole) dw, for a
     vector f.
 
@@ -247,8 +262,7 @@ def _pv_integral(f, pole: float, upper: float = math.inf,
             res_right = _adaptive(divided, pole + delta, upper,
                                   rel_tol=rel_tol)
         else:
-            scale = tail_scale if tail_scale else pole
-            res_right = _integrate_tail(divided, pole + delta, scale,
+            res_right = _integrate_tail(divided, pole + delta, pole,
                                         rel_tol=rel_tol)
         value = res_core.value + res_left.value + res_right.value
         error = res_core.error + res_left.error + res_right.error
@@ -277,13 +291,19 @@ class SpectralGreenModel:
     """A Green-tensor jet as a function of complex frequency, bound to one
     point pair, with the analyticity declarations the integrators need.
 
-    uhp_quadratic_limit maps block name -> lim w^2 G_block(w) in the upper
-    half plane (None means that limit vanishes). static_pole_blocks maps
-    block name -> S with G_block(w) = S/w^2 + O(1) near w = 0 (real S by
-    Schwarz reflection; None means the model is regular at zero). scattered
-    marks models that represent only the structure-induced part of the
-    response (finite at the source point), the part level shifts are
-    computed from.
+    supports_imaginary_axis declares the model analytic and decaying in the
+    upper half plane and evaluable at imaginary frequency; without it the
+    contour replacement (imaginary_axis_form) is refused. omega_range is
+    the real-frequency validity interval. uhp_quadratic_limit maps block
+    name -> lim w^2 G_block(w) in the upper half plane (None means that
+    limit vanishes). static_pole_blocks maps block name -> S with
+    G_block(w) = S/w^2 + O(1) near w = 0 (real S by Schwarz reflection;
+    None means the model is regular at zero). low_frequency_scale, when
+    set, is the spectral floor below which imaginary_axis_form refuses a
+    pole frequency. scattered marks models that represent only the
+    structure-induced part of the response (finite at the source point),
+    the part level shifts are computed from. Block names are those of
+    jets.BLOCK_SHAPES.
 
     Evaluator contract: evaluator(w) takes one complex frequency (a Python
     complex) or a complex ndarray of frequencies, and returns a GreensJet
@@ -295,10 +315,9 @@ class SpectralGreenModel:
 
         def batched(w):
             jets = [scalar(complex(x)) for x in np.ravel(w)]
-            blocks = {name: np.reshape([getattr(j, name) for j in jets],
-                                       np.shape(w) + getattr(jets[0], name).shape)
-                      for name in ("value", "d_obs", "d_src", "d_mixed")
-                      if getattr(jets[0], name) is not None}
+            blocks = {name: np.reshape([j.blocks[name] for j in jets],
+                                       np.shape(w) + blk.shape)
+                      for name, blk in jets[0].blocks.items()}
             return GreensJet(**blocks, part=jets[0].part)
     """
 
@@ -309,8 +328,6 @@ class SpectralGreenModel:
     static_pole_blocks: Optional[dict] = None
     low_frequency_scale: Optional[float] = None
     scattered: bool = True
-    decays_in_uhp: bool = True
-    label: str = ""
 
     def jet(self, omega) -> GreensJet:
         """The jet at omega, or at every entry of an array of frequencies.
@@ -333,9 +350,6 @@ class SpectralGreenModel:
                 "use the principal-value path")
         return self.evaluator(complex(w) if w.ndim == 0 else w)
 
-    def quadratic_limit_blocks(self) -> dict:
-        return {} if self.uhp_quadratic_limit is None else self.uhp_quadratic_limit
-
 
 def check_imaginary_axis_reality(model: SpectralGreenModel, kappas,
                                  rtol: float = 1e-8) -> float:
@@ -343,10 +357,7 @@ def check_imaginary_axis_reality(model: SpectralGreenModel, kappas,
     axis (must vanish by Schwarz reflection for causal models)."""
     jet = model.jet(1j * np.asarray(kappas, dtype=float).reshape(-1))
     worst = 0.0
-    for name in ("value", "d_obs", "d_src", "d_mixed"):
-        blk = getattr(jet, name)
-        if blk is None:
-            continue
+    for blk in jet.blocks.values():
         # one row per frequency
         rows = blk.reshape(math.prod(jet.batch_shape), -1)
         scale = np.max(np.abs(rows), axis=1)
@@ -369,24 +380,6 @@ def _coefficient_rows(names, *rows) -> dict:
     return {name: np.stack(np.broadcast_arrays(
                 *(row.get(name, 0.0) for row in rows)))[:, None]
             for name in names}
-
-
-def _jet_block_dict(jet: GreensJet, part: str) -> dict:
-    out = {}
-    for name in ("value", "d_obs", "d_src", "d_mixed"):
-        blk = getattr(jet, name)
-        if blk is None:
-            out[name] = None
-        elif part == "im":
-            out[name] = blk.imag if jet.part == "full" else blk
-        elif part == "re":
-            out[name] = blk.real if jet.part == "full" else None
-        else:
-            out[name] = blk
-        # imaginary-axis jets are real up to roundoff; keep the real part
-        if part == "raw" and out[name] is not None and np.iscomplexobj(out[name]):
-            out[name] = out[name].real
-    return out
 
 
 def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
@@ -423,10 +416,6 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
                 f"model's low-frequency scale "
                 f"{model.low_frequency_scale:g}; the contour replacement is "
                 f"not warranted this close to the spectral floor")
-    if not model.decays_in_uhp:
-        raise ModelDomainError(
-            "model does not declare upper-half-plane decay; the contour "
-            "replacement is unavailable")
 
     f0 = bundle.f0
     f1 = bundle.f1
@@ -445,8 +434,7 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
                 "imaginary axis; restrict channels")
 
     # resonant term: pi p(omega0) . Re G(omega0)
-    jet0 = model.jet(omega0)
-    re_blocks = _jet_block_dict(jet0, "re")
+    re_blocks = model.jet(omega0).real_blocks()
     p0 = {}
     # one fixed block order, so the contraction sums in the same order in
     # every process (set order would follow the string-hash seed)
@@ -461,6 +449,11 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
             acc = acc + f2[name]
         p0[name] = acc
     resonant = math.pi * bundle.contract(re_blocks, p0)
+    # absolute floor: roundoff on the uncancelled size of that contraction,
+    # for pairs whose integrals cancel exactly (couplings zero by symmetry)
+    abs_tol = 1e-14 * math.pi * sum(
+        float(np.sum(np.abs(p0[name]) * np.abs(re_blocks[name])))
+        for name in names)
 
     # k-integrand (k^2 A.G + B.G) / (k^2 + w0^2) with A = f0 w0 + f1 and
     # B = -f2 w0: one jet evaluation and one contraction per panel
@@ -471,17 +464,19 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
         {name: -f2[name] * omega0 for name in f2})
 
     def integrand(kappas: np.ndarray) -> np.ndarray:
-        blocks = _jet_block_dict(model.jet(1j * kappas), "raw")
-        a, b = bundle.contract(blocks, kernel)
+        # imaginary-axis jets are real up to roundoff; keep the real part
+        a, b = bundle.contract(model.jet(1j * kappas).real_blocks(), kernel)
         k2 = kappas * kappas
         return (k2 * a + b) / (k2 + omega0 ** 2)
 
-    head = _adaptive(integrand, 0.0, omega0, rel_tol=rel_tol)
-    tail = _integrate_tail(integrand, omega0, omega0, rel_tol=rel_tol)
+    head = _adaptive(integrand, 0.0, omega0, rel_tol=rel_tol,
+                     abs_tol=abs_tol)
+    tail = _integrate_tail(integrand, omega0, omega0, rel_tol=rel_tol,
+                           abs_tol=abs_tol)
 
     # arc term: -(pi/2) f0 . g2inf
     arc = 0.0 + 0.0j
-    g2 = model.quadratic_limit_blocks()
+    g2 = model.uhp_quadratic_limit or {}
     if f0 and g2:
         shared = {name: f0[name] for name in f0 if name in g2}
         if shared:
@@ -517,8 +512,8 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
         bundle.f0, bundle.f1, bundle.f2)
 
     def numerator(ws: np.ndarray) -> np.ndarray:
-        blocks = _jet_block_dict(model.jet(ws), "im")
-        p0, p1, p2 = bundle.contract(blocks, kernel)
+        p0, p1, p2 = bundle.contract(model.jet(ws).imag_part().blocks,
+                                     kernel)
         return ws * ws * p0 + ws * p1 + p2
 
     # the 1/w and 1/w^2 coefficient factors must be tamed by the w^2 from
@@ -583,8 +578,7 @@ def kk_residual(omegas, values, test_frequencies) -> np.ndarray:
 # model factories
 
 
-def lorentzian_model(terms, label: str = "lorentzian",
-                     low_frequency_scale: Optional[float] = None
+def lorentzian_model(terms, low_frequency_scale: Optional[float] = None
                      ) -> SpectralGreenModel:
     """Sum of damped resonances per block:
     G_block(w) = sum_j A_j_block / (w_rj^2 - w^2 - i eta_j w).
@@ -595,18 +589,16 @@ def lorentzian_model(terms, label: str = "lorentzian",
     -sum_j A_j_block.
     """
     parsed = []
-    shapes = {"value": (3, 3), "d_obs": (3, 3, 3), "d_src": (3, 3, 3),
-              "d_mixed": (3, 3, 3, 3)}
     for blocks, omega_r, eta in terms:
         if not (omega_r > 0 and eta > 0):
             raise ModelDomainError("resonance frequency and damping must be "
                                    "positive")
         blk = {}
         for name, tensor in blocks.items():
-            if name not in shapes:
+            if name not in BLOCK_SHAPES:
                 raise ModelDomainError(f"unknown block name {name!r}")
             arr = np.asarray(tensor, dtype=complex)
-            if arr.shape != shapes[name]:
+            if arr.shape != BLOCK_SHAPES[name]:
                 raise ModelDomainError(f"block {name} has wrong shape")
             blk[name] = arr
         parsed.append((blk, float(omega_r), float(eta)))
@@ -616,17 +608,16 @@ def lorentzian_model(terms, label: str = "lorentzian",
     def evaluator(w) -> GreensJet:
         w = np.asarray(w, dtype=complex)
         flat = w.reshape(-1)
-        acc = {n: np.zeros(flat.shape + shapes[n], dtype=complex)
+        acc = {n: np.zeros(flat.shape + BLOCK_SHAPES[n], dtype=complex)
                for n in all_names}
         for blk, omega_r, eta in parsed:
             den = omega_r ** 2 - flat * flat - 1j * eta * flat
             for n, tensor in blk.items():
                 acc[n] = acc[n] + tensor / den.reshape(
                     den.shape + (1,) * tensor.ndim)
-        out = {n: acc[n].reshape(w.shape + shapes[n]) if n in acc else None
-               for n in shapes}
-        if out["value"] is None:
-            out["value"] = np.zeros(w.shape + shapes["value"], complex)
+        out = {n: a.reshape(w.shape + BLOCK_SHAPES[n]) for n, a in acc.items()}
+        out.setdefault("value", np.zeros(w.shape + BLOCK_SHAPES["value"],
+                                         complex))
         return GreensJet(**out, part="full")
 
     g2 = {}
@@ -639,12 +630,10 @@ def lorentzian_model(terms, label: str = "lorentzian",
                               omega_range=(0.0, math.inf),
                               uhp_quadratic_limit=g2,
                               low_frequency_scale=low_frequency_scale,
-                              scattered=True, decays_in_uhp=True,
-                              label=label)
+                              scattered=True)
 
 
-def homogeneous_pair_model(medium, r_obs, r_src,
-                           label: str = "homogeneous") -> SpectralGreenModel:
+def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
     """Analytic homogeneous-medium model bound to a point pair.
 
     Supports the imaginary axis (exponentially decaying there); the
@@ -674,10 +663,7 @@ def homogeneous_pair_model(medium, r_obs, r_src,
     kappa = 1e-4 * C0 / dist
     probe = evaluator(np.array([1j, 2j]) * kappa)
     statics = {}
-    for name in ("value", "d_obs", "d_src", "d_mixed"):
-        blk = getattr(probe, name)
-        if blk is None:
-            continue
+    for name, blk in probe.blocks.items():
         s = -(4.0 * kappa ** 2 * blk[0] - 4.0 * kappa ** 2 * blk[1]) / 3.0
         statics[name] = np.ascontiguousarray(s.real)
 
@@ -687,5 +673,4 @@ def homogeneous_pair_model(medium, r_obs, r_src,
                               uhp_quadratic_limit=None,
                               static_pole_blocks=statics,
                               low_frequency_scale=None,
-                              scattered=False, decays_in_uhp=True,
-                              label=label)
+                              scattered=False)

@@ -211,12 +211,35 @@ def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
     return float(delta.real)
 
 
+def _reference_frequency(emitters, omega_ref: Optional[float],
+                         freq_ratio_tol: float) -> float:
+    """The common reference frequency of a set of emitters: omega_ref, or
+    their mean when omega_ref is None, within freq_ratio_tol (relative) of
+    every transition frequency."""
+    if omega_ref is None:
+        omega_ref = float(np.mean([e.omega0 for e in emitters]))
+    else:
+        omega_ref = float(omega_ref)
+    if not (omega_ref > 0 and math.isfinite(omega_ref)):
+        raise InputError("reference frequency must be positive and finite")
+    worst = max(abs(e.omega0 - omega_ref) for e in emitters)
+    if worst > freq_ratio_tol * omega_ref:
+        raise InputError(
+            f"emitter transition frequencies deviate from the reference by "
+            f"more than a fraction {freq_ratio_tol:g}; the collective "
+            f"coefficients assume near-degenerate emitters")
+    return omega_ref
+
+
 def _mean_frequency(a: MultipoleEmitter, b: MultipoleEmitter,
                     omega_bar: Optional[float],
                     freq_ratio_tol: float) -> float:
-    wbar = 0.5 * (a.omega0 + b.omega0) if omega_bar is None else float(omega_bar)
-    if not wbar > 0:
-        raise InputError("mean frequency must be positive")
+    """The pair's evaluation frequency: their mean, or an explicit
+    omega_bar held to the reference-frequency rule."""
+    if omega_bar is None:
+        wbar = 0.5 * (a.omega0 + b.omega0)
+    else:
+        wbar = _reference_frequency([a, b], omega_bar, freq_ratio_tol)
     if abs(a.omega0 - b.omega0) > freq_ratio_tol * wbar:
         raise InputError(
             f"transition frequencies differ by more than a fraction "

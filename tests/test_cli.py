@@ -288,6 +288,46 @@ def test_couple_colocated_frequency_must_be_near_every_emitter(
     assert messages[1] == messages[0]
 
 
+def symmetric_ed_pair(tmp_path):
+    """Crossed ED pair whose coupling vanishes by symmetry: d_a along
+    x + y, d_b along x - y, 120 nm apart along x + y. The imaginary-axis
+    integrand is pure roundoff there."""
+    s = 1.0 / math.sqrt(2.0)
+    r = 120e-9 * s
+    docs = [{"position_m": [0.0, 0.0, 0.0], "omega0_rad_per_s": 2.4127e15,
+             "d_atomic": [s, s, 0.0]},
+            {"position_m": [r, r, 0.0], "omega0_rad_per_s": 2.4127e15,
+             "d_atomic": [s, -s, 0.0]}]
+    return docs, [write_json(tmp_path / f"sym{i}.json", d)
+                  for i, d in enumerate(docs)]
+
+
+def test_couple_pair_coupled_by_symmetry_to_zero(tmp_path, capsys):
+    _, files = symmetric_ed_pair(tmp_path)
+    assert main(["couple", "--emitter", files[0], "--emitter", files[1],
+                 "--format", "json", "--quiet"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    gamma_a = doc["gamma_a_per_s"]["re"]
+    assert gamma_a == pytest.approx(GAMMA_ED_UNIT_ATOMIC * (2.4127e15 / W384)
+                                    ** 3, rel=1e-10)
+    assert abs(complex(doc["xi_rad_per_s"]["re"],
+                       doc["xi_rad_per_s"]["im"])) <= 1e-10 * gamma_a
+
+
+def test_dynamics_pair_coupled_by_symmetry_to_zero(tmp_path, capsys):
+    docs, _ = symmetric_ed_pair(tmp_path)
+    spec = write_json(tmp_path / "sym.json",
+                      {"emitters": docs, "medium_index": 1.0,
+                       "initial": "eg"})
+    assert main(["dynamics", "--ensemble", spec, "--t-max", "1e-8",
+                 "--t-points", "5", "--format", "json", "--quiet"]) == 0
+    model = json.loads(capsys.readouterr().out)["model"]
+    gamma_a = model["gamma_rad_per_s"]["re"][0][0]
+    xi = complex(model["xi_rad_per_s"]["re"][0][1],
+                 model["xi_rad_per_s"]["im"][0][1])
+    assert abs(xi) <= 1e-10 * gamma_a
+
+
 def test_couple_bytes_do_not_depend_on_hash_seed(tmp_path):
     # ED+EQ pair whose block contributions sum in a hash-dependent order
     # when blocks are iterated as a set (seeds 0 and 3 differ then)

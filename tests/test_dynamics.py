@@ -8,6 +8,7 @@ decay matrix, no ODE stepping). Beyond its reach (8 and 10 emitters) the
 references are the single-excitation propagator and the Dicke ladder.
 """
 import json
+import math
 
 import numpy as np
 import pytest
@@ -615,6 +616,22 @@ def test_build_ensemble_random_multipole_sets(rng):
         for a, e in enumerate(ems):
             rate = emission_rate(e, jet0).gamma_total
             assert abs(model.gamma[a, a] - rate) <= 1e-12 * rate
+
+
+def test_build_ensemble_magnetic_pair_coupled_by_symmetry_to_zero():
+    # crossed MDs along x + y and x - y, 120 nm apart along x + y: the
+    # coupling vanishes by symmetry and its integrand is pure roundoff,
+    # down to the overflow of the jet at kappa -> 0 if bisection chased it
+    s = 1.0 / math.sqrt(2.0)
+    w0, mu = 2.4127e15, 9.2740100783e-24
+    a = MultipoleEmitter(position=np.zeros(3), omega0=w0,
+                         m=mu * np.array([s, s, 0.0]))
+    b = MultipoleEmitter(position=120e-9 * np.array([s, s, 0.0]), omega0=w0,
+                         m=mu * np.array([s, -s, 0.0]))
+    model = build_ensemble([a, b], Medium(1.0))
+    gamma_a = model.gamma[0, 0].real
+    assert gamma_a > 0 and model.gamma[1, 1] == model.gamma[0, 0]
+    assert abs(model.xi[0, 1]) <= 1e-10 * gamma_a
 
 
 def test_build_ensemble_inert_pair():

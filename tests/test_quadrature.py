@@ -12,10 +12,11 @@ from scipy.integrate import quad
 from polyemit.constants import C0
 from polyemit.emitter import MultipoleEmitter, moment_product_bundle
 from polyemit.errors import (CoincidentPointError, ModelDomainError,
-                             QuadratureError)
+                             PartFlagError, QuadratureError)
 from polyemit.homogeneous import Medium
 from polyemit.jets import GreensJet
-from polyemit.quadrature import (SpectralGreenModel, _integrate_tail,
+from polyemit.quadrature import (SpectralGreenModel, _adaptive,
+                                 _integrate_tail,
                                  check_imaginary_axis_reality,
                                  homogeneous_pair_model, imaginary_axis_form,
                                  integrate_adaptive, kk_residual,
@@ -218,6 +219,35 @@ def test_identity_requires_imaginary_axis_support(rng):
         imaginary_axis_form(model, random_pair_bundle(rng), WR1)
     with pytest.raises(ModelDomainError):
         model.jet(1j * WR1)
+
+
+def test_identity_refuses_imaginary_part_jets(rng):
+    # the contour replacement needs Re G; a model that only resolves the
+    # fluctuation spectrum is refused for what it is
+    full = lorentzian_model([(real_blocks(rng, 1e5), WR1, ETA1)])
+    im_only = dataclasses.replace(
+        full, evaluator=lambda w: full.evaluator(w).imag_part())
+    with pytest.raises(PartFlagError, match="no real part"):
+        imaginary_axis_form(im_only, random_pair_bundle(rng), WR1)
+
+
+def test_absolute_floor_stops_a_roundoff_integrand():
+    # an integrand that is pure roundoff has no relative accuracy to reach
+    def noise(x):
+        return (0.1 * x + 1.0) - 1.0 - 0.1 * x
+
+    def decaying_noise(x):
+        return np.exp(-x) * ((0.3 * x + 1.0) - 1.0 - 0.3 * x)
+
+    with pytest.raises(QuadratureError, match="budget exhausted"):
+        _adaptive(noise, 0.0, 1.0)
+    res = _adaptive(noise, 0.0, 1.0, abs_tol=1e-14)
+    assert abs(res.value) <= 1e-14 and res.error <= 1e-13
+    with pytest.raises(QuadratureError, match="budget exhausted"):
+        _integrate_tail(decaying_noise, 1.0, 1.0, rel_tol=1e-8)
+    res = _integrate_tail(decaying_noise, 1.0, 1.0, rel_tol=1e-8,
+                          abs_tol=1e-14)
+    assert abs(res.value) <= 1e-14 and res.panels > 0
 
 
 def test_low_frequency_guard(rng):
@@ -479,10 +509,9 @@ def test_wrapped_scalar_evaluator_matches_batched_model(rng):
 
     def batched(w):
         jets = [scalar(complex(x)) for x in np.ravel(w)]
-        blocks = {name: np.reshape([getattr(j, name) for j in jets],
-                                   np.shape(w) + getattr(jets[0], name).shape)
-                  for name in ("value", "d_obs", "d_src", "d_mixed")
-                  if getattr(jets[0], name) is not None}
+        blocks = {name: np.reshape([j.blocks[name] for j in jets],
+                                   np.shape(w) + blk.shape)
+                  for name, blk in jets[0].blocks.items()}
         return GreensJet(**blocks, part=jets[0].part)
 
     wrapped = dataclasses.replace(model, evaluator=batched)

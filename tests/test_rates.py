@@ -332,6 +332,17 @@ def test_coupling_inert_and_frequency_guard(rng):
     assert rep.xi != 0
 
 
+def test_explicit_mean_frequency_must_be_near_both_emitters():
+    # the reference-frequency rule of build_ensemble holds for an explicit
+    # omega_bar too, instead of evaluating the pair far off resonance
+    a, b = ed_pair(100e-9)
+    model = homogeneous_pair_model(Medium(1.0), a.position, b.position)
+    with pytest.raises(InputError, match="deviate from the reference"):
+        coupling_strength(a, b, model, omega_bar=1.5 * W0)
+    with pytest.raises(InputError, match="deviate from the reference"):
+        collective_rate(a, b, model, omega_bar=1.5 * W0)
+
+
 def transpose_reciprocal(blocks):
     """Blocks of the swapped point pair implied by reciprocity
     G_mn(r, r') = G_nm(r', r)."""
