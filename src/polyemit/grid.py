@@ -20,6 +20,18 @@ content is Im G, which is real; a nonzero imaginary residue is tolerated
 on load and flagged by validate_grid. Axis coordinates are in
 length_unit; everything is converted to SI on access.
 
+save_grid writes canonical bytes: sorted keys, compact separators, and
+each block as one json.dumps of its flat [re, im, ...] number list set
+into the block's bracket layout. load_grid accepts any JSON whitespace
+and key order (a repeated key keeps its last value, as in json). It walks
+the top-level and blocks objects itself and reads each block as one flat
+number list, without building a list per node, row and entry. A document
+it cannot read that way goes through json.loads instead, and that route
+alone reports defects: any block that is more than JSON numbers in the
+exact (N, 3, 3, [re, im]) layout (ragged or extra nesting, true, null,
+strings), NaN or Infinity anywhere, invalid JSON, an integer too large
+for a float, or text after the document.
+
 The derivative_semantics declaration fixes what the d1/d2 blocks mean:
 
     "split":  d1_a      field-point gradient       dG/dr_a
@@ -36,9 +48,12 @@ dipole-only queries: jets carry the value block and nothing else.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass
+from json.decoder import scanstring
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -99,7 +114,8 @@ class TensorGrid:
         if not (math.isfinite(freq) and freq > 0.0):
             raise GridFormatError("frequency_rad_per_s must be finite and > 0")
         object.__setattr__(self, "frequency", freq)
-        if self.length_unit not in _METERS_PER_UNIT:
+        if (not isinstance(self.length_unit, str)
+                or self.length_unit not in _METERS_PER_UNIT):
             raise GridFormatError(
                 f"length_unit {self.length_unit!r} is not one of 'nm', 'um', 'm'")
         exp = self.value_unit_exponent
@@ -306,15 +322,46 @@ class TensorGrid:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Every v1 block is text of one fixed layout, N nodes of 3 rows of 3
+# [re, im] entries. Both directions go between that layout and one flat
+# number list, so neither builds the nested per-entry lists (about 700k on
+# a 40 x 40 all-block grid) that json.loads would allocate and the cyclic
+# GC would then traverse.
 
-def _reject_constant(token: str):
-    raise GridFormatError(f"non-finite number {token!r} in grid file")
+_JSON_WS = b" \t\n\r"
+_NUMBER_CHARS = b"0123456789eE.+-"
+_WS_RUN = re.compile(r"[ \t\n\r]*")
+_BLOCK_CHARS_RUN = re.compile(r"[0-9eE.+\-\[\], \t\n\r]*")
+_NUMBERS_AS_N = bytes.maketrans(_NUMBER_CHARS, b"n" * len(_NUMBER_CHARS))
+_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
-def _block_payload(arr: np.ndarray) -> list:
-    flat = arr.reshape(-1, 3, 3)
-    return [[[[float(e.real), float(e.imag)] for e in row] for row in node]
-            for node in flat]
+@functools.lru_cache(maxsize=8)
+def _block_layout(n_nodes: int, entry: str) -> str:
+    """Compact text of an n_nodes-node block with every entry spelled
+    entry: "[,]" gives the bracket skeleton, "[%s,%s]" the writer's
+    template."""
+    row = "[" + ",".join([entry] * 3) + "]"
+    node = "[" + ",".join([row] * 3) + "]"
+    return "[" + ",".join([node] * n_nodes) + "]"
+
+
+_NODE_STRIDE = len(_block_layout(2, "[,]")) - len(_block_layout(1, "[,]"))
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)
+
+
+def _block_text(arr: np.ndarray) -> str:
+    """One block as compact JSON: a single json.dumps of the flat
+    [re, im, ...] list, placed into the block layout."""
+    entries = np.stack([arr.real, arr.imag], axis=-1).reshape(-1, 18)
+    numbers = _dumps(entries.ravel().tolist())
+    return (_block_layout(len(entries), "[%s,%s]")
+            % tuple(numbers[1:-1].split(",")))
 
 
 def save_grid(grid: TensorGrid) -> bytes:
@@ -324,25 +371,130 @@ def save_grid(grid: TensorGrid) -> bytes:
     round-trip decimals; the same grid always produces the same bytes,
     and load_grid(save_grid(g)) reproduces g exactly.
     """
-    doc = {
+    axes = {name: (float(arr[0]) if fx else [float(v) for v in arr])
+            for name, arr, fx in zip(_AXES, grid.axes, grid.fixed_axes)}
+    # every key here sorts after "axes" and "blocks", which lead the text
+    head = {
         "format_version": 1,
         "frequency_rad_per_s": grid.frequency,
         "length_unit": grid.length_unit,
         "value_unit_exponent": grid.value_unit_exponent,
         "derivative_semantics": grid.derivative_semantics,
         "symmetry_rtol": grid.symmetry_tol,
-        "axes": {name: (float(arr[0]) if fx else [float(v) for v in arr])
-                 for name, arr, fx in zip(_AXES, grid.axes, grid.fixed_axes)},
-        "blocks": {k: _block_payload(grid.blocks[k]) for k in sorted(grid.blocks)},
     }
     if grid.provenance is not None:
-        doc["provenance"] = grid.provenance
+        head["provenance"] = grid.provenance
     try:
-        text = json.dumps(doc, ensure_ascii=False, sort_keys=True,
-                          separators=(",", ":"), allow_nan=False)
+        blocks = ",".join(f"{_dumps(k)}:{_block_text(grid.blocks[k])}"
+                          for k in sorted(grid.blocks))
+        text = (f'{{"axes":{_dumps(axes)},"blocks":{{{blocks}}},'
+                + _dumps(head)[1:])
     except (TypeError, ValueError) as exc:
         raise GridFormatError(f"grid is not serializable: {exc}") from None
     return text.encode("utf-8")
+
+
+class _Declined(Exception):
+    """The block reader leaves the document to the json route."""
+
+
+def _decline(_token: str):
+    raise _Declined
+
+
+_HEADER_DECODER = json.JSONDecoder(parse_constant=_decline)
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    return _WS_RUN.match(text, pos).end()
+
+
+def _read_object(text: str, pos: int, read_value: Callable) -> tuple:
+    """Walk the JSON object at text[pos] by json's rules (a repeated key
+    keeps its first position and its last value); read_value(key, text,
+    pos) returns (value, end). Returns (dict, end)."""
+    if not text.startswith("{", pos):
+        raise _Declined
+    out = {}
+    pos = _skip_ws(text, pos + 1)
+    if text.startswith("}", pos):
+        return out, pos + 1
+    while True:
+        if not text.startswith('"', pos):
+            raise _Declined
+        key, pos = scanstring(text, pos + 1)
+        pos = _skip_ws(text, pos)
+        if not text.startswith(":", pos):
+            raise _Declined
+        out[key], pos = read_value(key, text, _skip_ws(text, pos + 1))
+        pos = _skip_ws(text, pos)
+        if text.startswith("}", pos):
+            return out, pos + 1
+        if not text.startswith(",", pos):
+            raise _Declined
+        pos = _skip_ws(text, pos + 1)
+
+
+def _read_block(key: str, text: str, pos: int) -> tuple:
+    """The block value at text[pos] as an (N, 3, 3, 2) float array.
+
+    The span runs to the last ']' before the first character that no
+    block of JSON numbers can hold. It is taken only if, with whitespace
+    gone, deleting the numbers leaves exactly the N-node bracket skeleton
+    and no number touches a bracket from outside an entry; its numbers
+    are then read by one json.loads of the span with the inner brackets
+    as spaces, so json's scanner still judges every number token.
+    """
+    end = text.rfind("]", pos, _BLOCK_CHARS_RUN.match(text, pos).end()) + 1
+    span = text[pos:end].encode("ascii")
+    packed = span.translate(None, _JSON_WS)
+    skeleton = packed.translate(None, _NUMBER_CHARS).decode("ascii")
+    n_nodes = len(skeleton) // _NODE_STRIDE
+    marked = packed.translate(_NUMBERS_AS_N)
+    if (skeleton != _block_layout(n_nodes, "[,]")
+            or b"]n" in marked or b"n[" in marked):
+        raise _Declined
+    numbers = json.loads(
+        b"[" + span[1:-1].translate(_BRACKETS_AS_SPACES) + b"]")
+    return np.array(numbers, dtype=float).reshape(n_nodes, 3, 3, 2), end
+
+
+def _read_top_value(key: str, text: str, pos: int) -> tuple:
+    if key == "blocks":
+        return _read_object(text, pos, _read_block)
+    return _HEADER_DECODER.raw_decode(text, pos)
+
+
+def _read_fast(text: str) -> Optional[dict]:
+    """The document with every block already a float array, or None when
+    a block is more than JSON numbers in the v1 layout, or the text is
+    not valid JSON or holds NaN or Infinity."""
+    try:
+        doc, end = _read_object(text, _skip_ws(text, 0), _read_top_value)
+    except (_Declined, ValueError, OverflowError, RecursionError):
+        return None
+    return doc if _skip_ws(text, end) == len(text) else None
+
+
+def _reject_constant(token: str):
+    raise GridFormatError(f"non-finite number {token!r} in grid file")
+
+
+def _read_json(text: str):
+    """The document as json.loads builds it: the route that reports every
+    defect."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise GridFormatError(f"grid file is not valid JSON: {exc}") from None
+
+
+def _as_float(value, field: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise GridFormatError(
+            f"{field}: integer too large for a float") from None
 
 
 def _locate_block_defect(key: str, payload, n_nodes: int):
@@ -368,10 +520,13 @@ def _locate_block_defect(key: str, payload, n_nodes: int):
 
 
 def _parse_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
-    if not isinstance(payload, list):
+    if not isinstance(payload, (list, np.ndarray)):
         raise GridFormatError(f"blocks.{key}: expected a list of nodes")
     try:
         arr = np.asarray(payload, dtype=float)
+    except OverflowError:
+        raise GridFormatError(
+            f"blocks.{key}: integer too large for a float") from None
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.shape != (n_nodes, 3, 3, 2):
@@ -399,19 +554,24 @@ def load_grid(source) -> TensorGrid:
     if not isinstance(source, str):
         raise InputError(
             "load_grid expects bytes, str, or a binary file-like object")
-    try:
-        doc = json.loads(source, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise GridFormatError(f"grid file is not valid JSON: {exc}") from None
+    doc = _read_fast(source)
+    return _grid_from_doc(_read_json(source) if doc is None else doc)
+
+
+def _grid_from_doc(doc) -> TensorGrid:
+    """Check a decoded document and build its grid. Blocks arrive as
+    json's nested lists or as _read_block's arrays; both give the same
+    grid and the same diagnostics."""
     if not isinstance(doc, dict):
         raise GridFormatError("grid file top level must be a JSON object")
 
     version = doc.get("format_version")
-    if version != 1:
+    if isinstance(version, bool) or version != 1:
         raise GridFormatError(f"format_version: expected 1, got {version!r}")
     freq = doc.get("frequency_rad_per_s")
     if isinstance(freq, bool) or not isinstance(freq, (int, float)):
         raise GridFormatError("frequency_rad_per_s: expected a number")
+    freq = _as_float(freq, "frequency_rad_per_s")
 
     axes_doc = doc.get("axes")
     if not isinstance(axes_doc, dict):
@@ -425,7 +585,7 @@ def load_grid(source) -> TensorGrid:
             if name != "z":
                 raise GridFormatError(
                     f"axes.{name}: only z may be a fixed scalar")
-            axes.append([float(ax)])
+            axes.append([_as_float(ax, f"axes.{name}")])
             fixed.append(True)
             continue
         if not isinstance(ax, list) or not ax or not all(
@@ -434,7 +594,7 @@ def load_grid(source) -> TensorGrid:
             raise GridFormatError(
                 f"axes.{name}: expected a nonempty number array "
                 "(or a fixed scalar for z)")
-        axes.append([float(v) for v in ax])
+        axes.append([_as_float(v, f"axes.{name}") for v in ax])
         fixed.append(False)
 
     blocks_doc = doc.get("blocks")
@@ -457,7 +617,7 @@ def load_grid(source) -> TensorGrid:
         axes=tuple(axes),
         fixed_axes=tuple(fixed),
         blocks=blocks,
-        symmetry_tol=float(tol),
+        symmetry_tol=_as_float(tol, "symmetry_rtol"),
         provenance=doc.get("provenance"),
     )
 

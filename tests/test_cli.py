@@ -488,6 +488,21 @@ def test_validate_malformed_grid_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_huge_integer_exits_2(grid_file, tmp_path, capsys):
+    huge = 10 ** 400  # no float holds it
+    for field, mutate in (
+            ("frequency_rad_per_s",
+             lambda d: d.update(frequency_rad_per_s=huge)),
+            ("axes.x", lambda d: d["axes"]["x"].__setitem__(-1, huge)),
+            ("blocks.value",
+             lambda d: d["blocks"]["value"][0][0][0].__setitem__(0, huge))):
+        doc = json.loads(open(grid_file, "rb").read().decode("utf-8"))
+        mutate(doc)
+        bad = write_json(tmp_path / "huge.json", doc)
+        assert main(["validate", "--grid", bad]) == 2
+        assert f"error: {field}: integer too large" in capsys.readouterr().err
+
+
 # --- output discipline -------------------------------------------------------------
 
 def test_quiet_suppresses_status_line(grid_file, emitter_file, tmp_path,

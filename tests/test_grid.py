@@ -3,10 +3,13 @@
 import io
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from polyemit import grid as grid_module
 from polyemit.emitter import MultipoleEmitter
 from polyemit.errors import GridDomainError, GridFormatError, InputError
 from polyemit.grid import (TensorGrid, finite_difference_blocks,
@@ -127,7 +130,10 @@ def test_load_rejects_malformed():
     reject(lambda d: d.pop("derivative_semantics"), "derivative_semantics")
     reject(lambda d: d.update(derivative_semantics="both"),
            "derivative_semantics")
+    reject(lambda d: d.update(format_version=True), "format_version")
     reject(lambda d: d.update(length_unit="pm"), "length_unit")
+    reject(lambda d: d.update(length_unit=["nm"]), "length_unit")
+    reject(lambda d: d.update(length_unit={"nm": 1}), "length_unit")
     reject(lambda d: d.update(value_unit_exponent=1.5), "value_unit_exponent")
     reject(lambda d: d.update(frequency_rad_per_s="fast"),
            "frequency_rad_per_s")
@@ -147,12 +153,228 @@ def test_load_rejects_malformed():
            d["blocks"].update(d1_x_src=[row[:] for row in d["blocks"]["value"]]),
            "unrecognized")
 
+    huge = 10 ** 400  # an integer literal no float can hold
+    reject(lambda d: d.update(frequency_rad_per_s=huge),
+           "frequency_rad_per_s: integer too large")
+    reject(lambda d: d.update(symmetry_rtol=huge),
+           "symmetry_rtol: integer too large")
+    reject(lambda d: d["axes"].update(x=[0, huge]),
+           "axes.x: integer too large")
+    reject(lambda d: d["axes"].update(z=-huge), "axes.z: integer too large")
+    reject(lambda d: d["blocks"]["value"][1][0][2].__setitem__(1, huge),
+           "blocks.value: integer too large")
+
 
 def test_load_rejects_nonfinite():
     raw = dumps(base_doc()).decode()
     raw = raw.replace("0.1", "NaN", 1)
     with pytest.raises(GridFormatError, match="non-finite"):
         load_grid(raw)
+
+
+# ---------------------------------------------------------------------------
+# the block reader against the json route
+
+def json_route(text):
+    """load_grid's diagnostics route alone: json.loads, then the checks."""
+    return grid_module._grid_from_doc(grid_module._read_json(text))
+
+
+def outcome(load, text):
+    try:
+        return ("grid", load(text))
+    except Exception as exc:  # the routes must fail alike, whatever the type
+        return ("raises", type(exc), str(exc))
+
+
+def same_grid(a, b):
+    """equals, and every block bit for bit (equals lets -0.0 match 0.0)."""
+    return a.equals(b) and all(a.blocks[k].tobytes() == b.blocks[k].tobytes()
+                               for k in a.blocks)
+
+
+def assert_routes_agree(text, fast):
+    """load_grid and the json route give the same grid or the same error;
+    fast says whether the block reader should take the document."""
+    assert (grid_module._read_fast(text) is not None) == fast
+    got, want = outcome(load_grid, text), outcome(json_route, text)
+    if want[0] == "grid":
+        assert got[0] == "grid", got
+        assert same_grid(got[1], want[1])
+    else:
+        assert got == want
+
+
+def compact(doc):
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+
+
+def reference_save(grid):
+    """The writer save_grid replaced: json.dumps of the whole document with
+    every entry a nested [re, im] list."""
+    doc = {
+        "format_version": 1, "frequency_rad_per_s": grid.frequency,
+        "length_unit": grid.length_unit,
+        "value_unit_exponent": grid.value_unit_exponent,
+        "derivative_semantics": grid.derivative_semantics,
+        "symmetry_rtol": grid.symmetry_tol,
+        "axes": {name: (float(arr[0]) if fx else [float(v) for v in arr])
+                 for name, arr, fx in zip("xyz", grid.axes, grid.fixed_axes)},
+        "blocks": {k: [[[[float(e.real), float(e.imag)] for e in row]
+                        for row in node]
+                       for node in grid.blocks[k].reshape(-1, 3, 3)]
+                   for k in sorted(grid.blocks)},
+    }
+    if grid.provenance is not None:
+        doc["provenance"] = grid.provenance
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False).encode("utf-8")
+
+
+def test_block_reader_matches_json_route():
+    rng = np.random.default_rng(1010)
+    base = save_grid(hand_grid(rng, shape=(2, 2),
+                               extra=("d1_x", "d2_xy"))).decode()
+    doc = json.loads(base)
+    cases = [(base, True)]
+
+    # number tokens: one entry of the value block, and the frequency
+    entry = re.compile(r'("value":\[\[\[\[)([^,]*)')
+    for token, fast in (("01", False), ("1.", False), (".5", False),
+                        ("+1", False), ("1e", False), ("-", False),
+                        ("1 2", False), ("NaN", False), ("Infinity", False),
+                        ("-Infinity", False), ("true", False),
+                        ("null", False), ('"0.5"', False), ("1e400", True),
+                        ("-0", True), ("-0.0", True), ("4.9e-324", True),
+                        ("2.2250738585072014e-308", True), ("1E+5", True),
+                        ("7", True), ("12345678901234567890", True),
+                        ("1e-400", True)):
+        cases.append((entry.sub(lambda m: m.group(1) + token, base, 1), fast))
+    for token, fast in (("01", False), ("NaN", False), ("1e400", True),
+                        ("true", True), ("[]", True)):
+        cases.append((re.sub(r'(?<="frequency_rad_per_s":)[^,]*', token,
+                             base, 1), fast))
+
+    # bracket layout, in the text
+    first = re.search(r'"value":\[\[\[(\[([^,]*),([^\]]*)\])', base)
+    a, b = first.group(2), first.group(3)
+    for new in (f"[{a},]{b}", f"[{a}]{b}", f"{a},[{b}]", f"[{a} {b}]",
+                f"[[{a},{b}]]", f"[{a},{b}],[{a},{b}]", f"[{a},{b},{a}]",
+                f"[{a}],[{b}]", f"[{a},{b}]]", "[]"):
+        cases.append((base[:first.start(1)] + new + base[first.end(1):],
+                      False))
+    for old, new in (("],[", "]["), ("],[", "],,["), ("],[", ",["),
+                     ("]]],[[[", "]]][[["), ("]]]]", "]]],]")):
+        cases.append((base.replace(old, new, 1), False))
+
+    # bracket layout, built from the document
+    def mutated(mutate):
+        d = json.loads(base)
+        mutate(d)
+        return compact(d)
+
+    value = doc["blocks"]["value"]
+    for mutate, fast in (
+            (lambda d: d["blocks"]["value"].pop(), True),
+            (lambda d: d["blocks"]["value"].append(value[0]), True),
+            (lambda d: d["blocks"].update(value=[]), True),
+            (lambda d: d["blocks"]["value"][2].pop(), False),
+            (lambda d: d["blocks"]["value"][1][2].pop(), False),
+            (lambda d: d["blocks"]["value"][1][2].append([0.5, 0.5]), False),
+            (lambda d: d["blocks"]["value"][3][0].__setitem__(1, [[1, 2]]),
+             False),
+            (lambda d: d["blocks"]["value"][0][0].__setitem__(0, [0.5]),
+             False),
+            (lambda d: d["blocks"]["value"].__setitem__(0, 0.5), False),
+            (lambda d: d["blocks"].update(d1_x="data"), False),
+            (lambda d: d["blocks"].update(d1_x={}), False),
+            (lambda d: d.update(blocks=[value]), False),
+            (lambda d: d.update(blocks={"d1_x": value}), True),
+            (lambda d: d["blocks"].update(d3_x=value), True),
+            (lambda d: d.update(format_version=True), True),
+            (lambda d: d.update(length_unit=["nm"]), True)):
+        cases.append((mutated(mutate), fast))
+
+    # the whole document
+    cases += [
+        (base + " \r\n\t", True), ("\n " + base, True),
+        ("\ufeff" + base, False), (base + "x", False), (base + "{}", False),
+        ("[" + base + "]", False), (base.replace("]]]]}", "]]]],}", 1), False),
+        (base[:-1] + ',}', False), ("{}", True), ("{", False), ("", False),
+    ]
+
+    # any JSON whitespace, keys in any order, repeated keys
+    cases += [
+        (json.dumps(doc), True),
+        (json.dumps(doc, indent=2), True),
+        (json.dumps(doc, indent=2).replace("\n", "\r\n"), True),
+        (json.dumps(doc, indent="\t"), True),
+        (re.sub(r"([\[\],:])", r"\1 \n", base), True),
+        (compact(dict(reversed(list(doc.items())))), True),
+        (compact(dict(doc, blocks=dict(reversed(
+            list(doc["blocks"].items()))))), True),
+        ('{"format_version":7,"blocks":{"value":[],"d1_x":[]},'
+         + base[1:], True),
+        (base[:-1] + ',"length_unit":"m","format_version":1}', True),
+        (base.replace('"value":', '"value":[],"value":', 1), True),
+        ('{"blocks":{"value":[[[[NaN,0]]]]},' + base[1:], False),
+        ('{"provenance":NaN,' + base[1:], False),
+    ]
+
+    # provenance the reader must skip over as one value
+    for prov in ('"blocks":[[[[1,2]]]]', {"blocks": value[:1]},
+                 "Grün ∂G/∂r ✓ 😀",
+                 ["]]]],{", {"a": [1, None, True]}]):
+        cases.append((compact(dict(doc, provenance=prov)), True))
+
+    # integer entries, negative zero and subnormals throughout a block
+    tiny = [[[[0, -0.0], [5e-324, -5e-324], [1, -2]]] * 3] * 4
+    cases.append((compact(dict(doc, blocks=dict(doc["blocks"],
+                                                value=tiny))), True))
+
+    for text, fast in cases:
+        assert_routes_agree(text, fast)
+
+
+def test_save_matches_reference_writer_on_random_bit_patterns():
+    rng = np.random.default_rng(77)
+    keys = ["value", *all_block_keys()]
+    for shape in ((1, 1), (3, 2)):
+        n = 2 * len(keys) * math.prod(shape) * 9
+        bits = rng.integers(0, 2 ** 64, size=4 * n, dtype=np.uint64)
+        floats = bits.view(float)
+        floats = floats[np.isfinite(floats)][:n].reshape(2, len(keys),
+                                                         *shape, 1, 3, 3)
+        g = TensorGrid(
+            frequency=W0, length_unit="um", value_unit_exponent=-3,
+            derivative_semantics="split",
+            axes=(np.arange(shape[0]) * 0.1, np.arange(shape[1]) - 7.25,
+                  np.array([1e-3])),
+            fixed_axes=(False, False, True),
+            blocks={k: floats[0, i] + 1j * floats[1, i]
+                    for i, k in enumerate(keys)},
+            provenance={"note": "Grün ∂G ✓", "blocks": [[[[1, 2]]]]})
+        data = save_grid(g)
+        assert data == reference_save(g)
+        text = data.decode("utf-8")
+        loaded = load_grid(data)
+        assert grid_module._read_fast(text) is not None
+        assert same_grid(loaded, json_route(text))
+        assert same_grid(loaded, g)
+
+
+def test_load_memory_stays_near_file_size():
+    g = grid_from_homogeneous(Medium(1.5), W0,
+                              (np.linspace(0, 400e-9, 40),
+                               np.linspace(0, 200e-9, 40), 0.0))
+    data = save_grid(g)
+    tracemalloc.start()
+    try:
+        load_grid(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(data)
 
 
 def test_constructor_guards():
