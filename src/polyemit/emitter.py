@@ -34,8 +34,7 @@ from .errors import InputError, MissingDerivativeError
 from .jets import GreensJet
 
 __all__ = ["CHANNELS", "MultipoleEmitter", "bilinear_form",
-           "channel_decompose", "CoefficientBundle", "moment_product_bundle",
-           "rmn_imn", "normalize_channels"]
+           "CoefficientBundle", "moment_product_bundle", "normalize_channels"]
 
 CHANNELS = ("ED", "MD", "EQ")
 
@@ -236,17 +235,6 @@ def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
     return bundle.contract(jet.blocks, bundle.at(omega)) / SPECTRAL_NORM
 
 
-def channel_decompose(a: MultipoleEmitter, b: MultipoleEmitter,
-                      jet: GreensJet, omega: float) -> dict:
-    """Map (channel_a, channel_b) -> complex contribution; sums to the
-    all-channel bilinear form by bilinearity."""
-    out = {}
-    for ca in CHANNELS:
-        for cb in CHANNELS:
-            out[(ca, cb)] = bilinear_form(a, b, jet, omega, {ca}, {cb})
-    return out
-
-
 @dataclass(frozen=True)
 class CoefficientBundle:
     """Frequency decomposition F(w) = f0 + f1/w + f2/w^2 of the normalized
@@ -338,19 +326,3 @@ def moment_product_bundle(a: MultipoleEmitter, b: MultipoleEmitter,
     f0, f1, f2 = ({name: t for name, t in acc.items() if t.any()}
                   for acc in powers)
     return CoefficientBundle(f0=f0, f1=f1, f2=f2)
-
-
-def rmn_imn(a: MultipoleEmitter, b: MultipoleEmitter, omega: float,
-            channels_a=None, channels_b=None) -> tuple[dict, dict]:
-    """Real and imaginary spectral coefficient tensors at a real frequency.
-
-    Returns (R, I): block name -> real tensor, normalized by
-    1/(hbar pi eps0 c^2), evaluated from the f0 + f1/w + f2/w^2 structure.
-    """
-    if not omega > 0:
-        raise InputError("rmn_imn needs a positive frequency")
-    bundle = moment_product_bundle(a, b, channels_a, channels_b)
-    F = bundle.at(omega)
-    R = {name: np.ascontiguousarray(t.real) for name, t in F.items()}
-    I = {name: np.ascontiguousarray(t.imag) for name, t in F.items()}
-    return R, I

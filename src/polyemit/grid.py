@@ -122,6 +122,15 @@ class TensorGrid:
         if isinstance(exp, bool) or not isinstance(exp, (int, np.integer)):
             raise GridFormatError("value_unit_exponent must be an integer")
         object.__setattr__(self, "value_unit_exponent", int(exp))
+        for order in range(3):
+            try:
+                scale = self.meters_per_unit ** (int(exp) - order)
+            except OverflowError:
+                scale = math.inf
+            if not (math.isfinite(scale) and scale != 0.0):
+                raise GridFormatError(
+                    f"value_unit_exponent: the SI scale of order-{order} "
+                    f"blocks in {self.length_unit} leaves the float range")
         if self.derivative_semantics not in ("total", "split"):
             raise GridFormatError(
                 "derivative_semantics must be declared 'total' or 'split', "
@@ -533,7 +542,11 @@ def _parse_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
         _locate_block_defect(key, payload, n_nodes)
     if not np.all(np.isfinite(arr)):
         raise GridFormatError(f"blocks.{key}: non-finite entries")
-    return (arr[..., 0] + 1j * arr[..., 1]).reshape(shape + (3, 3))
+    # set part by part so that -0.0 survives (re + 1j * im drops it)
+    out = np.empty(shape + (3, 3), dtype=complex)
+    out.real = arr[..., 0].reshape(out.shape)
+    out.imag = arr[..., 1].reshape(out.shape)
+    return out
 
 
 def load_grid(source) -> TensorGrid:

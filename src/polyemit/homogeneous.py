@@ -1,42 +1,46 @@
 """Homogeneous-medium electromagnetic Green tensor and its derivative jets.
 
-Conventions. With separation R = r - r', r = |R|, wavenumber k = n(w)*w/c
-and x = k*r, the tensor splits into scalar radial functions
+Conventions. With separation R = r - r', u = |R|^2 = r^2, wavenumber
+k = n(w)*w/c and x = k*r, the tensor splits into two scalar functions of u
 
-    G_ij(R, w) = g1(r) delta_ij + g2(r) R_i R_j
+    G_mn(R, w) = A(u) delta_mn + B(u) R_m R_n,   E = exp(i x) / (4 pi k^2),
+    A = E (x^2 + i x - 1) / r^3,                 B = E (3 - 3 i x - x^2) / r^5.
 
-where, with E = exp(i x) / (4 pi k^2),
+Every jet block is a polynomial in R whose coefficients are the radial
+values A, A', A'', B, B', B'' (' = d/du), for any R including R = 0. Units:
+G in 1/m. Derivatives with respect to the field point r carry a plus sign
+relative to d/dR, derivatives with respect to the source point r' a minus.
 
-    g1 = E (x^2 + i x - 1) / r^3
-    g2 = E (3 - 3 i x - x^2) / r^5
+The imaginary part of G is smooth through R = 0, but the complex closed
+forms lose it to cancellation at small x, each derivative order more so.
+For real k (real frequency and index) the imaginary radial values come from
+the generating function F(v) = j0(sqrt(v)), which is entire:
+Im G = (k/4pi) (I + grad grad / k^2) j0(k|R|) (Novotny & Hecht, Principles
+of Nano-Optics, ch. 8), so with c = k/4pi and F_p = F^(p)(x^2) =
+(-1/2)^p j_p(x) / x^p
 
-Units: G in 1/m. Derivatives with respect to the field point r carry a plus
-sign relative to d/dR, derivatives with respect to the source point r' a
-minus sign.
+    Im A = c (F_0 + 2 F_1),  Im A' = c k^2 (F_1 + 2 F_2),  Im A'' = c k^4 (F_2 + 2 F_3),
+    Im B = 4 c k^2 F_2,      Im B' = 4 c k^4 F_3,          Im B'' = 4 c k^6 F_4.
 
-The imaginary part of G is smooth through R = 0 but is numerically destroyed
-by cancellation when extracted from the complex closed form at small kr
-(relative noise grows like eps/x^2). For real k the imaginary part is
-therefore evaluated from dedicated real series/trig forms
-
-    Im G = [pa(x) delta + pb(x) RhRh] / (4 pi r)
-    pa(x) = sin x + (x cos x - sin x)/x^2
-    pb(x) = ((3 - x^2) sin x - 3 x cos x)/x^2
-
-with power series below x = 0.5 that are accurate to a couple of ulp.
+Below x = SERIES_SWITCH the F_p come from their power series, above it from
+scipy.special.spherical_jn. The coincident imaginary-part jet is the R = 0
+case. For complex k (lossy media, imaginary frequencies) the closed forms
+give both parts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Union
 
 import numpy as np
+from scipy.special import spherical_jn
 
 from .constants import C0
 from .errors import CoincidentPointError, InputError
-from .jets import GreensJet
+from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = [
     "Medium", "eval_homogeneous", "eval_homogeneous_jet",
@@ -47,9 +51,37 @@ __all__ = [
 SERIES_SWITCH = 0.5
 
 _EYE = np.eye(3)
-# delta_ik delta_jl + delta_jk delta_il, the R-free part of d2G/dR_k dR_l
-_SYM3 = (np.einsum('ik,jl->ijkl', _EYE, _EYE)
-         + np.einsum('jk,il->ijkl', _EYE, _EYE))
+# a jet as one flat row: where each block after the first starts, and width
+*_SPLITS, _WIDTH = np.cumsum([math.prod(s) for s in BLOCK_SHAPES.values()])
+
+# closed forms of A, A', A'', B, B', B'' (rows): the polynomial in x that
+# multiplies E, coefficients highest power first, and the factor times the
+# power of r that divides it
+_CLOSED = np.array([[0, 0, 1, 1j, -1],
+                    [0, 1j, -2, -3j, 3],
+                    [-1, -4j, 9, 15j, -15],
+                    [0, 0, -1, -3j, 3],
+                    [0, -1j, 6, 15j, -15],
+                    [1, 10j, -45, -105j, 105]])
+_FACTOR = np.array([1.0, 0.5, 0.25, 1.0, 0.5, 0.25])
+_R_POWER = np.array([3, 5, 7, 5, 7, 9])
+
+
+def _im_rows(F):
+    """Im A, A', A'', B, B', B'' divided by c k^(2 _K2_POWER), from the rows
+    F_0 .. F_4."""
+    return np.concatenate([F[:3] + 2 * F[1:4], 4 * F[2:]])
+
+
+_K2_POWER = np.array([0, 1, 2, 1, 2, 3])[:, None]
+_ORDERS = np.arange(5)[:, None]
+# Taylor coefficients of _im_rows in x^2, 13 terms, highest power first,
+# from F_p(x^2) = (-1/2)^p sum_j (-1)^j x^(2j) / (2^j j! (2j+2p+1)!!)
+_IM_SERIES = _im_rows(np.array([
+    [Fraction((-1) ** (j + p), 2 ** (j + p) * math.factorial(j)
+              * math.prod(range(2 * j + 2 * p + 1, 0, -2)))
+     for j in range(12, -1, -1)]
+    for p in range(5)])).astype(float)
 
 
 @dataclass(frozen=True)
@@ -105,52 +137,112 @@ def _frequencies(omega) -> np.ndarray:
     return w
 
 
-# power-series coefficients of the stable Im G factors, highest order first:
-# pa = sum_j (-1)^j (2j+2)^2 x^(2j+1) / (2j+3)!
-# pb = sum_{j>=2} (-1)^j 4 j (j-1) x^(2j-1) / (2j+1)!
-_PA_SERIES = [(-1.0) ** j * (2 * j + 2) ** 2 / math.factorial(2 * j + 3)
-              for j in range(11, -1, -1)]
-_PB_SERIES = [(-1.0) ** j * 4.0 * j * (j - 1) / math.factorial(2 * j + 1)
-              for j in range(12, 1, -1)]
+def _lossless_wavenumber(omega, medium: Medium, what: str) -> float:
+    """k at one real frequency in a medium that is lossless there."""
+    w = complex(_frequencies(omega))
+    if w.imag != 0.0:
+        raise InputError(f"{what} needs a real frequency")
+    n = complex(medium.index(w))
+    if abs(n.imag) > 1e-12 * abs(n):
+        raise InputError(f"{what} assumes a lossless medium (refractive "
+                         f"index must be real at this frequency)")
+    return float(n.real) * float(w.real) / C0
 
 
-def _pa_pb(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable radial factors of Im G for real positive x = k r (1-d)."""
-    pa = np.empty_like(x)
-    pb = np.empty_like(x)
-    low = x < SERIES_SWITCH
-    xs = x[low]
-    x2 = xs * xs
-    sa = np.zeros_like(xs)
-    sb = np.zeros_like(xs)
-    for ca in _PA_SERIES:
-        sa = sa * x2 + ca
-    for cb in _PB_SERIES:
-        sb = sb * x2 + cb
-    pa[low] = sa * xs
-    pb[low] = sb * xs ** 3
-    xt = x[~low]
-    s, c = np.sin(xt), np.cos(xt)
-    pa[~low] = s + (xt * c - s) / (xt * xt)
-    pb[~low] = ((3.0 - xt * xt) * s - 3.0 * xt * c) / (xt * xt)
-    return pa, pb
+def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of table (highest power first) as a polynomial at x."""
+    acc = table[:, :1]
+    for coef in table.T[1:, :, None]:
+        acc = acc * x + coef
+    return acc
 
 
-def _radial_functions(r: float, k: np.ndarray):
-    """g1, g2 and their first two radial derivatives."""
+def _im_radial(r: float, k: np.ndarray) -> np.ndarray:
+    """Im of A, A', A'', B, B', B'' (rows) at |R| = r for the real 1-d
+    wavenumbers k, from the generating function j0(sqrt(u))."""
     x = k * r
-    x2, x3, x4 = x ** 2, x ** 3, x ** 4
-    E = np.exp(1j * x) / (4.0 * math.pi * k * k)
-    g1 = E * (x * x + 1j * x - 1.0) / r ** 3
-    g1p = E * (1j * x3 - 2.0 * x2 - 3j * x + 3.0) / r ** 4
-    g1pp = E * (-x4 - 3j * x3 + 7.0 * x2 + 12j * x - 12.0) / r ** 5
-    g2 = E * (3.0 - 3j * x - x * x) / r ** 5
-    g2p = E * (-1j * x3 + 6.0 * x2 + 15j * x - 15.0) / r ** 6
-    g2pp = E * (x4 + 9j * x3 - 39.0 * x2 - 90j * x + 90.0) / r ** 7
-    return g1, g1p, g1pp, g2, g2p, g2pp
+    rows = np.empty((6, x.size))
+    low = x < SERIES_SWITCH
+    if low.any():
+        rows[:, low] = _horner(_IM_SERIES, x[low] ** 2)
+    if not low.all():
+        xh = x[~low]
+        rows[:, ~low] = _im_rows(spherical_jn(_ORDERS, xh)
+                                 * (-0.5 / xh) ** _ORDERS)
+    return rows * (k / (4.0 * math.pi) * (k * k) ** _K2_POWER)
 
 
-def _separation(R) -> tuple[np.ndarray, float]:
+def _radial(r: float, w: np.ndarray, medium: Medium) -> np.ndarray:
+    """A, A', A'', B, B', B'' (rows) at |R| = r > 0 for the 1-d frequency
+    array w. Where w and n(w) are both real, the imaginary parts come from
+    the generating function instead of the cancelling closed forms."""
+    n = medium.index(w)
+    k = n * w / C0
+    x = k * r
+    radial = (_horner(_CLOSED, x) * (np.exp(1j * x) / (4.0 * math.pi * k * k))
+              * (_FACTOR / r ** _R_POWER)[:, None])
+    stable = (w.imag == 0.0) & (np.imag(n) == 0.0)
+    if np.any(stable):
+        radial.imag[:, stable] = _im_radial(r, k.real[stable])
+    return radial
+
+
+def _geometry(R: np.ndarray) -> np.ndarray:
+    """How A, A', A'', B, B', B'' (rows) enter the jet blocks at separation
+    R: one column per block entry, blocks in BLOCK_SHAPES order. With
+    d_k u = 2 R_k,
+
+        d_k G_mn = 2 A' R_k delta_mn + 2 B' R_m R_n R_k + B sym1_mnk
+        d_k d_l G_mn = delta_mn (2 A' delta_kl + 4 A'' R_k R_l) + B sym3_mnkl
+                       + R_m R_n (2 B' delta_kl + 4 B'' R_k R_l) + 2 B' sym2_mnkl
+    """
+    geometry = np.zeros((6, _WIDTH))
+    value, d_obs, d_src, d_mixed = _block_views(geometry, (6,))
+    RR = np.outer(R, R)
+    # delta_mk R_n + delta_nk R_m
+    t = _EYE[:, None, :] * R[:, None]
+    sym1 = t + t.transpose(1, 0, 2)
+    # R_k sym1_mnl + R_l sym1_mnk
+    t = sym1[..., None] * R
+    sym2 = t + t.transpose(0, 1, 3, 2)
+    # delta_mk delta_nl + delta_ml delta_nk
+    t = _EYE[:, None, :, None] * _EYE[:, None, :]
+    sym3 = t + t.transpose(0, 1, 3, 2)
+    value[0] = _EYE
+    value[3] = RR
+    d_obs[1] = 2.0 * _EYE[:, :, None] * R
+    d_obs[3] = sym1
+    d_obs[4] = 2.0 * RR[:, :, None] * R
+    # d/dr = +d/dR and d/dr' = -d/dR: one sign flip per source derivative
+    d_src[:] = -d_obs
+    d_mixed[1] = -2.0 * _EYE[:, :, None, None] * _EYE
+    d_mixed[2] = -4.0 * _EYE[:, :, None, None] * RR
+    d_mixed[3] = -sym3
+    d_mixed[4] = -2.0 * (RR[:, :, None, None] * _EYE + sym2)
+    d_mixed[5] = -4.0 * RR[:, :, None, None] * RR
+    return geometry
+
+
+def _block_views(flat: np.ndarray, shape: tuple) -> list:
+    """The blocks of flat (last axis: block entries in BLOCK_SHAPES order)
+    as views of batch shape `shape`."""
+    return [part.reshape(shape + block_shape) for part, block_shape
+            in zip(np.split(flat, _SPLITS, axis=-1), BLOCK_SHAPES.values())]
+
+
+def _assemble(R: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
+    """Jet blocks (name -> array of batch shape `shape`) at separation R
+    from the radial values (6, N), real or complex. Exact zeros come out
+    as +0.0."""
+    geometry = _geometry(R).astype(radial.dtype)
+    flat = np.zeros((radial.shape[1], geometry.shape[1]), dtype=radial.dtype)
+    for coef, row in zip(radial, geometry):
+        flat += coef[:, None] * row
+    return dict(zip(BLOCK_SHAPES, _block_views(flat, shape)))
+
+
+def _jet_blocks(R, omega, medium: Medium) -> dict:
+    """Full jet blocks at separation R != 0, batch shape omega.shape."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3,):
         raise InputError("separation must be a 3-vector")
@@ -159,26 +251,8 @@ def _separation(R) -> tuple[np.ndarray, float]:
         raise CoincidentPointError(
             "Green tensor diverges at zero separation; "
             "use coincident_im_jet for the finite imaginary part")
-    return R, r
-
-
-def _value(R: np.ndarray, r: float, w: np.ndarray, medium: Medium):
-    """G at separation R for the 1-d frequency array w, and the radial
-    functions. Where w and n(w) are both real, Im G comes from the stable
-    real forms."""
-    n = medium.index(w)
-    k = n * w / C0
-    radial = _radial_functions(r, k)
-    g1, g2 = radial[0], radial[3]
-    G = g1[:, None, None] * _EYE + g2[:, None, None] * np.outer(R, R)
-    stable = (w.imag == 0.0) & (np.imag(n) == 0.0)
-    if np.any(stable):
-        pa, pb = _pa_pb(k.real[stable] * r)
-        rh = R / r
-        im = (pa[:, None, None] * _EYE + pb[:, None, None] * np.outer(rh, rh)
-              ) / (4.0 * math.pi * r)
-        G[stable] = G[stable].real + 1j * im
-    return G, radial
+    w = _frequencies(omega)
+    return _assemble(R, _radial(r, w.reshape(-1), medium), w.shape)
 
 
 def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:
@@ -187,12 +261,9 @@ def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:
     Returns the complex 3x3 tensor in 1/m, or one per frequency, with
     shape omega.shape + (3, 3), for an array of frequencies. Frequencies
     on the positive imaginary axis are accepted (the tensor is then purely
-    real).
+    real). It is the value block of eval_homogeneous_jet.
     """
-    R, r = _separation(R)
-    w = _frequencies(omega)
-    G, _ = _value(R, r, w.reshape(-1), medium)
-    return G.reshape(w.shape + (3, 3))
+    return _jet_blocks(R, omega, medium)["value"]
 
 
 def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> GreensJet:
@@ -200,7 +271,7 @@ def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> Gree
 
     d_obs[:, :, k] is the gradient in the field point, d_src[:, :, l] in the
     source point, d_mixed[:, :, k, l] the mixed second derivative. All blocks
-    follow from closed-form differentiation of the radial split.
+    follow from the six radial values of the u = |R|^2 split.
 
     omega may be an array of frequencies; the jet then has its shape as
     batch shape. A single frequency is the batch shape () case of the same
@@ -211,76 +282,22 @@ def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> Gree
     r_src = np.asarray(r_src, dtype=float)
     if r_obs.shape != (3,) or r_src.shape != (3,):
         raise InputError("points must be 3-vectors")
-    R, r = _separation(r_obs - r_src)
-    w = _frequencies(omega)
-    value, (g1, g1p, g1pp, g2, g2p, g2pp) = _value(R, r, w.reshape(-1),
-                                                   medium)
-
-    # geometry tensors, fixed by R alone
-    rh = R / r
-    RR = np.outer(R, R)
-    P = np.outer(rh, rh)
-    T = (_EYE - P) / r
-    eye_rh = np.einsum('ij,k->ijk', _EYE, rh)
-    rr_rh = np.einsum('ij,k->ijk', RR, rh)
-    sym1 = (np.einsum('ik,j->ijk', _EYE, R) + np.einsum('jk,i->ijk', _EYE, R))
-    sym2 = (np.einsum('k,il,j->ijkl', rh, _EYE, R)
-            + np.einsum('k,jl,i->ijkl', rh, _EYE, R)
-            + np.einsum('l,ik,j->ijkl', rh, _EYE, R)
-            + np.einsum('l,jk,i->ijkl', rh, _EYE, R))
-
-    def per(g, ndim):
-        return g.reshape(g.shape + (1,) * ndim)
-
-    # dG/dR_k
-    d1 = (per(g1p, 3) * eye_rh + per(g2p, 3) * rr_rh + per(g2, 3) * sym1)
-
-    # d2G/dR_k dR_l
-    d2 = (_EYE[:, :, None, None] * (per(g1pp, 2) * P + per(g1p, 2) * T)[
-              :, None, None]
-          + RR[:, :, None, None] * (per(g2pp, 2) * P + per(g2p, 2) * T)[
-              :, None, None]
-          + per(g2p, 4) * sym2
-          + per(g2, 4) * _SYM3)
-
-    shape = w.shape
-    # d/dr = +d/dR, d/dr' = -d/dR, so the mixed block flips sign once
-    return GreensJet(value=value.reshape(shape + (3, 3)),
-                     d_obs=d1.reshape(shape + (3, 3, 3)),
-                     d_src=-d1.reshape(shape + (3, 3, 3)),
-                     d_mixed=-d2.reshape(shape + (3, 3, 3, 3)),
-                     part="full")
+    return GreensJet(**_jet_blocks(r_obs - r_src, omega, medium), part="full")
 
 
 def coincident_im_jet(omega, medium: Medium = Medium()) -> GreensJet:
     """Imaginary-part jet in the limit of coinciding field and source point.
 
-    The imaginary part is smooth through zero separation: the value block is
-    (k/6pi) I, first-derivative blocks vanish, and the mixed second
-    derivative has the closed form
+    The R = 0 case of the generating-function evaluation: the value block
+    is (k/6pi) I, the first-derivative blocks vanish, and the mixed second
+    derivative is
 
         (k^3/15pi) delta_mn delta_kl
         - (k^3/60pi) (delta_mk delta_nl + delta_ml delta_nk).
     """
-    w = complex(_frequencies(omega))
-    if w.imag != 0.0:
-        raise InputError("coincident imaginary-part jet needs a real frequency")
-    n = complex(medium.index(w))
-    if abs(n.imag) > 1e-12 * abs(n):
-        raise InputError(
-            "coincident imaginary-part limits assume a lossless medium "
-            "(refractive index must be real at this frequency)")
-    k = float(n.real) * float(w.real) / C0
-
-    value = (k / (6.0 * math.pi)) * np.eye(3)
-    zeros1 = np.zeros((3, 3, 3))
-    c1 = k ** 3 / (15.0 * math.pi)
-    c2 = k ** 3 / (60.0 * math.pi)
-    dm = (c1 * np.einsum('mn,kl->mnkl', _EYE, _EYE)
-          - c2 * (np.einsum('mk,nl->mnkl', _EYE, _EYE)
-                  + np.einsum('ml,nk->mnkl', _EYE, _EYE)))
-    return GreensJet(value=value, d_obs=zeros1, d_src=zeros1.copy(),
-                     d_mixed=dm, part="imag")
+    k = _lossless_wavenumber(omega, medium, "coincident imaginary-part jet")
+    return GreensJet(**_assemble(np.zeros(3), _im_radial(0.0, np.array([k])),
+                                 ()), part="imag")
 
 
 def small_R_series_im(R, omega, medium: Medium = Medium()) -> np.ndarray:
@@ -294,13 +311,7 @@ def small_R_series_im(R, omega, medium: Medium = Medium()) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3,):
         raise InputError("separation must be a 3-vector")
-    w = complex(_frequencies(omega))
-    if w.imag != 0.0:
-        raise InputError("series is defined for real frequencies")
-    n = complex(medium.index(w))
-    if abs(n.imag) > 1e-12 * abs(n):
-        raise InputError("series assumes a lossless medium")
-    k = float(n.real) * float(w.real) / C0
+    k = _lossless_wavenumber(omega, medium, "small-separation series")
     x = k * float(np.linalg.norm(R))
     if x >= SERIES_SWITCH:
         raise InputError(

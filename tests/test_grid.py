@@ -164,6 +164,12 @@ def test_load_rejects_malformed():
     reject(lambda d: d["blocks"]["value"][1][0][2].__setitem__(1, huge),
            "blocks.value: integer too large")
 
+    # exponents whose SI scale unit^(exponent - order) no float can hold
+    reject(lambda d: d.update(value_unit_exponent=400), "value_unit_exponent")
+    reject(lambda d: d.update(value_unit_exponent=-400), "value_unit_exponent")
+    reject(lambda d: d.update(length_unit="m", value_unit_exponent=huge),
+           "value_unit_exponent")
+
 
 def test_load_rejects_nonfinite():
     raw = dumps(base_doc()).decode()
@@ -229,6 +235,22 @@ def reference_save(grid):
         doc["provenance"] = grid.provenance
     return json.dumps(doc, ensure_ascii=False, sort_keys=True,
                       separators=(",", ":"), allow_nan=False).encode("utf-8")
+
+
+def test_roundtrip_keeps_negative_zeros():
+    rng = np.random.default_rng(5)
+    g = hand_grid(rng, shape=(2, 1))
+    blocks = {k: np.array(v) for k, v in g.blocks.items()}
+    blocks["value"][0, 0, 0, 1, 2] = complex(-0.0, -0.0)
+    blocks["value"][1, 0, 0, 2, 0] = complex(0.5, -0.0)
+    blocks["value"][1, 0, 0, 0, 1] = complex(-0.0, 0.5)
+    g = TensorGrid(frequency=W0, length_unit="nm", value_unit_exponent=-1,
+                   derivative_semantics="split", axes=g.axes,
+                   fixed_axes=g.fixed_axes, blocks=blocks)
+    data = save_grid(g)
+    assert len(re.findall(rb"-0\.0[,\]]", data)) == 4
+    assert save_grid(load_grid(data)) == data
+    assert save_grid(json_route(data.decode())) == data
 
 
 def test_block_reader_matches_json_route():

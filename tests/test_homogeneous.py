@@ -2,7 +2,8 @@
 
 Oracles used here, in decreasing order of independence:
   * mpmath 60-digit evaluation of the raw trig expressions for Im G
-    (immune to the float cancellation the package works around),
+    (immune to the float cancellation the package works around), and
+    mpmath.diff of the 50-digit complex closed form for every Im block,
   * central finite differences of the value/first-derivative blocks,
   * exact limit values such as Im G_jj -> k/6pi.
 """
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from polyemit import (CoincidentPointError, InputError, Medium,
-                      coincident_im_jet, eval_homogeneous,
-                      eval_homogeneous_jet, small_R_series_im)
-from polyemit.constants import C0
+                      MultipoleEmitter, coincident_im_jet, collective_rate,
+                      eval_homogeneous, eval_homogeneous_jet,
+                      small_R_series_im)
+from polyemit.constants import ATOMIC_QUADRUPOLE, BOHR_MAGNETON, C0
+from polyemit.emitter import moment_product_bundle
 
 W0 = 2 * math.pi * 384e12  # optical test frequency, rad/s
 
@@ -306,3 +309,108 @@ def test_series_residual_is_fourth_order():
         resid.append(np.max(np.abs(full - ser)) / (k / (6 * math.pi)))
     slope = np.polyfit(np.log(krs), np.log(resid), 1)[0]
     assert 3.9 < slope < 4.1
+
+
+# --- imaginary-part jets at small separation --------------------------------
+
+def im_jet_reference(s, n, omega=W0):
+    """Im-part jet blocks at R = s / k, from 50-digit arithmetic on the
+    complex closed form of G, differentiated by mpmath.diff (independent of
+    the package's radial split and generating function)."""
+    out = {"value": np.empty((3, 3)), "d_obs": np.empty((3, 3, 3)),
+           "d_mixed": np.empty((3, 3, 3, 3))}
+    with mp.workdps(50):
+        k = mp.mpf(n) * mp.mpf(omega) / mp.mpf(C0)
+        S = [mp.mpf(c) for c in s]
+        for m in range(3):
+            for q in range(m, 3):
+                # G_mq(R) = k g_mq(kR)
+                def g(s1, s2, s3, m=m, q=q):
+                    v = (s1, s2, s3)
+                    x = mp.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
+                    e = mp.expj(x) / (4 * mp.pi)
+                    a = e * (x * x + 1j * x - 1) / x ** 3
+                    b = e * (3 - 3j * x - x * x) / x ** 5
+                    return a * (m == q) + b * v[m] * v[q]
+
+                def part(orders):
+                    return float(mp.im(mp.diff(g, S, orders))
+                                 * k ** (1 + sum(orders)))
+
+                for mn in {(m, q), (q, m)}:
+                    out["value"][mn] = part((0, 0, 0))
+                for a in range(3):
+                    val = part(tuple(int(i == a) for i in range(3)))
+                    for mn in {(m, q), (q, m)}:
+                        out["d_obs"][mn + (a,)] = val
+                    for b in range(a, 3):
+                        # one source-point derivative flips the sign
+                        val = -part(tuple(int(i == a) + int(i == b)
+                                          for i in range(3)))
+                        for idx in {(m, q, a, b), (q, m, a, b),
+                                    (m, q, b, a), (q, m, b, a)}:
+                            out["d_mixed"][idx] = val
+    out["d_src"] = -out["d_obs"]
+    return out
+
+
+@pytest.mark.parametrize("n", [1.0, 1.5])
+def test_im_jet_blocks_against_mpmath(n):
+    # every block, not just the value, keeps full relative accuracy down to
+    # kR = 1e-4, where the closed forms cancel in their imaginary parts
+    u = np.array([0.36, -0.48, 0.8])
+    for kr in [1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0]:
+        R, jet = jet_for(kr, n=n, direction=u)
+        ref = im_jet_reference(u * kr, n)
+        for name, got in jet.imag_part().blocks.items():
+            scale = np.max(np.abs(ref[name]))
+            assert np.max(np.abs(got - ref[name])) < 1e-14 * scale, (kr, name)
+
+
+def multipole(kind, position):
+    if kind == "EQ":
+        return MultipoleEmitter(position=position, omega0=W0,
+                                Q=np.diag([-0.5, -0.5, 1.0]) * ATOMIC_QUADRUPOLE)
+    return MultipoleEmitter(position=position, omega0=W0,
+                            m=np.array([0, 0, BOHR_MAGNETON]))
+
+
+@pytest.mark.parametrize("kind", ["EQ", "MD"])
+def test_subradiant_rate_against_mpmath(kind):
+    # gamma_aa - gamma_ab of two identical z-separated emitters vanishes
+    # like a power of kR: it resolves the small-R Im derivative blocks
+    n = 1.0
+    med = Medium(n)
+    k = n * W0 / C0
+    u = np.array([0.0, 0.0, 1.0])
+    jet0 = coincident_im_jet(W0, med)
+    for kr in [0.003, 0.01, 0.1]:
+        a, b = multipole(kind, np.zeros(3)), multipole(kind, u * kr / k)
+        jet = eval_homogeneous_jet(a.position, b.position, W0, med)
+        got = (collective_rate(a, a, jet0).gamma_cross
+               - collective_rate(a, b, jet).gamma_cross)
+        ref_jet = im_jet_reference(u * kr, n)
+        diff = {name: blk - ref_jet[name] for name, blk in jet0.blocks.items()}
+        bundle = moment_product_bundle(a, b)
+        want = 2 * math.pi * W0 ** 2 * bundle.contract(diff, bundle.at(W0))
+        assert want.real > 0
+        assert abs(got - want) < 1e-8 * abs(want), kr
+
+
+def test_im_jet_continuous_at_coincidence():
+    # at kR = 1e-6 the Im jet is the first-order Taylor expansion of the
+    # coincident jet up to O((kR)^2)
+    R, jet = jet_for(1e-6, n=1.3)
+    lim = coincident_im_jet(W0, Medium(1.3))
+    slope = np.einsum('mnkl,l->mnk', lim.d_mixed, R)
+    want = {"value": lim.value, "d_obs": -slope, "d_src": slope,
+            "d_mixed": lim.d_mixed}
+    for name, got in jet.imag_part().blocks.items():
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(got - want[name])) < 1e-10 * scale, name
+
+
+def test_coincident_jet_has_no_negative_zeros():
+    jet = coincident_im_jet(W0, Medium(1.5))
+    for name, blk in jet.blocks.items():
+        assert not np.any(np.signbit(blk[blk == 0])), name
