@@ -985,12 +985,14 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
             for a in range(3):
                 d1 = fd[f"d1_{_AXES[a]}"][center]
                 blocks[f"d1_{_AXES[a]}"][idx] = d1
-                blocks[f"d1_{_AXES[a]}_src"][idx] = -d1
+                # sign flips as 0.0 - x, which keeps exact zeros +0.0
+                # (-x would write them as -0.0)
+                blocks[f"d1_{_AXES[a]}_src"][idx] = 0.0 - d1
                 for b in range(3):
                     # one source-slot derivative: flip the sign of the
                     # sampled field-field second derivative
                     blocks[f"d2_{_AXES[a]}{_AXES[b]}"][idx] = \
-                        -fd[f"d2_{_AXES[a]}{_AXES[b]}"][center]
+                        0.0 - fd[f"d2_{_AXES[a]}{_AXES[b]}"][center]
     if provenance is None:
         provenance = {"generator": "uniform-medium analytic sampler",
                       "fd_step_m": fd_step}

@@ -28,12 +28,21 @@ in one call. The spectral forms therefore evaluate one batched Green jet
 panel. integrate_adaptive and pv_integral take scalar integrands f(x) and
 lift them onto the same engine (one call per node).
 
-Tolerance: an adaptive integral is done when its error estimate falls
-below the largest of rel_tol |I|, a fixed fraction of the absolute mass
-Sum |panel|, and an absolute floor abs_tol. imaginary_axis_form sets that
-floor from the uncancelled size of its resonant term, so an integral that
-cancels to roundoff (a pair coupling that vanishes by symmetry) stops at
-roundoff instead of chasing a relative tolerance no sum can meet.
+A range [a, inf) is mapped onto [0, 1) by x = a + s t/(1 - t), s the
+problem's frequency scale (QUADPACK's qagi transform), and integrated by
+the same engine; no node reaches t = 1, so f never sees x = inf.
+
+Tolerance, the one stopping rule: an adaptive integral is done when its
+error estimate falls below the largest of rel_tol |I|, a fixed fraction
+of the absolute mass Sum |panel|, and an absolute floor abs_tol. Both
+spectral forms set that floor from the uncancelled size of a contraction
+at the pole (p(w0) . Re G(w0) on the imaginary axis, the numerator
+p(w0) . Im G(w0) on the real axis), so an integral that cancels to
+roundoff (a pair coupling that vanishes by symmetry) stops at roundoff
+instead of chasing a relative tolerance no sum can meet. A tail too slow to integrate is
+singular at t = 1 after the map: bisection toward t = 1 stops where a
+split would put its outer nodes onto a panel end, and the integral is
+refused for its unmet tolerance.
 """
 
 from __future__ import annotations
@@ -73,17 +82,17 @@ _W7 = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
 
 # error allowed per unit of absolute panel mass Sum |panel|
 _MAGNITUDE_TOL = 1e-10
-# tail extension: stop once panel peaks fall below this fraction of the
-# global peak; give up after this many width doublings
-_TAIL_PEAK_FLOOR = 1e-12
-_TAIL_DOUBLINGS = 60
+
+
+def _nodes(a: float, b: float) -> np.ndarray:
+    """The 15 Kronrod nodes of the panel [a, b], ascending."""
+    return 0.5 * (a + b) + 0.5 * (b - a) * _X15
 
 
 def _panel(f, a: float, b: float):
     """15-point Kronrod value, embedded 7-point Gauss error, peak |f|; f is
     called once, on the array of the 15 nodes."""
-    xs = 0.5 * (a + b) + 0.5 * (b - a) * _X15
-    vals = np.asarray(f(xs), dtype=complex)
+    vals = np.asarray(f(_nodes(a, b)), dtype=complex)
     if not np.all(np.isfinite(vals.view(float))):
         raise QuadratureError(f"integrand not finite on [{a:g}, {b:g}]")
     h = 0.5 * (b - a)
@@ -130,12 +139,15 @@ def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
     absolute mass Sum |panel|. abs_tol is the absolute floor: an integrand
     that is pure roundoff has no relative accuracy to reach, and without a
     floor the bisection runs on until the budget or the integrand gives out.
+    A split whose outer nodes would round onto a panel end stops the
+    bisection, so f only sees abscissae strictly inside [a, b].
     """
     if not b > a:
         raise QuadratureError("empty or inverted integration interval")
     val, err, peak = _panel(f, a, b)
     heap = [(-err, a, b, val)]
     neval = 15
+    stop = ""
     while True:
         total = sum(item[3] for item in heap)
         total_err = sum(-item[0] for item in heap)
@@ -145,9 +157,10 @@ def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
             break
         nerr, pa, pb, _ = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
+        if _nodes(pa, mid)[0] <= pa or _nodes(mid, pb)[-1] >= pb:
             heapq.heappush(heap, (nerr, pa, pb, _))
-            break  # interval at floating-point resolution
+            stop = " at floating-point resolution (singular or not decaying)"
+            break
         v1, e1, p1 = _panel(f, pa, mid)
         v2, e2, p2 = _panel(f, mid, pb)
         neval += 30
@@ -161,58 +174,29 @@ def _adaptive(f, a: float, b: float, rel_tol: float = 1e-8,
     tol = max(abs_tol, rel_tol * abs(total), _MAGNITUDE_TOL * mass)
     if total_err > 10 * max(tol, 1e-300):
         raise QuadratureError(
-            f"adaptive budget exhausted: residual error estimate "
+            f"adaptive budget exhausted{stop}: residual error estimate "
             f"{total_err:.3e} exceeds tolerance {tol:.3e}")
     return QuadratureResult(value=complex(total), error=float(total_err),
                             neval=neval, panels=len(panels), peak=peak)
 
 
-def _integrate_tail(f, start: float, scale: float, rel_tol: float,
-                    abs_tol: float = 0.0) -> QuadratureResult:
-    """Geometric panel extension of int_start^inf f, for a decaying vector
-    integrand f.
-
-    Stops when panel peaks fall below _TAIL_PEAK_FLOOR of the global peak
-    and panel contributions are negligible (below rel_tol of the running
-    total or below abs_tol, which also floors each panel's own tolerance);
-    raises if the panel sequence stops decaying (non-integrable or
-    non-decaying integrand).
-    """
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    neval = 0
-    panels = 0
-    a = start
-    width = scale
+def _integrate_to_infinity(f, start: float, scale: float, rel_tol: float,
+                           abs_tol: float = 0.0) -> QuadratureResult:
+    """int_start^inf f for a vector integrand f: one adaptive call on
+    [0, 1) through x = start + scale t/(1 - t) (see module doc). neval and
+    peak count and bound the values of f itself, without the Jacobian."""
     peak = 0.0
-    prev_mag = math.inf
-    grow_streak = 0
-    for _ in range(_TAIL_DOUBLINGS):
-        res = _adaptive(f, a, a + width, rel_tol=rel_tol, abs_tol=abs_tol,
-                        max_panels=256)
-        total += res.value
-        total_err += res.error
-        neval += res.neval
-        panels += res.panels
-        peak = max(peak, res.peak)
-        mag = abs(res.value)
-        if mag > prev_mag * 1.02:
-            grow_streak += 1
-            if grow_streak >= 4:
-                raise QuadratureError(
-                    "integrand does not decay toward infinity; "
-                    "refusing to truncate a divergent tail")
-        else:
-            grow_streak = 0
-        if res.peak <= _TAIL_PEAK_FLOOR * peak and mag <= max(
-                rel_tol * abs(total), abs_tol, 1e-300):
-            return QuadratureResult(total, total_err, neval, panels, peak)
-        prev_mag = mag
-        a += width
-        width *= 2.0
-    raise QuadratureError(
-        "tail extension budget exhausted before the integrand decayed "
-        f"below {_TAIL_PEAK_FLOOR:g} of its peak")
+
+    def mapped(ts: np.ndarray) -> np.ndarray:
+        nonlocal peak
+        u = 1.0 - ts
+        values = f(start + scale * ts / u)
+        peak = max(peak, float(np.max(np.abs(values))))
+        return values * (scale / (u * u))
+
+    res = _adaptive(mapped, 0.0, 1.0, rel_tol=rel_tol, abs_tol=abs_tol)
+    res.peak = peak
+    return res
 
 
 def pv_integral(f: Callable[[float], complex], pole: float,
@@ -224,19 +208,19 @@ def pv_integral(f: Callable[[float], complex], pole: float,
 
 
 def _pv_integral(f, pole: float, upper: float = math.inf,
-                 rel_tol: float = 1e-8) -> QuadratureResult:
+                 rel_tol: float = 1e-8,
+                 abs_tol: float = 0.0) -> QuadratureResult:
     """Cauchy principal value of int_0^upper f(w)/(w - pole) dw, for a
     vector f.
 
     Symmetric excision around the pole: on [pole-d, pole+d] the even part
     of f cancels and the odd part gives the regular difference quotient
     [f(pole+s) - f(pole-s)]/s, integrated adaptively. The excision radius
-    is halved once to confirm convergence. neval and peak cover every
-    evaluation of f, panels the adaptive panels of both excisions.
+    is halved once to confirm convergence; abs_tol floors every piece. An
+    infinite upper limit is mapped with scale pole. neval and peak cover
+    every evaluation of f, panels the adaptive panels of both excisions.
     """
-    if not (pole > 0 and math.isfinite(pole)):
-        raise QuadratureError("pole must lie inside (0, upper)")
-    if upper <= pole:
+    if not 0 < pole < upper:
         raise QuadratureError("pole must lie inside (0, upper)")
 
     neval, peak = 0, 0.0
@@ -256,24 +240,25 @@ def _pv_integral(f, pole: float, upper: float = math.inf,
         def core(ss: np.ndarray) -> np.ndarray:
             return (sampled(pole + ss) - sampled(pole - ss)) / ss
 
-        res_core = _adaptive(core, 0.0, delta, rel_tol=rel_tol)
-        res_left = _adaptive(divided, 0.0, pole - delta, rel_tol=rel_tol)
+        res_core = _adaptive(core, 0.0, delta, rel_tol, abs_tol)
+        res_left = _adaptive(divided, 0.0, pole - delta, rel_tol, abs_tol)
         if math.isfinite(upper):
-            res_right = _adaptive(divided, pole + delta, upper,
-                                  rel_tol=rel_tol)
+            res_right = _adaptive(divided, pole + delta, upper, rel_tol,
+                                  abs_tol)
         else:
-            res_right = _integrate_tail(divided, pole + delta, pole,
-                                        rel_tol=rel_tol)
+            res_right = _integrate_to_infinity(divided, pole + delta, pole,
+                                               rel_tol, abs_tol)
         value = res_core.value + res_left.value + res_right.value
         error = res_core.error + res_left.error + res_right.error
         return (value, error,
                 res_core.panels + res_left.panels + res_right.panels)
 
-    half_span = min(pole, (upper - pole) if math.isfinite(upper) else pole)
+    half_span = min(pole, upper - pole)
     first, first_err, first_panels = evaluate(0.5 * half_span)
     value, error, panels = evaluate(0.25 * half_span)
     drift = abs(first - value)
-    budget = 10 * max(first_err + error, rel_tol * abs(value), 1e-300)
+    budget = 10 * max(first_err + error, rel_tol * abs(value), abs_tol,
+                      1e-300)
     if drift > budget:
         raise QuadratureError(
             f"principal value did not stabilize under excision halving: "
@@ -382,6 +367,26 @@ def _coefficient_rows(names, *rows) -> dict:
             for name in names}
 
 
+def _pole_coefficients(bundle, omega0: float) -> dict:
+    """Block name -> p(omega0) = f0 omega0^2 + f1 omega0 + f2, the
+    coefficients of w^2 F(w) at the pole. The block order is fixed, so
+    contractions sum in the same order in every process (set order would
+    follow the string-hash seed)."""
+    p0 = {}
+    for power, coeffs in enumerate((bundle.f0, bundle.f1, bundle.f2)):
+        for name, tensor in coeffs.items():
+            p0[name] = p0.get(name, 0.0) + tensor * omega0 ** (2 - power)
+    return p0
+
+
+def _roundoff_floor(p0: dict, blocks: dict) -> float:
+    """Absolute floor for a spectral integral of size pi p0 . blocks:
+    roundoff on the uncancelled size of that contraction (see module doc)."""
+    return 1e-14 * math.pi * sum(
+        float(np.sum(np.abs(p0[name]) * np.abs(blocks[name])))
+        for name in p0)
+
+
 def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
                         rel_tol: float = 1e-8,
                         threshold_factor: float = 10.0) -> QuadratureResult:
@@ -417,9 +422,7 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
                 f"{model.low_frequency_scale:g}; the contour replacement is "
                 f"not warranted this close to the spectral floor")
 
-    f0 = bundle.f0
-    f1 = bundle.f1
-    f2 = bundle.f2
+    f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
 
     statics = {name: np.asarray(s_blk) for name, s_blk in
                (model.static_pole_blocks or {}).items()}
@@ -435,25 +438,10 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
 
     # resonant term: pi p(omega0) . Re G(omega0)
     re_blocks = model.jet(omega0).real_blocks()
-    p0 = {}
-    # one fixed block order, so the contraction sums in the same order in
-    # every process (set order would follow the string-hash seed)
-    names = list(dict.fromkeys([*f0, *f1, *f2]))
-    for name in names:
-        acc = 0.0
-        if name in f0:
-            acc = acc + f0[name] * omega0 ** 2
-        if name in f1:
-            acc = acc + f1[name] * omega0
-        if name in f2:
-            acc = acc + f2[name]
-        p0[name] = acc
+    p0 = _pole_coefficients(bundle, omega0)
+    names = list(p0)
     resonant = math.pi * bundle.contract(re_blocks, p0)
-    # absolute floor: roundoff on the uncancelled size of that contraction,
-    # for pairs whose integrals cancel exactly (couplings zero by symmetry)
-    abs_tol = 1e-14 * math.pi * sum(
-        float(np.sum(np.abs(p0[name]) * np.abs(re_blocks[name])))
-        for name in names)
+    abs_tol = _roundoff_floor(p0, re_blocks)
 
     # k-integrand (k^2 A.G + B.G) / (k^2 + w0^2) with A = f0 w0 + f1 and
     # B = -f2 w0: one jet evaluation and one contraction per panel
@@ -469,10 +457,8 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
         k2 = kappas * kappas
         return (k2 * a + b) / (k2 + omega0 ** 2)
 
-    head = _adaptive(integrand, 0.0, omega0, rel_tol=rel_tol,
-                     abs_tol=abs_tol)
-    tail = _integrate_tail(integrand, omega0, omega0, rel_tol=rel_tol,
-                           abs_tol=abs_tol)
+    # one call on [0, inf), with kappa = omega0 at the middle of [0, 1)
+    res = _integrate_to_infinity(integrand, 0.0, omega0, rel_tol, abs_tol)
 
     # arc term: -(pi/2) f0 . g2inf
     arc = 0.0 + 0.0j
@@ -490,12 +476,9 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
             pole_term = -(0.5 * math.pi / omega0) * bundle.contract(
                 statics, shared)
 
-    value = resonant + head.value + tail.value + arc + pole_term
-    error = head.error + tail.error
-    return QuadratureResult(value=complex(value), error=float(error),
-                            neval=head.neval + tail.neval + 1,
-                            panels=head.panels + tail.panels,
-                            peak=max(head.peak, tail.peak))
+    res.value = complex(resonant + res.value + arc + pole_term)
+    res.neval += 1  # the resonant jet
+    return res
 
 
 def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
@@ -511,22 +494,35 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
         dict.fromkeys([*bundle.f0, *bundle.f1, *bundle.f2]),
         bundle.f0, bundle.f1, bundle.f2)
 
-    def numerator(ws: np.ndarray) -> np.ndarray:
-        p0, p1, p2 = bundle.contract(model.jet(ws).imag_part().blocks,
-                                     kernel)
+    def contracted(ws: np.ndarray, im_blocks: dict) -> np.ndarray:
+        p0, p1, p2 = bundle.contract(im_blocks, kernel)
         return ws * ws * p0 + ws * p1 + p2
 
-    # the 1/w and 1/w^2 coefficient factors must be tamed by the w^2 from
-    # the measure; probe near zero and refuse non-finite integrands
-    probe = numerator(np.array([1e-9 * omega0]))
-    if not np.all(np.isfinite(probe.view(float))):
+    def numerator(ws: np.ndarray) -> np.ndarray:
+        return contracted(ws, model.jet(ws).imag_part().blocks)
+
+    # one jet at a probe near zero, where the w^2 of the measure must tame
+    # the 1/w and 1/w^2 coefficient factors, and at the pole, where the
+    # numerator's uncancelled size sets the absolute floor
+    ends = np.array([1e-9 * omega0, omega0])
+    im_ends = model.jet(ends).imag_part().blocks
+    probe = contracted(ends, im_ends)[0]
+    if not np.isfinite(probe):
         raise QuadratureError(
             "spectral integrand is singular at zero frequency; coefficient "
             "structure incompatible with the w^2 measure")
+    at_pole = {name: blk[1] for name, blk in im_ends.items()}
+    abs_tol = _roundoff_floor(_pole_coefficients(bundle, omega0), at_pole)
 
-    upper = hi if math.isfinite(hi) else math.inf
-    res = _pv_integral(numerator, omega0, upper=upper, rel_tol=rel_tol)
-    res.neval += 1  # the probe
+    try:
+        res = _pv_integral(numerator, omega0, hi, rel_tol, abs_tol)
+    except QuadratureError as exc:
+        if not model.supports_imaginary_axis:
+            raise
+        raise QuadratureError(
+            f"{exc}; the model supports imaginary frequency: use "
+            f'method="imaginary-axis" (imaginary_axis_form)') from exc
+    res.neval += ends.size
     return res
 
 

@@ -780,6 +780,16 @@ def test_producer_fd_blocks_converge_to_analytic():
     assert res[0] / res[1] >= 3.5
 
 
+def test_producer_fd_grid_has_no_negative_zeros():
+    # the source-point blocks flip the sign of sampled derivatives; exact
+    # zeros must stay +0.0, as in the analytic grid
+    axes = (np.linspace(0, 60e-9, 4), np.linspace(0, 40e-9, 3), 0.0)
+    for fd_step in (None, 2e-9):
+        data = save_grid(grid_from_homogeneous(Medium(1.5), 2.4e15, axes,
+                                               fd_step=fd_step))
+        assert not re.findall(rb"-0\.0[,\]]", data), fd_step
+
+
 def test_grid_pipeline_enhancements_match_analytic():
     g = grid_from_homogeneous(Medium(2.0), W0,
                               (np.array([0.0, 30e-9]),

@@ -4,6 +4,7 @@ imaginary-axis representation, checked against independent oracles
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from polyemit.errors import (CoincidentPointError, ModelDomainError,
 from polyemit.homogeneous import Medium
 from polyemit.jets import GreensJet
 from polyemit.quadrature import (SpectralGreenModel, _adaptive,
-                                 _integrate_tail,
+                                 _integrate_to_infinity,
                                  check_imaginary_axis_reality,
                                  homogeneous_pair_model, imaginary_axis_form,
                                  integrate_adaptive, kk_residual,
@@ -98,6 +99,37 @@ def test_nonfinite_integrand_raises():
 def test_empty_interval_raises():
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x: x, 1.0, 1.0)
+
+
+def test_semi_infinite_map_against_closed_form_and_library():
+    # int_1^inf x^-2 dx = 1, with a scale that keeps the mapped integrand
+    # nonconstant
+    res = _integrate_to_infinity(lambda x: 1.0 / (x * x), 1.0, 2.5,
+                                 rel_tol=1e-8)
+    assert abs(res.value - 1.0) < 1e-13
+    ref = quad(lambda x: math.exp(-x) / (1.0 + x * x), 1.0, np.inf,
+               epsabs=1e-15, epsrel=1e-13)[0]
+    res = _integrate_to_infinity(lambda x: np.exp(-x) / (1.0 + x * x), 1.0,
+                                 1.0, rel_tol=1e-8)
+    assert abs(res.value - ref) < 1e-12
+
+
+def test_semi_infinite_map_refuses_divergent_tail():
+    # a 1/x tail is log-divergent: singular at t = 1 after the map, refused
+    # by the engine without a division by zero and without evaluating f at
+    # a non-finite abscissa
+    seen = []
+
+    def f(xs):
+        seen.append(np.array(xs))
+        return 1.0 / xs
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError,
+                           match="at floating-point resolution"):
+            _integrate_to_infinity(f, 1.0, 1.0, rel_tol=1e-8)
+    assert seen and all(np.all(np.isfinite(xs)) for xs in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +276,9 @@ def test_absolute_floor_stops_a_roundoff_integrand():
     res = _adaptive(noise, 0.0, 1.0, abs_tol=1e-14)
     assert abs(res.value) <= 1e-14 and res.error <= 1e-13
     with pytest.raises(QuadratureError, match="budget exhausted"):
-        _integrate_tail(decaying_noise, 1.0, 1.0, rel_tol=1e-8)
-    res = _integrate_tail(decaying_noise, 1.0, 1.0, rel_tol=1e-8,
-                          abs_tol=1e-14)
+        _integrate_to_infinity(decaying_noise, 1.0, 1.0, rel_tol=1e-8)
+    res = _integrate_to_infinity(decaying_noise, 1.0, 1.0, rel_tol=1e-8,
+                                 abs_tol=1e-14)
     assert abs(res.value) <= 1e-14 and res.panels > 0
 
 
@@ -345,7 +377,7 @@ class CountingCalls:
 
 def test_neval_counts_every_evaluation(rng):
     f = CountingCalls(lambda x: np.exp(-x) / (1.0 + x * x))
-    tail = _integrate_tail(f, 1.0, 1.0, rel_tol=1e-8)
+    tail = _integrate_to_infinity(f, 1.0, 1.0, rel_tol=1e-8)
     assert tail.neval == f.calls
     assert tail.peak == f.peak
     assert tail.panels > 0
@@ -417,10 +449,9 @@ def pointwise_imaginary_axis_form(model, bundle, w0, rel_tol=1e-8):
                   for name in names}
         return bundle.contract(blocks, coeffs) / (k2 + w0 ** 2)
 
-    head = integrate_adaptive(integrand, 0.0, w0, rel_tol=rel_tol)
-    tail = _integrate_tail(
+    spectral = _integrate_to_infinity(
         lambda ks: np.array([integrand(k) for k in ks], dtype=complex),
-        w0, w0, rel_tol=rel_tol)
+        0.0, w0, rel_tol=rel_tol)
     jet0 = model.jet(w0)
     p0 = {name: f0.get(name, 0.0) * w0 ** 2 + f1.get(name, 0.0) * w0
           + f2.get(name, 0.0) for name in names}
@@ -430,7 +461,7 @@ def pointwise_imaginary_axis_form(model, bundle, w0, rel_tol=1e-8):
     pole = -(0.5 * math.pi / w0) * bundle.contract(
         statics, {name: f1[name] for name in f1})
     assert model.uhp_quadratic_limit is None  # no arc term
-    return resonant + head.value + tail.value + pole
+    return resonant + spectral.value + pole
 
 
 @pytest.mark.parametrize("n", [1.0, 1.5])
@@ -475,8 +506,9 @@ def test_one_jet_evaluation_per_panel(rng):
     sizes.clear()
     model = lorentzian_model([(real_blocks(rng, 1e5), WR1, ETA1)])
     res = pv_spectral_form(recorded(model), bundle, 0.8 * WR1)
-    # the zero-frequency probe, then one call per panel node array
-    assert sizes[0] == 1 and set(sizes[1:]) == {15}
+    # one jet at the zero-frequency probe and the pole, then one call per
+    # panel node array
+    assert sizes[0] == 2 and set(sizes[1:]) == {15}
     assert sum(sizes) == res.neval
 
     sizes.clear()
@@ -529,7 +561,7 @@ def test_homogeneous_real_axis_pv_refuses(rng):
     pos = [np.zeros(3), np.array([0.0, 0.0, 120e-9])]
     model = homogeneous_pair_model(med, pos[0], pos[1])
     d = np.array([1e-29, 0, 0], dtype=complex)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match='use method="imaginary-axis"'):
         pv_spectral_form(model, ed_bundle(d, pos), WR1)
 
 

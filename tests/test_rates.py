@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polyemit.constants import C0, EPS0, HBAR
+from polyemit.dynamics import build_ensemble
 from polyemit.emitter import MultipoleEmitter, moment_product_bundle
 from polyemit.errors import (InputError, MissingDerivativeError,
                              ModelDomainError)
@@ -330,6 +331,38 @@ def test_coupling_inert_and_frequency_guard(rng):
     # widened tolerance admits the pair
     rep = coupling_strength(a, detuned, model, freq_ratio_tol=0.1)
     assert rep.xi != 0
+
+
+def test_real_axis_coupling_zero_by_symmetry_stops_at_roundoff():
+    # ED dipoles along two eigenvectors of a rotated resonance amplitude:
+    # the coupling vanishes by symmetry and the real-axis numerator is pure
+    # roundoff, which only the absolute floor lets the integral stop at
+    w = 2.4e15
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        amplitude = q @ np.diag([1.0, 1.0, 2.0]) @ q.T * 1e5
+        model = lorentzian_model([({"value": amplitude}, 1.1 * w,
+                                   0.05 * w)])
+        a = MultipoleEmitter(position=np.zeros(3), omega0=w,
+                             d=q[:, 0] * 1e-29)
+        b = MultipoleEmitter(position=np.array([100e-9, 0.0, 0.0]),
+                             omega0=w, d=q[:, 2] * 1e-29)
+        scale = abs(coupling_strength(a, dataclasses.replace(b, d=a.d),
+                                      model, method="pv").xi)
+        pv = coupling_strength(a, b, model, method="pv").xi
+        ia = coupling_strength(a, b, model, method="imaginary-axis").xi
+        assert abs(pv) <= 1e-13 * scale
+        # the floor: roundoff on the uncancelled resonant contraction
+        p0 = w ** 2 * moment_product_bundle(a, b).at(w)["value"]
+        im_g = model.jet(w).imag_part().value
+        floor = 1e-14 * math.pi * np.sum(np.abs(p0) * np.abs(im_g))
+        assert abs(pv - ia) <= floor
+        # a callable environment without imaginary-axis support takes the
+        # real-axis route in build_ensemble
+        real_axis = dataclasses.replace(model, supports_imaginary_axis=False)
+        ens = build_ensemble([a, b], lambda x, y: real_axis)
+        assert abs(ens.xi[0, 1]) <= 1e-13 * scale
 
 
 def test_explicit_mean_frequency_must_be_near_both_emitters():
