@@ -18,11 +18,14 @@ is propagated. H conserves the number of excited emitters and every jump
 lowers it by one, so rho splits into blocks rho_(k,l) between the sectors
 of k and l excitations, and the blocks with one value of k - l form a
 closed family, each fed only by the block one sector up. Only the
-families and sectors the initial state populates are integrated, with
-sector operators read off the basis bit patterns (a single excitation is
-an (n+1)-dimensional problem); exact, capped at 10 emitters (dimension
-1024). Negative decay-matrix eigenvalues inside the model's tolerance band
-are clipped to zero.
+families and sectors the initial state populates are integrated (a single
+excitation is an (n+1)-dimensional problem); exact, capped at 10 emitters
+(dimension 1024). Two index arrays per sector, read off the basis bit
+patterns, give each member's unexcited emitters and its place one sector
+up once one of them is raised. The dense drift block of every sector and
+one sparse jump operator over all carried blocks are built from them.
+Negative decay-matrix eigenvalues inside the model's tolerance band are
+clipped to zero.
 
 Rate convention: gamma_aa is the population decay rate of emitter a, so a
 lone coherence decays at gamma_aa / 2. The diagonal of xi acts as an
@@ -45,6 +48,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.sparse import csr_matrix
 
 from .emitter import MultipoleEmitter
 from .errors import (CoincidentPointError, InputError, IntegrationError,
@@ -400,9 +404,10 @@ def _sectors(n: int) -> tuple:
 
     members[k] lists the basis indices with k excited emitters, ascending
     (emitter a is excited when bit n-1-a is set), and occupation[k] is
-    their (C(n,k), n) excitation table. raising[k] (n, C(n,k)) gives the
-    place in sector k+1 of each member with emitter b excited as well, or
-    C(n,k+1), a zero pad row, when b already is.
+    their (C(n,k), n) excitation table. lift[k] = (free, up), two
+    (C(n,k), n-k) index arrays: free holds the unexcited emitters of each
+    member, ascending, and up that member's place in sector k+1 once the
+    emitter beside it is raised.
     """
     index = np.arange(2 ** n)
     count = np.bitwise_count(index)
@@ -412,41 +417,66 @@ def _sectors(n: int) -> tuple:
         place[m] = np.arange(m.size)
     bits = 1 << (n - 1 - np.arange(n))
     occupation = [(m[:, None] & bits) != 0 for m in members]
-    raising = [np.where(occupation[k].T, members[k + 1].size,
-                        place[members[k] | bits[:, None]])
-               for k in range(n)]
-    return members, occupation, raising
+    lift = []
+    for k in range(n):
+        free = np.nonzero(~occupation[k])[1].reshape(-1, n - k)
+        lift.append((free, place[members[k][:, None] | bits[free]]))
+    return members, occupation, lift
 
 
-def _sector_operators(model: EmitterEnsembleModel, raising: list,
-                      top: int) -> tuple:
-    """Drift and gain blocks of the master equation for sectors 0 to top.
+def _sector_operators(model: EmitterEnsembleModel, lift: list,
+                      layout: dict, size: int) -> tuple:
+    """Drift blocks and the jump operator of the carried blocks.
 
     drift[k] is D = -i H - (1/2) sum_ab gamma_ab sigma_a^+ sigma_b on
-    sector k. gain[k] (C(n,k), n C(n,k-1)) holds, for each emitter b, the
-    block sum_a gamma_ab sigma_a^+ from sector k-1 to k; right-multiplying
-    rho_(k+1,l+1) by gain[l+1] and lowering emitter b on the left gives
-    the jump term sum_ab gamma_ab sigma_b rho sigma_a^+ of block (k, l).
-    Negative decay eigenvalues inside the model's tolerance band are
-    clipped to zero.
+    sector k, read off the index arrays of sector k-1: each member j
+    there, with unexcited emitters a and b, adds coef_ab to entry
+    (up_a(j), up_b(j)).
+
+    jump (size x size, CSR over the packed state of layout) maps every
+    carried block rho_(k+1,l+1) to the jump term
+    sum_ab gamma_ab sigma_b rho_(k+1,l+1) sigma_a^+ of block (k, l). Entry
+    (i, j) of that term has exactly (n-k)(n-l) terms: over the unexcited
+    emitters b of i and a of j, rho_(k+1,l+1)[up_b(i), up_a(j)] with
+    weight gamma_ab. Every row of a block thus has one count, so the
+    row pointers are known before any entry is written. Negative decay
+    eigenvalues inside the model's tolerance band are clipped to zero.
     """
     n = model.n_emitters
     eig, vec = np.linalg.eigh(model.gamma)
     gamma = (vec * np.where(eig > 0.0, eig, 0.0)) @ vec.conj().T
     coef = -1j * (np.diag(model.delta) + model.xi) - 0.5 * gamma
-    drift, gain = [np.zeros((1, 1), dtype=complex)], [None]
+    top = max(k for k, _ in layout)
+    drift = [np.zeros((1, 1), dtype=complex)]
     for k in range(1, top + 1):
-        below, size = math.comb(n, k - 1), math.comb(n, k)
-        # 0/1 blocks lowering each emitter from sector k to k-1
-        low = np.zeros((n, below, size + 1))
-        low[np.arange(n)[:, None], np.arange(below), raising[k - 1]] = 1.0
-        low = low[:, :, :size]
-        mixed = np.tensordot(coef, low, axes=(1, 0))
-        drift.append(low.reshape(n * below, size).T
-                     @ mixed.reshape(n * below, size))
-        gain.append(np.einsum("ajc,ab->cbj", low, gamma)
-                    .reshape(size, n * below))
-    return drift, gain
+        free, up = lift[k - 1]
+        block = np.zeros((math.comb(n, k),) * 2, dtype=complex)
+        np.add.at(block, (up[:, :, None], up[:, None, :]),
+                  coef[free[:, :, None], free[:, None, :]])
+        drift.append(block)
+
+    # the blocks whose block one sector up is carried
+    fed = {(k, l): part for (k, l), (part, _) in layout.items()
+           if (k + 1, l + 1) in layout}
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    for (k, l), part in fed.items():
+        indptr[part.start + 1:part.stop + 1] = (n - k) * (n - l)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=complex)
+    for (k, l), part in fed.items():
+        # entries of block (k, l) as (row i, column j, raised b, raised a)
+        (free_b, up_b), (free_a, up_a) = lift[k], lift[l]
+        free_b, up_b = free_b[:, None, :, None], up_b[:, None, :, None]
+        free_a, up_a = free_a[None, :, None, :], up_a[None, :, None, :]
+        shape = np.broadcast_shapes(up_b.shape, up_a.shape)
+        entries = slice(indptr[part.start], indptr[part.stop])
+        upper, (_, width) = layout[k + 1, l + 1]
+        np.add(upper.start + width * up_b, up_a, casting="unsafe",
+               out=indices[entries].reshape(shape))
+        np.take(gamma, n * free_a + free_b, out=data[entries].reshape(shape))
+    jump = csr_matrix((data, indices, indptr), shape=(size, size))
+    return drift, jump
 
 
 def _dense(blocks: dict, members: list, dim: int) -> np.ndarray:
@@ -459,6 +489,35 @@ def _dense(blocks: dict, members: list, dim: int) -> np.ndarray:
             out[:, members[l][:, None], members[k]] = \
                 np.conj(np.swapaxes(arr, 1, 2))
     return out
+
+
+def _integrate(model: EmitterEnsembleModel, lift: list, layout: dict,
+               size: int, y0: np.ndarray, tau: np.ndarray, rtol: float,
+               atol: float) -> np.ndarray:
+    """Packed blocks (size, len(tau)) at the offsets tau from y0. The
+    operators live only for the solve."""
+    drift, jump = _sector_operators(model, lift, layout, size)
+    drift_h = [d.conj().T for d in drift]
+
+    def rhs(_t, y):
+        z = y[:size] + 1j * y[size:]
+        out = jump @ z
+        for (k, l), (part, shape) in layout.items():
+            rho = z[part].reshape(shape)
+            if k == l:
+                der = drift[k] @ rho
+                der += der.conj().T
+            else:
+                der = drift[k] @ rho + rho @ drift_h[l]
+            out[part] += der.ravel()
+        return np.concatenate([out.real, out.imag])
+
+    sol = solve_ivp(rhs, (0.0, float(tau[-1])),
+                    np.concatenate([y0.real, y0.imag]), method="DOP853",
+                    t_eval=tau, rtol=rtol, atol=atol)
+    if not sol.success:
+        raise IntegrationError(f"step control failed: {sol.message}")
+    return sol.y[:size] + 1j * sol.y[size:]
 
 
 def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
@@ -476,8 +535,12 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
                       + sum_ab gamma_ab sigma_b rho_(k+1,l+1) sigma_a^+
 
     with D = -i H - (1/2) sum_ab gamma_ab sigma_a^+ sigma_b restricted to
-    a sector. The blocks are integrated together with an adaptive
-    high-order Runge-Kutta scheme; no 2**n x 2**n operator is formed.
+    a sector. Every right-hand side makes one dense drift product per
+    carried block and one sparse mat-vec for all the jump terms together:
+    the jump operator, built once per call, stores exactly the
+    (n-k)(n-l) terms of each entry of block (k, l). The blocks are
+    integrated together with an adaptive high-order Runge-Kutta scheme;
+    no 2**n x 2**n operator is formed.
 
     Expectations are evaluated on the requested grid, and at every output
     time the trace must stay at one (within 1e-9) and the state positive.
@@ -510,7 +573,7 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     if not (0.0 < rtol <= 1e-6 and 0.0 < atol <= 1e-6):
         raise InputError("tolerances must be positive, at most 1e-6")
     times = _time_grid(times)
-    members, occupation, raising = _sectors(n)
+    members, occupation, lift = _sectors(n)
     rho_init = _check_density(rho0, members, "initial state")
     top = max(k for k in range(n + 1) if np.any(rho_init[members[k]] != 0))
     families = [d for d in range(top + 1)
@@ -523,46 +586,13 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
             shape = (members[k].size, members[k - d].size)
             layout[k, k - d] = (slice(size, size + shape[0] * shape[1]), shape)
             size += shape[0] * shape[1]
-    drift, gain = _sector_operators(model, raising, top)
-    drift_h = [d.conj().T for d in drift]
-    lowered = np.arange(n)[:, None]
-    # jump-term workspaces (row, lowered emitter, column); the last row
-    # is the zero pad that raising points to
-    work = {(k, l): np.zeros((members[k + 1].size + 1, n, members[l].size),
-                             dtype=complex)
-            for k, l in layout if (k + 1, l + 1) in layout}
-
-    def rhs(_t, y):
-        z = y[:size] + 1j * y[size:]
-        out = np.empty(size, dtype=complex)
-        for (k, l), (part, shape) in layout.items():
-            rho = z[part].reshape(shape)
-            if k == l:
-                der = drift[k] @ rho
-                der += der.conj().T
-            else:
-                der = drift[k] @ rho + rho @ drift_h[l]
-            buf = work.get((k, l))
-            if buf is not None:
-                upper, (rows, cols) = layout[k + 1, l + 1]
-                np.matmul(z[upper].reshape(rows, cols), gain[l + 1],
-                          out=buf[:-1].reshape(rows, -1))
-                der += buf[raising[k], lowered].sum(axis=0)
-            out[part] = der.ravel()
-        return np.concatenate([out.real, out.imag])
-
     tau = times - times[0]
     y0 = np.concatenate([rho_init[np.ix_(members[k], members[l])].ravel()
                          for k, l in layout])
     if times.size == 1:
         path = y0[:, None]
     else:
-        sol = solve_ivp(rhs, (0.0, float(tau[-1])),
-                        np.concatenate([y0.real, y0.imag]), method="DOP853",
-                        t_eval=tau, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise IntegrationError(f"step control failed: {sol.message}")
-        path = sol.y[:size] + 1j * sol.y[size:]
+        path = _integrate(model, lift, layout, size, y0, tau, rtol, atol)
     nt = times.size
     blocks = {}
     for (k, l), (part, shape) in layout.items():
@@ -607,9 +637,9 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
         # <sigma_a> sums the (k, k-1) entries that pair a member of sector
         # k-1 with the same member with emitter a excited
         for k in range(1, top + 1):
-            arr = np.pad(blocks[k, k - 1], ((0, 0), (0, 1), (0, 0)))
-            cols = np.arange(members[k - 1].size)
-            sig_rot += arr[:, raising[k - 1], cols].sum(axis=2)
+            free, up = lift[k - 1]
+            cols = np.arange(free.shape[0])[:, None]
+            np.add.at(sig_rot, (slice(None), free), blocks[k, k - 1][:, up, cols])
     sigma_lab = sig_rot * np.exp(-1j * model.omega_ref * tau)[:, None]
 
     rate_scale = max(float(np.max(np.abs(np.linalg.eigvalsh(model.gamma)))),

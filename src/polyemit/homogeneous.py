@@ -187,18 +187,23 @@ def _radial(r: float, w: np.ndarray, medium: Medium) -> np.ndarray:
     return radial
 
 
-def _geometry(R: np.ndarray) -> np.ndarray:
+def _geometry(R: np.ndarray, value_only: bool = False) -> np.ndarray:
     """How A, A', A'', B, B', B'' (rows) enter the jet blocks at separation
-    R: one column per block entry, blocks in BLOCK_SHAPES order. With
-    d_k u = 2 R_k,
+    R: one column per block entry, blocks in BLOCK_SHAPES order, or the
+    value block's columns alone. With d_k u = 2 R_k,
 
         d_k G_mn = 2 A' R_k delta_mn + 2 B' R_m R_n R_k + B sym1_mnk
         d_k d_l G_mn = delta_mn (2 A' delta_kl + 4 A'' R_k R_l) + B sym3_mnkl
                        + R_m R_n (2 B' delta_kl + 4 B'' R_k R_l) + 2 B' sym2_mnkl
     """
-    geometry = np.zeros((6, _WIDTH))
-    value, d_obs, d_src, d_mixed = _block_views(geometry, (6,))
+    geometry = np.zeros((6, _SPLITS[0] if value_only else _WIDTH))
+    value, *derivatives = _block_views(geometry, (6,))
     RR = np.outer(R, R)
+    value[0] = _EYE
+    value[3] = RR
+    if value_only:
+        return geometry
+    d_obs, d_src, d_mixed = derivatives
     # delta_mk R_n + delta_nk R_m
     t = _EYE[:, None, :] * R[:, None]
     sym1 = t + t.transpose(1, 0, 2)
@@ -208,8 +213,6 @@ def _geometry(R: np.ndarray) -> np.ndarray:
     # delta_mk delta_nl + delta_ml delta_nk
     t = _EYE[:, None, :, None] * _EYE[:, None, :]
     sym3 = t + t.transpose(0, 1, 3, 2)
-    value[0] = _EYE
-    value[3] = RR
     d_obs[1] = 2.0 * _EYE[:, :, None] * R
     d_obs[3] = sym1
     d_obs[4] = 2.0 * RR[:, :, None] * R
@@ -224,25 +227,34 @@ def _geometry(R: np.ndarray) -> np.ndarray:
 
 
 def _block_views(flat: np.ndarray, shape: tuple) -> list:
-    """The blocks of flat (last axis: block entries in BLOCK_SHAPES order)
-    as views of batch shape `shape`."""
-    return [part.reshape(shape + block_shape) for part, block_shape
-            in zip(np.split(flat, _SPLITS, axis=-1), BLOCK_SHAPES.values())]
+    """The blocks of flat (last axis: entries of the leading blocks in
+    BLOCK_SHAPES order) as views of batch shape `shape`."""
+    bounds = (0, *_SPLITS, _WIDTH)
+    return [flat[..., lo:hi].reshape(shape + block_shape)
+            for lo, hi, block_shape
+            in zip(bounds, bounds[1:], BLOCK_SHAPES.values())
+            if hi <= flat.shape[-1]]
 
 
-def _assemble(R: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
-    """Jet blocks (name -> array of batch shape `shape`) at separation R
-    from the radial values (6, N), real or complex. Exact zeros come out
-    as +0.0."""
-    geometry = _geometry(R).astype(radial.dtype)
+# the R = 0 geometry, which every coincident jet shares
+_COINCIDENT = _geometry(np.zeros(3))
+
+
+def _assemble(geometry: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
+    """Jet blocks (name -> array of batch shape `shape`) from a geometry
+    (see _geometry) and the radial values (6, N), real or complex: the
+    blocks whose columns the geometry holds. Exact zeros come out as
+    +0.0."""
+    geometry = geometry.astype(radial.dtype)
     flat = np.zeros((radial.shape[1], geometry.shape[1]), dtype=radial.dtype)
     for coef, row in zip(radial, geometry):
         flat += coef[:, None] * row
     return dict(zip(BLOCK_SHAPES, _block_views(flat, shape)))
 
 
-def _jet_blocks(R, omega, medium: Medium) -> dict:
-    """Full jet blocks at separation R != 0, batch shape omega.shape."""
+def _jet_blocks(R, omega, medium: Medium, value_only: bool = False) -> dict:
+    """Full jet blocks, or the value block alone, at separation R != 0,
+    batch shape omega.shape."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3,):
         raise InputError("separation must be a 3-vector")
@@ -252,7 +264,8 @@ def _jet_blocks(R, omega, medium: Medium) -> dict:
             "Green tensor diverges at zero separation; "
             "use coincident_im_jet for the finite imaginary part")
     w = _frequencies(omega)
-    return _assemble(R, _radial(r, w.reshape(-1), medium), w.shape)
+    return _assemble(_geometry(R, value_only),
+                     _radial(r, w.reshape(-1), medium), w.shape)
 
 
 def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:
@@ -263,7 +276,7 @@ def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:
     on the positive imaginary axis are accepted (the tensor is then purely
     real). It is the value block of eval_homogeneous_jet.
     """
-    return _jet_blocks(R, omega, medium)["value"]
+    return _jet_blocks(R, omega, medium, value_only=True)["value"]
 
 
 def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> GreensJet:
@@ -296,7 +309,7 @@ def coincident_im_jet(omega, medium: Medium = Medium()) -> GreensJet:
         - (k^3/60pi) (delta_mk delta_nl + delta_ml delta_nk).
     """
     k = _lossless_wavenumber(omega, medium, "coincident imaginary-part jet")
-    return GreensJet(**_assemble(np.zeros(3), _im_radial(0.0, np.array([k])),
+    return GreensJet(**_assemble(_COINCIDENT, _im_radial(0.0, np.array([k])),
                                  ()), part="imag")
 
 

@@ -398,6 +398,46 @@ def test_sector_propagation_without_neighbouring_coherence():
     assert np.all(traj.sigma == 0.0)
 
 
+def test_sector_propagation_full_ladder_of_five_emitters():
+    # all excited: rows of block (k, k) carry (5 - k)^2 jump terms, up to 25
+    rng = np.random.default_rng(55)
+    model = random_model(rng, 5)
+    t = np.linspace(0.0, 1.2e-7, 3)
+    traj = _assert_matches_brute(model, product_density("eeeee"), t)
+    assert np.all(traj.sigma == 0.0)
+    assert np.all(np.diff(np.sum(traj.sigma_z, axis=1)) < 0.0)
+
+
+def test_sector_propagation_every_family_of_five_emitters():
+    # a full-rank mixed state has nonzero entries in every block (k, l)
+    rng = np.random.default_rng(56)
+    model = random_model(rng, 5)
+    a = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0).real
+    t = np.linspace(0.0, 1.2e-7, 3)
+    traj = _assert_matches_brute(model, rho0, t)
+    assert np.max(np.abs(traj.sigma)) > 1e-2
+
+
+def test_ensemble_ground_state_is_stationary(monkeypatch):
+    built = []
+    real_operators = polyemit.dynamics._sector_operators
+
+    def recorded(*args):
+        drift, jump = real_operators(*args)
+        built.append(jump)
+        return drift, jump
+
+    monkeypatch.setattr(polyemit.dynamics, "_sector_operators", recorded)
+    model = random_model(np.random.default_rng(57), 4)
+    t = np.linspace(0.0, 1.2e-7, 7)
+    traj = evolve_ensemble(model, product_density("gggg"), t)
+    assert [jump.nnz for jump in built] == [0]
+    assert np.all(traj.sigma_z == -1.0)
+    assert np.all(traj.sigma == 0.0)
+
+
 def test_single_excitation_of_ten_emitters_follows_effective_hamiltonian(
         monkeypatch):
     def no_dense_operators(n):

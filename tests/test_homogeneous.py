@@ -221,6 +221,24 @@ def test_batched_jet_equals_scalar_calls_bitwise(index):
                      batched.d_mixed)
 
 
+@pytest.mark.parametrize("index", [1.0, 1.5, lossless_dispersion,
+                                   lossy_dispersion])
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+def test_value_equals_jet_value_bitwise(index, shape):
+    # eval_homogeneous assembles the value block alone
+    med = Medium(index)
+    r_obs, r_src = np.array([40e-9, -25e-9, 60e-9]), np.array([5e-9, 0, 1e-9])
+    dist = float(np.linalg.norm(r_obs - r_src))
+    # both sides of the series switch on the real axis, then the
+    # imaginary axis
+    omegas = np.concatenate([np.array([0.05, 0.49, 0.51, 3.0]) * C0 / dist,
+                             1j * np.geomspace(1e10, 1e17, 2)])
+    omega = omegas[0] if shape == () else omegas[:math.prod(shape)].reshape(shape)
+    value = eval_homogeneous(r_obs - r_src, omega, med)
+    assert value.shape == shape + (3, 3)
+    assert same_bits(value, eval_homogeneous_jet(r_obs, r_src, omega, med).value)
+
+
 def test_callable_index_is_evaluated_once_per_frequency():
     seen = []
 
