@@ -57,7 +57,7 @@ import numpy as np
 
 from .dynamics import (EmitterEnsembleModel, Trajectory, build_ensemble,
                        evolve_ensemble, product_density, pure_density)
-from .emitter import MultipoleEmitter, normalize_channels
+from .emitter import MultipoleEmitter, _numeric_field, normalize_channels
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
                      PartFlagError, PolyemitError, QuadratureError)
 from .grid import TensorGrid, load_grid, validate_grid
@@ -101,8 +101,7 @@ class RunConfig:
             raise InputError("format must be csv or json")
         if self.tol_rel is not None and not (0.0 < self.tol_rel < 1.0):
             raise InputError("tol-rel must lie in (0, 1)")
-        if not (self.index >= 1.0 and math.isfinite(self.index)):
-            raise InputError("refractive index must be real and >= 1")
+        object.__setattr__(self, "index", Medium(self.index).refractive_index)
         if self.frequency is not None and not (self.frequency > 0):
             raise InputError("frequency must be positive")
         if self.t_max is not None and not (self.t_max > 0
@@ -355,6 +354,14 @@ def _load_grid_file(path: str) -> TensorGrid:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _amplitude(value) -> complex:
+    """A number, or an [re, im] pair."""
+    if isinstance(value, (list, tuple)):
+        re, im = value
+        return complex(float(re), float(im))
+    return complex(value)
+
+
 def _matrix_from_doc(node, n: int, what: str) -> np.ndarray:
     if not (isinstance(node, dict) and set(node) == {"re", "im"}):
         raise InputError(f"{what} must be an object with re and im matrices")
@@ -401,13 +408,20 @@ def _parse_ensemble_spec(path: str) -> tuple:
                 gamma=_matrix_from_doc(node["gamma_rad_per_s"], n, "gamma"))
         except KeyError as exc:
             raise InputError(f"{path}: model needs {exc.args[0]}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: model entries must be numeric "
+                             f"({exc})") from None
     else:
         if not isinstance(spec["emitters"], list) or not spec["emitters"]:
             raise InputError(f"{path}: emitters must be a non-empty list")
         ems = [MultipoleEmitter.from_dict(d) for d in spec["emitters"]]
-        med = Medium(float(spec.get("medium_index", 1.0)))
-        model = build_ensemble(ems, med,
-                               omega_ref=spec.get("omega_ref_rad_per_s"))
+        med = Medium(_numeric_field(f"{path}: medium_index", float,
+                                    spec.get("medium_index", 1.0)))
+        omega_ref = spec.get("omega_ref_rad_per_s")
+        if omega_ref is not None:
+            omega_ref = _numeric_field(f"{path}: omega_ref_rad_per_s",
+                                       float, omega_ref)
+        model = build_ensemble(ems, med, omega_ref=omega_ref)
 
     n = model.n_emitters
     if ("initial" in spec) == ("initial_amplitudes" in spec):
@@ -423,16 +437,16 @@ def _parse_ensemble_spec(path: str) -> tuple:
         raw = spec["initial_amplitudes"]
         if not isinstance(raw, list):
             raise InputError(f"{path}: initial_amplitudes must be a list")
-        amps = np.array([complex(v[0], v[1])
-                         if isinstance(v, (list, tuple)) else complex(v)
-                         for v in raw])
+        amps = np.array([_numeric_field(f"{path}: initial_amplitudes[{i}]",
+                                        _amplitude, v)
+                         for i, v in enumerate(raw)])
         if amps.size != 2 ** n:
             raise InputError(f"{path}: need {2 ** n} amplitudes for "
                              f"{n} emitters")
         rho0 = pure_density(amps)
 
-    rtol = float(spec.get("rtol", 1e-10))
-    atol = float(spec.get("atol", 1e-12))
+    rtol = _numeric_field(f"{path}: rtol", float, spec.get("rtol", 1e-10))
+    atol = _numeric_field(f"{path}: atol", float, spec.get("atol", 1e-12))
     return model, rho0, rtol, atol
 
 

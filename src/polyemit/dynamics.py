@@ -697,7 +697,7 @@ def _pair_source(environment, omega_ref: float, freq_ratio_tol: float):
 
 
 def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
-                   freq_ratio_tol: float = 1e-2, method: str = "auto",
+                   freq_ratio_tol: float = 1e-2,
                    rel_tol: float = 1e-8) -> EmitterEnsembleModel:
     """Ensemble coefficients from pairwise environment responses.
 
@@ -753,8 +753,7 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
             if a == b:
                 gamma[a, a] = _real_entry(rate, "decay rate")
                 if isinstance(pair, SpectralGreenModel) and pair.scattered:
-                    delta[a] = lamb_shift(ea, pair, method=method,
-                                          rel_tol=rel_tol)
+                    delta[a] = lamb_shift(ea, pair, rel_tol=rel_tol)
                 continue
             if not isinstance(pair, SpectralGreenModel):
                 raise InputError(
@@ -763,8 +762,8 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
             gamma[a, b] = rate
             gamma[b, a] = np.conj(rate)
             xi[a, b] = coupling_strength(
-                ea, eb, pair, omega_bar=wbar, method=method,
-                freq_ratio_tol=freq_ratio_tol, rel_tol=rel_tol).xi
+                ea, eb, pair, omega_bar=wbar, freq_ratio_tol=freq_ratio_tol,
+                rel_tol=rel_tol).xi
             xi[b, a] = np.conj(xi[a, b])
 
     return EmitterEnsembleModel(omega_ref=wbar, delta=delta, xi=xi,

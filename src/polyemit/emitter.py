@@ -94,6 +94,15 @@ def _as_complex_matrix(v, name) -> np.ndarray:
     return a
 
 
+def _numeric_field(name: str, convert, value):
+    """convert(value) for an input field; a value that is not a number (or
+    an array of numbers) raises InputError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be numeric, got {value!r}") from None
+
+
 def _parse_complex_array(node, shape, name):
     """JSON complex encoding: a number, or an [re, im] pair, nested in lists."""
     def scal(x):
@@ -134,8 +143,9 @@ class MultipoleEmitter:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,):
-            raise InputError("emitter position must be a 3-vector (meters)")
+        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+            raise InputError(
+                "emitter position must be a finite 3-vector (meters)")
         object.__setattr__(self, "position", pos)
         if not (self.omega0 > 0 and np.isfinite(self.omega0)):
             raise InputError("transition frequency must be positive")
@@ -177,8 +187,11 @@ class MultipoleEmitter:
         if "position_m" not in data or "omega0_rad_per_s" not in data:
             raise InputError("emitter description needs position_m and "
                              "omega0_rad_per_s")
-        pos = np.asarray(data["position_m"], dtype=float)
-        omega0 = float(data["omega0_rad_per_s"])
+        pos = _numeric_field("position_m",
+                             lambda v: np.asarray(v, dtype=float),
+                             data["position_m"])
+        omega0 = _numeric_field("omega0_rad_per_s", float,
+                                data["omega0_rad_per_s"])
 
         def moment(si_key, atomic_key, shape, unit):
             given_si = si_key in data

@@ -73,6 +73,8 @@ _AXES = "xyz"
 _D1_KEYS = tuple(f"d1_{a}" for a in _AXES)
 _D1_SRC_KEYS = tuple(f"d1_{a}_src" for a in _AXES)
 _D2_KEYS = tuple(f"d2_{a}{b}" for a in _AXES for b in _AXES)
+# validate_grid's bound on the imaginary residue of stored (real) tensors
+_IMAG_RTOL = 1e-6
 
 
 def _derivative_order(key: str) -> int:
@@ -251,19 +253,18 @@ class TensorGrid:
                 arr = (1.0 - t) * arr[lo] + t * arr[hi]
         return arr * self._si_scale(key)
 
-    def jet_at(self, point, require_derivatives: bool = False) -> GreensJet:
+    def jet_at(self, point) -> GreensJet:
         """Multilinear imaginary-part jet at an SI point inside the hull.
 
         Split-semantics grids populate every derivative block the file
         carries; total-semantics grids yield value-only jets, since a
         total derivative cannot be separated into the field/source
-        gradients the contraction machinery consumes. With
-        require_derivatives=True a jet that would come back incomplete
-        raises instead.
+        gradients the contraction machinery consumes. An absent block is
+        left None; a contraction that needs it raises
+        MissingDerivativeError (CoefficientBundle.contract).
         """
         locs = self._locate(point)
-        return self._jet(lambda key: self._interp(key, locs),
-                         require_derivatives)
+        return self._jet(lambda key: self._interp(key, locs))
 
     def node_jet(self) -> GreensJet:
         """Imaginary-part jet over every node, batched in node_points()
@@ -275,38 +276,24 @@ class TensorGrid:
         n = math.prod(self.shape)
         return self._jet(
             lambda key: (self.blocks[key].real.reshape(n, 3, 3)
-                         * self._si_scale(key)),
-            False)
+                         * self._si_scale(key)))
 
-    def _jet(self, take: Callable, require_derivatives: bool) -> GreensJet:
+    def _jet(self, take: Callable) -> GreensJet:
         """Assemble a jet from take(key), the real SI 3x3 block(s) of one
-        stored key, applying the semantics and missing-block rules."""
+        stored key: each derivative block whose stored keys are all
+        present, under split semantics only."""
         value = take("value")
 
         d_obs = d_src = d_mixed = None
-        missing = []
         if self.derivative_semantics == "split":
             if all(k in self.blocks for k in _D1_KEYS):
                 d_obs = np.stack([take(k) for k in _D1_KEYS], axis=-1)
-            else:
-                missing += [k for k in _D1_KEYS if k not in self.blocks]
             if all(k in self.blocks for k in _D1_SRC_KEYS):
                 d_src = np.stack([take(k) for k in _D1_SRC_KEYS], axis=-1)
-            else:
-                missing += [k for k in _D1_SRC_KEYS if k not in self.blocks]
             if all(k in self.blocks for k in _D2_KEYS):
                 d_mixed = np.stack(
                     [np.stack([take(f"d2_{a}{b}") for b in _AXES], axis=-1)
                      for a in _AXES], axis=-2)
-            else:
-                missing += [k for k in _D2_KEYS if k not in self.blocks]
-        else:
-            missing.append("field/source-split blocks (grid declares "
-                           "'total' derivative semantics)")
-        if require_derivatives and missing:
-            raise GridDomainError(
-                "grid cannot supply the derivative data needed for "
-                "second-order channels: missing " + ", ".join(missing))
         return GreensJet(value=value, d_obs=d_obs, d_src=d_src,
                          d_mixed=d_mixed, part="imag")
 
@@ -686,8 +673,8 @@ def _symmetry_residual(value: np.ndarray) -> tuple:
     return float(rel[worst]), worst
 
 
-def validate_grid(grid: TensorGrid, derivative_rtol: float = 0.05,
-                  imag_rtol: float = 1e-6) -> GridValidationReport:
+def validate_grid(grid: TensorGrid,
+                  derivative_rtol: float = 0.05) -> GridValidationReport:
     """Run the grid invariant checks and report pass/fail per check.
 
     Checks: header/unit sanity, node-wise value symmetry (tolerance from
@@ -720,7 +707,7 @@ def validate_grid(grid: TensorGrid, derivative_rtol: float = 0.05,
         if res > worst_imag:
             worst_imag, worst_key = res, key
     checks.append(CheckResult(
-        "imaginary-residue", worst_imag <= imag_rtol, worst_imag,
+        "imaginary-residue", worst_imag <= _IMAG_RTOL, worst_imag,
         f"worst block {worst_key!r}; stored tensors should be real"))
 
     # declared first derivatives vs finite differences of the value field

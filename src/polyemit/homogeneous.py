@@ -88,8 +88,9 @@ _IM_SERIES = _im_rows(np.array([
 class Medium:
     """Dispersionless or dispersive refractive index of the host medium.
 
-    A plain number means a constant index (must be real and >= 1). A
-    callable is treated as a spectral model n(omega) and must satisfy
+    A plain number means a constant index, real, finite and >= 1 (the one
+    check of that rule). A callable is treated as a spectral model n(omega)
+    and must satisfy
     n(-conj(omega)) = conj(n(omega)) for a real time-domain response; that
     property is spot-checked by consumers where it matters, not here.
     """
@@ -102,13 +103,10 @@ class Medium:
             n = complex(n)
             if n.imag != 0.0:
                 raise InputError("constant refractive index must be real")
-            if n.real < 1.0:
-                raise InputError("constant refractive index must be >= 1")
+            if not (n.real >= 1.0 and math.isfinite(n.real)):
+                raise InputError(
+                    "constant refractive index must be finite and >= 1")
             object.__setattr__(self, "refractive_index", float(n.real))
-
-    @property
-    def is_constant(self) -> bool:
-        return not callable(self.refractive_index)
 
     def index(self, omega):
         """n at omega; for an array of frequencies, an array of the same

@@ -83,6 +83,9 @@ _W7 = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
 # error allowed per unit of absolute panel mass Sum |panel|
 _MAGNITUDE_TOL = 1e-10
 
+# lowest pole frequency of imaginary_axis_form, in low_frequency_scale units
+_LOW_FREQUENCY_MARGIN = 10.0
+
 
 def _nodes(a: float, b: float) -> np.ndarray:
     """The 15 Kronrod nodes of the panel [a, b], ascending."""
@@ -277,18 +280,19 @@ class SpectralGreenModel:
     point pair, with the analyticity declarations the integrators need.
 
     supports_imaginary_axis declares the model analytic and decaying in the
-    upper half plane and evaluable at imaginary frequency; without it the
-    contour replacement (imaginary_axis_form) is refused. omega_range is
-    the real-frequency validity interval. uhp_quadratic_limit maps block
-    name -> lim w^2 G_block(w) in the upper half plane (None means that
-    limit vanishes). static_pole_blocks maps block name -> S with
+    upper half plane and evaluable at imaginary frequency; it also picks
+    the route of every spectral integral in rates (imaginary-axis form with
+    it, real-axis principal value without). omega_range is the
+    real-frequency validity interval. uhp_quadratic_limit maps block name
+    -> lim w^2 G_block(w) in the upper half plane (None means that limit
+    vanishes). static_pole_blocks maps block name -> S with
     G_block(w) = S/w^2 + O(1) near w = 0 (real S by Schwarz reflection;
     None means the model is regular at zero). low_frequency_scale, when
-    set, is the spectral floor below which imaginary_axis_form refuses a
-    pole frequency. scattered marks models that represent only the
-    structure-induced part of the response (finite at the source point),
-    the part level shifts are computed from. Block names are those of
-    jets.BLOCK_SHAPES.
+    set, is the spectral floor; imaginary_axis_form refuses a pole
+    frequency below ten times it. scattered marks models that represent
+    only the structure-induced part of the response (finite at the source
+    point), the part level shifts are computed from. Block names are
+    those of jets.BLOCK_SHAPES.
 
     Evaluator contract: evaluator(w) takes one complex frequency (a Python
     complex) or a complex ndarray of frequencies, and returns a GreensJet
@@ -388,15 +392,15 @@ def _roundoff_floor(p0: dict, blocks: dict) -> float:
 
 
 def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
-                        rel_tol: float = 1e-8,
-                        threshold_factor: float = 10.0) -> QuadratureResult:
+                        rel_tol: float = 1e-8) -> QuadratureResult:
     """Imaginary-axis representation of
     P int_0^inf w^2 F(w) . Im G(w) / (w - omega0) dw
     for a coefficient bundle F(w) = f0 + f1/w + f2/w^2 (see module doc).
 
     Requires a model that is analytic in the upper half plane and supports
     evaluation at imaginary frequency; the arc term uses the model's
-    declared quadratic limit.
+    declared quadratic limit. The rates module takes this route for
+    every model that declares imaginary-axis support.
 
     Models with a static double pole G = S/w^2 + O(1) at the origin (S real)
     shift the identity: k^2 G(ik) stays finite so the f0 term needs no
@@ -414,13 +418,13 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     lo, hi = model.omega_range
     if not (lo <= omega0 <= hi):
         raise ModelDomainError("pole frequency outside model validity range")
-    if model.low_frequency_scale and threshold_factor > 0:
-        if omega0 < threshold_factor * model.low_frequency_scale:
-            raise ModelDomainError(
-                f"pole frequency {omega0:g} below {threshold_factor:g}x the "
-                f"model's low-frequency scale "
-                f"{model.low_frequency_scale:g}; the contour replacement is "
-                f"not warranted this close to the spectral floor")
+    if (model.low_frequency_scale
+            and omega0 < _LOW_FREQUENCY_MARGIN * model.low_frequency_scale):
+        raise ModelDomainError(
+            f"pole frequency {omega0:g} below {_LOW_FREQUENCY_MARGIN:g}x the "
+            f"model's low-frequency scale {model.low_frequency_scale:g}; the "
+            f"contour replacement is not warranted this close to the "
+            f"spectral floor")
 
     f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
 
@@ -521,7 +525,7 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
             raise
         raise QuadratureError(
             f"{exc}; the model supports imaginary frequency: use "
-            f'method="imaginary-axis" (imaginary_axis_form)') from exc
+            f"imaginary_axis_form") from exc
     res.neval += ends.size
     return res
 

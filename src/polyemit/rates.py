@@ -16,6 +16,11 @@ gamma and xi form a Hermitian pair (gamma_ab = conj(gamma_ba)); the
 coherent coupling matrix xi and the dissipator matrix gamma feed the
 dynamics module. The self terms reproduce the standard free-space decay
 closed forms, which double as the central cross-oracle.
+
+The model's supports_imaginary_axis picks the route of xi and delta.
+Every emitter of a pair or ensemble lies within freq_ratio_tol of the
+reference frequency (default their mean). An emitter drives the channels
+of its nonzero moments.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import numpy as np
 
 from .constants import C0, EPS0, HBAR
 from .emitter import (CHANNELS, SPECTRAL_NORM, MultipoleEmitter,
-                      bilinear_form, moment_product_bundle,
-                      normalize_channels)
+                      bilinear_form, moment_product_bundle)
 from .errors import InputError, ModelDomainError
+from .homogeneous import Medium
 from .jets import GreensJet
 from .quadrature import (SpectralGreenModel, imaginary_axis_form,
                          pv_spectral_form)
@@ -124,19 +129,18 @@ def _channel_pair_rates(e: MultipoleEmitter, jet: GreensJet,
     return by_pair, np.maximum(total, 0.0)
 
 
-def emission_rate(e: MultipoleEmitter, jet: GreensJet,
-                  channels=None) -> RateReport:
+def emission_rate(e: MultipoleEmitter, jet: GreensJet) -> RateReport:
     """Spontaneous decay rate from a coincident Green jet.
 
     gamma = (2/hbar eps0)(w0^2/c^2) conj(D) . Im G-jet . D, split over
     channel pairs. Works on full or Im-part jets; derivative blocks are
-    required only for channels the emitter actually drives.
+    required only for channels the emitter actually drives, so the
+    emitter's nonzero moments are the channel selection.
     """
     if jet.batch_shape != ():
         raise InputError(f"emission_rate takes a single-point jet, got "
                          f"batch shape {jet.batch_shape}")
-    active = e.active_channels() & normalize_channels(channels)
-    by_pair, total = _channel_pair_rates(e, jet, active)
+    by_pair, total = _channel_pair_rates(e, jet, e.active_channels())
     return RateReport(gamma_total=float(total),
                       gamma_by_channel_pair={k: float(v)
                                              for k, v in by_pair.items()},
@@ -155,9 +159,7 @@ def free_space_rates(e: MultipoleEmitter, n: float,
     for general Q the machinery path (emission_rate on a coincident jet) is
     the authoritative value.
     """
-    n = float(n)
-    if not (n >= 1.0 and math.isfinite(n)):
-        raise InputError("refractive index must be real and >= 1")
+    n = Medium(n).refractive_index
     if not (omega > 0 and math.isfinite(omega)):
         raise InputError("frequency must be positive")
     base = math.pi * HBAR * EPS0 * C0 ** 3
@@ -170,23 +172,19 @@ def free_space_rates(e: MultipoleEmitter, n: float,
 
 
 def _spectral_integral(model: SpectralGreenModel, bundle, omega0: float,
-                       method: str, rel_tol: float) -> tuple:
-    """P int_0^inf w^2 F.ImG/(w - omega0) dw by the requested route."""
-    if method == "auto":
-        method = ("imaginary-axis" if model.supports_imaginary_axis
-                  else "pv")
-    if method == "imaginary-axis":
-        res = imaginary_axis_form(model, bundle, omega0, rel_tol=rel_tol)
-    elif method == "pv":
-        res = pv_spectral_form(model, bundle, omega0, rel_tol=rel_tol)
-    else:
-        raise InputError(f"unknown method {method!r}; use pv, "
-                         f"imaginary-axis, or auto")
-    return res, method
+                       rel_tol: float) -> tuple:
+    """P int_0^inf w^2 F.ImG/(w - omega0) dw by the route the model
+    declares: imaginary-axis when it supports imaginary frequency, the
+    real-axis principal value otherwise. Returns the result and the
+    route's name."""
+    if model.supports_imaginary_axis:
+        return (imaginary_axis_form(model, bundle, omega0, rel_tol=rel_tol),
+                "imaginary-axis")
+    return pv_spectral_form(model, bundle, omega0, rel_tol=rel_tol), "pv"
 
 
 def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
-               method: str = "auto", rel_tol: float = 1e-8) -> float:
+               rel_tol: float = 1e-8) -> float:
     """Environment-induced level shift from the scattered Green model.
 
     delta = -P int_0^inf w^2 Z(w)/(w - w0) dw with Z the emitter's own
@@ -202,7 +200,7 @@ def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
     bundle = moment_product_bundle(e, e)
     if not bundle.required_blocks():
         return 0.0
-    res, _ = _spectral_integral(model, bundle, e.omega0, method, rel_tol)
+    res, _ = _spectral_integral(model, bundle, e.omega0, rel_tol)
     delta = -res.value
     if abs(delta.imag) > 1e-8 * max(abs(delta), 1e-300):
         raise ModelDomainError(
@@ -213,9 +211,9 @@ def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
 
 def _reference_frequency(emitters, omega_ref: Optional[float],
                          freq_ratio_tol: float) -> float:
-    """The common reference frequency of a set of emitters: omega_ref, or
-    their mean when omega_ref is None, within freq_ratio_tol (relative) of
-    every transition frequency."""
+    """The common reference frequency of a set of emitters (a pair or an
+    ensemble): omega_ref, or their mean when omega_ref is None, within
+    freq_ratio_tol (relative) of every transition frequency."""
     if omega_ref is None:
         omega_ref = float(np.mean([e.omega0 for e in emitters]))
     else:
@@ -231,39 +229,23 @@ def _reference_frequency(emitters, omega_ref: Optional[float],
     return omega_ref
 
 
-def _mean_frequency(a: MultipoleEmitter, b: MultipoleEmitter,
-                    omega_bar: Optional[float],
-                    freq_ratio_tol: float) -> float:
-    """The pair's evaluation frequency: their mean, or an explicit
-    omega_bar held to the reference-frequency rule."""
-    if omega_bar is None:
-        wbar = 0.5 * (a.omega0 + b.omega0)
-    else:
-        wbar = _reference_frequency([a, b], omega_bar, freq_ratio_tol)
-    if abs(a.omega0 - b.omega0) > freq_ratio_tol * wbar:
-        raise InputError(
-            f"transition frequencies differ by more than a fraction "
-            f"{freq_ratio_tol:g} of the mean; the two-emitter quantities "
-            f"assume near-degenerate emitters")
-    return wbar
-
-
 def coupling_strength(a: MultipoleEmitter, b: MultipoleEmitter,
                       model: SpectralGreenModel,
                       omega_bar: Optional[float] = None,
-                      method: str = "auto", freq_ratio_tol: float = 1e-2,
+                      freq_ratio_tol: float = 1e-2,
                       rel_tol: float = 1e-8) -> CouplingReport:
     """Coherent multipole-multipole coupling xi_ab (rad/s, complex).
 
-    xi_ab = -P int_0^inf w^2 Z_ab(w)/(w - wbar) dw, evaluated either as the
-    real-axis principal value or through the imaginary-axis representation.
+    xi_ab = -P int_0^inf w^2 Z_ab(w)/(w - wbar) dw, by the route the model
+    declares (imaginary-axis form when it supports imaginary frequency,
+    real-axis principal value otherwise; the report's method names it).
     Hermitian in the pair indices.
     """
-    wbar = _mean_frequency(a, b, omega_bar, freq_ratio_tol)
+    wbar = _reference_frequency([a, b], omega_bar, freq_ratio_tol)
     bundle = moment_product_bundle(a, b)
     if not bundle.required_blocks():
         return CouplingReport(xi=0.0 + 0.0j, method="none")
-    res, used = _spectral_integral(model, bundle, wbar, method, rel_tol)
+    res, used = _spectral_integral(model, bundle, wbar, rel_tol)
     return CouplingReport(xi=-res.value, method=used, xi_error=res.error)
 
 
@@ -278,7 +260,7 @@ def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
     integration and no Re G ever enter here. Accepts a spectral model or a
     jet already evaluated at wbar (grid data included).
     """
-    wbar = _mean_frequency(a, b, omega_bar, freq_ratio_tol)
+    wbar = _reference_frequency([a, b], omega_bar, freq_ratio_tol)
     bundle = moment_product_bundle(a, b)
     if not bundle.required_blocks():
         return CouplingReport(gamma_cross=0.0 + 0.0j, method="none")

@@ -288,6 +288,25 @@ def test_couple_colocated_frequency_must_be_near_every_emitter(
     assert messages[1] == messages[0]
 
 
+def test_couple_frequency_rule_is_the_reference_rule(tmp_path, capsys):
+    # every emitter within 1 % of the mean: 2.38e15 and 2.42e15 rad/s are
+    # 0.83 % from it and pass; 1.2 % either side of the mean does not
+    def pair(w_a, w_b):
+        return [write_json(tmp_path / f"{name}.json",
+                           {"position_m": [0.0, 0.0, z],
+                            "omega0_rad_per_s": w, "d_atomic": [1, 0, 0]})
+                for name, z, w in (("a", 0.0, w_a), ("b", 80e-9, w_b))]
+
+    a, b = pair(2.38e15, 2.42e15)
+    assert main(["couple", "--emitter", a, "--emitter", b,
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mean_frequency_rad_per_s"] == 2.4e15
+    a, b = pair(2.4e15 * (1 - 0.012), 2.4e15 * (1 + 0.012))
+    assert main(["couple", "--emitter", a, "--emitter", b]) == 2
+    assert "deviate from the reference" in capsys.readouterr().err
+
+
 def symmetric_ed_pair(tmp_path):
     """Crossed ED pair whose coupling vanishes by symmetry: d_a along
     x + y, d_b along x - y, 120 nm apart along x + y. The imaginary-axis
@@ -421,6 +440,52 @@ def test_dynamics_spec_validation(tmp_path, capsys):
                            {"model": _model_doc(2, [[1e7, 0], [0, 1e7]]),
                             "initial": "e"})
     assert main(["dynamics", "--ensemble", wrong_len, "--t-max", "1e-8"]) == 2
+    for key, value in (("delta_rad_per_s", ["abc"]),
+                       ("omega_ref_rad_per_s", "x")):
+        doc = _model_doc(1, [[1e7]])
+        doc[key] = value
+        path = write_json(tmp_path / "text.json",
+                          {"model": doc, "initial": "e"})
+        capsys.readouterr()
+        assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8"]) == 2
+        assert "model entries must be numeric" in capsys.readouterr().err
+
+
+def emitter_pair_spec():
+    return {"emitters": [{"position_m": [0, 0, 0], "omega0_rad_per_s": W384,
+                          "d_atomic": [1, 0, 0]},
+                         {"position_m": [0, 0, 60e-9],
+                          "omega0_rad_per_s": W384, "d_atomic": [1, 0, 0]}],
+            "medium_index": 1.0, "initial_amplitudes": [0, 1, 1, 0]}
+
+
+@pytest.mark.parametrize("where, value, expect", [
+    (("rtol",), "abc", "rtol"),
+    (("atol",), [1e-12], "atol"),
+    (("omega_ref_rad_per_s",), "x", "omega_ref_rad_per_s"),
+    (("initial_amplitudes",), [0, "a", 1, 0], "initial_amplitudes[1]"),
+    (("initial_amplitudes",), [0, [1, "i"], 1, 0], "initial_amplitudes[1]"),
+    (("medium_index",), "glass", "medium_index"),
+    (("emitters", 1, "position_m"), [0, 0, "z"], "position_m"),
+    (("emitters", 1, "omega0_rad_per_s"), "fast", "omega0_rad_per_s"),
+    # NaN passes json.load; the emitter and the medium refuse it
+    (("emitters", 1, "position_m"), [math.nan, 0, 0], "finite"),
+    (("medium_index",), math.nan, "finite"),
+], ids=["rtol", "atol", "omega_ref", "amplitude", "amplitude_pair",
+        "medium_index", "position", "omega0", "nan_position", "nan_index"])
+def test_dynamics_bad_number_exits_2(tmp_path, capsys, where, value, expect):
+    spec = emitter_pair_spec()
+    node = spec
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = write_json(tmp_path / "spec.json", spec)
+    out = tmp_path / "never.csv"
+    assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8",
+                 "--t-points", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expect in err
+    assert not out.exists()
 
 
 def test_dynamics_from_emitters_in_medium(tmp_path, capsys):

@@ -305,6 +305,9 @@ def test_emitter_validation():
         MultipoleEmitter(position=np.zeros(3), omega0=-1.0)
     with pytest.raises(InputError):
         MultipoleEmitter(position=np.zeros(2), omega0=W0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputError, match="finite"):
+            MultipoleEmitter(position=[bad, 0.0, 0.0], omega0=W0)
     with pytest.raises(InputError):
         bilinear_form(
             MultipoleEmitter(position=np.zeros(3), omega0=W0),

@@ -11,13 +11,14 @@ import pytest
 
 from polyemit import grid as grid_module
 from polyemit.emitter import MultipoleEmitter
-from polyemit.errors import GridDomainError, GridFormatError, InputError
+from polyemit.errors import (GridDomainError, GridFormatError, InputError,
+                             MissingDerivativeError)
 from polyemit.grid import (TensorGrid, finite_difference_blocks,
                            grid_from_homogeneous, load_grid,
                            save_grid, validate_grid)
 from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
                                   eval_homogeneous_jet)
-from polyemit.rates import enhancement_map
+from polyemit.rates import emission_rate, enhancement_map
 
 W0 = 2.4e15
 
@@ -464,6 +465,11 @@ def test_out_of_hull_and_off_plane():
         g.jet_at(np.array([1e-8, np.nan, 2e-9]))
 
 
+def quadrupole_emitter():
+    q = np.diag([1.0, -1.0, 0.0]) * 1e-39
+    return MultipoleEmitter(position=[5e-9, 5e-9, 2e-9], omega0=W0, Q=q)
+
+
 def test_total_semantics_is_dipole_only():
     rng = np.random.default_rng(2)
     g = hand_grid(rng, semantics="total",
@@ -471,8 +477,9 @@ def test_total_semantics_is_dipole_only():
     jet = g.jet_at(np.array([5e-9, 5e-9, 2e-9]))
     assert jet.value is not None
     assert jet.d_obs is None and jet.d_src is None and jet.d_mixed is None
-    with pytest.raises(GridDomainError, match="total"):
-        g.jet_at(np.array([5e-9, 5e-9, 2e-9]), require_derivatives=True)
+    # the contraction refuses the blocks a quadrupole needs
+    with pytest.raises(MissingDerivativeError, match="d_mixed"):
+        emission_rate(quadrupole_emitter(), jet)
 
 
 def test_split_semantics_partial_blocks():
@@ -481,8 +488,8 @@ def test_split_semantics_partial_blocks():
     jet = g.jet_at(np.array([5e-9, 5e-9, 2e-9]))
     assert jet.d_obs is not None
     assert jet.d_src is None and jet.d_mixed is None
-    with pytest.raises(GridDomainError, match="d2_xx"):
-        g.jet_at(np.array([5e-9, 5e-9, 2e-9]), require_derivatives=True)
+    with pytest.raises(MissingDerivativeError, match="d_mixed"):
+        emission_rate(quadrupole_emitter(), jet)
 
 
 def all_block_keys():

@@ -72,6 +72,9 @@ def test_medium_validation():
         Medium(0.5)
     with pytest.raises(InputError):
         Medium(1 + 0.1j)
+    for n in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            Medium(n)
     m = Medium(lambda w: 1.5 + 0j)
     assert m.index(W0) == 1.5 + 0j
 

@@ -289,8 +289,9 @@ def test_low_frequency_guard(rng):
     bundle = random_pair_bundle(rng)
     with pytest.raises(ModelDomainError, match="low-frequency"):
         imaginary_axis_form(guarded, bundle, WR1)
-    # an explicit threshold override or an unguarded model goes through
-    res = imaginary_axis_form(guarded, bundle, WR1, threshold_factor=2.0)
+    # a lower declared scale or an unguarded model goes through
+    lowered = dataclasses.replace(guarded, low_frequency_scale=0.05 * WR1)
+    res = imaginary_axis_form(lowered, bundle, WR1)
     free = lorentzian_model([(blocks, WR1, ETA1)])
     res2 = imaginary_axis_form(free, bundle, WR1)
     assert abs(res.value - res2.value) <= 1e-12 * abs(res2.value)
@@ -561,7 +562,7 @@ def test_homogeneous_real_axis_pv_refuses(rng):
     pos = [np.zeros(3), np.array([0.0, 0.0, 120e-9])]
     model = homogeneous_pair_model(med, pos[0], pos[1])
     d = np.array([1e-29, 0, 0], dtype=complex)
-    with pytest.raises(QuadratureError, match='use method="imaginary-axis"'):
+    with pytest.raises(QuadratureError, match="use imaginary_axis_form"):
         pv_spectral_form(model, ed_bundle(d, pos), WR1)
 
 

@@ -15,7 +15,8 @@ from polyemit.errors import (InputError, MissingDerivativeError,
 from polyemit.grid import TensorGrid
 from polyemit.homogeneous import Medium, coincident_im_jet, eval_homogeneous_jet
 from polyemit.jets import GreensJet
-from polyemit.quadrature import homogeneous_pair_model, lorentzian_model
+from polyemit.quadrature import (homogeneous_pair_model, imaginary_axis_form,
+                                 lorentzian_model, pv_spectral_form)
 from polyemit.rates import (collective_rate, coupling_strength, emission_rate,
                             enhancement_map, free_space_rates, lamb_shift)
 
@@ -120,9 +121,11 @@ def test_inert_emitter_zero_rate():
 
 
 def test_emission_rate_channel_masking(rng):
+    # a channel is left out by zeroing its moment
     e = random_emitter(rng)
     jet = coincident_im_jet(W0, Medium(1.0))
-    rep = emission_rate(e, jet, channels={"ED"})
+    rep = emission_rate(dataclasses.replace(e, m=np.zeros(3),
+                                            Q=np.zeros((3, 3))), jet)
     g_ed, _, _ = free_space_rates(e, 1.0, W0)
     assert abs(rep.gamma_total - g_ed) < 1e-10 * g_ed
     assert rep.gamma_by_channel_pair[("MD", "MD")] == 0.0
@@ -194,11 +197,12 @@ def test_lamb_shift_methods_agree(rng):
         (reciprocal_blocks(rng, 4e4), 2.1 * W0, 0.08 * W0),
     ])
     e = random_emitter(rng)
-    d_pv = lamb_shift(e, model, method="pv")
-    d_ia = lamb_shift(e, model, method="imaginary-axis")
-    d_auto = lamb_shift(e, model, method="auto")
+    bundle = moment_product_bundle(e, e)
+    d_pv = -pv_spectral_form(model, bundle, W0).value.real
+    d_ia = -imaginary_axis_form(model, bundle, W0).value.real
     assert abs(d_pv - d_ia) < 5e-6 * abs(d_pv)
-    assert d_auto == d_ia  # analytic model prefers the imaginary axis
+    # an analytic model declares the imaginary axis, so lamb_shift takes it
+    assert lamb_shift(e, model) == d_ia
 
 
 def test_lamb_shift_sign_and_dense_grid_oracle(rng):
@@ -207,7 +211,7 @@ def test_lamb_shift_sign_and_dense_grid_oracle(rng):
     wr, eta, amp = 1.3 * W0, 0.05 * W0, 1e5
     model = lorentzian_model([({"value": amp * np.eye(3)}, wr, eta)])
     e = random_emitter(rng, channels="d")
-    delta = lamb_shift(e, model, method="imaginary-axis")
+    delta = lamb_shift(e, model)
     assert delta < 0
 
     bundle = moment_product_bundle(e, e)
@@ -326,7 +330,7 @@ def test_coupling_inert_and_frequency_guard(rng):
     assert rep.xi == 0
     detuned = MultipoleEmitter(position=b.position, omega0=1.05 * W0,
                                d=b.d)
-    with pytest.raises(InputError, match="frequencies differ"):
+    with pytest.raises(InputError, match="deviate from the reference"):
         coupling_strength(a, detuned, model)
     # widened tolerance admits the pair
     rep = coupling_strength(a, detuned, model, freq_ratio_tol=0.1)
@@ -348,10 +352,12 @@ def test_real_axis_coupling_zero_by_symmetry_stops_at_roundoff():
                              d=q[:, 0] * 1e-29)
         b = MultipoleEmitter(position=np.array([100e-9, 0.0, 0.0]),
                              omega0=w, d=q[:, 2] * 1e-29)
-        scale = abs(coupling_strength(a, dataclasses.replace(b, d=a.d),
-                                      model, method="pv").xi)
-        pv = coupling_strength(a, b, model, method="pv").xi
-        ia = coupling_strength(a, b, model, method="imaginary-axis").xi
+        scale = abs(pv_spectral_form(
+            model, moment_product_bundle(a, dataclasses.replace(b, d=a.d)),
+            w).value)
+        bundle = moment_product_bundle(a, b)
+        pv = -pv_spectral_form(model, bundle, w).value
+        ia = -imaginary_axis_form(model, bundle, w).value
         assert abs(pv) <= 1e-13 * scale
         # the floor: roundoff on the uncancelled resonant contraction
         p0 = w ** 2 * moment_product_bundle(a, b).at(w)["value"]
@@ -374,6 +380,44 @@ def test_explicit_mean_frequency_must_be_near_both_emitters():
         coupling_strength(a, b, model, omega_bar=1.5 * W0)
     with pytest.raises(InputError, match="deviate from the reference"):
         collective_rate(a, b, model, omega_bar=1.5 * W0)
+
+
+def test_pair_frequency_rule_is_the_reference_rule():
+    # each emitter within freq_ratio_tol of the mean, as for an ensemble:
+    # 2.38e15 and 2.42e15 rad/s lie 0.83 % from their mean
+    med = Medium(1.0)
+    for w_a, w_b, ok in ((2.38e15, 2.42e15, True),
+                         (2.4e15 * 0.988, 2.4e15 * 1.012, False)):
+        a, b = ed_pair(100e-9)
+        a = dataclasses.replace(a, omega0=w_a)
+        b = dataclasses.replace(b, omega0=w_b)
+        model = homogeneous_pair_model(med, a.position, b.position)
+        if ok:
+            assert coupling_strength(a, b, model).xi != 0
+            assert collective_rate(a, b, model).gamma_cross != 0
+            continue
+        with pytest.raises(InputError, match="deviate from the reference"):
+            coupling_strength(a, b, model)
+        with pytest.raises(InputError, match="deviate from the reference"):
+            collective_rate(a, b, model)
+
+
+def test_spectral_route_follows_the_model_declaration(rng):
+    # one owner of the route: the imaginary-axis form for a model that
+    # declares imaginary-frequency support, the real-axis principal value
+    # for one that does not, and the report names the route taken
+    model = lorentzian_model([(reciprocal_blocks(rng, 1e5), 1.2 * W0,
+                               0.04 * W0)])
+    real_axis = dataclasses.replace(model, supports_imaginary_axis=False)
+    a = random_emitter(rng)
+    b = random_emitter(rng, pos=(0, 0, 50e-9))
+    for m, form, route in ((model, imaginary_axis_form, "imaginary-axis"),
+                           (real_axis, pv_spectral_form, "pv")):
+        shift = -form(m, moment_product_bundle(a, a), W0).value.real
+        assert lamb_shift(a, m) == shift
+        xi = -form(m, moment_product_bundle(a, b), W0).value
+        rep = coupling_strength(a, b, m)
+        assert rep.xi == xi and rep.method == route
 
 
 def transpose_reciprocal(blocks):
