@@ -55,11 +55,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (EmitterEnsembleModel, Trajectory, build_ensemble,
-                       evolve_ensemble, product_density, pure_density)
-from .emitter import MultipoleEmitter, _numeric_field, normalize_channels
+from .dynamics import (EmitterEnsembleModel, build_ensemble, evolve_ensemble,
+                       product_density, pure_density)
+from .emitter import (MultipoleEmitter, _numbers, _numeric_field,
+                      normalize_channels)
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
-                     PartFlagError, PolyemitError, QuadratureError)
+                     PartFlagError, PolyemitError, QuadratureError, is_number)
 from .grid import TensorGrid, load_grid, validate_grid
 from .homogeneous import Medium, coincident_im_jet
 # not called here (couple goes through build_ensemble); perfbench/tracing.py
@@ -160,21 +161,8 @@ def parse_frequency(text: str) -> float:
 def _parse_channels(text: Optional[str]) -> Optional[frozenset]:
     if text is None:
         return None
-    names = [p.strip().upper() for p in text.split(",") if p.strip()]
-    if not names:
-        raise InputError("empty channel selection")
-    return normalize_channels(names)
-
-
-def _restrict_channels(e: MultipoleEmitter,
-                       channels: Optional[frozenset]) -> MultipoleEmitter:
-    if channels is None:
-        return e
-    return MultipoleEmitter(
-        position=e.position, omega0=e.omega0,
-        d=e.d if "ED" in channels else np.zeros(3, dtype=complex),
-        m=e.m if "MD" in channels else np.zeros(3, dtype=complex),
-        Q=e.Q if "EQ" in channels else np.zeros((3, 3), dtype=complex))
+    return normalize_channels([p.strip() for p in text.split(",")
+                               if p.strip()])
 
 
 # --- output plumbing ---------------------------------------------------------
@@ -234,15 +222,10 @@ def _deliver(cfg: RunConfig, csv_parts: tuple, doc: dict) -> None:
         sys.stdout.write(text)
 
 
-def _load_emitter(path: str,
-                  channels: Optional[frozenset]) -> MultipoleEmitter:
-    return _restrict_channels(MultipoleEmitter.from_file(path), channels)
-
-
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_free_space(cfg: RunConfig) -> int:
-    e = _load_emitter(cfg.emitters[0], cfg.channels)
+    e = MultipoleEmitter.from_file(cfg.emitters[0]).restricted(cfg.channels)
     omega = cfg.frequency if cfg.frequency is not None else e.omega0
     g_ed, g_md, g_eq = free_space_rates(e, cfg.index, omega)
     rows = [["ED", g_ed], ["MD", g_md], ["EQ", g_eq],
@@ -260,47 +243,46 @@ def _cmd_free_space(cfg: RunConfig) -> int:
 
 def _cmd_map(cfg: RunConfig) -> int:
     grid = _load_grid_file(cfg.grid)
-    e = _load_emitter(cfg.emitters[0], cfg.channels)
+    e = MultipoleEmitter.from_file(cfg.emitters[0]).restricted(cfg.channels)
     kwargs = {}
     if cfg.tol_rel is not None:
         kwargs["freq_rtol"] = cfg.tol_rel
-    reports = enhancement_map(grid, e, **kwargs)
-    points = grid.node_points()
-    pairs = sorted(reports[0].normalization["enhancement_by_channel_pair"])
+    rep = enhancement_map(grid, e, **kwargs)
+    norm = rep.normalization
+    by_pair = norm["enhancement_by_channel_pair"]
+    pairs = sorted(by_pair)
     headers = (["x_m", "y_m", "z_m", "enhancement_total"]
                + [f"enh_{p.replace('-', '_')}" for p in pairs]
                + ["gamma_total_per_s"])
     rows = []
     nodes = []
-    for point, rep in zip(points, reports):
-        norm = rep.normalization
-        by_pair = norm["enhancement_by_channel_pair"]
-        rows.append(list(point) + [norm["enhancement_total"]]
-                    + [by_pair[p] for p in pairs] + [rep.gamma_total])
-        nodes.append({"position_m": list(point),
-                      "enhancement_total": norm["enhancement_total"],
-                      "enhancement_by_channel_pair": by_pair,
-                      "gamma_total_per_s": rep.gamma_total})
-    norm0 = reports[0].normalization
+    for i, point in enumerate(grid.node_points().tolist()):
+        enh = {p: by_pair[p][i] for p in pairs}
+        rows.append(point + [norm["enhancement_total"][i]]
+                    + list(enh.values()) + [rep.gamma_total[i]])
+        nodes.append({"position_m": point,
+                      "enhancement_total": norm["enhancement_total"][i],
+                      "enhancement_by_channel_pair": enh,
+                      "gamma_total_per_s": rep.gamma_total[i]})
     comments = [
         f"grid: {cfg.grid}",
-        f"channels: {','.join(norm0['channels'])}",
-        f"gamma_free_space_per_s: {norm0['gamma_fs']['value']!r}",
+        f"channels: {','.join(norm['channels'])}",
+        f"gamma_free_space_per_s: {norm['gamma_fs']['value']!r}",
         "columns: node position (m), total enhancement over the free-space "
         "rate, per channel-pair enhancement, absolute rate (1/s)",
     ]
     doc = {"subcommand": "map", "grid": cfg.grid,
-           "channels": norm0["channels"],
-           "gamma_free_space_per_s": norm0["gamma_fs"]["value"],
-           "gamma_free_space_by_channel": norm0["gamma_fs_by_channel"],
+           "channels": norm["channels"],
+           "gamma_free_space_per_s": norm["gamma_fs"]["value"],
+           "gamma_free_space_by_channel": norm["gamma_fs_by_channel"],
            "nodes": nodes}
     _deliver(cfg, (comments, headers, rows), doc)
     return 0
 
 
 def _cmd_couple(cfg: RunConfig) -> int:
-    a = _load_emitter(cfg.emitters[0], cfg.channels)
-    b = _load_emitter(cfg.emitters[1], cfg.channels)
+    a, b = (MultipoleEmitter.from_file(path).restricted(cfg.channels)
+            for path in cfg.emitters)
     med = Medium(cfg.index)
     wbar = (cfg.frequency if cfg.frequency is not None
             else 0.5 * (a.omega0 + b.omega0))
@@ -355,7 +337,7 @@ def _load_grid_file(path: str) -> TensorGrid:
 
 
 def _amplitude(value) -> complex:
-    """A number, or an [re, im] pair."""
+    """A number, or an [re, im] pair (read through _numeric_field)."""
     if isinstance(value, (list, tuple)):
         re, im = value
         return complex(float(re), float(im))
@@ -365,8 +347,8 @@ def _amplitude(value) -> complex:
 def _matrix_from_doc(node, n: int, what: str) -> np.ndarray:
     if not (isinstance(node, dict) and set(node) == {"re", "im"}):
         raise InputError(f"{what} must be an object with re and im matrices")
-    re = np.asarray(node["re"], dtype=float)
-    im = np.asarray(node["im"], dtype=float)
+    re = np.asarray(_numbers(node["re"], f"{what}.re"), dtype=float)
+    im = np.asarray(_numbers(node["im"], f"{what}.im"), dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):
         raise InputError(f"{what} matrices must be {n}x{n}")
     return re + 1j * im
@@ -400,10 +382,13 @@ def _parse_ensemble_spec(path: str) -> tuple:
         if bad:
             raise InputError(f"{path}: unknown model keys {sorted(bad)}")
         try:
-            delta = np.asarray(node["delta_rad_per_s"], dtype=float)
+            delta = np.asarray(_numbers(node["delta_rad_per_s"],
+                                        "delta_rad_per_s"), dtype=float)
             n = delta.size
             model = EmitterEnsembleModel(
-                omega_ref=float(node["omega_ref_rad_per_s"]), delta=delta,
+                omega_ref=float(_numbers(node["omega_ref_rad_per_s"],
+                                         "omega_ref_rad_per_s")),
+                delta=delta,
                 xi=_matrix_from_doc(node["xi_rad_per_s"], n, "xi"),
                 gamma=_matrix_from_doc(node["gamma_rad_per_s"], n, "gamma"))
         except KeyError as exc:
@@ -411,6 +396,11 @@ def _parse_ensemble_spec(path: str) -> tuple:
         except (TypeError, ValueError) as exc:
             raise InputError(f"{path}: model entries must be numeric "
                              f"({exc})") from None
+        # written by EmitterEnsembleModel.to_dict; optional, but must agree
+        count = node.get("n_emitters", n)
+        if not (is_number(count) and count == n):
+            raise InputError(f"{path}: n_emitters is {count!r} but "
+                             f"delta_rad_per_s has {n} entries")
     else:
         if not isinstance(spec["emitters"], list) or not spec["emitters"]:
             raise InputError(f"{path}: emitters must be a non-empty list")

@@ -44,7 +44,7 @@ sigma_z = 2 n - 1.
 """
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp

@@ -22,15 +22,15 @@ module exposes it directly (CoefficientBundle).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
 from .constants import (ATOMIC_DIPOLE, ATOMIC_QUADRUPOLE, BOHR_MAGNETON, C0,
                         EPS0, HBAR)
-from .errors import InputError, MissingDerivativeError
+from .errors import InputError, MissingDerivativeError, is_number
 from .jets import GreensJet
 
 __all__ = ["CHANNELS", "MultipoleEmitter", "bilinear_form",
@@ -94,24 +94,37 @@ def _as_complex_matrix(v, name) -> np.ndarray:
     return a
 
 
+def _numbers(value, name: str):
+    """value when it is a number or nested lists of numbers (is_number);
+    otherwise TypeError naming the field."""
+    stack = [value.tolist() if isinstance(value, np.ndarray) else value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif not is_number(x):
+            raise TypeError(f"{name} must be numeric, got {value!r}")
+    return value
+
+
 def _numeric_field(name: str, convert, value):
     """convert(value) for an input field; a value that is not a number (or
-    an array of numbers) raises InputError naming the field."""
+    nested lists of numbers) raises InputError naming the field."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        return convert(_numbers(value, name))
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name} must be numeric, got {value!r}") from None
 
 
 def _parse_complex_array(node, shape, name):
     """JSON complex encoding: a number, or an [re, im] pair, nested in lists."""
     def scal(x):
-        if isinstance(x, (int, float)):
+        if is_number(x):
             return complex(x)
         if (isinstance(x, (list, tuple)) and len(x) == 2
-                and all(isinstance(t, (int, float)) for t in x)):
+                and all(is_number(t) for t in x)):
             return complex(x[0], x[1])
-        raise InputError(f"{name}: cannot parse complex entry {x!r}")
+        raise InputError(f"{name} must be numeric, got entry {x!r}")
 
     arr = np.empty(shape, dtype=complex)
     try:
@@ -159,6 +172,16 @@ class MultipoleEmitter:
     def magnetic_coupling(self) -> np.ndarray:
         """M[mu, k] = sum_p eps[p, k, mu] m_p (the i/w factor lives elsewhere)."""
         return np.einsum('pkm,p->mk', _EPS, self.m)
+
+    def restricted(self, channels) -> "MultipoleEmitter":
+        """This emitter with the moments of every channel outside channels
+        set to zero: the one way to deselect a channel. channels are names
+        as normalize_channels reads them (None keeps every channel)."""
+        keep = normalize_channels(channels)
+        return replace(
+            self, d=self.d if "ED" in keep else np.zeros_like(self.d),
+            m=self.m if "MD" in keep else np.zeros_like(self.m),
+            Q=self.Q if "EQ" in keep else np.zeros_like(self.Q))
 
     def active_channels(self) -> frozenset:
         out = set()
@@ -230,22 +253,26 @@ class MultipoleEmitter:
 
 
 def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
-                  omega: float, channels_a=None, channels_b=None):
+                  omega: float):
     """Pair two emitters through a Green jet: sum over tensor entries of
     conj(D_a) x D_b applied to the jet blocks.
 
     Conjugation sits on the a side. For a full jet this contracts the
     complex Green blocks; for an imaginary-part jet it contracts the stored
     Im values (result then carries Im G semantics). A batched jet gives an
-    array over its batch shape. Requires omega > 0 and
-    real (the spectral machinery handles complex frequencies by analytic
-    continuation of coefficient bundles, never by conjugating at complex
-    frequency).
+    array over its batch shape. One channel pairing is the form of the two
+    emitters restricted to those channels (MultipoleEmitter.restricted).
+    Requires omega > 0 and real (the spectral machinery handles complex
+    frequencies by analytic continuation of coefficient bundles, never by
+    conjugating at complex frequency).
     """
     if not (isinstance(omega, (int, float)) and omega > 0):
         raise InputError("bilinear_form needs a real positive frequency")
-    bundle = moment_product_bundle(a, b, channels_a, channels_b)
-    return bundle.contract(jet.blocks, bundle.at(omega)) / SPECTRAL_NORM
+    bundle = moment_product_bundle(a, b)
+    # np.divide rounds a single point as it rounds each batch entry;
+    # Python's complex division by a float rounds differently
+    return np.divide(bundle.contract(jet.blocks, bundle.at(omega)),
+                     SPECTRAL_NORM)
 
 
 @dataclass(frozen=True)
@@ -307,31 +334,29 @@ class CoefficientBundle:
         return self.contract(jet.imag_part().blocks, self.at(omega))
 
 
-def moment_product_bundle(a: MultipoleEmitter, b: MultipoleEmitter,
-                          channels_a=None, channels_b=None) -> CoefficientBundle:
+def moment_product_bundle(a: MultipoleEmitter,
+                          b: MultipoleEmitter) -> CoefficientBundle:
     """Coefficient tensors of conj(D_a) x D_b / (hbar pi eps0 c^2).
 
     Every pairing of a channel of a with a channel of b contributes
     conj(bra tensor) x ket tensor to the block fixed by the two derivative
     orders, at the power of 1/w the two channels sum to: f0 collects d and
-    Q, f1 single magnetic factors, f2 the double magnetic factor. Channel
-    selections mask moments per side before the products are formed;
-    all-zero products are dropped.
+    Q, f1 single magnetic factors, f2 the double magnetic factor. Channels
+    with zero moments contribute nothing, so a restricted emitter selects
+    channels; all-zero products are dropped.
     """
-    def terms(e, channels):
-        chans = normalize_channels(channels)
+    def terms(e):
         out = []
-        for c, (order, power, ket) in _CHANNEL_TABLE.items():
-            if c in chans:
-                tensor = ket(e)
-                if tensor.any():
-                    out.append((order, power, tensor))
+        for order, power, ket in _CHANNEL_TABLE.values():
+            tensor = ket(e)
+            if tensor.any():
+                out.append((order, power, tensor))
         return out
 
     powers = ({}, {}, {})
-    for order_a, power_a, ta in terms(a, channels_a):
+    for order_a, power_a, ta in terms(a):
         bra = ta.conj()
-        for order_b, power_b, tb in terms(b, channels_b):
+        for order_b, power_b, tb in terms(b):
             name, spec = _PRODUCT[(order_a, order_b)]
             term = SPECTRAL_NORM * np.einsum(spec, bra, tb)
             acc = powers[power_a + power_b]

@@ -1,8 +1,18 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the rule for numbers in input documents.
 
 Every error the package raises deliberately derives from PolyemitError so
 callers (and the CLI) can separate usage problems from genuine bugs.
 """
+
+import numpy as np
+
+
+def is_number(value) -> bool:
+    """True for a real number given as a number: an int or a float (numpy's
+    too), never a bool (Python counts bools as ints) and never a string.
+    Every numeric field of an input document obeys this one rule."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 class PolyemitError(Exception):

@@ -58,7 +58,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import GridDomainError, GridFormatError, InputError
+from .errors import GridDomainError, GridFormatError, InputError, is_number
 from .homogeneous import Medium, coincident_im_jet, eval_homogeneous
 from .jets import GreensJet
 
@@ -507,8 +507,7 @@ def _locate_block_defect(key: str, payload, n_nodes: int):
                     f"blocks.{key}[{i}][{j}]: expected 3 entries")
             for k, entry in enumerate(row):
                 ok = (isinstance(entry, list) and len(entry) == 2
-                      and all(isinstance(v, (int, float))
-                              and not isinstance(v, bool) for v in entry))
+                      and all(is_number(v) for v in entry))
                 if not ok:
                     raise GridFormatError(
                         f"blocks.{key}[{i}][{j}][{k}]: expected [re, im]")
@@ -569,7 +568,7 @@ def _grid_from_doc(doc) -> TensorGrid:
     if isinstance(version, bool) or version != 1:
         raise GridFormatError(f"format_version: expected 1, got {version!r}")
     freq = doc.get("frequency_rad_per_s")
-    if isinstance(freq, bool) or not isinstance(freq, (int, float)):
+    if not is_number(freq):
         raise GridFormatError("frequency_rad_per_s: expected a number")
     freq = _as_float(freq, "frequency_rad_per_s")
 
@@ -581,7 +580,7 @@ def _grid_from_doc(doc) -> TensorGrid:
         if name not in axes_doc:
             raise GridFormatError(f"axes.{name}: required")
         ax = axes_doc[name]
-        if isinstance(ax, (int, float)) and not isinstance(ax, bool):
+        if is_number(ax):
             if name != "z":
                 raise GridFormatError(
                     f"axes.{name}: only z may be a fixed scalar")
@@ -589,8 +588,7 @@ def _grid_from_doc(doc) -> TensorGrid:
             fixed.append(True)
             continue
         if not isinstance(ax, list) or not ax or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in ax):
+                is_number(v) for v in ax):
             raise GridFormatError(
                 f"axes.{name}: expected a nonempty number array "
                 "(or a fixed scalar for z)")
@@ -606,7 +604,7 @@ def _grid_from_doc(doc) -> TensorGrid:
               for key, payload in blocks_doc.items()}
 
     tol = doc.get("symmetry_rtol", 1e-6)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+    if not is_number(tol):
         raise GridFormatError("symmetry_rtol: expected a number")
 
     return TensorGrid(
@@ -923,12 +921,13 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
     """Split-semantics grid of the uniform-medium coincident Im-G jet.
 
     axes give three SI coordinate specs (arrays; a scalar z marks a
-    fixed plane). With fd_step=None all blocks are analytic. With a step
-    given, the derivative blocks at every node are instead rebuilt with
-    finite_difference_blocks on a local 3x3x3 patch around the node,
-    differencing the field p -> Im G(p, node); field-point derivatives
-    convert to source-point and mixed blocks by translation invariance
-    (each source-point derivative contributes one sign flip).
+    fixed plane). The medium is translation invariant, so every node gets
+    the same blocks. With fd_step=None all blocks are analytic. With a
+    step given, the derivative blocks are instead built once with
+    finite_difference_blocks on a 3x3x3 patch around R = 0, differencing
+    the field p -> Im G(p, 0); field-point derivatives convert to
+    source-point and mixed blocks by translation invariance (each
+    source-point derivative contributes one sign flip).
     """
     ax_arrays, fixed = [], []
     for name, ax in zip(_AXES, axes):
@@ -941,45 +940,36 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
     def tile(block: np.ndarray) -> np.ndarray:
         return np.broadcast_to(block, shape + block.shape).copy()
 
-    blocks = {"value": tile(jet0.value)}
+    # the 3x3 block of every stored derivative key, shared by all nodes
     if fd_step is None:
-        zero = np.zeros(shape + (3, 3))
-        for a in range(3):
-            blocks[f"d1_{_AXES[a]}"] = zero.copy()
-            blocks[f"d1_{_AXES[a]}_src"] = zero.copy()
-            for b in range(3):
-                blocks[f"d2_{_AXES[a]}{_AXES[b]}"] = tile(jet0.d_mixed[:, :, a, b])
+        centre = {key: np.zeros((3, 3)) for key in _D1_KEYS}
+        centre.update((f"d2_{a}{b}", jet0.d_mixed[:, :, i, j])
+                      for i, a in enumerate(_AXES)
+                      for j, b in enumerate(_AXES))
     else:
         if not (math.isfinite(fd_step) and fd_step > 0):
             raise InputError("fd_step must be a positive length in m")
         h = float(fd_step)
-        for key in (*_D1_KEYS, *_D1_SRC_KEYS, *_D2_KEYS):
-            blocks[key] = np.empty(shape + (3, 3))
-        for idx in np.ndindex(shape):
-            r0 = np.array([ax_arrays[0][idx[0]], ax_arrays[1][idx[1]],
-                           ax_arrays[2][idx[2]]])
 
-            def sample(p, _r0=r0):
-                R = p - _r0
-                if not np.any(R):
-                    return jet0.value
-                return np.ascontiguousarray(
-                    eval_homogeneous(R, frequency, medium).imag)
+        def sample(p):
+            # Im G(p, 0), which is Im G(r + p, r) at every node r
+            if not np.any(p):
+                return jet0.value
+            return np.ascontiguousarray(
+                eval_homogeneous(p, frequency, medium).imag)
 
-            local = tuple(np.array([c - 2.0 * h, c, c + 2.0 * h]) for c in r0)
-            fd = finite_difference_blocks(sample, local, h)
-            center = (1, 1, 1)
-            for a in range(3):
-                d1 = fd[f"d1_{_AXES[a]}"][center]
-                blocks[f"d1_{_AXES[a]}"][idx] = d1
-                # sign flips as 0.0 - x, which keeps exact zeros +0.0
-                # (-x would write them as -0.0)
-                blocks[f"d1_{_AXES[a]}_src"][idx] = 0.0 - d1
-                for b in range(3):
-                    # one source-slot derivative: flip the sign of the
-                    # sampled field-field second derivative
-                    blocks[f"d2_{_AXES[a]}{_AXES[b]}"][idx] = \
-                        0.0 - fd[f"d2_{_AXES[a]}{_AXES[b]}"][center]
+        patch = (np.array([-2.0 * h, 0.0, 2.0 * h]),) * 3
+        fd = finite_difference_blocks(sample, patch, h)
+        # one source-slot derivative: flip the sign of the sampled
+        # field-field second derivative
+        centre = {key: fd[key][1, 1, 1] for key in _D1_KEYS}
+        centre.update((key, 0.0 - fd[key][1, 1, 1]) for key in _D2_KEYS)
+    # sign flips as 0.0 - x, which keeps exact zeros +0.0 (-x would write
+    # them as -0.0)
+    centre.update((f"{key}_src", 0.0 - centre[key]) for key in _D1_KEYS)
+    blocks = {"value": tile(jet0.value)}
+    blocks.update((key, tile(centre[key]))
+                  for key in (*_D1_KEYS, *_D1_SRC_KEYS, *_D2_KEYS))
     if provenance is None:
         provenance = {"generator": "uniform-medium analytic sampler",
                       "fd_step_m": fd_step}

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .constants import C0
-from .errors import CoincidentPointError, InputError
+from .errors import CoincidentPointError, InputError, is_number
 from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = [
@@ -88,9 +88,9 @@ _IM_SERIES = _im_rows(np.array([
 class Medium:
     """Dispersionless or dispersive refractive index of the host medium.
 
-    A plain number means a constant index, real, finite and >= 1 (the one
-    check of that rule). A callable is treated as a spectral model n(omega)
-    and must satisfy
+    A plain number means a constant index: a real number (is_number),
+    finite and >= 1 (the one check of that rule). A callable is treated as
+    a spectral model n(omega) and must satisfy
     n(-conj(omega)) = conj(n(omega)) for a real time-domain response; that
     property is spot-checked by consumers where it matters, not here.
     """
@@ -100,13 +100,13 @@ class Medium:
     def __post_init__(self):
         n = self.refractive_index
         if not callable(n):
-            n = complex(n)
-            if n.imag != 0.0:
-                raise InputError("constant refractive index must be real")
-            if not (n.real >= 1.0 and math.isfinite(n.real)):
+            if not is_number(n):
+                raise InputError(f"constant refractive index must be a real "
+                                 f"number, got {n!r}")
+            if not (n >= 1.0 and math.isfinite(n)):
                 raise InputError(
                     "constant refractive index must be finite and >= 1")
-            object.__setattr__(self, "refractive_index", float(n.real))
+            object.__setattr__(self, "refractive_index", float(n))
 
     def index(self, omega):
         """n at omega; for an array of frequencies, an array of the same

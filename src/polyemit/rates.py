@@ -20,7 +20,9 @@ closed forms, which double as the central cross-oracle.
 The model's supports_imaginary_axis picks the route of xi and delta.
 Every emitter of a pair or ensemble lies within freq_ratio_tol of the
 reference frequency (default their mean). An emitter drives the channels
-of its nonzero moments.
+of its nonzero moments; MultipoleEmitter.restricted deselects the others.
+Decay rates have one path, emission_rate, for a jet of any batch shape;
+enhancement_map is one emission_rate call on a grid's batched node jet.
 """
 
 from __future__ import annotations
@@ -47,17 +49,17 @@ __all__ = ["RateReport", "CouplingReport", "emission_rate",
 
 @dataclass
 class RateReport:
-    """Decay rate of one emitter, decomposed over channel pairs.
+    """Decay rate of one emitter, decomposed over channel pairs, at one
+    jet point or over a batch of them.
 
     Cross entries are interference contributions and may be negative;
     conjugate pairs carry equal real parts (their imaginary parts cancel in
-    the total, which is real). delta is None when the input carries no
-    spectral information to compute a shift from.
+    the total, which is real). Rates are floats for a single-point jet and
+    lists over the batch shape otherwise.
     """
 
-    gamma_total: float
+    gamma_total: Union[float, list]
     gamma_by_channel_pair: dict
-    delta: Optional[float] = None
     normalization: Optional[dict] = None
 
     def to_dict(self) -> dict:
@@ -67,8 +69,6 @@ class RateReport:
                 f"{ca}-{cb}": {"value": v, "unit": "1/s"}
                 for (ca, cb), v in sorted(self.gamma_by_channel_pair.items())
             },
-            "delta": ({"value": self.delta, "unit": "rad/s"}
-                      if self.delta is not None else "unavailable"),
         }
         if self.normalization is not None:
             out["normalization"] = self.normalization
@@ -81,7 +81,7 @@ class CouplingReport:
 
     xi and gamma_cross follow the Hermitian convention: the coupling matrix
     is xi_ab = conj(xi_ba), likewise for gamma. method records how spectral
-    integrals were evaluated; error fields are quadrature estimates (zero
+    integrals were evaluated; xi_error is the quadrature estimate (zero
     for integration-free entries).
     """
 
@@ -89,32 +89,40 @@ class CouplingReport:
     gamma_cross: Optional[complex] = None
     method: str = "none"
     xi_error: float = 0.0
-    gamma_error: float = 0.0
 
     def to_dict(self) -> dict:
         def c(z):
             return None if z is None else {"re": z.real, "im": z.imag,
                                            "unit": "rad/s"}
         return {"xi": c(self.xi), "gamma_cross": c(self.gamma_cross),
-                "method": self.method,
-                "xi_error": self.xi_error, "gamma_error": self.gamma_error}
+                "method": self.method, "xi_error": self.xi_error}
 
 
-def _channel_pair_rates(e: MultipoleEmitter, jet: GreensJet,
-                        active: frozenset) -> tuple:
-    """Per-channel-pair decay rates and their total over a jet's batch
-    shape, as real arrays; rejects any batch entry whose jet violates the
-    positivity of a physical spectral density."""
+def emission_rate(e: MultipoleEmitter, jet: GreensJet) -> RateReport:
+    """Spontaneous decay rate from a coincident Green jet of any batch
+    shape.
+
+    gamma = (2/hbar eps0)(w0^2/c^2) conj(D) . Im G-jet . D, split over
+    channel pairs: pair (ca, cb) is the bilinear form of the emitter
+    restricted to ca with the emitter restricted to cb. Works on full or
+    Im-part jets; derivative blocks are required only for channels the
+    emitter actually drives, so the emitter's nonzero moments are the
+    channel selection. Rejects any batch entry whose jet violates the
+    positivity of a physical spectral density. Rates are floats for a
+    single-point jet and lists over the batch shape otherwise; each entry
+    equals the rate of that entry's jet alone, bit for bit.
+    """
     # 2 pi w0^2 Z(w0), the collective_rate formula, per channel pair
     pref = 2.0 * math.pi * e.omega0 ** 2 * SPECTRAL_NORM
     im = jet.imag_part()
     zero = np.zeros(im.batch_shape)
+    parts = {c: e.restricted(c) for c in e.active_channels()}
     # conjugate channel pairs have conjugate values; the imaginary parts
     # cancel in the (real) total and are dropped per entry
     by_pair = {
-        (ca, cb): (np.real(pref * bilinear_form(e, e, im, e.omega0,
-                                                {ca}, {cb}))
-                   if ca in active and cb in active else zero)
+        (ca, cb): (np.real(pref * bilinear_form(parts[ca], parts[cb], im,
+                                                e.omega0))
+                   if ca in parts and cb in parts else zero)
         for ca in CHANNELS for cb in CHANNELS}
     total = sum(by_pair.values())
     scale = np.maximum(np.max(np.abs(list(by_pair.values())), axis=0),
@@ -126,25 +134,10 @@ def _channel_pair_rates(e: MultipoleEmitter, jet: GreensJet,
                 f"the positivity of a physical spectral density")
     if np.any(total < -1e-12 * scale):
         raise InputError("negative total decay rate: inconsistent jet data")
-    return by_pair, np.maximum(total, 0.0)
-
-
-def emission_rate(e: MultipoleEmitter, jet: GreensJet) -> RateReport:
-    """Spontaneous decay rate from a coincident Green jet.
-
-    gamma = (2/hbar eps0)(w0^2/c^2) conj(D) . Im G-jet . D, split over
-    channel pairs. Works on full or Im-part jets; derivative blocks are
-    required only for channels the emitter actually drives, so the
-    emitter's nonzero moments are the channel selection.
-    """
-    if jet.batch_shape != ():
-        raise InputError(f"emission_rate takes a single-point jet, got "
-                         f"batch shape {jet.batch_shape}")
-    by_pair, total = _channel_pair_rates(e, jet, e.active_channels())
-    return RateReport(gamma_total=float(total),
-                      gamma_by_channel_pair={k: float(v)
-                                             for k, v in by_pair.items()},
-                      delta=None)
+    return RateReport(
+        gamma_total=np.maximum(total, 0.0).tolist(),
+        gamma_by_channel_pair={p: np.asarray(v).tolist()
+                               for p, v in by_pair.items()})
 
 
 def free_space_rates(e: MultipoleEmitter, n: float,
@@ -276,16 +269,15 @@ def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
 
 
 def enhancement_map(grid, e: MultipoleEmitter,
-                    freq_rtol: float = 1e-6) -> list:
-    """Emission-rate reports over all grid nodes, normalized to free space.
+                    freq_rtol: float = 1e-6) -> RateReport:
+    """Emission rates at every grid node, normalized to free space.
 
-    The reference gamma_fs is the n = 1 closed-form rate restricted to the
+    One emission_rate call on the grid's batched node jet: the report's
+    rates, and the enhancement_total and enhancement_by_channel_pair of
+    its normalization, are lists in node_points() (grid-major) order. The
+    reference gamma_fs is the n = 1 closed-form rate restricted to the
     emitter's active channels (so a purely magnetic emitter is normalized
-    to its magnetic free-space rate, not to zero dipole decay). Node order
-    is grid-major (node_points() order). All nodes are contracted in one
-    pass over the grid's batched node jet, through the same channel-pair
-    rates and positivity guards as emission_rate, so each report equals
-    emission_rate at that node up to floating-point summation order.
+    to its magnetic free-space rate, not to zero dipole decay).
     """
     if abs(grid.frequency - e.omega0) > freq_rtol * e.omega0:
         raise InputError(
@@ -295,28 +287,20 @@ def enhancement_map(grid, e: MultipoleEmitter,
     active = e.active_channels()
     if not active:
         raise InputError("inert emitter: no channel to map")
-    g_ed, g_md, g_eq = free_space_rates(e, 1.0, e.omega0)
-    fs = {"ED": g_ed, "MD": g_md, "EQ": g_eq}
-    gamma_fs = sum(fs[c] for c in active)
-    fs_by_channel = {c: fs[c] for c in sorted(active)}
+    # summed in CHANNELS order: a set's order varies with PYTHONHASHSEED
+    fs = {c: g for c, g in zip(CHANNELS, free_space_rates(e, 1.0, e.omega0))
+          if c in active}
+    gamma_fs = sum(fs.values())
 
-    by_pair, total = _channel_pair_rates(e, grid.node_jet(), active)
-    # result columns as per-node Python floats
-    rates = {p: col.tolist() for p, col in by_pair.items()}
-    enhancements = {f"{ca}-{cb}": (by_pair[(ca, cb)] / gamma_fs).tolist()
-                    for ca, cb in sorted(by_pair)}
-    reports = []
-    for i, gamma in enumerate(total.tolist()):
-        norm = {
-            "gamma_fs": {"value": gamma_fs, "unit": "1/s"},
-            "channels": sorted(active),
-            "enhancement_total": gamma / gamma_fs,
-            "enhancement_by_channel_pair": {
-                name: col[i] for name, col in enhancements.items()},
-            "gamma_fs_by_channel": fs_by_channel,
-        }
-        reports.append(RateReport(
-            gamma_total=gamma,
-            gamma_by_channel_pair={p: col[i] for p, col in rates.items()},
-            normalization=norm))
-    return reports
+    rep = emission_rate(e, grid.node_jet())
+    rep.normalization = {
+        "gamma_fs": {"value": gamma_fs, "unit": "1/s"},
+        "channels": sorted(active),
+        "enhancement_total": (np.asarray(rep.gamma_total)
+                              / gamma_fs).tolist(),
+        "enhancement_by_channel_pair": {
+            f"{ca}-{cb}": (np.asarray(col) / gamma_fs).tolist()
+            for (ca, cb), col in sorted(rep.gamma_by_channel_pair.items())},
+        "gamma_fs_by_channel": dict(sorted(fs.items())),
+    }
+    return rep

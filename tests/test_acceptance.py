@@ -342,10 +342,11 @@ def test_grid_pipeline_enhancements():
     def residual(n, h):
         grid = grid_from_homogeneous(Medium(n), w, (ax, ax, 0.0), fd_step=h)
         worst = 0.0
-        for rep in enhancement_map(grid, e):
-            fs_by = rep.normalization["gamma_fs_by_channel"]
-            for c in ("ED", "MD", "EQ"):
-                enh = rep.gamma_by_channel_pair[(c, c)] / fs_by[c]
+        rep = enhancement_map(grid, e)
+        fs_by = rep.normalization["gamma_fs_by_channel"]
+        for c in ("ED", "MD", "EQ"):
+            for gamma in rep.gamma_by_channel_pair[(c, c)]:
+                enh = gamma / fs_by[c]
                 worst = max(worst, abs(enh - expected[n][c]))
         return worst
 

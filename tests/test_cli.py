@@ -373,6 +373,27 @@ def test_couple_bytes_do_not_depend_on_hash_seed(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_map_bytes_do_not_depend_on_hash_seed(grid_file, tmp_path):
+    # the free-space reference must sum its channels in a fixed order, not
+    # in a set's iteration order, which varies with PYTHONHASHSEED; these
+    # moments give a sum that depends on that order
+    em = write_json(tmp_path / "multipole.json",
+                    {"position_m": [0, 0, 0], "omega0_rad_per_s": W384,
+                     "d_atomic": [1, 0, 0], "m_bohr_magnetons": [0, 2, 0],
+                     "Q_atomic": [[1, 0, 0], [0, -0.5, 0], [0, 0, -0.5]]})
+    src = os.path.dirname(os.path.dirname(polyemit.__file__))
+    outs = []
+    for seed in ("2", "3", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyemit.cli", "map", "--grid",
+             grid_file, "--emitter", em, "--quiet"],
+            env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == outs[2]
+
+
 # --- dynamics --------------------------------------------------------------------
 
 def _model_doc(n, gamma, xi=None, omega_ref=3e8):
@@ -440,8 +461,12 @@ def test_dynamics_spec_validation(tmp_path, capsys):
                            {"model": _model_doc(2, [[1e7, 0], [0, 1e7]]),
                             "initial": "e"})
     assert main(["dynamics", "--ensemble", wrong_len, "--t-max", "1e-8"]) == 2
+    # a bool or a numeric string is not a number, as in grid files
     for key, value in (("delta_rad_per_s", ["abc"]),
-                       ("omega_ref_rad_per_s", "x")):
+                       ("omega_ref_rad_per_s", "x"),
+                       ("delta_rad_per_s", ["0"]),
+                       ("omega_ref_rad_per_s", True),
+                       ("gamma_rad_per_s", {"re": [["1e7"]], "im": [[0]]})):
         doc = _model_doc(1, [[1e7]])
         doc[key] = value
         path = write_json(tmp_path / "text.json",
@@ -449,6 +474,15 @@ def test_dynamics_spec_validation(tmp_path, capsys):
         capsys.readouterr()
         assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8"]) == 2
         assert "model entries must be numeric" in capsys.readouterr().err
+    # n_emitters, as EmitterEnsembleModel.to_dict writes it, must agree
+    for count, code in ((1, 0), (5, 2), (0, 2), (True, 2), ("1", 2)):
+        doc = dict(_model_doc(1, [[1e7]]), n_emitters=count)
+        path = write_json(tmp_path / "count.json",
+                          {"model": doc, "initial": "e"})
+        capsys.readouterr()
+        assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8",
+                     "--t-points", "3"]) == code
+        assert code == 0 or "n_emitters" in capsys.readouterr().err
 
 
 def emitter_pair_spec():
@@ -471,8 +505,27 @@ def emitter_pair_spec():
     # NaN passes json.load; the emitter and the medium refuse it
     (("emitters", 1, "position_m"), [math.nan, 0, 0], "finite"),
     (("medium_index",), math.nan, "finite"),
+    # a bool or a numeric string is not a number, as in grid files
+    (("rtol",), "1e-9", "rtol must be numeric"),
+    (("atol",), False, "atol must be numeric"),
+    (("initial_amplitudes",), [0, "0.6", "0.8", 0],
+     "initial_amplitudes[1] must be numeric"),
+    (("initial_amplitudes",), [0, [True, 0], 0.8, 0],
+     "initial_amplitudes[1] must be numeric"),
+    (("medium_index",), "1.5", "medium_index must be numeric"),
+    (("medium_index",), True, "medium_index must be numeric"),
+    (("emitters", 1, "position_m"), ["0", 0, 0], "position_m must be numeric"),
+    (("emitters", 1, "omega0_rad_per_s"), True,
+     "omega0_rad_per_s must be numeric"),
+    (("emitters", 1, "omega0_rad_per_s"), "2.4e15",
+     "omega0_rad_per_s must be numeric"),
+    (("emitters", 1, "d_atomic"), [True, 0, 0], "d_atomic must be numeric"),
+    (("emitters", 1, "d_atomic"), ["1", 0, 0], "d_atomic must be numeric"),
 ], ids=["rtol", "atol", "omega_ref", "amplitude", "amplitude_pair",
-        "medium_index", "position", "omega0", "nan_position", "nan_index"])
+        "medium_index", "position", "omega0", "nan_position", "nan_index",
+        "rtol_string", "atol_bool", "amplitude_string", "amplitude_pair_bool",
+        "index_string", "index_bool", "position_string", "omega0_bool",
+        "omega0_string", "d_bool", "d_string"])
 def test_dynamics_bad_number_exits_2(tmp_path, capsys, where, value, expect):
     spec = emitter_pair_spec()
     node = spec

@@ -130,7 +130,8 @@ def test_sesquilinear(rng):
 
 def channel_parts(a, b, jet):
     """(channel_a, channel_b) -> that channel pairing's bilinear form."""
-    return {(ca, cb): bilinear_form(a, b, jet, W0, {ca}, {cb})
+    return {(ca, cb): bilinear_form(a.restricted(ca), b.restricted(cb), jet,
+                                    W0)
             for ca in CHANNELS for cb in CHANNELS}
 
 
@@ -309,7 +310,4 @@ def test_emitter_validation():
         with pytest.raises(InputError, match="finite"):
             MultipoleEmitter(position=[bad, 0.0, 0.0], omega0=W0)
     with pytest.raises(InputError):
-        bilinear_form(
-            MultipoleEmitter(position=np.zeros(3), omega0=W0),
-            MultipoleEmitter(position=np.zeros(3), omega0=W0),
-            coincident_im_jet(W0), W0, channels_a=["XX"])
+        MultipoleEmitter(position=np.zeros(3), omega0=W0).restricted(["XX"])

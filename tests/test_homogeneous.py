@@ -79,6 +79,14 @@ def test_medium_validation():
     assert m.index(W0) == 1.5 + 0j
 
 
+@pytest.mark.parametrize("index", ["1.5", True, "glass", None, [1.5]],
+                         ids=["numeric_string", "bool", "word", "none",
+                              "list"])
+def test_medium_index_must_be_a_number(index):
+    with pytest.raises(InputError, match="real number"):
+        Medium(index)
+
+
 def test_im_diagonal_limit_small_kr():
     # Im G_jj -> k/(6 pi) as kR -> 0
     k = W0 / C0

@@ -340,8 +340,7 @@ def test_zero_frequency_probe_rejects_singular_numerator(rng):
 def ed_bundle(d, positions):
     ea = MultipoleEmitter(position=positions[0], omega0=WR1, d=d)
     eb = MultipoleEmitter(position=positions[1], omega0=WR1, d=d)
-    return moment_product_bundle(ea, eb, channels_a={"ED"},
-                                 channels_b={"ED"})
+    return moment_product_bundle(ea.restricted("ED"), eb.restricted("ED"))
 
 
 def test_homogeneous_model_real_and_tolerance_stable(rng):

@@ -74,7 +74,6 @@ def test_weisskopf_wigner_frozen_oracle():
                           d=[0, 0, d_mag])
     rep = emission_rate(em, coincident_im_jet(w0, Medium(1.0)))
     assert abs(rep.gamma_total - oracle) < 1e-10 * oracle
-    assert rep.delta is None
 
 
 def test_machinery_matches_closed_forms(rng):
@@ -148,12 +147,24 @@ def test_emission_rate_rejects_unphysical_jet(rng):
         emission_rate(e, flipped)
 
 
-def test_emission_rate_rejects_batched_jet(rng):
-    e = random_emitter(rng, channels="d")
-    value = coincident_im_jet(W0, Medium(1.0)).value
-    with pytest.raises(InputError, match="single-point"):
-        emission_rate(e, GreensJet(value=np.stack([value, value]),
-                                   part="imag"))
+def test_emission_rate_on_stacked_jet_equals_each_entry(rng):
+    # one rate path for every batch shape: a (2, 3) stack of jets gives
+    # per-entry lists equal bit for bit to the single-point rates
+    e = random_emitter(rng)
+    jets = [coincident_im_jet(W0, Medium(n))
+            for n in (1.0, 1.2, 1.5, 2.0, 2.3, 3.1)]
+    stacked = GreensJet(
+        **{name: np.stack([j.blocks[name] for j in jets]).reshape(
+            (2, 3) + jets[0].blocks[name].shape)
+           for name in jets[0].blocks}, part="imag")
+    rep = emission_rate(e, stacked)
+    assert np.shape(rep.gamma_total) == (2, 3)
+    for i, jet in enumerate(jets):
+        ref = emission_rate(e, jet)
+        assert isinstance(ref.gamma_total, float)
+        assert rep.gamma_total[i // 3][i % 3] == ref.gamma_total
+        for pair, v in ref.gamma_by_channel_pair.items():
+            assert rep.gamma_by_channel_pair[pair][i // 3][i % 3] == v
 
 
 def test_rate_report_serialization(rng):
@@ -161,7 +172,6 @@ def test_rate_report_serialization(rng):
     rep = emission_rate(e, coincident_im_jet(W0, Medium(1.0)))
     d = rep.to_dict()
     assert d["gamma_total"]["unit"] == "1/s"
-    assert d["delta"] == "unavailable"
     assert "ED-ED" in d["gamma_by_channel_pair"]
 
 
@@ -547,11 +557,11 @@ def test_enhancement_map_unity_and_index_scaling(rng):
     for channels, expected in (("d", 2.0), ("m", 8.0), ("q", 8.0)):
         e = random_emitter(rng, channels=channels)
         unity = enhancement_map(_StubGrid(W0, 1.0, pts), e)
-        assert all(abs(r.normalization["enhancement_total"] - 1.0) < 1e-10
-                   for r in unity)
+        assert all(abs(v - 1.0) < 1e-10
+                   for v in unity.normalization["enhancement_total"])
         doubled = enhancement_map(_StubGrid(W0, 2.0, pts), e)
-        assert all(abs(r.normalization["enhancement_total"] - expected)
-                   < 1e-10 * expected for r in doubled)
+        assert all(abs(v - expected) < 1e-10 * expected
+                   for v in doubled.normalization["enhancement_total"])
 
 
 def kernel_grid(rng, semantics="split", shape=(5, 4)):
@@ -588,23 +598,25 @@ def kernel_grid(rng, semantics="split", shape=(5, 4)):
 def test_enhancement_map_matches_per_node_emission_rate(rng):
     g = kernel_grid(rng)
     e = random_emitter(rng)
-    reports = enhancement_map(g, e)
+    rep = enhancement_map(g, e)
     points = g.node_points()
-    assert len(reports) == len(points)
+    assert len(rep.gamma_total) == len(points)
+    norm = rep.normalization
+    gamma_fs = norm["gamma_fs"]["value"]
     cross = 0.0
-    for point, rep in zip(points, reports):
+    for i, point in enumerate(points):
         ref = emission_rate(e, g.jet_at(point))
         tol = 1e-14 * ref.gamma_total
-        assert abs(rep.gamma_total - ref.gamma_total) <= tol
+        assert abs(rep.gamma_total[i] - ref.gamma_total) <= tol
         assert list(rep.gamma_by_channel_pair) == list(
             ref.gamma_by_channel_pair)
         for pair, v in ref.gamma_by_channel_pair.items():
-            assert abs(rep.gamma_by_channel_pair[pair] - v) <= tol
+            assert abs(rep.gamma_by_channel_pair[pair][i] - v) <= tol
+            assert norm["enhancement_by_channel_pair"]["-".join(pair)][i] \
+                == rep.gamma_by_channel_pair[pair][i] / gamma_fs
             if pair[0] != pair[1]:
                 cross = max(cross, abs(v) / ref.gamma_total)
-        gamma_fs = rep.normalization["gamma_fs"]["value"]
-        assert rep.normalization["enhancement_total"] == (
-            rep.gamma_total / gamma_fs)
+        assert norm["enhancement_total"][i] == rep.gamma_total[i] / gamma_fs
     # the kernels drive every cross-channel pair, not only the diagonal
     assert cross > 1e-3
 
@@ -623,8 +635,8 @@ def test_enhancement_map_rejects_one_unphysical_node(rng):
 
 def test_enhancement_map_total_semantics_is_dipole_only(rng):
     g = kernel_grid(rng, semantics="total")
-    reports = enhancement_map(g, random_emitter(rng, channels="d"))
-    assert all(r.gamma_total > 0 for r in reports)
+    rep = enhancement_map(g, random_emitter(rng, channels="d"))
+    assert all(gamma > 0 for gamma in rep.gamma_total)
     with pytest.raises(MissingDerivativeError):
         enhancement_map(g, random_emitter(rng, channels="q"))
 
