@@ -12,20 +12,18 @@ from .errors import (PolyemitError, InputError, CoincidentPointError,
                      IntegrationError)
 from .jets import GreensJet
 from .homogeneous import (Medium, eval_homogeneous, eval_homogeneous_jet,
-                          coincident_im_jet, small_R_series_im)
+                          coincident_im_jet)
 from .emitter import MultipoleEmitter, normalize_channels
 from .quadrature import (QuadratureResult, SpectralGreenModel,
-                         integrate_adaptive, pv_integral, imaginary_axis_form,
-                         pv_spectral_form, kk_residual, lorentzian_model,
-                         homogeneous_pair_model, check_imaginary_axis_reality)
+                         imaginary_axis_form, lorentzian_model,
+                         homogeneous_pair_model)
 from .rates import (RateReport, CouplingReport, emission_rate,
                     free_space_rates, lamb_shift, coupling_strength,
                     collective_rate, enhancement_map)
 from .grid import (TensorGrid, save_grid, load_grid, validate_grid,
                    finite_difference_blocks, grid_from_homogeneous,
                    GridValidationReport)
-from .dynamics import (EmitterEnsembleModel, Trajectory, lowering_operators,
-                       product_density, pure_density, evolve_single,
-                       evolve_ensemble, build_ensemble)
+from .dynamics import (EmitterEnsembleModel, Trajectory, product_density,
+                       pure_density, evolve_ensemble, build_ensemble)
 
 __version__ = "0.1.0"

@@ -60,7 +60,8 @@ from .dynamics import (EmitterEnsembleModel, build_ensemble, evolve_ensemble,
 from .emitter import (MultipoleEmitter, _numbers, _numeric_field,
                       normalize_channels)
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
-                     PartFlagError, PolyemitError, QuadratureError, is_number)
+                     PartFlagError, PolyemitError, QuadratureError,
+                     is_finite_number, is_number)
 from .grid import TensorGrid, load_grid, validate_grid
 from .homogeneous import Medium, coincident_im_jet
 # not called here (couple goes through build_ensemble); perfbench/tracing.py
@@ -100,13 +101,15 @@ class RunConfig:
             raise InputError(f"unknown subcommand {self.subcommand!r}")
         if self.format not in ("csv", "json"):
             raise InputError("format must be csv or json")
-        if self.tol_rel is not None and not (0.0 < self.tol_rel < 1.0):
+        if self.tol_rel is not None and not (is_number(self.tol_rel)
+                                             and 0.0 < self.tol_rel < 1.0):
             raise InputError("tol-rel must lie in (0, 1)")
         object.__setattr__(self, "index", Medium(self.index).refractive_index)
-        if self.frequency is not None and not (self.frequency > 0):
-            raise InputError("frequency must be positive")
-        if self.t_max is not None and not (self.t_max > 0
-                                           and math.isfinite(self.t_max)):
+        if self.frequency is not None and not (
+                is_finite_number(self.frequency) and self.frequency > 0):
+            raise InputError("frequency must be positive and finite")
+        if self.t_max is not None and not (is_finite_number(self.t_max)
+                                           and self.t_max > 0):
             raise InputError("t-max must be a positive time in seconds")
         if not (isinstance(self.t_points, int) and self.t_points >= 2):
             raise InputError("t-points must be an integer >= 2")

@@ -65,7 +65,6 @@ _HERM_RTOL = 1e-8        # relative asymmetry allowed before rejection
 _PSD_RTOL = 1e-10        # decay-matrix eigenvalue floor, relative to norm
 _TRACE_TOL = 1e-9
 _BOUND_TOL = 1e-7        # slack on [-1, 1] expectation bounds
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -76,21 +75,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _finite(arr: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
-
-
-def lowering_operators(n_emitters: int) -> list:
-    """Per-emitter lowering operators on the 2**n product space."""
-    n = int(n_emitters)
-    if not 1 <= n <= _MAX_EMITTERS:
-        raise InputError(f"emitter count must lie in [1, {_MAX_EMITTERS}]")
-    eye = np.eye(2, dtype=complex)
-    ops = []
-    for a in range(n):
-        op = np.ones((1, 1), dtype=complex)
-        for k in range(n):
-            op = np.kron(op, _LOWER if k == a else eye)
-        ops.append(op)
-    return ops
 
 
 def product_density(labels: str) -> np.ndarray:
@@ -298,72 +282,6 @@ def _time_grid(times) -> np.ndarray:
     if t.size > 1 and not np.all(np.diff(t) > 0.0):
         raise InputError("time grid must be strictly increasing")
     return t
-
-
-def _parse_initial(initial) -> tuple:
-    if isinstance(initial, str):
-        try:
-            return {"excited": (0.0 + 0.0j, 1.0),
-                    "ground": (0.0 + 0.0j, -1.0)}[initial]
-        except KeyError:
-            raise InputError(
-                f"unknown initial state {initial!r}; use 'excited', "
-                f"'ground', or a (sigma, sigma_z) pair") from None
-    try:
-        sig0, sz0 = initial
-        sig0 = complex(sig0)
-        sz0 = float(sz0)
-    except (TypeError, ValueError) as exc:
-        raise InputError("initial state must be 'excited', 'ground', or a "
-                         "(sigma, sigma_z) pair") from exc
-    if not (np.isfinite(sz0) and np.isfinite(sig0.real)
-            and np.isfinite(sig0.imag)):
-        raise InputError("initial state entries must be finite")
-    if abs(sz0) > 1.0 + 1e-12 or abs(sig0) ** 2 > 0.25 * (1.0 - sz0 ** 2) + 1e-12:
-        raise InputError(
-            "not a physical qubit state: need |sigma_z| <= 1 and "
-            "|<sigma>|^2 <= (1 - sigma_z^2)/4")
-    return sig0, sz0
-
-
-def evolve_single(gamma: float, delta: float, omega0: float, initial,
-                  times) -> Trajectory:
-    """Closed-form decay of one emitter (no integration, no step error).
-
-    From (sigma0, sz0) at the first grid time, with dt measured from it:
-
-        <sigma_z>(t) = -1 + (1 + sz0) exp(-gamma dt)
-        <sigma>(t)   = sigma0 exp(-(gamma/2 + i (omega0 + delta)) dt)
-
-    so an initially excited emitter follows -1 + 2 exp(-gamma t) and the
-    coherence of an undamped, unshifted one just rotates at omega0.
-    Density snapshots are attached in the lab frame (omega_ref = 0).
-    """
-    gamma = float(gamma)
-    if not (gamma >= 0.0 and math.isfinite(gamma)):
-        raise InputError("decay rate must be non-negative and finite")
-    delta = float(delta)
-    omega0 = float(omega0)
-    if not math.isfinite(delta):
-        raise InputError("level shift must be finite")
-    if not (omega0 >= 0.0 and math.isfinite(omega0)):
-        raise InputError("transition frequency must be non-negative")
-    times = _time_grid(times)
-    sig0, sz0 = _parse_initial(initial)
-
-    dt = times - times[0]
-    pe = 0.5 * (1.0 + sz0) * np.exp(-gamma * dt)
-    sz = 2.0 * pe - 1.0
-    sig = sig0 * np.exp(-(0.5 * gamma + 1j * (omega0 + delta)) * dt)
-
-    nt = times.size
-    rho = np.zeros((nt, 2, 2), dtype=complex)
-    rho[:, 0, 0] = 1.0 - pe
-    rho[:, 1, 1] = pe
-    rho[:, 1, 0] = sig
-    rho[:, 0, 1] = np.conj(sig)
-    return Trajectory(times=times, sigma=sig[:, None], sigma_z=sz[:, None],
-                      omega_ref=0.0, rho=rho, error_estimate=0.0)
 
 
 def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:

@@ -4,6 +4,8 @@ Every error the package raises deliberately derives from PolyemitError so
 callers (and the CLI) can separate usage problems from genuine bugs.
 """
 
+import sys
+
 import numpy as np
 
 
@@ -13,6 +15,13 @@ def is_number(value) -> bool:
     Every numeric field of an input document obeys this one rule."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))
+
+
+def is_finite_number(value) -> bool:
+    """is_number, and finite as a float: not NaN, not infinite, and not an
+    int too large for a float (which math.isfinite cannot even convert)."""
+    return (is_number(value)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 class PolyemitError(Exception):

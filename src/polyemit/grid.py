@@ -58,7 +58,8 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import GridDomainError, GridFormatError, InputError, is_number
+from .errors import (GridDomainError, GridFormatError, InputError,
+                     is_finite_number, is_number)
 from .homogeneous import Medium, coincident_im_jet, eval_homogeneous
 from .jets import GreensJet
 
@@ -817,7 +818,7 @@ def finite_difference_blocks(sampler: Callable, axes, step: float) -> dict:
     stencils; d2_ab and d2_ba are numerically identical for a sampled
     field and both keys are returned.
     """
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
+    if not (is_finite_number(step) and step > 0):
         raise InputError("finite-difference step must be a positive number")
     step = float(step)
     axs = []
@@ -947,7 +948,7 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
                       for i, a in enumerate(_AXES)
                       for j, b in enumerate(_AXES))
     else:
-        if not (math.isfinite(fd_step) and fd_step > 0):
+        if not (is_finite_number(fd_step) and fd_step > 0):
             raise InputError("fd_step must be a positive length in m")
         h = float(fd_step)
 

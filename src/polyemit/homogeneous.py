@@ -39,12 +39,13 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .constants import C0
-from .errors import CoincidentPointError, InputError, is_number
+from .errors import (CoincidentPointError, InputError, is_finite_number,
+                     is_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = [
     "Medium", "eval_homogeneous", "eval_homogeneous_jet",
-    "coincident_im_jet", "small_R_series_im", "SERIES_SWITCH",
+    "coincident_im_jet", "SERIES_SWITCH",
 ]
 
 # below this value of k|R| the imaginary part switches to power series
@@ -103,7 +104,7 @@ class Medium:
             if not is_number(n):
                 raise InputError(f"constant refractive index must be a real "
                                  f"number, got {n!r}")
-            if not (n >= 1.0 and math.isfinite(n)):
+            if not (is_finite_number(n) and n >= 1.0):
                 raise InputError(
                     "constant refractive index must be finite and >= 1")
             object.__setattr__(self, "refractive_index", float(n))
@@ -309,25 +310,3 @@ def coincident_im_jet(omega, medium: Medium = Medium()) -> GreensJet:
     k = _lossless_wavenumber(omega, medium, "coincident imaginary-part jet")
     return GreensJet(**_assemble(_COINCIDENT, _im_radial(0.0, np.array([k])),
                                  ()), part="imag")
-
-
-def small_R_series_im(R, omega, medium: Medium = Medium()) -> np.ndarray:
-    """Small-separation series of Im G, valid for k|R| < 0.5.
-
-    Im G = (k/6pi - k^3 |R|^2 / 30pi) I + (k^3/60pi) R R  + O((kR)^4)
-
-    Returns a real 3x3 tensor; the residual against the full formula scales
-    as the fourth power of k|R|.
-    """
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3,):
-        raise InputError("separation must be a 3-vector")
-    k = _lossless_wavenumber(omega, medium, "small-separation series")
-    x = k * float(np.linalg.norm(R))
-    if x >= SERIES_SWITCH:
-        raise InputError(
-            f"series requested at k|R| = {x:.3g}, beyond its trust radius "
-            f"{SERIES_SWITCH}")
-    r2 = float(R @ R)
-    return ((k / (6.0 * math.pi) - k ** 3 * r2 / (30.0 * math.pi)) * np.eye(3)
-            + (k ** 3 / (60.0 * math.pi)) * np.outer(R, R))

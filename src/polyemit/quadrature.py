@@ -1,12 +1,9 @@
 """Complex-valued spectral integration utilities.
 
-Three layers:
+Two layers:
 
   * an adaptive Gauss-Kronrod (7/15) panel integrator for complex
     integrands, with deterministic panel accumulation,
-  * Cauchy principal-value integration over [0, upper) with symmetric pole
-    excision (the excised core integrates the odd difference quotient,
-    which is regular at the pole),
   * the imaginary-axis representation of principal-value spectral
     integrals: for coefficient polynomials p(w) = f0 w^2 + f1 w + f2 and a
     causal Green model G (analytic in the upper half plane, Schwarz
@@ -23,10 +20,10 @@ Three layers:
 
 The unit of work is the 15-node Kronrod panel: one engine integrates
 vector integrands, which map the array of a panel's nodes to their values
-in one call. The spectral forms therefore evaluate one batched Green jet
-(SpectralGreenModel.jet on the node array) and make one contraction per
-panel. integrate_adaptive and pv_integral take scalar integrands f(x) and
-lift them onto the same engine (one call per node).
+in one call. The spectral form therefore evaluates one batched Green jet
+(SpectralGreenModel.jet on the node array) and makes one contraction per
+panel. integrate_adaptive takes a scalar integrand f(x) and lifts it onto
+the same engine (one call per node).
 
 A range [a, inf) is mapped onto [0, 1) by x = a + s t/(1 - t), s the
 problem's frequency scale (QUADPACK's qagi transform), and integrated by
@@ -34,15 +31,14 @@ the same engine; no node reaches t = 1, so f never sees x = inf.
 
 Tolerance, the one stopping rule: an adaptive integral is done when its
 error estimate falls below the largest of rel_tol |I|, a fixed fraction
-of the absolute mass Sum |panel|, and an absolute floor abs_tol. Both
-spectral forms set that floor from the uncancelled size of a contraction
-at the pole (p(w0) . Re G(w0) on the imaginary axis, the numerator
-p(w0) . Im G(w0) on the real axis), so an integral that cancels to
+of the absolute mass Sum |panel|, and an absolute floor abs_tol. The
+spectral form sets that floor from the uncancelled size of its
+contraction at the pole, p(w0) . Re G(w0), so an integral that cancels to
 roundoff (a pair coupling that vanishes by symmetry) stops at roundoff
-instead of chasing a relative tolerance no sum can meet. A tail too slow to integrate is
-singular at t = 1 after the map: bisection toward t = 1 stops where a
-split would put its outer nodes onto a panel end, and the integral is
-refused for its unmet tolerance.
+instead of chasing a relative tolerance no sum can meet. A tail too slow
+to integrate is singular at t = 1 after the map: bisection toward t = 1
+stops where a split would put its outer nodes onto a panel end, and the
+integral is refused for its unmet tolerance.
 """
 
 from __future__ import annotations
@@ -57,9 +53,8 @@ import numpy as np
 from .errors import ModelDomainError, QuadratureError
 from .jets import BLOCK_SHAPES, GreensJet
 
-__all__ = ["QuadratureResult", "integrate_adaptive", "pv_integral",
-           "SpectralGreenModel", "imaginary_axis_form", "pv_spectral_form",
-           "kk_residual", "lorentzian_model", "homogeneous_pair_model"]
+__all__ = ["QuadratureResult", "SpectralGreenModel", "imaginary_axis_form",
+           "lorentzian_model", "homogeneous_pair_model"]
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (nonnegative abscissae;
 # even symmetry). Gauss-7 points are every second Kronrod node.
@@ -104,11 +99,6 @@ def _panel(f, a: float, b: float):
     return k15, abs(k15 - g7), float(np.max(np.abs(vals)))
 
 
-def _lift(f: Callable[[float], complex]):
-    """A scalar integrand as a vector one (one call per node)."""
-    return lambda xs: np.array([f(x) for x in xs], dtype=complex)
-
-
 @dataclass
 class QuadratureResult:
     value: complex
@@ -121,11 +111,21 @@ class QuadratureResult:
         return iter((self.value, self.error))
 
 
+def _lift(f: Callable[[float], complex]):
+    """A scalar integrand as a vector one (one call per node)."""
+    return lambda xs: np.array([f(x) for x in xs], dtype=complex)
+
+
 def integrate_adaptive(f: Callable[[float], complex], a: float, b: float,
                        rel_tol: float = 1e-8, abs_tol: float = 0.0,
                        max_panels: int = 2048) -> QuadratureResult:
     """Adaptive bisection with the Gauss-Kronrod embedded error estimate,
-    for a scalar integrand f(x) (see _adaptive)."""
+    for a scalar integrand f(x) (see _adaptive).
+
+    Not exported and on no package path: the tests drive the engine on
+    scalar integrands through it, and perfbench/tracing.py counts its calls
+    (quadrature.integrate_adaptive_calls_per_op).
+    """
     return _adaptive(_lift(f), a, b, rel_tol, abs_tol, max_panels)
 
 
@@ -202,74 +202,6 @@ def _integrate_to_infinity(f, start: float, scale: float, rel_tol: float,
     return res
 
 
-def pv_integral(f: Callable[[float], complex], pole: float,
-                upper: float = math.inf,
-                rel_tol: float = 1e-8) -> QuadratureResult:
-    """Cauchy principal value of int_0^upper f(w)/(w - pole) dw, for a
-    scalar f(w) (see _pv_integral)."""
-    return _pv_integral(_lift(f), pole, upper, rel_tol)
-
-
-def _pv_integral(f, pole: float, upper: float = math.inf,
-                 rel_tol: float = 1e-8,
-                 abs_tol: float = 0.0) -> QuadratureResult:
-    """Cauchy principal value of int_0^upper f(w)/(w - pole) dw, for a
-    vector f.
-
-    Symmetric excision around the pole: on [pole-d, pole+d] the even part
-    of f cancels and the odd part gives the regular difference quotient
-    [f(pole+s) - f(pole-s)]/s, integrated adaptively. The excision radius
-    is halved once to confirm convergence; abs_tol floors every piece. An
-    infinite upper limit is mapped with scale pole. neval and peak cover
-    every evaluation of f, panels the adaptive panels of both excisions.
-    """
-    if not 0 < pole < upper:
-        raise QuadratureError("pole must lie inside (0, upper)")
-
-    neval, peak = 0, 0.0
-
-    def sampled(ws: np.ndarray) -> np.ndarray:
-        nonlocal neval, peak
-        values = f(ws)
-        neval += ws.size
-        peak = max(peak, float(np.max(np.abs(values))))
-        return values
-
-    def divided(ws: np.ndarray) -> np.ndarray:
-        return sampled(ws) / (ws - pole)
-
-    def evaluate(delta: float) -> tuple:
-        """(value, error, panels) for excision radius delta."""
-        def core(ss: np.ndarray) -> np.ndarray:
-            return (sampled(pole + ss) - sampled(pole - ss)) / ss
-
-        res_core = _adaptive(core, 0.0, delta, rel_tol, abs_tol)
-        res_left = _adaptive(divided, 0.0, pole - delta, rel_tol, abs_tol)
-        if math.isfinite(upper):
-            res_right = _adaptive(divided, pole + delta, upper, rel_tol,
-                                  abs_tol)
-        else:
-            res_right = _integrate_to_infinity(divided, pole + delta, pole,
-                                               rel_tol, abs_tol)
-        value = res_core.value + res_left.value + res_right.value
-        error = res_core.error + res_left.error + res_right.error
-        return (value, error,
-                res_core.panels + res_left.panels + res_right.panels)
-
-    half_span = min(pole, upper - pole)
-    first, first_err, first_panels = evaluate(0.5 * half_span)
-    value, error, panels = evaluate(0.25 * half_span)
-    drift = abs(first - value)
-    budget = 10 * max(first_err + error, rel_tol * abs(value), abs_tol,
-                      1e-300)
-    if drift > budget:
-        raise QuadratureError(
-            f"principal value did not stabilize under excision halving: "
-            f"drift {drift:.3e} vs budget {budget:.3e}")
-    return QuadratureResult(value, max(error, drift), neval,
-                            first_panels + panels, peak)
-
-
 # ---------------------------------------------------------------------------
 # spectral Green models
 
@@ -279,11 +211,10 @@ class SpectralGreenModel:
     """A Green-tensor jet as a function of complex frequency, bound to one
     point pair, with the analyticity declarations the integrators need.
 
-    supports_imaginary_axis declares the model analytic and decaying in the
-    upper half plane and evaluable at imaginary frequency; it also picks
-    the route of every spectral integral in rates (imaginary-axis form with
-    it, real-axis principal value without). omega_range is the
-    real-frequency validity interval. uhp_quadratic_limit maps block name
+    The model is causal: analytic and decaying in the upper half plane and
+    evaluable at imaginary frequency, so every spectral integral takes the
+    imaginary-axis form. omega_range is the real-frequency validity
+    interval. uhp_quadratic_limit maps block name
     -> lim w^2 G_block(w) in the upper half plane (None means that limit
     vanishes). static_pole_blocks maps block name -> S with
     G_block(w) = S/w^2 + O(1) near w = 0 (real S by Schwarz reflection;
@@ -311,7 +242,6 @@ class SpectralGreenModel:
     """
 
     evaluator: Callable[[Union[complex, np.ndarray]], GreensJet]
-    supports_imaginary_axis: bool = False
     omega_range: tuple = (0.0, math.inf)
     uhp_quadratic_limit: Optional[dict] = None
     static_pole_blocks: Optional[dict] = None
@@ -321,44 +251,18 @@ class SpectralGreenModel:
     def jet(self, omega) -> GreensJet:
         """The jet at omega, or at every entry of an array of frequencies.
 
-        Every real entry must lie in omega_range, and complex entries need
-        the imaginary-axis declaration. A single frequency reaches the
-        evaluator as a Python complex, an array as a complex ndarray.
+        Every real entry must lie in omega_range. A single frequency
+        reaches the evaluator as a Python complex, an array as a complex
+        ndarray.
         """
         w = np.asarray(omega, dtype=complex)
-        real = w.imag == 0.0
         lo, hi = self.omega_range
-        outside = real & ~((lo <= w.real) & (w.real <= hi))
+        outside = (w.imag == 0.0) & ~((lo <= w.real) & (w.real <= hi))
         if np.any(outside):
             raise ModelDomainError(
                 f"frequency {w.real[outside].flat[0]:g} outside model "
                 f"validity range [{lo:g}, {hi:g}]")
-        if not (self.supports_imaginary_axis or np.all(real)):
-            raise ModelDomainError(
-                "model does not declare imaginary-axis support; "
-                "use the principal-value path")
         return self.evaluator(complex(w) if w.ndim == 0 else w)
-
-
-def check_imaginary_axis_reality(model: SpectralGreenModel, kappas,
-                                 rtol: float = 1e-8) -> float:
-    """Largest relative imaginary residue of jet blocks on the imaginary
-    axis (must vanish by Schwarz reflection for causal models)."""
-    jet = model.jet(1j * np.asarray(kappas, dtype=float).reshape(-1))
-    worst = 0.0
-    for blk in jet.blocks.values():
-        # one row per frequency
-        rows = blk.reshape(math.prod(jet.batch_shape), -1)
-        scale = np.max(np.abs(rows), axis=1)
-        seen = scale > 0.0
-        if np.any(seen):
-            residue = np.max(np.abs(rows.imag), axis=1)[seen] / scale[seen]
-            worst = max(worst, float(np.max(residue)))
-    if worst > rtol:
-        raise ModelDomainError(
-            f"jet not real on the imaginary axis (relative residue "
-            f"{worst:.2e}); model violates Schwarz reflection")
-    return worst
 
 
 def _coefficient_rows(names, *rows) -> dict:
@@ -397,10 +301,9 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     P int_0^inf w^2 F(w) . Im G(w) / (w - omega0) dw
     for a coefficient bundle F(w) = f0 + f1/w + f2/w^2 (see module doc).
 
-    Requires a model that is analytic in the upper half plane and supports
-    evaluation at imaginary frequency; the arc term uses the model's
-    declared quadratic limit. The rates module takes this route for
-    every model that declares imaginary-axis support.
+    The one route of every spectral integral in the package (the model is
+    causal, see SpectralGreenModel); the arc term uses the model's
+    declared quadratic limit.
 
     Models with a static double pole G = S/w^2 + O(1) at the origin (S real)
     shift the identity: k^2 G(ik) stays finite so the f0 term needs no
@@ -411,10 +314,6 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     vanish for magnetic dipoles in a uniform medium, whose two curls
     annihilate the gradient field of the electrostatic pole.
     """
-    if not model.supports_imaginary_axis:
-        raise ModelDomainError(
-            "model does not support imaginary-axis evaluation; "
-            "use pv_spectral_form instead")
     lo, hi = model.omega_range
     if not (lo <= omega0 <= hi):
         raise ModelDomainError("pole frequency outside model validity range")
@@ -485,95 +384,6 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     return res
 
 
-def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
-                     rel_tol: float = 1e-8) -> QuadratureResult:
-    """Direct real-axis evaluation of
-    P int_0^inf w^2 F(w) . Im G(w) / (w - omega0) dw."""
-    lo, hi = model.omega_range
-    if not (lo < omega0 < hi):
-        raise ModelDomainError("pole frequency outside model validity range")
-
-    # w^2 F(w) = f0 w^2 + f1 w + f2: one contraction per panel
-    kernel = _coefficient_rows(
-        dict.fromkeys([*bundle.f0, *bundle.f1, *bundle.f2]),
-        bundle.f0, bundle.f1, bundle.f2)
-
-    def contracted(ws: np.ndarray, im_blocks: dict) -> np.ndarray:
-        p0, p1, p2 = bundle.contract(im_blocks, kernel)
-        return ws * ws * p0 + ws * p1 + p2
-
-    def numerator(ws: np.ndarray) -> np.ndarray:
-        return contracted(ws, model.jet(ws).imag_part().blocks)
-
-    # one jet at a probe near zero, where the w^2 of the measure must tame
-    # the 1/w and 1/w^2 coefficient factors, and at the pole, where the
-    # numerator's uncancelled size sets the absolute floor
-    ends = np.array([1e-9 * omega0, omega0])
-    im_ends = model.jet(ends).imag_part().blocks
-    probe = contracted(ends, im_ends)[0]
-    if not np.isfinite(probe):
-        raise QuadratureError(
-            "spectral integrand is singular at zero frequency; coefficient "
-            "structure incompatible with the w^2 measure")
-    at_pole = {name: blk[1] for name, blk in im_ends.items()}
-    abs_tol = _roundoff_floor(_pole_coefficients(bundle, omega0), at_pole)
-
-    try:
-        res = _pv_integral(numerator, omega0, hi, rel_tol, abs_tol)
-    except QuadratureError as exc:
-        if not model.supports_imaginary_axis:
-            raise
-        raise QuadratureError(
-            f"{exc}; the model supports imaginary frequency: use "
-            f"imaginary_axis_form") from exc
-    res.neval += ends.size
-    return res
-
-
-def kk_residual(omegas, values, test_frequencies) -> np.ndarray:
-    """Causality consistency check on sampled scalar spectral data.
-
-    For each test frequency w0, evaluates
-        Re v(w0) - (2/pi) P int w Im v(w) / (w^2 - w0^2) dw
-    on the sampled interval (subtract-the-singularity trapezoid rule) and
-    returns the residual. Truncated tails show up in the residual; they are
-    reported, never masked.
-    """
-    w = np.asarray(omegas, dtype=float)
-    v = np.asarray(values, dtype=complex)
-    if w.ndim != 1 or w.shape != v.shape or w.size < 8:
-        raise QuadratureError("need matching 1-d sample arrays (>= 8 points)")
-    if np.any(np.diff(w) <= 0) or w[0] < 0:
-        raise QuadratureError("sample frequencies must increase and be >= 0")
-
-    g = w * v.imag  # numerator of the dispersion integrand
-    out = []
-    for w0 in np.atleast_1d(np.asarray(test_frequencies, dtype=float)):
-        pos = int(np.searchsorted(w, w0))
-        if pos < 4 or pos > w.size - 4:
-            raise QuadratureError(
-                f"test frequency {w0:g} too close to the sampled boundary; "
-                f"insufficient coverage")
-        g0 = float(np.interp(w0, w, g))
-        denom = w ** 2 - w0 ** 2
-        reg = np.empty_like(g)
-        safe = np.abs(denom) > 1e-12 * w0 ** 2
-        reg[safe] = (g[safe] - g0) / denom[safe]
-        if not np.all(safe):
-            # derivative limit at the pole sample: (g' - 0)/(2 w0)
-            gp = np.gradient(g, w)
-            reg[~safe] = gp[~safe] / (2 * w0)
-        integral = np.trapezoid(reg, w)
-        # principal-value antiderivative of 1/(w^2 - w0^2)
-        def anti(x):
-            return math.log(abs((x - w0) / (x + w0))) / (2 * w0)
-        integral += g0 * (anti(w[-1]) - anti(w[0]))
-        re_est = (2.0 / math.pi) * integral
-        re_here = float(np.interp(w0, w, v.real))
-        out.append(re_here - re_est)
-    return np.asarray(out)
-
-
 # ---------------------------------------------------------------------------
 # model factories
 
@@ -626,7 +436,6 @@ def lorentzian_model(terms, low_frequency_scale: Optional[float] = None
             g2[n] = g2.get(n, 0) - tensor
 
     return SpectralGreenModel(evaluator=evaluator,
-                              supports_imaginary_axis=True,
                               omega_range=(0.0, math.inf),
                               uhp_quadratic_limit=g2,
                               low_frequency_scale=low_frequency_scale,
@@ -668,7 +477,6 @@ def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
         statics[name] = np.ascontiguousarray(s.real)
 
     return SpectralGreenModel(evaluator=evaluator,
-                              supports_imaginary_axis=True,
                               omega_range=(0.0, math.inf),
                               uhp_quadratic_limit=None,
                               static_pole_blocks=statics,

@@ -17,7 +17,6 @@ coherent coupling matrix xi and the dissipator matrix gamma feed the
 dynamics module. The self terms reproduce the standard free-space decay
 closed forms, which double as the central cross-oracle.
 
-The model's supports_imaginary_axis picks the route of xi and delta.
 Every emitter of a pair or ensemble lies within freq_ratio_tol of the
 reference frequency (default their mean). An emitter drives the channels
 of its nonzero moments; MultipoleEmitter.restricted deselects the others.
@@ -39,8 +38,7 @@ from .emitter import (CHANNELS, SPECTRAL_NORM, MultipoleEmitter,
 from .errors import InputError, ModelDomainError
 from .homogeneous import Medium
 from .jets import GreensJet
-from .quadrature import (SpectralGreenModel, imaginary_axis_form,
-                         pv_spectral_form)
+from .quadrature import SpectralGreenModel, imaginary_axis_form
 
 __all__ = ["RateReport", "CouplingReport", "emission_rate",
            "free_space_rates", "lamb_shift", "coupling_strength",
@@ -164,18 +162,6 @@ def free_space_rates(e: MultipoleEmitter, n: float,
     return g_ed, g_md, g_eq
 
 
-def _spectral_integral(model: SpectralGreenModel, bundle, omega0: float,
-                       rel_tol: float) -> tuple:
-    """P int_0^inf w^2 F.ImG/(w - omega0) dw by the route the model
-    declares: imaginary-axis when it supports imaginary frequency, the
-    real-axis principal value otherwise. Returns the result and the
-    route's name."""
-    if model.supports_imaginary_axis:
-        return (imaginary_axis_form(model, bundle, omega0, rel_tol=rel_tol),
-                "imaginary-axis")
-    return pv_spectral_form(model, bundle, omega0, rel_tol=rel_tol), "pv"
-
-
 def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
                rel_tol: float = 1e-8) -> float:
     """Environment-induced level shift from the scattered Green model.
@@ -193,8 +179,8 @@ def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
     bundle = moment_product_bundle(e, e)
     if not bundle.required_blocks():
         return 0.0
-    res, _ = _spectral_integral(model, bundle, e.omega0, rel_tol)
-    delta = -res.value
+    delta = -imaginary_axis_form(model, bundle, e.omega0,
+                                 rel_tol=rel_tol).value
     if abs(delta.imag) > 1e-8 * max(abs(delta), 1e-300):
         raise ModelDomainError(
             "level shift came out complex beyond tolerance; the model's "
@@ -229,17 +215,16 @@ def coupling_strength(a: MultipoleEmitter, b: MultipoleEmitter,
                       rel_tol: float = 1e-8) -> CouplingReport:
     """Coherent multipole-multipole coupling xi_ab (rad/s, complex).
 
-    xi_ab = -P int_0^inf w^2 Z_ab(w)/(w - wbar) dw, by the route the model
-    declares (imaginary-axis form when it supports imaginary frequency,
-    real-axis principal value otherwise; the report's method names it).
-    Hermitian in the pair indices.
+    xi_ab = -P int_0^inf w^2 Z_ab(w)/(w - wbar) dw, in its imaginary-axis
+    form. Hermitian in the pair indices.
     """
     wbar = _reference_frequency([a, b], omega_bar, freq_ratio_tol)
     bundle = moment_product_bundle(a, b)
     if not bundle.required_blocks():
         return CouplingReport(xi=0.0 + 0.0j, method="none")
-    res, used = _spectral_integral(model, bundle, wbar, rel_tol)
-    return CouplingReport(xi=-res.value, method=used, xi_error=res.error)
+    res = imaginary_axis_form(model, bundle, wbar, rel_tol=rel_tol)
+    return CouplingReport(xi=-res.value, method="imaginary-axis",
+                          xi_error=res.error)
 
 
 def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,

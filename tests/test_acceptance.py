@@ -26,12 +26,14 @@ from polyemit.dynamics import (EmitterEnsembleModel, evolve_ensemble,
                                product_density, pure_density)
 from polyemit.emitter import MultipoleEmitter, moment_product_bundle
 from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
-                                  eval_homogeneous_jet, small_R_series_im)
+                                  eval_homogeneous_jet)
 from polyemit.grid import grid_from_homogeneous
 from polyemit.quadrature import (homogeneous_pair_model, imaginary_axis_form,
-                                 lorentzian_model, pv_spectral_form)
+                                 lorentzian_model)
 from polyemit.rates import (collective_rate, coupling_strength, emission_rate,
                             enhancement_map, free_space_rates)
+
+from oracles import pv_spectral_form, small_R_series_im
 
 C_LIGHT = 2.99792458e8
 W0 = 2.4e15

@@ -89,6 +89,45 @@ def test_run_config_rejects_unknown_keys_and_bad_values():
         RunConfig.from_dict({"subcommand": "dynamics", "ensemble": "s"})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_max", True), ("t_max", "1e-9"), ("t_max", 10 ** 400),
+    ("frequency", True), ("frequency", math.inf), ("frequency", "2.4e15"),
+    ("tol_rel", "1e-6")],
+    ids=["t_max-bool", "t_max-string", "t_max-huge-int", "frequency-bool",
+         "frequency-inf", "frequency-string", "tol_rel-string"])
+def test_run_config_numeric_fields_follow_the_number_rule(field, value):
+    # each numeric field is a finite number by errors.is_number, never a
+    # bool or a string, and a bad one is an InputError naming the field
+    data = {"subcommand": "dynamics", "ensemble": "s", "t_max": 1e-9,
+            field: value}
+    with pytest.raises(InputError, match=field.replace("_", "[-_]")):
+        RunConfig.from_dict(data)
+
+
+# --- package surface ----------------------------------------------------------
+
+def test_public_names_are_pinned():
+    # test-only references live in tests/oracles.py, not in the package
+    names = sorted(name for name, value in vars(polyemit).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, type(polyemit)))
+    assert names == [
+        "CoincidentPointError", "CouplingReport", "EmitterEnsembleModel",
+        "GreensJet", "GridDomainError", "GridFormatError",
+        "GridValidationReport", "InputError", "IntegrationError", "Medium",
+        "MissingDerivativeError", "ModelDomainError", "MultipoleEmitter",
+        "PartFlagError", "PolyemitError", "QuadratureError",
+        "QuadratureResult", "RateReport", "SpectralGreenModel", "TensorGrid",
+        "Trajectory", "build_ensemble", "coincident_im_jet",
+        "collective_rate", "coupling_strength", "emission_rate",
+        "enhancement_map", "eval_homogeneous", "eval_homogeneous_jet",
+        "evolve_ensemble", "finite_difference_blocks", "free_space_rates",
+        "grid_from_homogeneous", "homogeneous_pair_model",
+        "imaginary_axis_form", "lamb_shift", "load_grid", "lorentzian_model",
+        "normalize_channels", "product_density", "pure_density",
+        "save_grid", "validate_grid"]
+
+
 # --- free-space ---------------------------------------------------------------
 
 def test_free_space_matches_frozen_value(emitter_file, capsys):

@@ -601,6 +601,20 @@ def test_fd_guards():
         finite_difference_blocks(lambda p: np.full((3, 3), np.nan), ax3, 3e-9)
 
 
+@pytest.mark.parametrize("step", [True, 10 ** 400, "3e-9", math.nan,
+                                  math.inf, -3e-9],
+                         ids=["bool", "huge-int", "string", "nan", "inf",
+                              "negative"])
+def test_fd_step_follows_the_number_rule(step):
+    # a bool is not a length, and an int past the float range is refused
+    # as an input, not by a raw OverflowError or TypeError
+    ax3 = (np.linspace(0, 30e-9, 4),) * 3
+    with pytest.raises(InputError, match="step must be a positive"):
+        finite_difference_blocks(lambda p: np.eye(3), ax3, step)
+    with pytest.raises(InputError, match="fd_step must be a positive"):
+        grid_from_homogeneous(Medium(1.5), W0, ax3, fd_step=step)
+
+
 def test_fd_omits_unreachable_diagonal_blocks():
     # 2-node axis: extent 2h fits first derivatives only
     T = np.eye(3)

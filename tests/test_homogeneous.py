@@ -16,10 +16,11 @@ import pytest
 
 from polyemit import (CoincidentPointError, InputError, Medium,
                       MultipoleEmitter, coincident_im_jet, collective_rate,
-                      eval_homogeneous, eval_homogeneous_jet,
-                      small_R_series_im)
+                      eval_homogeneous, eval_homogeneous_jet)
 from polyemit.constants import ATOMIC_QUADRUPOLE, BOHR_MAGNETON, C0
 from polyemit.emitter import moment_product_bundle
+
+from oracles import small_R_series_im
 
 W0 = 2 * math.pi * 384e12  # optical test frequency, rad/s
 
@@ -72,7 +73,8 @@ def test_medium_validation():
         Medium(0.5)
     with pytest.raises(InputError):
         Medium(1 + 0.1j)
-    for n in (math.nan, math.inf):
+    # an int too large for a float is not finite either
+    for n in (math.nan, math.inf, 10 ** 400):
         with pytest.raises(InputError, match="finite"):
             Medium(n)
     m = Medium(lambda w: 1.5 + 0j)

@@ -18,11 +18,11 @@ from polyemit.homogeneous import Medium
 from polyemit.jets import GreensJet
 from polyemit.quadrature import (SpectralGreenModel, _adaptive,
                                  _integrate_to_infinity,
-                                 check_imaginary_axis_reality,
                                  homogeneous_pair_model, imaginary_axis_form,
-                                 integrate_adaptive, kk_residual,
-                                 lorentzian_model, pv_integral,
-                                 pv_spectral_form)
+                                 integrate_adaptive, lorentzian_model)
+
+from oracles import (check_imaginary_axis_reality, kk_residual, pv_integral,
+                     pv_spectral_form)
 
 WR1, ETA1 = 2.50e15, 6.0e13
 WR2, ETA2 = 3.30e15, 1.1e14
@@ -213,7 +213,6 @@ def test_identity_with_static_double_pole(rng):
     g2inf = {k: lor_only.uhp_quadratic_limit.get(k, 0) + S.get(k, 0)
              for k in ("value", "d_obs", "d_src", "d_mixed")}
     synth = SpectralGreenModel(evaluator=synth_eval,
-                               supports_imaginary_axis=True,
                                uhp_quadratic_limit=g2inf,
                                static_pole_blocks=S)
     bundle = random_pair_bundle(rng)
@@ -236,21 +235,10 @@ def test_identity_rejects_f2_with_static_pole(rng):
                          part="full")
 
     synth = SpectralGreenModel(evaluator=synth_eval,
-                               supports_imaginary_axis=True,
                                static_pole_blocks=S)
     bundle = random_pair_bundle(rng)  # has magnetic moments, so f2 != 0
     with pytest.raises(ModelDomainError, match="static pole"):
         imaginary_axis_form(synth, bundle, WR1)
-
-
-def test_identity_requires_imaginary_axis_support(rng):
-    model = SpectralGreenModel(
-        evaluator=lambda w: GreensJet(value=np.eye(3, dtype=complex)),
-        supports_imaginary_axis=False)
-    with pytest.raises(ModelDomainError, match="imaginary-axis"):
-        imaginary_axis_form(model, random_pair_bundle(rng), WR1)
-    with pytest.raises(ModelDomainError):
-        model.jet(1j * WR1)
 
 
 def test_identity_refuses_imaginary_part_jets(rng):
@@ -300,7 +288,7 @@ def test_low_frequency_guard(rng):
 def test_frequency_range_enforced(rng):
     model = SpectralGreenModel(
         evaluator=lambda w: GreensJet(value=np.eye(3, dtype=complex)),
-        supports_imaginary_axis=True, omega_range=(1e15, 2e15))
+        omega_range=(1e15, 2e15))
     with pytest.raises(ModelDomainError, match="range"):
         model.jet(5e14)
     with pytest.raises(ModelDomainError, match="range"):

@@ -16,9 +16,11 @@ from polyemit.grid import TensorGrid
 from polyemit.homogeneous import Medium, coincident_im_jet, eval_homogeneous_jet
 from polyemit.jets import GreensJet
 from polyemit.quadrature import (homogeneous_pair_model, imaginary_axis_form,
-                                 lorentzian_model, pv_spectral_form)
+                                 lorentzian_model)
 from polyemit.rates import (collective_rate, coupling_strength, emission_rate,
                             enhancement_map, free_space_rates, lamb_shift)
+
+from oracles import pv_spectral_form
 
 W0 = 2.4e15
 
@@ -211,7 +213,7 @@ def test_lamb_shift_methods_agree(rng):
     d_pv = -pv_spectral_form(model, bundle, W0).value.real
     d_ia = -imaginary_axis_form(model, bundle, W0).value.real
     assert abs(d_pv - d_ia) < 5e-6 * abs(d_pv)
-    # an analytic model declares the imaginary axis, so lamb_shift takes it
+    # lamb_shift is the imaginary-axis form
     assert lamb_shift(e, model) == d_ia
 
 
@@ -374,10 +376,8 @@ def test_real_axis_coupling_zero_by_symmetry_stops_at_roundoff():
         im_g = model.jet(w).imag_part().value
         floor = 1e-14 * math.pi * np.sum(np.abs(p0) * np.abs(im_g))
         assert abs(pv - ia) <= floor
-        # a callable environment without imaginary-axis support takes the
-        # real-axis route in build_ensemble
-        real_axis = dataclasses.replace(model, supports_imaginary_axis=False)
-        ens = build_ensemble([a, b], lambda x, y: real_axis)
+        # a callable environment stops at roundoff in build_ensemble too
+        ens = build_ensemble([a, b], lambda x, y: model)
         assert abs(ens.xi[0, 1]) <= 1e-13 * scale
 
 
@@ -413,21 +413,18 @@ def test_pair_frequency_rule_is_the_reference_rule():
 
 
 def test_spectral_route_follows_the_model_declaration(rng):
-    # one owner of the route: the imaginary-axis form for a model that
-    # declares imaginary-frequency support, the real-axis principal value
-    # for one that does not, and the report names the route taken
+    # one route: lamb_shift and coupling_strength are the imaginary-axis
+    # form, and the report names it
     model = lorentzian_model([(reciprocal_blocks(rng, 1e5), 1.2 * W0,
                                0.04 * W0)])
-    real_axis = dataclasses.replace(model, supports_imaginary_axis=False)
     a = random_emitter(rng)
     b = random_emitter(rng, pos=(0, 0, 50e-9))
-    for m, form, route in ((model, imaginary_axis_form, "imaginary-axis"),
-                           (real_axis, pv_spectral_form, "pv")):
-        shift = -form(m, moment_product_bundle(a, a), W0).value.real
-        assert lamb_shift(a, m) == shift
-        xi = -form(m, moment_product_bundle(a, b), W0).value
-        rep = coupling_strength(a, b, m)
-        assert rep.xi == xi and rep.method == route
+    shift = -imaginary_axis_form(model, moment_product_bundle(a, a),
+                                 W0).value.real
+    assert lamb_shift(a, model) == shift
+    xi = -imaginary_axis_form(model, moment_product_bundle(a, b), W0).value
+    rep = coupling_strength(a, b, model)
+    assert rep.xi == xi and rep.method == "imaginary-axis"
 
 
 def transpose_reciprocal(blocks):
