@@ -58,17 +58,18 @@ import numpy as np
 from .dynamics import (EmitterEnsembleModel, build_ensemble, evolve_ensemble,
                        product_density, pure_density)
 from .emitter import (MultipoleEmitter, _numbers, _numeric_field,
-                      normalize_channels)
+                      _parse_complex, normalize_channels)
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
-                     PartFlagError, PolyemitError, QuadratureError,
-                     is_finite_number, is_number)
+                     PartFlagError, PolyemitError, QuadratureError, is_number,
+                     positive_number)
 from .grid import TensorGrid, load_grid, validate_grid
 from .homogeneous import Medium, coincident_im_jet
+from .rates import (_reference_frequency, collective_rate, enhancement_map,
+                    free_space_rates)
 # not called here (couple goes through build_ensemble); perfbench/tracing.py
 # wraps these two names on this module
 from .quadrature import homogeneous_pair_model  # noqa: F401
-from .rates import (collective_rate, coupling_strength,  # noqa: F401
-                    enhancement_map, free_space_rates)
+from .rates import coupling_strength  # noqa: F401
 
 _CSV_SCHEMA = "polyemit-csv 1"
 
@@ -105,12 +106,10 @@ class RunConfig:
                                              and 0.0 < self.tol_rel < 1.0):
             raise InputError("tol-rel must lie in (0, 1)")
         object.__setattr__(self, "index", Medium(self.index).refractive_index)
-        if self.frequency is not None and not (
-                is_finite_number(self.frequency) and self.frequency > 0):
-            raise InputError("frequency must be positive and finite")
-        if self.t_max is not None and not (is_finite_number(self.t_max)
-                                           and self.t_max > 0):
-            raise InputError("t-max must be a positive time in seconds")
+        if self.frequency is not None:
+            positive_number(self.frequency, "frequency")
+        if self.t_max is not None:
+            positive_number(self.t_max, "t-max (seconds)")
         if not (isinstance(self.t_points, int) and self.t_points >= 2):
             raise InputError("t-points must be an integer >= 2")
         object.__setattr__(self, "emitters", tuple(self.emitters))
@@ -154,9 +153,7 @@ def parse_frequency(text: str) -> float:
             except ValueError:
                 raise InputError(
                     f"cannot parse frequency value {body!r}") from None
-            if not (value > 0 and math.isfinite(value)):
-                raise InputError("frequency must be positive and finite")
-            return value * scale
+            return positive_number(value, "frequency") * scale
     raise InputError(
         f"frequency {s!r} needs an explicit unit suffix: THz or rad/s")
 
@@ -287,8 +284,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
     a, b = (MultipoleEmitter.from_file(path).restricted(cfg.channels)
             for path in cfg.emitters)
     med = Medium(cfg.index)
-    wbar = (cfg.frequency if cfg.frequency is not None
-            else 0.5 * (a.omega0 + b.omega0))
+    wbar = _reference_frequency([a, b], cfg.frequency)
     rel_tol = cfg.tol_rel if cfg.tol_rel is not None else 1e-8
     separation = float(np.linalg.norm(a.position - b.position))
 
@@ -339,14 +335,6 @@ def _load_grid_file(path: str) -> TensorGrid:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _amplitude(value) -> complex:
-    """A number, or an [re, im] pair (read through _numeric_field)."""
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    return complex(value)
-
-
 def _matrix_from_doc(node, n: int, what: str) -> np.ndarray:
     if not (isinstance(node, dict) and set(node) == {"re", "im"}):
         raise InputError(f"{what} must be an object with re and im matrices")
@@ -389,8 +377,8 @@ def _parse_ensemble_spec(path: str) -> tuple:
                                         "delta_rad_per_s"), dtype=float)
             n = delta.size
             model = EmitterEnsembleModel(
-                omega_ref=float(_numbers(node["omega_ref_rad_per_s"],
-                                         "omega_ref_rad_per_s")),
+                omega_ref=_numbers(node["omega_ref_rad_per_s"],
+                                   "omega_ref_rad_per_s"),
                 delta=delta,
                 xi=_matrix_from_doc(node["xi_rad_per_s"], n, "xi"),
                 gamma=_matrix_from_doc(node["gamma_rad_per_s"], n, "gamma"))
@@ -430,8 +418,7 @@ def _parse_ensemble_spec(path: str) -> tuple:
         raw = spec["initial_amplitudes"]
         if not isinstance(raw, list):
             raise InputError(f"{path}: initial_amplitudes must be a list")
-        amps = np.array([_numeric_field(f"{path}: initial_amplitudes[{i}]",
-                                        _amplitude, v)
+        amps = np.array([_parse_complex(v, f"{path}: initial_amplitudes[{i}]")
                          for i, v in enumerate(raw)])
         if amps.size != 2 ** n:
             raise InputError(f"{path}: need {2 ** n} amplitudes for "

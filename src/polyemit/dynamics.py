@@ -52,11 +52,11 @@ from scipy.sparse import csr_matrix
 
 from .emitter import MultipoleEmitter
 from .errors import (CoincidentPointError, InputError, IntegrationError,
-                     ModelDomainError)
+                     increasing_axis, positive_number)
 from .grid import TensorGrid
 from .homogeneous import Medium, coincident_im_jet
 from .quadrature import SpectralGreenModel, homogeneous_pair_model
-from .rates import (_reference_frequency, collective_rate,
+from .rates import (_real_entry, _reference_frequency, collective_rate,
                     coupling_strength, lamb_shift)
 
 _MAX_EMITTERS = 10       # propagation cap, state dimension 2**10
@@ -134,11 +134,8 @@ class EmitterEnsembleModel:
     gamma: np.ndarray
 
     def __post_init__(self):
-        if not (np.isscalar(self.omega_ref) or np.ndim(self.omega_ref) == 0) \
-                or not (float(self.omega_ref) > 0
-                        and math.isfinite(float(self.omega_ref))):
-            raise InputError("reference frequency must be positive and finite")
-        object.__setattr__(self, "omega_ref", float(self.omega_ref))
+        object.__setattr__(self, "omega_ref", positive_number(
+            self.omega_ref, "reference frequency omega_ref"))
 
         delta = np.asarray(self.delta, dtype=float)
         if delta.ndim != 1 or delta.size == 0:
@@ -276,12 +273,7 @@ class Trajectory:
 
 
 def _time_grid(times) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
-        raise InputError("time grid must be a finite 1-D array")
-    if t.size > 1 and not np.all(np.diff(t) > 0.0):
-        raise InputError("time grid must be strictly increasing")
-    return t
+    return increasing_axis(times, "time grid")
 
 
 def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:
@@ -299,9 +291,7 @@ def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:
                          f"({dim}, {dim})")
     if not _finite(rho):
         raise InputError(f"{what} must be finite")
-    scale = float(np.max(np.abs(rho)))
-    if scale == 0.0 or np.max(np.abs(rho - rho.conj().T)) > _HERM_RTOL * scale:
-        raise InputError(f"{what} must be Hermitian")
+    rho = _hermitize(rho, what)
     if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
         raise InputError(f"{what} must have unit trace within {_TRACE_TOL:g}")
     sector = np.empty(dim, dtype=np.intp)
@@ -314,7 +304,7 @@ def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:
                   if np.any(blk)]
     if min(np.linalg.eigvalsh(blk)[0] for blk in blocks) < -1e-9:
         raise InputError(f"{what} must be positive semidefinite")
-    return 0.5 * (rho + rho.conj().T)
+    return rho
 
 
 def _sectors(n: int) -> tuple:
@@ -486,10 +476,10 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     elif keep_states and n > _MAX_SNAPSHOT:
         raise InputError(f"state snapshots are kept only up to "
                          f"{_MAX_SNAPSHOT} emitters")
-    rtol = float(rtol)
-    atol = float(atol)
-    if not (0.0 < rtol <= 1e-6 and 0.0 < atol <= 1e-6):
-        raise InputError("tolerances must be positive, at most 1e-6")
+    rtol = positive_number(rtol, "tolerance rtol")
+    atol = positive_number(atol, "tolerance atol")
+    if rtol > 1e-6 or atol > 1e-6:
+        raise InputError("tolerances must be at most 1e-6")
     times = _time_grid(times)
     members, occupation, lift = _sectors(n)
     rho_init = _check_density(rho0, members, "initial state")
@@ -573,15 +563,6 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
 
 
 # --- assembling ensemble coefficients from an environment -------------------
-
-def _real_entry(value: complex, what: str) -> float:
-    value = complex(value)
-    if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
-        raise ModelDomainError(
-            f"{what} came out complex beyond tolerance; the environment's "
-            f"spectral density is not Hermitian for this emitter")
-    return float(value.real)
-
 
 def _pair_source(environment, omega_ref: float, freq_ratio_tol: float):
     """environment as (a, b, diagonal) -> GreensJet, spectral model or None."""

@@ -30,7 +30,8 @@ import numpy as np
 
 from .constants import (ATOMIC_DIPOLE, ATOMIC_QUADRUPOLE, BOHR_MAGNETON, C0,
                         EPS0, HBAR)
-from .errors import InputError, MissingDerivativeError, is_number
+from .errors import (InputError, MissingDerivativeError, finite_point,
+                     is_number, positive_number)
 from .jets import GreensJet
 
 __all__ = ["CHANNELS", "MultipoleEmitter", "bilinear_form",
@@ -116,25 +117,31 @@ def _numeric_field(name: str, convert, value):
         raise InputError(f"{name} must be numeric, got {value!r}") from None
 
 
-def _parse_complex_array(node, shape, name):
-    """JSON complex encoding: a number, or an [re, im] pair, nested in lists."""
-    def scal(x):
+def _parse_complex(x, name: str) -> complex:
+    """One entry of the JSON complex encoding: a number, or an [re, im]
+    pair of numbers (is_number)."""
+    try:
         if is_number(x):
             return complex(x)
         if (isinstance(x, (list, tuple)) and len(x) == 2
                 and all(is_number(t) for t in x)):
             return complex(x[0], x[1])
-        raise InputError(f"{name} must be numeric, got entry {x!r}")
+    except OverflowError:
+        raise InputError(f"{name}: integer too large for a float") from None
+    raise InputError(f"{name} must be numeric, got entry {x!r}")
 
+
+def _parse_complex_array(node, shape, name):
+    """JSON complex encoding (_parse_complex entries) nested in lists."""
     arr = np.empty(shape, dtype=complex)
     try:
         if len(shape) == 1:
             for i in range(shape[0]):
-                arr[i] = scal(node[i])
+                arr[i] = _parse_complex(node[i], name)
         else:
             for i in range(shape[0]):
                 for j in range(shape[1]):
-                    arr[i, j] = scal(node[i][j])
+                    arr[i, j] = _parse_complex(node[i][j], name)
     except (IndexError, TypeError, KeyError) as exc:
         raise InputError(f"{name}: wrong shape, expected {shape}") from exc
     return arr
@@ -155,14 +162,10 @@ class MultipoleEmitter:
     Q: np.ndarray = field(default_factory=lambda: np.zeros((3, 3), dtype=complex))
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise InputError(
-                "emitter position must be a finite 3-vector (meters)")
-        object.__setattr__(self, "position", pos)
-        if not (self.omega0 > 0 and np.isfinite(self.omega0)):
-            raise InputError("transition frequency must be positive")
-        object.__setattr__(self, "omega0", float(self.omega0))
+        object.__setattr__(self, "position",
+                           finite_point(self.position, "emitter position"))
+        object.__setattr__(self, "omega0", positive_number(
+            self.omega0, "transition frequency omega0"))
         object.__setattr__(self, "d", _as_complex_vector(self.d, "d"))
         object.__setattr__(self, "m", _as_complex_vector(self.m, "m"))
         object.__setattr__(self, "Q", _as_complex_matrix(self.Q, "Q"))
@@ -266,8 +269,7 @@ def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
     frequencies by analytic continuation of coefficient bundles, never by
     conjugating at complex frequency).
     """
-    if not (isinstance(omega, (int, float)) and omega > 0):
-        raise InputError("bilinear_form needs a real positive frequency")
+    omega = positive_number(omega, "bilinear_form frequency omega")
     bundle = moment_product_bundle(a, b)
     # np.divide rounds a single point as it rounds each batch entry;
     # Python's complex division by a float rounds differently

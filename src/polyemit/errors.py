@@ -1,27 +1,13 @@
-"""Exception hierarchy, and the rule for numbers in input documents.
+"""Exception hierarchy, and the rules for numbers, axes and points.
 
 Every error the package raises deliberately derives from PolyemitError so
 callers (and the CLI) can separate usage problems from genuine bugs.
 """
 
+import reprlib
 import sys
 
 import numpy as np
-
-
-def is_number(value) -> bool:
-    """True for a real number given as a number: an int or a float (numpy's
-    too), never a bool (Python counts bools as ints) and never a string.
-    Every numeric field of an input document obeys this one rule."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
-
-
-def is_finite_number(value) -> bool:
-    """is_number, and finite as a float: not NaN, not infinite, and not an
-    int too large for a float (which math.isfinite cannot even convert)."""
-    return (is_number(value)
-            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 class PolyemitError(Exception):
@@ -61,4 +47,63 @@ class IntegrationError(PolyemitError):
 
 
 class ModelDomainError(InputError):
-    """Spectral model queried outside its declared validity domain."""
+    """Spectral model or integral given an argument it cannot take (an
+    invalid pole frequency or resonance, a coefficient structure that
+    diverges, a non-Hermitian result)."""
+
+
+def is_number(value) -> bool:
+    """True for a real number given as a number: an int or a float (numpy's
+    too), never a bool (Python counts bools as ints) and never a string.
+    Every numeric field of an input document obeys this one rule."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def is_finite_number(value) -> bool:
+    """is_number, and finite as a float: not NaN, not infinite, and not an
+    int too large for a float (which float() cannot even convert)."""
+    return (is_number(value)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
+def positive_number(value, name: str, error=InputError) -> float:
+    """value as a float when it is a finite number (is_finite_number) above
+    zero: the one rule for frequencies, steps, times and tolerances.
+    Otherwise error naming the field."""
+    if not (is_finite_number(value) and value > 0):
+        raise error(f"{name} must be a positive finite number, "
+                    f"got {reprlib.repr(value)}")
+    return float(value)
+
+
+def _real_array(value):
+    """value as a float array when it holds only ints and floats (no bools,
+    strings, complex, oversized ints or ragged nesting), else None."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        return None
+    return arr.astype(float) if arr.dtype.kind in "iuf" else None
+
+
+def finite_point(value, name: str, error=InputError) -> np.ndarray:
+    """value as a float array of shape (3,) with finite real entries: the
+    one rule for positions, query points and separations. Otherwise error
+    naming the field."""
+    p = _real_array(value)
+    if p is None or p.shape != (3,) or not np.isfinite(p).all():
+        raise error(f"{name} must be a finite real 3-vector (m)")
+    return p
+
+
+def increasing_axis(value, name: str, error=InputError) -> np.ndarray:
+    """value as a nonempty 1-D float array of finite, strictly increasing
+    entries: the one rule for grid axes and time grids. Otherwise error
+    naming the field."""
+    a = _real_array(value)
+    if (a is None or a.ndim != 1 or a.size == 0
+            or not np.isfinite(a).all() or (np.diff(a) <= 0.0).any()):
+        raise error(f"{name} must be a nonempty finite strictly increasing "
+                    f"1-D array")
+    return a

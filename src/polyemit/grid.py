@@ -59,7 +59,8 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import (GridDomainError, GridFormatError, InputError,
-                     is_finite_number, is_number)
+                     finite_point, increasing_axis, is_number,
+                     positive_number)
 from .homogeneous import Medium, coincident_im_jet, eval_homogeneous
 from .jets import GreensJet
 
@@ -113,10 +114,8 @@ class TensorGrid:
     provenance: Any = None
 
     def __post_init__(self):
-        freq = float(self.frequency)
-        if not (math.isfinite(freq) and freq > 0.0):
-            raise GridFormatError("frequency_rad_per_s must be finite and > 0")
-        object.__setattr__(self, "frequency", freq)
+        object.__setattr__(self, "frequency", positive_number(
+            self.frequency, "frequency_rad_per_s", GridFormatError))
         if (not isinstance(self.length_unit, str)
                 or self.length_unit not in _METERS_PER_UNIT):
             raise GridFormatError(
@@ -138,10 +137,8 @@ class TensorGrid:
             raise GridFormatError(
                 "derivative_semantics must be declared 'total' or 'split', "
                 f"got {self.derivative_semantics!r}")
-        tol = float(self.symmetry_tol)
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise GridFormatError("symmetry tolerance must be finite and > 0")
-        object.__setattr__(self, "symmetry_tol", tol)
+        object.__setattr__(self, "symmetry_tol", positive_number(
+            self.symmetry_tol, "symmetry_rtol", GridFormatError))
 
         if len(self.axes) != 3 or len(self.fixed_axes) != 3:
             raise GridFormatError("axes and fixed_axes must give x, y and z")
@@ -151,15 +148,11 @@ class TensorGrid:
                 "x and y must be coordinate arrays; only z may be fixed")
         axes = []
         for name, ax, fx in zip(_AXES, self.axes, fixed):
-            arr = np.atleast_1d(np.asarray(ax, dtype=float)).copy()
-            if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-                raise GridFormatError(
-                    f"axes.{name} must be a nonempty finite 1-D array")
+            arr = increasing_axis(np.atleast_1d(ax), f"axes.{name}",
+                                  GridFormatError)
             if fx and arr.size != 1:
                 raise GridFormatError(
                     f"axes.{name} is declared fixed but carries {arr.size} values")
-            if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-                raise GridFormatError(f"axes.{name} must be strictly increasing")
             arr.flags.writeable = False
             axes.append(arr)
         object.__setattr__(self, "axes", tuple(axes))
@@ -213,9 +206,7 @@ class TensorGrid:
         return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
 
     def _locate(self, point) -> list:
-        p = np.asarray(point, dtype=float).reshape(-1)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            raise InputError("query point must be a finite 3-vector (m)")
+        p = finite_point(point, "query point")
         axes = self.axes_si()
         span = max(a[-1] - a[0] for a in axes)
         scale = max(span, max(np.abs(a).max() for a in axes))
@@ -818,17 +809,9 @@ def finite_difference_blocks(sampler: Callable, axes, step: float) -> dict:
     stencils; d2_ab and d2_ba are numerically identical for a sampled
     field and both keys are returned.
     """
-    if not (is_finite_number(step) and step > 0):
-        raise InputError("finite-difference step must be a positive number")
-    step = float(step)
-    axs = []
-    for name, ax in zip(_AXES, axes):
-        arr = np.atleast_1d(np.asarray(ax, dtype=float))
-        if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise InputError(f"axis {name} must be a finite 1-D array")
-        if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-            raise InputError(f"axis {name} must be strictly increasing")
-        axs.append(arr)
+    step = positive_number(step, "finite-difference step")
+    axs = [increasing_axis(np.atleast_1d(ax), f"axis {name}")
+           for name, ax in zip(_AXES, axes)]
     multi = [i for i in range(3) if axs[i].size >= 2]
     if not multi:
         raise InputError("axes carry no extent; nothing to differentiate")
@@ -948,9 +931,7 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
                       for i, a in enumerate(_AXES)
                       for j, b in enumerate(_AXES))
     else:
-        if not (is_finite_number(fd_step) and fd_step > 0):
-            raise InputError("fd_step must be a positive length in m")
-        h = float(fd_step)
+        h = positive_number(fd_step, "fd_step")
 
         def sample(p):
             # Im G(p, 0), which is Im G(r + p, r) at every node r
@@ -975,7 +956,7 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
         provenance = {"generator": "uniform-medium analytic sampler",
                       "fd_step_m": fd_step}
     return TensorGrid(
-        frequency=float(frequency), length_unit="m", value_unit_exponent=-1,
+        frequency=frequency, length_unit="m", value_unit_exponent=-1,
         derivative_semantics="split", axes=tuple(ax_arrays),
         fixed_axes=tuple(fixed), blocks=blocks, symmetry_tol=symmetry_tol,
         provenance=provenance)

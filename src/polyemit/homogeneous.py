@@ -39,8 +39,8 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .constants import C0
-from .errors import (CoincidentPointError, InputError, is_finite_number,
-                     is_number)
+from .errors import (CoincidentPointError, InputError, finite_point,
+                     is_finite_number, is_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = [
@@ -254,9 +254,7 @@ def _assemble(geometry: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
 def _jet_blocks(R, omega, medium: Medium, value_only: bool = False) -> dict:
     """Full jet blocks, or the value block alone, at separation R != 0,
     batch shape omega.shape."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3,):
-        raise InputError("separation must be a 3-vector")
+    R = finite_point(R, "separation")
     r = float(np.linalg.norm(R))
     if r == 0.0:
         raise CoincidentPointError(
@@ -290,10 +288,8 @@ def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> Gree
     evaluation, so each batch entry equals the single-frequency jet bit
     for bit.
     """
-    r_obs = np.asarray(r_obs, dtype=float)
-    r_src = np.asarray(r_src, dtype=float)
-    if r_obs.shape != (3,) or r_src.shape != (3,):
-        raise InputError("points must be 3-vectors")
+    r_obs = finite_point(r_obs, "field point")
+    r_src = finite_point(r_src, "source point")
     return GreensJet(**_jet_blocks(r_obs - r_src, omega, medium), part="full")
 
 

@@ -50,7 +50,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ModelDomainError, QuadratureError
+from .errors import (ModelDomainError, QuadratureError, finite_point,
+                     positive_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = ["QuadratureResult", "SpectralGreenModel", "imaginary_axis_form",
@@ -77,9 +78,6 @@ _W7 = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
 
 # error allowed per unit of absolute panel mass Sum |panel|
 _MAGNITUDE_TOL = 1e-10
-
-# lowest pole frequency of imaginary_axis_form, in low_frequency_scale units
-_LOW_FREQUENCY_MARGIN = 10.0
 
 
 def _nodes(a: float, b: float) -> np.ndarray:
@@ -213,17 +211,15 @@ class SpectralGreenModel:
 
     The model is causal: analytic and decaying in the upper half plane and
     evaluable at imaginary frequency, so every spectral integral takes the
-    imaginary-axis form. omega_range is the real-frequency validity
-    interval. uhp_quadratic_limit maps block name
+    imaginary-axis form, at any positive pole frequency. The fields after
+    the evaluator are its declarations. uhp_quadratic_limit maps block name
     -> lim w^2 G_block(w) in the upper half plane (None means that limit
     vanishes). static_pole_blocks maps block name -> S with
     G_block(w) = S/w^2 + O(1) near w = 0 (real S by Schwarz reflection;
-    None means the model is regular at zero). low_frequency_scale, when
-    set, is the spectral floor; imaginary_axis_form refuses a pole
-    frequency below ten times it. scattered marks models that represent
-    only the structure-induced part of the response (finite at the source
-    point), the part level shifts are computed from. Block names are
-    those of jets.BLOCK_SHAPES.
+    None means the model is regular at zero). scattered marks models that
+    represent only the structure-induced part of the response (finite at
+    the source point), the part level shifts are computed from. Block
+    names are those of jets.BLOCK_SHAPES.
 
     Evaluator contract: evaluator(w) takes one complex frequency (a Python
     complex) or a complex ndarray of frequencies, and returns a GreensJet
@@ -242,26 +238,17 @@ class SpectralGreenModel:
     """
 
     evaluator: Callable[[Union[complex, np.ndarray]], GreensJet]
-    omega_range: tuple = (0.0, math.inf)
     uhp_quadratic_limit: Optional[dict] = None
     static_pole_blocks: Optional[dict] = None
-    low_frequency_scale: Optional[float] = None
     scattered: bool = True
 
     def jet(self, omega) -> GreensJet:
         """The jet at omega, or at every entry of an array of frequencies.
 
-        Every real entry must lie in omega_range. A single frequency
-        reaches the evaluator as a Python complex, an array as a complex
-        ndarray.
+        A single frequency reaches the evaluator as a Python complex, an
+        array as a complex ndarray.
         """
         w = np.asarray(omega, dtype=complex)
-        lo, hi = self.omega_range
-        outside = (w.imag == 0.0) & ~((lo <= w.real) & (w.real <= hi))
-        if np.any(outside):
-            raise ModelDomainError(
-                f"frequency {w.real[outside].flat[0]:g} outside model "
-                f"validity range [{lo:g}, {hi:g}]")
         return self.evaluator(complex(w) if w.ndim == 0 else w)
 
 
@@ -303,7 +290,8 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
 
     The one route of every spectral integral in the package (the model is
     causal, see SpectralGreenModel); the arc term uses the model's
-    declared quadratic limit.
+    declared quadratic limit. omega0 is a positive finite number
+    (errors.positive_number); anything else is a ModelDomainError.
 
     Models with a static double pole G = S/w^2 + O(1) at the origin (S real)
     shift the identity: k^2 G(ik) stays finite so the f0 term needs no
@@ -314,17 +302,8 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     vanish for magnetic dipoles in a uniform medium, whose two curls
     annihilate the gradient field of the electrostatic pole.
     """
-    lo, hi = model.omega_range
-    if not (lo <= omega0 <= hi):
-        raise ModelDomainError("pole frequency outside model validity range")
-    if (model.low_frequency_scale
-            and omega0 < _LOW_FREQUENCY_MARGIN * model.low_frequency_scale):
-        raise ModelDomainError(
-            f"pole frequency {omega0:g} below {_LOW_FREQUENCY_MARGIN:g}x the "
-            f"model's low-frequency scale {model.low_frequency_scale:g}; the "
-            f"contour replacement is not warranted this close to the "
-            f"spectral floor")
-
+    omega0 = positive_number(omega0, "pole frequency omega0",
+                             ModelDomainError)
     f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
 
     statics = {name: np.asarray(s_blk) for name, s_blk in
@@ -388,21 +367,20 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
 # model factories
 
 
-def lorentzian_model(terms, low_frequency_scale: Optional[float] = None
-                     ) -> SpectralGreenModel:
+def lorentzian_model(terms) -> SpectralGreenModel:
     """Sum of damped resonances per block:
     G_block(w) = sum_j A_j_block / (w_rj^2 - w^2 - i eta_j w).
 
     terms: list of (blocks, omega_r, eta) with blocks a dict mapping block
-    names to complex amplitude tensors. Satisfies Schwarz reflection, is
-    analytic in the upper half plane, and has quadratic limit
-    -sum_j A_j_block.
+    names to complex amplitude tensors, and omega_r and eta positive finite
+    numbers. Satisfies Schwarz reflection, is analytic in the upper half
+    plane, and has quadratic limit -sum_j A_j_block.
     """
     parsed = []
     for blocks, omega_r, eta in terms:
-        if not (omega_r > 0 and eta > 0):
-            raise ModelDomainError("resonance frequency and damping must be "
-                                   "positive")
+        omega_r = positive_number(omega_r, "resonance frequency omega_r",
+                                  ModelDomainError)
+        eta = positive_number(eta, "damping eta", ModelDomainError)
         blk = {}
         for name, tensor in blocks.items():
             if name not in BLOCK_SHAPES:
@@ -411,7 +389,7 @@ def lorentzian_model(terms, low_frequency_scale: Optional[float] = None
             if arr.shape != BLOCK_SHAPES[name]:
                 raise ModelDomainError(f"block {name} has wrong shape")
             blk[name] = arr
-        parsed.append((blk, float(omega_r), float(eta)))
+        parsed.append((blk, omega_r, eta))
 
     all_names = sorted({n for blk, _, _ in parsed for n in blk})
 
@@ -435,10 +413,7 @@ def lorentzian_model(terms, low_frequency_scale: Optional[float] = None
         for n, tensor in blk.items():
             g2[n] = g2.get(n, 0) - tensor
 
-    return SpectralGreenModel(evaluator=evaluator,
-                              omega_range=(0.0, math.inf),
-                              uhp_quadratic_limit=g2,
-                              low_frequency_scale=low_frequency_scale,
+    return SpectralGreenModel(evaluator=evaluator, uhp_quadratic_limit=g2,
                               scattered=True)
 
 
@@ -456,8 +431,8 @@ def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
     from .errors import CoincidentPointError
     from .homogeneous import eval_homogeneous_jet
 
-    r_obs = np.asarray(r_obs, dtype=float)
-    r_src = np.asarray(r_src, dtype=float)
+    r_obs = finite_point(r_obs, "field point")
+    r_src = finite_point(r_src, "source point")
     dist = float(np.linalg.norm(r_obs - r_src))
     if dist == 0.0:
         raise CoincidentPointError(
@@ -476,9 +451,5 @@ def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
         s = -(4.0 * kappa ** 2 * blk[0] - 4.0 * kappa ** 2 * blk[1]) / 3.0
         statics[name] = np.ascontiguousarray(s.real)
 
-    return SpectralGreenModel(evaluator=evaluator,
-                              omega_range=(0.0, math.inf),
-                              uhp_quadratic_limit=None,
-                              static_pole_blocks=statics,
-                              low_frequency_scale=None,
-                              scattered=False)
+    return SpectralGreenModel(evaluator=evaluator, uhp_quadratic_limit=None,
+                              static_pole_blocks=statics, scattered=False)

@@ -35,7 +35,7 @@ import numpy as np
 from .constants import C0, EPS0, HBAR
 from .emitter import (CHANNELS, SPECTRAL_NORM, MultipoleEmitter,
                       bilinear_form, moment_product_bundle)
-from .errors import InputError, ModelDomainError
+from .errors import InputError, ModelDomainError, positive_number
 from .homogeneous import Medium
 from .jets import GreensJet
 from .quadrature import SpectralGreenModel, imaginary_axis_form
@@ -151,8 +151,7 @@ def free_space_rates(e: MultipoleEmitter, n: float,
     the authoritative value.
     """
     n = Medium(n).refractive_index
-    if not (omega > 0 and math.isfinite(omega)):
-        raise InputError("frequency must be positive")
+    omega = positive_number(omega, "frequency")
     base = math.pi * HBAR * EPS0 * C0 ** 3
     g_ed = n * omega ** 3 * float(np.sum(np.abs(e.d) ** 2)) / (3 * base)
     g_md = (n ** 3 * omega ** 3 * float(np.sum(np.abs(e.m) ** 2))
@@ -179,26 +178,30 @@ def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
     bundle = moment_product_bundle(e, e)
     if not bundle.required_blocks():
         return 0.0
-    delta = -imaginary_axis_form(model, bundle, e.omega0,
-                                 rel_tol=rel_tol).value
-    if abs(delta.imag) > 1e-8 * max(abs(delta), 1e-300):
+    return _real_entry(-imaginary_axis_form(model, bundle, e.omega0,
+                                            rel_tol=rel_tol).value,
+                       "level shift")
+
+
+def _real_entry(value: complex, what: str) -> float:
+    """The real part of a rate or shift that is real by Hermiticity; an
+    imaginary part beyond 1e-8 relative raises ModelDomainError."""
+    value = complex(value)
+    if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
         raise ModelDomainError(
-            "level shift came out complex beyond tolerance; the model's "
-            "spectral density is not Hermitian for this emitter")
-    return float(delta.real)
+            f"{what} came out complex beyond tolerance; the environment's "
+            f"spectral density is not Hermitian for this emitter")
+    return float(value.real)
 
 
 def _reference_frequency(emitters, omega_ref: Optional[float],
-                         freq_ratio_tol: float) -> float:
+                         freq_ratio_tol: float = 1e-2) -> float:
     """The common reference frequency of a set of emitters (a pair or an
     ensemble): omega_ref, or their mean when omega_ref is None, within
     freq_ratio_tol (relative) of every transition frequency."""
     if omega_ref is None:
-        omega_ref = float(np.mean([e.omega0 for e in emitters]))
-    else:
-        omega_ref = float(omega_ref)
-    if not (omega_ref > 0 and math.isfinite(omega_ref)):
-        raise InputError("reference frequency must be positive and finite")
+        omega_ref = np.mean([e.omega0 for e in emitters])
+    omega_ref = positive_number(omega_ref, "reference frequency")
     worst = max(abs(e.omega0 - omega_ref) for e in emitters)
     if worst > freq_ratio_tol * omega_ref:
         raise InputError(

@@ -124,10 +124,6 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
     The absolute floor is roundoff on the numerator's uncancelled size at
     the pole, p(omega0) . Im G(omega0) (see the module doc for where it
     falls short)."""
-    lo, hi = model.omega_range
-    if not (lo < omega0 < hi):
-        raise ModelDomainError("pole frequency outside model validity range")
-
     # w^2 F(w) = f0 w^2 + f1 w + f2: one contraction per panel
     kernel = _coefficient_rows(
         dict.fromkeys([*bundle.f0, *bundle.f1, *bundle.f2]),
@@ -154,7 +150,7 @@ def pv_spectral_form(model: SpectralGreenModel, bundle, omega0: float,
     abs_tol = _roundoff_floor(_pole_coefficients(bundle, omega0), at_pole)
 
     try:
-        res = _pv_integral(numerator, omega0, hi, rel_tol, abs_tol)
+        res = _pv_integral(numerator, omega0, math.inf, rel_tol, abs_tol)
     except QuadratureError as exc:
         raise QuadratureError(
             f"{exc}; the model supports imaginary frequency: use "

@@ -17,11 +17,18 @@ import pytest
 
 import polyemit
 from polyemit.cli import RunConfig, main, parse_frequency
-from polyemit.emitter import MultipoleEmitter
-from polyemit.errors import InputError
-from polyemit.grid import grid_from_homogeneous, save_grid
-from polyemit.homogeneous import Medium
-from polyemit.rates import free_space_rates
+from polyemit.dynamics import (EmitterEnsembleModel, build_ensemble,
+                               evolve_ensemble, product_density)
+from polyemit.emitter import (MultipoleEmitter, bilinear_form,
+                              moment_product_bundle)
+from polyemit.errors import GridFormatError, InputError, ModelDomainError
+from polyemit.grid import (finite_difference_blocks, grid_from_homogeneous,
+                           save_grid)
+from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
+                                  eval_homogeneous_jet)
+from polyemit.quadrature import (SpectralGreenModel, homogeneous_pair_model,
+                                 imaginary_axis_form, lorentzian_model)
+from polyemit.rates import coupling_strength, free_space_rates
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -104,6 +111,148 @@ def test_run_config_numeric_fields_follow_the_number_rule(field, value):
         RunConfig.from_dict(data)
 
 
+# one rule per input kind: errors.positive_number, finite_point and
+# increasing_axis, at every entry point that takes such an input
+
+ED = MultipoleEmitter(position=np.zeros(3), omega0=W384, d=[1e-29, 0, 0])
+ED2 = dataclasses.replace(ED, position=np.array([0.0, 0.0, 60e-9]))
+AX = np.array([0.0, 1e-8])
+GRID = grid_from_homogeneous(Medium(1.0), W384, (AX, AX, 0.0))
+RESONANCE = lorentzian_model([({"value": 1e5 * np.eye(3)}, W384, 1e13)])
+
+
+def ensemble(**kw):
+    return EmitterEnsembleModel(**{"omega_ref": W384, "delta": [0.0],
+                                   "xi": np.zeros((1, 1)),
+                                   "gamma": [[1e7]], **kw})
+
+
+def evolve(**kw):
+    args = {"rho0": product_density("e"), "times": [0.0, 1e-9], **kw}
+    return evolve_ensemble(ensemble(), **args)
+
+
+def sample(p):
+    return np.eye(3)
+
+
+SCALAR_SITES = {
+    "TensorGrid.frequency": (lambda v: dataclasses.replace(GRID, frequency=v),
+                             GridFormatError, "frequency_rad_per_s"),
+    "TensorGrid.symmetry_tol": (
+        lambda v: dataclasses.replace(GRID, symmetry_tol=v),
+        GridFormatError, "symmetry_rtol"),
+    "finite_difference_blocks.step": (
+        lambda v: finite_difference_blocks(sample, (AX, AX, 0.0), v),
+        InputError, "step"),
+    "grid_from_homogeneous.fd_step": (
+        lambda v: grid_from_homogeneous(Medium(1.0), W384, (AX, AX, 0.0),
+                                        fd_step=v),
+        InputError, "fd_step"),
+    "EmitterEnsembleModel.omega_ref": (lambda v: ensemble(omega_ref=v),
+                                       InputError, "omega_ref"),
+    "evolve_ensemble.rtol": (lambda v: evolve(rtol=v), InputError, "rtol"),
+    "evolve_ensemble.atol": (lambda v: evolve(atol=v), InputError, "atol"),
+    "MultipoleEmitter.omega0": (lambda v: dataclasses.replace(ED, omega0=v),
+                                InputError, "omega0"),
+    "bilinear_form.omega": (
+        lambda v: bilinear_form(ED, ED, coincident_im_jet(W384), v),
+        InputError, "omega"),
+    "free_space_rates.omega": (lambda v: free_space_rates(ED, 1.0, v),
+                               InputError, "frequency"),
+    "coupling_strength.omega_bar": (
+        lambda v: coupling_strength(ED, ED2, RESONANCE, omega_bar=v),
+        InputError, "reference frequency"),
+    "build_ensemble.omega_ref": (
+        lambda v: build_ensemble([ED, ED2], Medium(1.0), omega_ref=v),
+        InputError, "reference frequency"),
+    "lorentzian_model.omega_r": (
+        lambda v: lorentzian_model([({"value": np.eye(3)}, v, 1e13)]),
+        ModelDomainError, "omega_r"),
+    "lorentzian_model.eta": (
+        lambda v: lorentzian_model([({"value": np.eye(3)}, W384, v)]),
+        ModelDomainError, "eta"),
+    "imaginary_axis_form.omega0": (
+        lambda v: imaginary_axis_form(RESONANCE,
+                                      moment_product_bundle(ED, ED), v),
+        ModelDomainError, "omega0"),
+    "RunConfig.frequency": (
+        lambda v: RunConfig.from_dict({"subcommand": "free-space",
+                                       "emitters": ("e.json",),
+                                       "frequency": v}),
+        InputError, "frequency"),
+    "RunConfig.t_max": (
+        lambda v: RunConfig.from_dict({"subcommand": "dynamics",
+                                       "ensemble": "s", "t_max": v}),
+        InputError, "t-max"),
+}
+BAD_SCALARS = {"bool": True, "string": "1e-9", "nan": math.nan,
+               "inf": math.inf, "-inf": -math.inf, "zero": 0,
+               "negative": -1.0, "huge-int": 10 ** 400}
+
+POINT_SITES = {
+    "MultipoleEmitter.position": (
+        lambda p: dataclasses.replace(ED, position=p), "emitter position"),
+    "TensorGrid.jet_at": (GRID.jet_at, "query point"),
+    "eval_homogeneous": (lambda p: eval_homogeneous(p, W384), "separation"),
+    "eval_homogeneous_jet.r_obs": (
+        lambda p: eval_homogeneous_jet(p, np.zeros(3), W384), "field point"),
+    "eval_homogeneous_jet.r_src": (
+        lambda p: eval_homogeneous_jet(np.zeros(3), p, W384), "source point"),
+    "homogeneous_pair_model.r_obs": (
+        lambda p: homogeneous_pair_model(Medium(1.0), p, np.zeros(3)),
+        "field point"),
+    "homogeneous_pair_model.r_src": (
+        lambda p: homogeneous_pair_model(Medium(1.0), np.zeros(3), p),
+        "source point"),
+}
+BAD_POINTS = {"nan": [1e-8, math.nan, 0.0], "inf": [math.inf, 0.0, 0.0],
+              "string": ["1e-8", "0", "0"], "2-vector": [1e-8, 0.0]}
+
+AXIS_SITES = {
+    "TensorGrid.axes": (
+        lambda ax: dataclasses.replace(GRID, axes=(ax, AX, 0.0)),
+        GridFormatError, "axes.x"),
+    "finite_difference_blocks.axes": (
+        lambda ax: finite_difference_blocks(sample, (ax, AX, 0.0), 1e-9),
+        InputError, "axis x"),
+    "evolve_ensemble.times": (lambda t: evolve(times=t), InputError,
+                              "time grid"),
+}
+BAD_AXES = {"nan": [math.nan, 1e-8], "inf": [0.0, math.inf],
+            "decreasing": [1e-8, 0.0], "repeated": [0.0, 0.0], "empty": [],
+            "2-d": [[0.0, 1e-8]], "string": ["0", "1e-8"]}
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in SCALAR_SITES for value in BAD_SCALARS],
+    ids=lambda x: x)
+def test_scalar_inputs_follow_the_positive_number_rule(site, value):
+    # a frequency, step, time or tolerance is a finite number above zero:
+    # never a bool, a string or an int past the float range
+    call, error, field = SCALAR_SITES[site]
+    with pytest.raises(error, match=field):
+        call(BAD_SCALARS[value])
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in POINT_SITES for value in BAD_POINTS],
+    ids=lambda x: x)
+def test_point_inputs_follow_the_finite_point_rule(site, value):
+    call, field = POINT_SITES[site]
+    with pytest.raises(InputError, match=field):
+        call(BAD_POINTS[value])
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in AXIS_SITES for value in BAD_AXES],
+    ids=lambda x: x)
+def test_axis_inputs_follow_the_increasing_axis_rule(site, value):
+    call, error, field = AXIS_SITES[site]
+    with pytest.raises(error, match=field):
+        call(BAD_AXES[value])
+
+
 # --- package surface ----------------------------------------------------------
 
 def test_public_names_are_pinned():
@@ -126,6 +275,13 @@ def test_public_names_are_pinned():
         "imaginary_axis_form", "lamb_shift", "load_grid", "lorentzian_model",
         "normalize_channels", "product_density", "pure_density",
         "save_grid", "validate_grid"]
+
+
+def test_spectral_model_fields_are_pinned():
+    # the evaluator and the three declarations imaginary_axis_form reads
+    assert [f.name for f in dataclasses.fields(SpectralGreenModel)] == [
+        "evaluator", "uhp_quadratic_limit", "static_pole_blocks",
+        "scattered"]
 
 
 # --- free-space ---------------------------------------------------------------
@@ -560,11 +716,16 @@ def emitter_pair_spec():
      "omega0_rad_per_s must be numeric"),
     (("emitters", 1, "d_atomic"), [True, 0, 0], "d_atomic must be numeric"),
     (("emitters", 1, "d_atomic"), ["1", 0, 0], "d_atomic must be numeric"),
+    # an integer no float holds is refused by the one complex-entry parser
+    (("emitters", 1, "d_atomic"), [10 ** 400, 0, 0],
+     "d_atomic: integer too large"),
+    (("initial_amplitudes",), [0, 10 ** 400, 0, 0], "initial_amplitudes[1]"),
 ], ids=["rtol", "atol", "omega_ref", "amplitude", "amplitude_pair",
         "medium_index", "position", "omega0", "nan_position", "nan_index",
         "rtol_string", "atol_bool", "amplitude_string", "amplitude_pair_bool",
         "index_string", "index_bool", "position_string", "omega0_bool",
-        "omega0_string", "d_bool", "d_string"])
+        "omega0_string", "d_bool", "d_string", "d_huge_int",
+        "amplitude_huge_int"])
 def test_dynamics_bad_number_exits_2(tmp_path, capsys, where, value, expect):
     spec = emitter_pair_spec()
     node = spec

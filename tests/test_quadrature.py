@@ -270,31 +270,6 @@ def test_absolute_floor_stops_a_roundoff_integrand():
     assert abs(res.value) <= 1e-14 and res.panels > 0
 
 
-def test_low_frequency_guard(rng):
-    blocks = real_blocks(rng, 1e5)
-    guarded = lorentzian_model([(blocks, WR1, ETA1)],
-                               low_frequency_scale=0.2 * WR1)
-    bundle = random_pair_bundle(rng)
-    with pytest.raises(ModelDomainError, match="low-frequency"):
-        imaginary_axis_form(guarded, bundle, WR1)
-    # a lower declared scale or an unguarded model goes through
-    lowered = dataclasses.replace(guarded, low_frequency_scale=0.05 * WR1)
-    res = imaginary_axis_form(lowered, bundle, WR1)
-    free = lorentzian_model([(blocks, WR1, ETA1)])
-    res2 = imaginary_axis_form(free, bundle, WR1)
-    assert abs(res.value - res2.value) <= 1e-12 * abs(res2.value)
-
-
-def test_frequency_range_enforced(rng):
-    model = SpectralGreenModel(
-        evaluator=lambda w: GreensJet(value=np.eye(3, dtype=complex)),
-        omega_range=(1e15, 2e15))
-    with pytest.raises(ModelDomainError, match="range"):
-        model.jet(5e14)
-    with pytest.raises(ModelDomainError, match="range"):
-        imaginary_axis_form(model, random_pair_bundle(rng), 3e15)
-
-
 def test_schwarz_reality_check(rng):
     good = lorentzian_model([(real_blocks(rng, 1e5), WR1, ETA1)])
     residue = check_imaginary_axis_reality(good, [1e14, 1e15, 1e16])
