@@ -21,8 +21,7 @@ from .rates import (RateReport, CouplingReport, emission_rate,
                     free_space_rates, lamb_shift, coupling_strength,
                     collective_rate, enhancement_map)
 from .grid import (TensorGrid, save_grid, load_grid, validate_grid,
-                   finite_difference_blocks, grid_from_homogeneous,
-                   GridValidationReport)
+                   grid_from_homogeneous, GridValidationReport)
 from .dynamics import (EmitterEnsembleModel, Trajectory, product_density,
                        pure_density, evolve_ensemble, build_ensemble)
 

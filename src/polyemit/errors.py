@@ -77,14 +77,42 @@ def positive_number(value, name: str, error=InputError) -> float:
     return float(value)
 
 
-def _real_array(value):
-    """value as a float array when it holds only ints and floats (no bools,
-    strings, complex, oversized ints or ragged nesting), else None."""
+def _array_of(value, kinds: str):
+    """value as an array when its dtype kind is one of kinds (so no bools,
+    strings, None, oversized ints or ragged nesting), else None."""
     try:
         arr = np.asarray(value)
     except ValueError:
         return None
-    return arr.astype(float) if arr.dtype.kind in "iuf" else None
+    if arr.dtype.kind not in kinds:
+        return None
+    # numpy reads a bool among numbers, as in [True, 2], as a number
+    if not isinstance(value, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_))
+            for x in np.asarray(value, dtype=object).flat):
+        return None
+    return arr
+
+
+def _real_array(value):
+    """value as a float array when it holds only ints and floats (no
+    complex either), else None."""
+    arr = _array_of(value, "iuf")
+    return None if arr is None else arr.astype(float)
+
+
+def complex_frequencies(value, name: str = "frequency",
+                        error=InputError) -> np.ndarray:
+    """value as a complex array when every entry is a finite int, float or
+    complex (numpy's too): never a bool, a string or None. The one rule for
+    (complex) frequencies; the physics that needs more, such as a nonzero
+    or positive real frequency, checks that after. Otherwise error naming
+    the field."""
+    w = _array_of(value, "iufc")
+    if w is None or not np.isfinite(w).all():
+        raise error(f"{name} must be a finite real or complex number, or an "
+                    f"array of them, got {reprlib.repr(value)}")
+    return w.astype(complex, copy=False)
 
 
 def finite_point(value, name: str, error=InputError) -> np.ndarray:

@@ -66,8 +66,7 @@ from .jets import GreensJet
 
 __all__ = [
     "TensorGrid", "CheckResult", "GridValidationReport",
-    "load_grid", "save_grid", "validate_grid",
-    "finite_difference_blocks", "grid_from_homogeneous",
+    "load_grid", "save_grid", "validate_grid", "grid_from_homogeneous",
 ]
 
 _METERS_PER_UNIT = {"nm": 1e-9, "um": 1e-6, "m": 1.0}
@@ -90,6 +89,14 @@ def _allowed_keys(semantics: str) -> set:
     if semantics == "split":
         keys |= set(_D1_SRC_KEYS)
     return keys
+
+
+def _node_axis(ax, name: str, error=InputError) -> np.ndarray:
+    """A grid axis by increasing_axis, with a scalar (a fixed plane) as a
+    one-node axis."""
+    if not isinstance(ax, (list, tuple)) and np.ndim(ax) == 0:
+        ax = [ax]
+    return increasing_axis(ax, name, error)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,8 +155,7 @@ class TensorGrid:
                 "x and y must be coordinate arrays; only z may be fixed")
         axes = []
         for name, ax, fx in zip(_AXES, self.axes, fixed):
-            arr = increasing_axis(np.atleast_1d(ax), f"axes.{name}",
-                                  GridFormatError)
+            arr = _node_axis(ax, f"axes.{name}", GridFormatError)
             if fx and arr.size != 1:
                 raise GridFormatError(
                     f"axes.{name} is declared fixed but carries {arr.size} values")
@@ -765,137 +771,6 @@ def validate_grid(grid: TensorGrid,
 
 
 # ---------------------------------------------------------------------------
-# finite differences
-
-def _d1_stencil(x: float, lo: float, hi: float, h: float, fuzz: float):
-    if x - h >= lo - fuzz and x + h <= hi + fuzz:
-        return ((-h, -0.5 / h), (h, 0.5 / h))
-    if x + 2.0 * h <= hi + fuzz:
-        return ((0.0, -1.5 / h), (h, 2.0 / h), (2.0 * h, -0.5 / h))
-    if x - 2.0 * h >= lo - fuzz:
-        return ((0.0, 1.5 / h), (-h, -2.0 / h), (-2.0 * h, 0.5 / h))
-    raise InputError(
-        "finite-difference step too large relative to the grid hull")
-
-
-def _d2_stencil(x: float, lo: float, hi: float, h: float, fuzz: float):
-    h2 = h * h
-    if x - h >= lo - fuzz and x + h <= hi + fuzz:
-        return ((-h, 1.0 / h2), (0.0, -2.0 / h2), (h, 1.0 / h2))
-    if x + 3.0 * h <= hi + fuzz:
-        return ((0.0, 2.0 / h2), (h, -5.0 / h2),
-                (2.0 * h, 4.0 / h2), (3.0 * h, -1.0 / h2))
-    if x - 3.0 * h >= lo - fuzz:
-        return ((0.0, 2.0 / h2), (-h, -5.0 / h2),
-                (-2.0 * h, 4.0 / h2), (-3.0 * h, -1.0 / h2))
-    return None  # not enough room for a second-order stencil
-
-
-def finite_difference_blocks(sampler: Callable, axes, step: float) -> dict:
-    """Derivative blocks of a sampled tensor field on grid nodes.
-
-    sampler maps an SI 3-point to a real 3x3 array; axes are three 1-D
-    SI coordinate arrays (scalars are promoted to single-node axes,
-    which get no derivative blocks along their direction); step is the
-    stencil spacing in m and must not exceed half the smallest node
-    spacing. Evaluation points never leave the axes' bounding box:
-    central second-order stencils where they fit, one-sided second-order
-    stencils at hull boundaries. First derivatives need an axis extent
-    of 2*step and diagonal second derivatives 3*step; a d2 block that
-    cannot be formed at some node is omitted entirely.
-
-    Returns {"d1_x": ..., "d2_xy": ..., ...} with arrays shaped like the
-    grid plus trailing (3, 3). Cross blocks nest two first-derivative
-    stencils; d2_ab and d2_ba are numerically identical for a sampled
-    field and both keys are returned.
-    """
-    step = positive_number(step, "finite-difference step")
-    axs = [increasing_axis(np.atleast_1d(ax), f"axis {name}")
-           for name, ax in zip(_AXES, axes)]
-    multi = [i for i in range(3) if axs[i].size >= 2]
-    if not multi:
-        raise InputError("axes carry no extent; nothing to differentiate")
-    min_spacing = min(float(np.diff(axs[i]).min()) for i in multi)
-    if step > 0.5 * min_spacing * (1.0 + 1e-12):
-        raise InputError(
-            f"step {step:g} m exceeds half the minimum node spacing "
-            f"{min_spacing:g} m")
-
-    hulls = []
-    for i in range(3):
-        lo, hi = float(axs[i][0]), float(axs[i][-1])
-        hulls.append((lo, hi, 1e-9 * max(hi - lo, step)))
-
-    cache = {}
-
-    def ev(q: np.ndarray) -> np.ndarray:
-        key = q.tobytes()
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        try:
-            v = np.asarray(sampler(q), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"sampler must return a real 3x3 array: {exc}") \
-                from None
-        if v.shape != (3, 3) or not np.all(np.isfinite(v)):
-            raise InputError("sampler must return a finite real 3x3 array")
-        cache[key] = v
-        return v
-
-    shape = tuple(a.size for a in axs)
-    nodes = [(idx, np.array([axs[0][idx[0]], axs[1][idx[1]], axs[2][idx[2]]]))
-             for idx in np.ndindex(shape)]
-
-    def apply_1d(p, axis, stencil):
-        acc = np.zeros((3, 3))
-        for off, w in stencil:
-            q = p.copy()
-            q[axis] += off
-            acc += w * ev(q)
-        return acc
-
-    out = {}
-    for ai in multi:
-        arr = np.empty(shape + (3, 3))
-        for idx, p in nodes:
-            st = _d1_stencil(p[ai], *hulls[ai][:2], step, hulls[ai][2])
-            arr[idx] = apply_1d(p, ai, st)
-        out[f"d1_{_AXES[ai]}"] = arr
-
-    for ai in multi:
-        # diagonal term: direct second-derivative stencil
-        arr = np.empty(shape + (3, 3))
-        ok = True
-        for idx, p in nodes:
-            st = _d2_stencil(p[ai], *hulls[ai][:2], step, hulls[ai][2])
-            if st is None:
-                ok = False
-                break
-            arr[idx] = apply_1d(p, ai, st)
-        if ok:
-            out[f"d2_{_AXES[ai]}{_AXES[ai]}"] = arr
-        for bi in multi:
-            if bi <= ai:
-                continue
-            arr = np.empty(shape + (3, 3))
-            for idx, p in nodes:
-                sa = _d1_stencil(p[ai], *hulls[ai][:2], step, hulls[ai][2])
-                sb = _d1_stencil(p[bi], *hulls[bi][:2], step, hulls[bi][2])
-                acc = np.zeros((3, 3))
-                for oa, wa in sa:
-                    for ob, wb in sb:
-                        q = p.copy()
-                        q[ai] += oa
-                        q[bi] += ob
-                        acc += (wa * wb) * ev(q)
-                arr[idx] = acc
-            out[f"d2_{_AXES[ai]}{_AXES[bi]}"] = arr
-            out[f"d2_{_AXES[bi]}{_AXES[ai]}"] = arr.copy()
-    return out
-
-
-# ---------------------------------------------------------------------------
 # producing grids from the analytic uniform medium
 
 def grid_from_homogeneous(medium: Medium, frequency: float, axes,
@@ -905,19 +780,19 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
     """Split-semantics grid of the uniform-medium coincident Im-G jet.
 
     axes give three SI coordinate specs (arrays; a scalar z marks a
-    fixed plane). The medium is translation invariant, so every node gets
-    the same blocks. With fd_step=None all blocks are analytic. With a
-    step given, the derivative blocks are instead built once with
-    finite_difference_blocks on a 3x3x3 patch around R = 0, differencing
-    the field p -> Im G(p, 0); field-point derivatives convert to
-    source-point and mixed blocks by translation invariance (each
-    source-point derivative contributes one sign flip).
+    fixed plane), each checked by increasing_axis. The medium is
+    translation invariant, so every node gets the same blocks. With
+    fd_step=None all blocks are analytic. With a step h given, the
+    derivative blocks are instead central second-order differences, at
+    offsets of +-h, of the field p -> Im G(p, 0) at p = 0: field-point
+    derivatives, which convert to source-point and mixed blocks by
+    translation invariance (each source-point derivative contributes one
+    sign flip).
     """
-    ax_arrays, fixed = [], []
-    for name, ax in zip(_AXES, axes):
-        scalar = np.ndim(ax) == 0
-        ax_arrays.append(np.atleast_1d(np.asarray(ax, dtype=float)))
-        fixed.append(scalar and name == "z")
+    ax_arrays = [_node_axis(ax, f"axes.{name}")
+                 for name, ax in zip(_AXES, axes)]
+    fixed = tuple(name == "z" and np.ndim(ax) == 0
+                  for name, ax in zip(_AXES, axes))
     jet0 = coincident_im_jet(frequency, medium)
     shape = tuple(a.size for a in ax_arrays)
 
@@ -932,20 +807,31 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
                       for j, b in enumerate(_AXES))
     else:
         h = positive_number(fd_step, "fd_step")
+        # (offset, weight) stencils of d/dx and d2/dx2
+        d1 = ((-h, -0.5 / h), (h, 0.5 / h))
+        d2 = ((-h, 1.0 / (h * h)), (0.0, -2.0 / (h * h)), (h, 1.0 / (h * h)))
 
-        def sample(p):
-            # Im G(p, 0), which is Im G(r + p, r) at every node r
+        def sample(*shifts):
+            # Im G(p, 0) with p shifted by (axis, offset) pairs, which is
+            # Im G(r + p, r) at every node r
+            p = np.zeros(3)
+            for axis, offset in shifts:
+                p[axis] += offset
             if not np.any(p):
                 return jet0.value
-            return np.ascontiguousarray(
-                eval_homogeneous(p, frequency, medium).imag)
+            return eval_homogeneous(p, frequency, medium).imag
 
-        patch = (np.array([-2.0 * h, 0.0, 2.0 * h]),) * 3
-        fd = finite_difference_blocks(sample, patch, h)
-        # one source-slot derivative: flip the sign of the sampled
-        # field-field second derivative
-        centre = {key: fd[key][1, 1, 1] for key in _D1_KEYS}
-        centre.update((key, 0.0 - fd[key][1, 1, 1]) for key in _D2_KEYS)
+        centre = {}
+        for i, a in enumerate(_AXES):
+            centre[f"d1_{a}"] = sum(w * sample((i, off)) for off, w in d1)
+            # one source-slot derivative: flip the sign of the sampled
+            # field-field second derivative
+            centre[f"d2_{a}{a}"] = 0.0 - sum(w * sample((i, off))
+                                             for off, w in d2)
+            for j, b in enumerate(_AXES[i + 1:], i + 1):
+                centre[f"d2_{a}{b}"] = centre[f"d2_{b}{a}"] = 0.0 - sum(
+                    wa * wb * sample((i, oa), (j, ob))
+                    for oa, wa in d1 for ob, wb in d1)
     # sign flips as 0.0 - x, which keeps exact zeros +0.0 (-x would write
     # them as -0.0)
     centre.update((f"{key}_src", 0.0 - centre[key]) for key in _D1_KEYS)
@@ -958,5 +844,5 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
     return TensorGrid(
         frequency=frequency, length_unit="m", value_unit_exponent=-1,
         derivative_semantics="split", axes=tuple(ax_arrays),
-        fixed_axes=tuple(fixed), blocks=blocks, symmetry_tol=symmetry_tol,
+        fixed_axes=fixed, blocks=blocks, symmetry_tol=symmetry_tol,
         provenance=provenance)

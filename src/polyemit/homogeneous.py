@@ -39,8 +39,8 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .constants import C0
-from .errors import (CoincidentPointError, InputError, finite_point,
-                     is_finite_number, is_number)
+from .errors import (CoincidentPointError, InputError, complex_frequencies,
+                     finite_point, is_finite_number, is_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = [
@@ -127,8 +127,9 @@ class Medium:
 
 
 def _frequencies(omega) -> np.ndarray:
-    """omega as a complex array: every entry nonzero, real ones positive."""
-    w = np.asarray(omega, dtype=complex)
+    """omega as a complex array (errors.complex_frequencies): every entry
+    nonzero, real ones positive."""
+    w = complex_frequencies(omega)
     if np.any(w == 0):
         raise InputError("frequency must be nonzero")
     if np.any((w.imag == 0.0) & (w.real <= 0.0)):

@@ -50,8 +50,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (ModelDomainError, QuadratureError, finite_point,
-                     positive_number)
+from .errors import (ModelDomainError, QuadratureError, complex_frequencies,
+                     finite_point, positive_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = ["QuadratureResult", "SpectralGreenModel", "imaginary_axis_form",
@@ -245,10 +245,11 @@ class SpectralGreenModel:
     def jet(self, omega) -> GreensJet:
         """The jet at omega, or at every entry of an array of frequencies.
 
-        A single frequency reaches the evaluator as a Python complex, an
+        omega follows the frequency rule (errors.complex_frequencies). A
+        single frequency reaches the evaluator as a Python complex, an
         array as a complex ndarray.
         """
-        w = np.asarray(omega, dtype=complex)
+        w = complex_frequencies(omega)
         return self.evaluator(complex(w) if w.ndim == 0 else w)
 
 

@@ -22,8 +22,7 @@ from polyemit.dynamics import (EmitterEnsembleModel, build_ensemble,
 from polyemit.emitter import (MultipoleEmitter, bilinear_form,
                               moment_product_bundle)
 from polyemit.errors import GridFormatError, InputError, ModelDomainError
-from polyemit.grid import (finite_difference_blocks, grid_from_homogeneous,
-                           save_grid)
+from polyemit.grid import grid_from_homogeneous, save_grid
 from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
                                   eval_homogeneous_jet)
 from polyemit.quadrature import (SpectralGreenModel, homogeneous_pair_model,
@@ -132,19 +131,12 @@ def evolve(**kw):
     return evolve_ensemble(ensemble(), **args)
 
 
-def sample(p):
-    return np.eye(3)
-
-
 SCALAR_SITES = {
     "TensorGrid.frequency": (lambda v: dataclasses.replace(GRID, frequency=v),
                              GridFormatError, "frequency_rad_per_s"),
     "TensorGrid.symmetry_tol": (
         lambda v: dataclasses.replace(GRID, symmetry_tol=v),
         GridFormatError, "symmetry_rtol"),
-    "finite_difference_blocks.step": (
-        lambda v: finite_difference_blocks(sample, (AX, AX, 0.0), v),
-        InputError, "step"),
     "grid_from_homogeneous.fd_step": (
         lambda v: grid_from_homogeneous(Medium(1.0), W384, (AX, AX, 0.0),
                                         fd_step=v),
@@ -207,21 +199,37 @@ POINT_SITES = {
         "source point"),
 }
 BAD_POINTS = {"nan": [1e-8, math.nan, 0.0], "inf": [math.inf, 0.0, 0.0],
-              "string": ["1e-8", "0", "0"], "2-vector": [1e-8, 0.0]}
+              "string": ["1e-8", "0", "0"], "2-vector": [1e-8, 0.0],
+              "bool-entry": [True, 0.0, 0.0]}
 
 AXIS_SITES = {
     "TensorGrid.axes": (
         lambda ax: dataclasses.replace(GRID, axes=(ax, AX, 0.0)),
         GridFormatError, "axes.x"),
-    "finite_difference_blocks.axes": (
-        lambda ax: finite_difference_blocks(sample, (ax, AX, 0.0), 1e-9),
-        InputError, "axis x"),
+    "grid_from_homogeneous.axes": (
+        lambda ax: grid_from_homogeneous(Medium(1.0), W384, (ax, AX, 0.0)),
+        InputError, "axes.x"),
     "evolve_ensemble.times": (lambda t: evolve(times=t), InputError,
                               "time grid"),
 }
 BAD_AXES = {"nan": [math.nan, 1e-8], "inf": [0.0, math.inf],
             "decreasing": [1e-8, 0.0], "repeated": [0.0, 0.0], "empty": [],
-            "2-d": [[0.0, 1e-8]], "string": ["0", "1e-8"]}
+            "2-d": [[0.0, 1e-8]], "string": ["0", "1e-8"],
+            "ragged": [0.0, [1e-8]], "bool-entry": [True, 2]}
+
+
+FREQUENCY_SITES = {
+    "coincident_im_jet": coincident_im_jet,
+    "eval_homogeneous": lambda w: eval_homogeneous([1e-8, 0.0, 0.0], w),
+    "eval_homogeneous_jet": (
+        lambda w: eval_homogeneous_jet([1e-8, 0.0, 0.0], np.zeros(3), w)),
+    "homogeneous_pair_model.jet": (
+        lambda w: homogeneous_pair_model(Medium(1.0), [1e-8, 0.0, 0.0],
+                                         np.zeros(3)).jet(w)),
+}
+BAD_FREQUENCIES = {"string": "2.4e15", "bool": True, "none": None,
+                   "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                   "nan+1j": complex(math.nan, 1.0), "huge-int": 10 ** 400}
 
 
 @pytest.mark.parametrize("site, value", [
@@ -233,6 +241,16 @@ def test_scalar_inputs_follow_the_positive_number_rule(site, value):
     call, error, field = SCALAR_SITES[site]
     with pytest.raises(error, match=field):
         call(BAD_SCALARS[value])
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in FREQUENCY_SITES for value in BAD_FREQUENCIES],
+    ids=lambda x: x)
+def test_frequency_inputs_follow_the_complex_frequency_rule(site, value):
+    # a (complex) frequency is a finite int, float or complex: never a
+    # bool, a string, None or an int past the float range
+    with pytest.raises(InputError, match="frequency"):
+        FREQUENCY_SITES[site](BAD_FREQUENCIES[value])
 
 
 @pytest.mark.parametrize("site, value", [
@@ -270,7 +288,7 @@ def test_public_names_are_pinned():
         "Trajectory", "build_ensemble", "coincident_im_jet",
         "collective_rate", "coupling_strength", "emission_rate",
         "enhancement_map", "eval_homogeneous", "eval_homogeneous_jet",
-        "evolve_ensemble", "finite_difference_blocks", "free_space_rates",
+        "evolve_ensemble", "free_space_rates",
         "grid_from_homogeneous", "homogeneous_pair_model",
         "imaginary_axis_form", "lamb_shift", "load_grid", "lorentzian_model",
         "normalize_channels", "product_density", "pure_density",

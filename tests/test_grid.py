@@ -1,5 +1,7 @@
-"""Grid ingest, serialization, interpolation, and finite differences."""
+"""Grid ingest, serialization, interpolation, and the uniform-medium
+producer."""
 
+import hashlib
 import io
 import json
 import math
@@ -13,11 +15,9 @@ from polyemit import grid as grid_module
 from polyemit.emitter import MultipoleEmitter
 from polyemit.errors import (GridDomainError, GridFormatError, InputError,
                              MissingDerivativeError)
-from polyemit.grid import (TensorGrid, finite_difference_blocks,
-                           grid_from_homogeneous, load_grid,
+from polyemit.grid import (TensorGrid, grid_from_homogeneous, load_grid,
                            save_grid, validate_grid)
-from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
-                                  eval_homogeneous_jet)
+from polyemit.homogeneous import Medium, coincident_im_jet
 from polyemit.rates import emission_rate, enhancement_map
 
 W0 = 2.4e15
@@ -542,121 +542,6 @@ def test_node_points_row_major():
 
 
 # ---------------------------------------------------------------------------
-# finite differences
-
-def test_fd_constant_field_is_flat():
-    T = np.arange(9.0).reshape(3, 3)
-    ax = (np.linspace(0, 30e-9, 4),) * 3
-    out = finite_difference_blocks(lambda p: T, ax, 3e-9)
-    assert set(out) == {f"d1_{a}" for a in "xyz"} | \
-        {f"d2_{a}{b}" for a in "xyz" for b in "xyz"}
-    for key, arr in out.items():
-        scale = 1.0 / 3e-9 if key.startswith("d1") else 1.0 / 3e-9 ** 2
-        assert np.abs(arr).max() <= 1e-12 * scale
-
-
-def test_fd_exact_on_polynomials():
-    # second-order stencils, one-sided ones included, are exact for
-    # f = T0 + T1 u^2 + T2 u v with u = x/s, v = y/s
-    rng = np.random.default_rng(5)
-    T0, T1, T2 = rng.normal(size=(3, 3, 3))
-    s = 1e-9
-
-    def field(p):
-        u, v = p[0] / s, p[1] / s
-        return T0 + T1 * u * u + T2 * u * v
-
-    ax = (np.linspace(-8e-9, 8e-9, 5), np.linspace(-6e-9, 6e-9, 4),
-          np.array([0.0]))
-    out = finite_difference_blocks(field, ax, 2e-9)
-    assert "d1_z" not in out and "d2_zz" not in out and "d2_xz" not in out
-    for i, x in enumerate(ax[0]):
-        for j, y in enumerate(ax[1]):
-            u, v = x / s, y / s
-            np.testing.assert_allclose(out["d1_x"][i, j, 0],
-                                       (2 * T1 * u + T2 * v) / s,
-                                       rtol=1e-8, atol=1e-4 / s)
-            np.testing.assert_allclose(out["d1_y"][i, j, 0], T2 * u / s,
-                                       rtol=1e-8, atol=1e-4 / s)
-            np.testing.assert_allclose(out["d2_xx"][i, j, 0], 2 * T1 / s**2,
-                                       rtol=1e-7)
-            np.testing.assert_allclose(out["d2_xy"][i, j, 0], T2 / s**2,
-                                       rtol=1e-7)
-    np.testing.assert_array_equal(out["d2_xy"], out["d2_yx"])
-
-
-def test_fd_guards():
-    T = np.eye(3)
-    ax3 = (np.linspace(0, 30e-9, 4),) * 3
-    with pytest.raises(InputError, match="half the minimum node spacing"):
-        finite_difference_blocks(lambda p: T, ax3, 6e-9)
-    with pytest.raises(InputError, match="positive"):
-        finite_difference_blocks(lambda p: T, ax3, 0.0)
-    with pytest.raises(InputError, match="no extent"):
-        finite_difference_blocks(lambda p: T,
-                                 (np.array([0.0]),) * 3, 1e-9)
-    with pytest.raises(InputError, match="3x3"):
-        finite_difference_blocks(lambda p: np.zeros(3), ax3, 3e-9)
-    with pytest.raises(InputError, match="3x3"):
-        finite_difference_blocks(lambda p: np.full((3, 3), np.nan), ax3, 3e-9)
-
-
-@pytest.mark.parametrize("step", [True, 10 ** 400, "3e-9", math.nan,
-                                  math.inf, -3e-9],
-                         ids=["bool", "huge-int", "string", "nan", "inf",
-                              "negative"])
-def test_fd_step_follows_the_number_rule(step):
-    # a bool is not a length, and an int past the float range is refused
-    # as an input, not by a raw OverflowError or TypeError
-    ax3 = (np.linspace(0, 30e-9, 4),) * 3
-    with pytest.raises(InputError, match="step must be a positive"):
-        finite_difference_blocks(lambda p: np.eye(3), ax3, step)
-    with pytest.raises(InputError, match="fd_step must be a positive"):
-        grid_from_homogeneous(Medium(1.5), W0, ax3, fd_step=step)
-
-
-def test_fd_omits_unreachable_diagonal_blocks():
-    # 2-node axis: extent 2h fits first derivatives only
-    T = np.eye(3)
-    ax = (np.array([0.0, 10e-9]), np.linspace(0, 30e-9, 4), np.array([0.0]))
-    out = finite_difference_blocks(lambda p: T, ax, 5e-9)
-    assert "d1_x" in out and "d2_xy" in out and "d2_yy" in out
-    assert "d2_xx" not in out
-
-
-def test_fd_converges_on_green_field():
-    """Second-order convergence against the analytic jet of a held source."""
-    med = Medium(1.3)
-    r_src = np.array([310e-9, -40e-9, 25e-9])
-    ax = (np.linspace(-30e-9, 30e-9, 3), np.linspace(-20e-9, 20e-9, 3),
-          np.linspace(-25e-9, 25e-9, 3))
-    p0 = np.array([ax[0][1], ax[1][1], ax[2][1]])
-    jet = eval_homogeneous_jet(p0, r_src, W0, med)
-    d_obs = jet.d_obs.imag
-    d_mix = jet.d_mixed.imag
-
-    def sampler(p):
-        return eval_homogeneous(p - r_src, W0, med).imag
-
-    err1, err2 = [], []
-    for h in (5e-9, 2.5e-9):
-        fd = finite_difference_blocks(sampler, ax, h)
-        err1.append(max(
-            np.abs(fd[f"d1_{a}"][1, 1, 1] - d_obs[:, :, i]).max()
-            for i, a in enumerate("xyz")) / np.abs(d_obs).max())
-        # a held source makes both derivatives land on the field point;
-        # one sign flip converts to the mixed field/source block
-        err2.append(max(
-            np.abs(-fd[f"d2_{a}{b}"][1, 1, 1] - d_mix[:, :, i, j]).max()
-            for i, a in enumerate("xyz")
-            for j, b in enumerate("xyz")) / np.abs(d_mix).max())
-    assert err1[0] < 3e-4 and err2[0] < 3e-4
-    for err in (err1, err2):
-        order = math.log2(err[0] / err[1])
-        assert 1.8 <= order <= 2.2
-
-
-# ---------------------------------------------------------------------------
 # validation
 
 def test_validate_all_pass_on_sampled_grid():
@@ -799,6 +684,35 @@ def test_producer_fd_blocks_converge_to_analytic():
         assert np.abs(jet.d_obs).max() <= 1e-10 * np.abs(ana.d_mixed).max()
     assert res[0] < 2e-4
     assert res[0] / res[1] >= 3.5
+
+
+@pytest.mark.parametrize("step", [True, 10 ** 400, "3e-9", math.nan,
+                                  math.inf, -3e-9],
+                         ids=["bool", "huge-int", "string", "nan", "inf",
+                              "negative"])
+def test_fd_step_follows_the_number_rule(step):
+    # a bool is not a length, and an int past the float range is refused
+    # as an input, not by a raw OverflowError or TypeError
+    ax3 = (np.linspace(0, 30e-9, 4),) * 3
+    with pytest.raises(InputError, match="fd_step must be a positive"):
+        grid_from_homogeneous(Medium(1.5), W0, ax3, fd_step=step)
+
+
+def test_producer_fd_grid_bytes_are_pinned():
+    # save_grid bytes of two finite-difference grids, as the stencils and
+    # their summation order give them: a change to either shows here
+    pins = [
+        (Medium(1.5), (np.linspace(0, 60e-9, 4), np.linspace(0, 40e-9, 3),
+                       0.0), 2e-9,
+         "217325c8f5c18dd2f07905e6c49c00bbdd808644ede5ffedd322f3fe8d1fa6fb"),
+        (Medium(2.0), (np.linspace(0, 30e-9, 2), np.linspace(0, 30e-9, 2),
+                       0.0), 1e-9,
+         "37901698fbeb7e9d5609a28f603c3af62f37596877b6c4d243852e67c9750399"),
+    ]
+    for medium, axes, h, want in pins:
+        data = save_grid(grid_from_homogeneous(medium, 2.4e15, axes,
+                                               fd_step=h))
+        assert hashlib.sha256(data).hexdigest() == want, h
 
 
 def test_producer_fd_grid_has_no_negative_zeros():
