@@ -36,6 +36,10 @@ or emitters plus a uniform background
 with optional "rtol"/"atol" integrator overrides. Unknown keys anywhere in
 the spec are rejected before any computation starts.
 
+free-space and map's free-space reference are emission_rate on the
+coincident imaginary-part jet of the uniform medium: the ED, MD and EQ rows
+are its diagonal channel pairs, and the total adds their interference.
+
 couple reads xi and rates of separated emitters from build_ensemble; its
 1 % reference-frequency rule holds at every separation, and at zero
 separation xi is divergent.
@@ -50,22 +54,22 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import (EmitterEnsembleModel, build_ensemble, evolve_ensemble,
                        product_density, pure_density)
-from .emitter import (MultipoleEmitter, _numbers, _numeric_field,
+from .emitter import (CHANNELS, MultipoleEmitter, _numbers, _numeric_field,
                       _parse_complex, normalize_channels)
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
                      PartFlagError, PolyemitError, QuadratureError, is_number,
                      positive_number)
 from .grid import TensorGrid, load_grid, validate_grid
 from .homogeneous import Medium, coincident_im_jet
-from .rates import (_reference_frequency, collective_rate, enhancement_map,
-                    free_space_rates)
+from .rates import (_reference_frequency, collective_rate, emission_rate,
+                    enhancement_map)
 # not called here (couple goes through build_ensemble); perfbench/tracing.py
 # wraps these two names on this module
 from .quadrature import homogeneous_pair_model  # noqa: F401
@@ -227,16 +231,19 @@ def _deliver(cfg: RunConfig, csv_parts: tuple, doc: dict) -> None:
 def _cmd_free_space(cfg: RunConfig) -> int:
     e = MultipoleEmitter.from_file(cfg.emitters[0]).restricted(cfg.channels)
     omega = cfg.frequency if cfg.frequency is not None else e.omega0
-    g_ed, g_md, g_eq = free_space_rates(e, cfg.index, omega)
+    rep = emission_rate(replace(e, omega0=omega),
+                        coincident_im_jet(omega, Medium(cfg.index)))
+    # the diagonal channel pairs; the total adds their interference
+    g_ed, g_md, g_eq = (rep.gamma_by_channel_pair[(c, c)] for c in CHANNELS)
     rows = [["ED", g_ed], ["MD", g_md], ["EQ", g_eq],
-            ["total", g_ed + g_md + g_eq]]
+            ["total", rep.gamma_total]]
     comments = [f"refractive index: {cfg.index!r}",
                 f"frequency_rad_per_s: {omega!r}",
                 "columns: channel, decay rate in 1/s"]
     doc = {"subcommand": "free-space", "refractive_index": cfg.index,
            "frequency_rad_per_s": omega,
            "gamma_per_s": {"ED": g_ed, "MD": g_md, "EQ": g_eq,
-                           "total": g_ed + g_md + g_eq}}
+                           "total": rep.gamma_total}}
     _deliver(cfg, (comments, ["channel", "gamma_per_s"], rows), doc)
     return 0
 
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ensemble spec JSON file")
 
     p = sub.add_parser("free-space",
-                       help="closed-form decay rates in a uniform medium")
+                       help="decay rates in a uniform lossless medium")
     common(p, emitters=1)
     p.add_argument("--index", type=float, default=1.0,
                    help="refractive index (default 1)")

@@ -56,8 +56,8 @@ from .errors import (CoincidentPointError, InputError, IntegrationError,
 from .grid import TensorGrid
 from .homogeneous import Medium, coincident_im_jet
 from .quadrature import SpectralGreenModel, homogeneous_pair_model
-from .rates import (_real_entry, _reference_frequency, collective_rate,
-                    coupling_strength, lamb_shift)
+from .rates import (_FREQ_RATIO_TOL, _real_entry, _reference_frequency,
+                    collective_rate, coupling_strength, lamb_shift)
 
 _MAX_EMITTERS = 10       # propagation cap, state dimension 2**10
 _MAX_SNAPSHOT = 6        # density matrices retained on trajectories
@@ -564,7 +564,7 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
 
 # --- assembling ensemble coefficients from an environment -------------------
 
-def _pair_source(environment, omega_ref: float, freq_ratio_tol: float):
+def _pair_source(environment, omega_ref: float):
     """environment as (a, b, diagonal) -> GreensJet, spectral model or None."""
     if isinstance(environment, Medium):
         jet0 = coincident_im_jet(omega_ref, environment)
@@ -581,7 +581,8 @@ def _pair_source(environment, omega_ref: float, freq_ratio_tol: float):
                                           b.position)
         return medium
     if isinstance(environment, TensorGrid):
-        if abs(environment.frequency - omega_ref) > freq_ratio_tol * omega_ref:
+        if (abs(environment.frequency - omega_ref)
+                > _FREQ_RATIO_TOL * omega_ref):
             raise InputError(
                 "grid frequency differs from the reference frequency by "
                 "more than the allowed fraction")
@@ -596,7 +597,6 @@ def _pair_source(environment, omega_ref: float, freq_ratio_tol: float):
 
 
 def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
-                   freq_ratio_tol: float = 1e-2,
                    rel_tol: float = 1e-8) -> EmitterEnsembleModel:
     """Ensemble coefficients from pairwise environment responses.
 
@@ -632,8 +632,8 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
             raise InputError("emitters must be MultipoleEmitter instances")
     if isinstance(environment, TensorGrid) and omega_ref is None:
         omega_ref = environment.frequency
-    wbar = _reference_frequency(ems, omega_ref, freq_ratio_tol)
-    source = _pair_source(environment, wbar, freq_ratio_tol)
+    wbar = _reference_frequency(ems, omega_ref)
+    source = _pair_source(environment, wbar)
 
     n = len(ems)
     delta = np.zeros(n)
@@ -647,8 +647,7 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
             pair = source(ea, eb, a == b)
             if pair is None:
                 continue
-            rate = collective_rate(ea, eb, pair, omega_bar=wbar,
-                                   freq_ratio_tol=freq_ratio_tol).gamma_cross
+            rate = collective_rate(ea, eb, pair, omega_bar=wbar).gamma_cross
             if a == b:
                 gamma[a, a] = _real_entry(rate, "decay rate")
                 if isinstance(pair, SpectralGreenModel) and pair.scattered:
@@ -661,8 +660,7 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
             gamma[a, b] = rate
             gamma[b, a] = np.conj(rate)
             xi[a, b] = coupling_strength(
-                ea, eb, pair, omega_bar=wbar, freq_ratio_tol=freq_ratio_tol,
-                rel_tol=rel_tol).xi
+                ea, eb, pair, omega_bar=wbar, rel_tol=rel_tol).xi
             xi[b, a] = np.conj(xi[a, b])
 
     return EmitterEnsembleModel(omega_ref=wbar, delta=delta, xi=xi,

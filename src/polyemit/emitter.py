@@ -196,16 +196,6 @@ class MultipoleEmitter:
             out.add("EQ")
         return frozenset(out)
 
-    def check_q_real_symmetric(self, tol: float = 1e-12):
-        """Verify a caller's declaration that Q is real and symmetric."""
-        scale = float(np.max(np.abs(self.Q)))
-        if scale == 0.0:
-            return
-        if np.max(np.abs(self.Q.imag)) > tol * scale:
-            raise InputError("Q declared real-symmetric but has imaginary parts")
-        if np.max(np.abs(self.Q - self.Q.T)) > tol * scale:
-            raise InputError("Q declared real-symmetric but is not symmetric")
-
     # -- construction from files -------------------------------------------
 
     @classmethod

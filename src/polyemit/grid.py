@@ -774,9 +774,7 @@ def validate_grid(grid: TensorGrid,
 # producing grids from the analytic uniform medium
 
 def grid_from_homogeneous(medium: Medium, frequency: float, axes,
-                          fd_step: Optional[float] = None,
-                          symmetry_tol: float = 1e-6,
-                          provenance: Any = None) -> TensorGrid:
+                          fd_step: Optional[float] = None) -> TensorGrid:
     """Split-semantics grid of the uniform-medium coincident Im-G jet.
 
     axes give three SI coordinate specs (arrays; a scalar z marks a
@@ -787,7 +785,8 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
     offsets of +-h, of the field p -> Im G(p, 0) at p = 0: field-point
     derivatives, which convert to source-point and mixed blocks by
     translation invariance (each source-point derivative contributes one
-    sign flip).
+    sign flip). The grid keeps TensorGrid's default symmetry tolerance,
+    and its provenance names the generator and fd_step.
     """
     ax_arrays = [_node_axis(ax, f"axes.{name}")
                  for name, ax in zip(_AXES, axes)]
@@ -838,11 +837,9 @@ def grid_from_homogeneous(medium: Medium, frequency: float, axes,
     blocks = {"value": tile(jet0.value)}
     blocks.update((key, tile(centre[key]))
                   for key in (*_D1_KEYS, *_D1_SRC_KEYS, *_D2_KEYS))
-    if provenance is None:
-        provenance = {"generator": "uniform-medium analytic sampler",
-                      "fd_step_m": fd_step}
     return TensorGrid(
         frequency=frequency, length_unit="m", value_unit_exponent=-1,
         derivative_semantics="split", axes=tuple(ax_arrays),
-        fixed_axes=fixed, blocks=blocks, symmetry_tol=symmetry_tol,
-        provenance=provenance)
+        fixed_axes=fixed, blocks=blocks,
+        provenance={"generator": "uniform-medium analytic sampler",
+                    "fd_step_m": fd_step})

@@ -121,10 +121,6 @@ class Medium:
         return np.array([n(complex(x)) for x in w.ravel()],
                         dtype=complex).reshape(w.shape)
 
-    def wavenumber(self, omega):
-        """k = n(omega) * omega / c."""
-        return self.index(omega) * omega / C0
-
 
 def _frequencies(omega) -> np.ndarray:
     """omega as a complex array (errors.complex_frequencies): every entry
@@ -137,16 +133,17 @@ def _frequencies(omega) -> np.ndarray:
     return w
 
 
-def _lossless_wavenumber(omega, medium: Medium, what: str) -> float:
-    """k at one real frequency in a medium that is lossless there."""
-    w = complex(_frequencies(omega))
-    if w.imag != 0.0:
+def _lossless_wavenumber(omega, medium: Medium, what: str) -> np.ndarray:
+    """k, of omega's shape, at real frequencies where the medium is
+    lossless."""
+    w = _frequencies(omega)
+    if np.any(w.imag != 0.0):
         raise InputError(f"{what} needs a real frequency")
-    n = complex(medium.index(w))
-    if abs(n.imag) > 1e-12 * abs(n):
+    n = np.asarray(medium.index(w.reshape(-1)), dtype=complex)
+    if np.any(np.abs(n.imag) > 1e-12 * np.abs(n)):
         raise InputError(f"{what} assumes a lossless medium (refractive "
-                         f"index must be real at this frequency)")
-    return float(n.real) * float(w.real) / C0
+                         f"index must be real at every frequency)")
+    return (n.real * w.real.reshape(-1) / C0).reshape(w.shape)
 
 
 def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -187,23 +184,20 @@ def _radial(r: float, w: np.ndarray, medium: Medium) -> np.ndarray:
     return radial
 
 
-def _geometry(R: np.ndarray, value_only: bool = False) -> np.ndarray:
+def _geometry(R: np.ndarray) -> np.ndarray:
     """How A, A', A'', B, B', B'' (rows) enter the jet blocks at separation
-    R: one column per block entry, blocks in BLOCK_SHAPES order, or the
-    value block's columns alone. With d_k u = 2 R_k,
+    R: one column per block entry, blocks in BLOCK_SHAPES order. With
+    d_k u = 2 R_k,
 
         d_k G_mn = 2 A' R_k delta_mn + 2 B' R_m R_n R_k + B sym1_mnk
         d_k d_l G_mn = delta_mn (2 A' delta_kl + 4 A'' R_k R_l) + B sym3_mnkl
                        + R_m R_n (2 B' delta_kl + 4 B'' R_k R_l) + 2 B' sym2_mnkl
     """
-    geometry = np.zeros((6, _SPLITS[0] if value_only else _WIDTH))
-    value, *derivatives = _block_views(geometry, (6,))
+    geometry = np.zeros((6, _WIDTH))
+    value, d_obs, d_src, d_mixed = _block_views(geometry, (6,))
     RR = np.outer(R, R)
     value[0] = _EYE
     value[3] = RR
-    if value_only:
-        return geometry
-    d_obs, d_src, d_mixed = derivatives
     # delta_mk R_n + delta_nk R_m
     t = _EYE[:, None, :] * R[:, None]
     sym1 = t + t.transpose(1, 0, 2)
@@ -227,13 +221,12 @@ def _geometry(R: np.ndarray, value_only: bool = False) -> np.ndarray:
 
 
 def _block_views(flat: np.ndarray, shape: tuple) -> list:
-    """The blocks of flat (last axis: entries of the leading blocks in
+    """The blocks of flat (last axis: entries of every block in
     BLOCK_SHAPES order) as views of batch shape `shape`."""
     bounds = (0, *_SPLITS, _WIDTH)
     return [flat[..., lo:hi].reshape(shape + block_shape)
             for lo, hi, block_shape
-            in zip(bounds, bounds[1:], BLOCK_SHAPES.values())
-            if hi <= flat.shape[-1]]
+            in zip(bounds, bounds[1:], BLOCK_SHAPES.values())]
 
 
 # the R = 0 geometry, which every coincident jet shares
@@ -242,9 +235,8 @@ _COINCIDENT = _geometry(np.zeros(3))
 
 def _assemble(geometry: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
     """Jet blocks (name -> array of batch shape `shape`) from a geometry
-    (see _geometry) and the radial values (6, N), real or complex: the
-    blocks whose columns the geometry holds. Exact zeros come out as
-    +0.0."""
+    (see _geometry) and the radial values (6, N), real or complex. Exact
+    zeros come out as +0.0."""
     geometry = geometry.astype(radial.dtype)
     flat = np.zeros((radial.shape[1], geometry.shape[1]), dtype=radial.dtype)
     for coef, row in zip(radial, geometry):
@@ -252,9 +244,8 @@ def _assemble(geometry: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
     return dict(zip(BLOCK_SHAPES, _block_views(flat, shape)))
 
 
-def _jet_blocks(R, omega, medium: Medium, value_only: bool = False) -> dict:
-    """Full jet blocks, or the value block alone, at separation R != 0,
-    batch shape omega.shape."""
+def _jet_blocks(R, omega, medium: Medium) -> dict:
+    """Jet blocks at separation R != 0, batch shape omega.shape."""
     R = finite_point(R, "separation")
     r = float(np.linalg.norm(R))
     if r == 0.0:
@@ -262,8 +253,8 @@ def _jet_blocks(R, omega, medium: Medium, value_only: bool = False) -> dict:
             "Green tensor diverges at zero separation; "
             "use coincident_im_jet for the finite imaginary part")
     w = _frequencies(omega)
-    return _assemble(_geometry(R, value_only),
-                     _radial(r, w.reshape(-1), medium), w.shape)
+    return _assemble(_geometry(R), _radial(r, w.reshape(-1), medium),
+                     w.shape)
 
 
 def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:
@@ -274,7 +265,7 @@ def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:
     on the positive imaginary axis are accepted (the tensor is then purely
     real). It is the value block of eval_homogeneous_jet.
     """
-    return _jet_blocks(R, omega, medium, value_only=True)["value"]
+    return _jet_blocks(R, omega, medium)["value"]
 
 
 def eval_homogeneous_jet(r_obs, r_src, omega, medium: Medium = Medium()) -> GreensJet:
@@ -303,7 +294,11 @@ def coincident_im_jet(omega, medium: Medium = Medium()) -> GreensJet:
 
         (k^3/15pi) delta_mn delta_kl
         - (k^3/60pi) (delta_mk delta_nl + delta_ml delta_nk).
+
+    omega may be an array of real frequencies; the jet then has its shape
+    as batch shape, and each batch entry equals the single-frequency jet
+    bit for bit, as for eval_homogeneous_jet.
     """
     k = _lossless_wavenumber(omega, medium, "coincident imaginary-part jet")
-    return GreensJet(**_assemble(_COINCIDENT, _im_radial(0.0, np.array([k])),
-                                 ()), part="imag")
+    return GreensJet(**_assemble(_COINCIDENT, _im_radial(0.0, k.reshape(-1)),
+                                 k.shape), part="imag")

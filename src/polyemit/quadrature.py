@@ -105,9 +105,6 @@ class QuadratureResult:
     panels: int = 0
     peak: float = 0.0  # largest |f| sampled
 
-    def __iter__(self):  # allow value, err = result
-        return iter((self.value, self.error))
-
 
 def _lift(f: Callable[[float], complex]):
     """A scalar integrand as a vector one (one call per node)."""

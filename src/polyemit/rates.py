@@ -17,11 +17,14 @@ coherent coupling matrix xi and the dissipator matrix gamma feed the
 dynamics module. The self terms reproduce the standard free-space decay
 closed forms, which double as the central cross-oracle.
 
-Every emitter of a pair or ensemble lies within freq_ratio_tol of the
-reference frequency (default their mean). An emitter drives the channels
-of its nonzero moments; MultipoleEmitter.restricted deselects the others.
-Decay rates have one path, emission_rate, for a jet of any batch shape;
-enhancement_map is one emission_rate call on a grid's batched node jet.
+Every emitter of a pair or ensemble lies within _FREQ_RATIO_TOL (1 %) of
+the reference frequency (default their mean). An emitter drives the
+channels of its nonzero moments; MultipoleEmitter.restricted deselects the
+others. Decay rates have one path, emission_rate, for a jet of any batch
+shape: enhancement_map is one emission_rate call on a grid's batched node
+jet, and its free-space reference is one on the vacuum coincident jet.
+free_space_rates is the closed-form reference those paths are checked
+against, for a symmetric traceless quadrupole.
 """
 
 from __future__ import annotations
@@ -36,13 +39,17 @@ from .constants import C0, EPS0, HBAR
 from .emitter import (CHANNELS, SPECTRAL_NORM, MultipoleEmitter,
                       bilinear_form, moment_product_bundle)
 from .errors import InputError, ModelDomainError, positive_number
-from .homogeneous import Medium
+from .homogeneous import Medium, coincident_im_jet
 from .jets import GreensJet
 from .quadrature import SpectralGreenModel, imaginary_axis_form
 
 __all__ = ["RateReport", "CouplingReport", "emission_rate",
            "free_space_rates", "lamb_shift", "coupling_strength",
            "collective_rate", "enhancement_map"]
+
+# largest relative deviation of an emitter's transition frequency from the
+# reference frequency of its pair or ensemble
+_FREQ_RATIO_TOL = 1e-2
 
 
 @dataclass
@@ -146,12 +153,19 @@ def free_space_rates(e: MultipoleEmitter, n: float,
         gamma_MD = n^3 w^3 |m|^2 / (3 pi hbar eps0 c^5)
         gamma_EQ = n^3 w^5 sum |Q_mn|^2 / (10 pi hbar eps0 c^5)
 
-    The quadrupole form assumes the standard symmetric traceless moment;
-    for general Q the machinery path (emission_rate on a coincident jet) is
-    the authoritative value.
+    A reference for tests and benchmarks, on no package path: the package
+    computes these rates with emission_rate on coincident_im_jet. The
+    quadrupole form holds for a symmetric traceless Q only, so a Q whose
+    trace or antisymmetric part exceeds 1e-12 of max|Q| is refused.
     """
     n = Medium(n).refractive_index
     omega = positive_number(omega, "frequency")
+    scale = 1e-12 * float(np.max(np.abs(e.Q)))
+    if (abs(np.trace(e.Q)) > scale
+            or np.max(np.abs(e.Q - e.Q.T)) / 2.0 > scale):
+        raise InputError(
+            "the closed forms hold for a symmetric traceless Q only; use "
+            "emission_rate on coincident_im_jet for this emitter")
     base = math.pi * HBAR * EPS0 * C0 ** 3
     g_ed = n * omega ** 3 * float(np.sum(np.abs(e.d) ** 2)) / (3 * base)
     g_md = (n ** 3 * omega ** 3 * float(np.sum(np.abs(e.m) ** 2))
@@ -194,19 +208,18 @@ def _real_entry(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _reference_frequency(emitters, omega_ref: Optional[float],
-                         freq_ratio_tol: float = 1e-2) -> float:
+def _reference_frequency(emitters, omega_ref: Optional[float]) -> float:
     """The common reference frequency of a set of emitters (a pair or an
     ensemble): omega_ref, or their mean when omega_ref is None, within
-    freq_ratio_tol (relative) of every transition frequency."""
+    _FREQ_RATIO_TOL (relative) of every transition frequency."""
     if omega_ref is None:
         omega_ref = np.mean([e.omega0 for e in emitters])
     omega_ref = positive_number(omega_ref, "reference frequency")
     worst = max(abs(e.omega0 - omega_ref) for e in emitters)
-    if worst > freq_ratio_tol * omega_ref:
+    if worst > _FREQ_RATIO_TOL * omega_ref:
         raise InputError(
             f"emitter transition frequencies deviate from the reference by "
-            f"more than a fraction {freq_ratio_tol:g}; the collective "
+            f"more than a fraction {_FREQ_RATIO_TOL:g}; the collective "
             f"coefficients assume near-degenerate emitters")
     return omega_ref
 
@@ -214,14 +227,13 @@ def _reference_frequency(emitters, omega_ref: Optional[float],
 def coupling_strength(a: MultipoleEmitter, b: MultipoleEmitter,
                       model: SpectralGreenModel,
                       omega_bar: Optional[float] = None,
-                      freq_ratio_tol: float = 1e-2,
                       rel_tol: float = 1e-8) -> CouplingReport:
     """Coherent multipole-multipole coupling xi_ab (rad/s, complex).
 
     xi_ab = -P int_0^inf w^2 Z_ab(w)/(w - wbar) dw, in its imaginary-axis
     form. Hermitian in the pair indices.
     """
-    wbar = _reference_frequency([a, b], omega_bar, freq_ratio_tol)
+    wbar = _reference_frequency([a, b], omega_bar)
     bundle = moment_product_bundle(a, b)
     if not bundle.required_blocks():
         return CouplingReport(xi=0.0 + 0.0j, method="none")
@@ -232,8 +244,7 @@ def coupling_strength(a: MultipoleEmitter, b: MultipoleEmitter,
 
 def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
                     model_or_jet: Union[SpectralGreenModel, GreensJet],
-                    omega_bar: Optional[float] = None,
-                    freq_ratio_tol: float = 1e-2) -> CouplingReport:
+                    omega_bar: Optional[float] = None) -> CouplingReport:
     """Collective decay entry gamma_ab = 2 pi wbar^2 Z_ab(wbar).
 
     Needs only the two-point Im jet at the mean frequency: the Hermitian
@@ -241,7 +252,7 @@ def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
     integration and no Re G ever enter here. Accepts a spectral model or a
     jet already evaluated at wbar (grid data included).
     """
-    wbar = _reference_frequency([a, b], omega_bar, freq_ratio_tol)
+    wbar = _reference_frequency([a, b], omega_bar)
     bundle = moment_product_bundle(a, b)
     if not bundle.required_blocks():
         return CouplingReport(gamma_cross=0.0 + 0.0j, method="none")
@@ -263,9 +274,10 @@ def enhancement_map(grid, e: MultipoleEmitter,
     One emission_rate call on the grid's batched node jet: the report's
     rates, and the enhancement_total and enhancement_by_channel_pair of
     its normalization, are lists in node_points() (grid-major) order. The
-    reference gamma_fs is the n = 1 closed-form rate restricted to the
-    emitter's active channels (so a purely magnetic emitter is normalized
-    to its magnetic free-space rate, not to zero dipole decay).
+    reference gamma_fs is the emitter's vacuum rate, emission_rate on the
+    n = 1 coincident jet, so a purely magnetic emitter is normalized to its
+    magnetic free-space rate, not to zero dipole decay; gamma_fs_by_channel
+    holds its diagonal channel pairs, for the active channels.
     """
     if abs(grid.frequency - e.omega0) > freq_rtol * e.omega0:
         raise InputError(
@@ -275,10 +287,13 @@ def enhancement_map(grid, e: MultipoleEmitter,
     active = e.active_channels()
     if not active:
         raise InputError("inert emitter: no channel to map")
-    # summed in CHANNELS order: a set's order varies with PYTHONHASHSEED
-    fs = {c: g for c, g in zip(CHANNELS, free_space_rates(e, 1.0, e.omega0))
-          if c in active}
-    gamma_fs = sum(fs.values())
+    vacuum = emission_rate(e, coincident_im_jet(e.omega0))
+    gamma_fs = vacuum.gamma_total
+    if gamma_fs == 0.0:
+        # a pure-trace quadrupole couples to no transverse field
+        raise InputError("the emitter does not radiate in free space: no "
+                         "reference rate to normalize to")
+    fs = {c: vacuum.gamma_by_channel_pair[(c, c)] for c in active}
 
     rep = emission_rate(e, grid.node_jet())
     rep.normalization = {

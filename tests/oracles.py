@@ -243,7 +243,7 @@ def small_R_series_im(R, omega, medium: Medium = Medium()) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     if R.shape != (3,):
         raise InputError("separation must be a 3-vector")
-    k = _lossless_wavenumber(omega, medium, "small-separation series")
+    k = float(_lossless_wavenumber(omega, medium, "small-separation series"))
     x = k * float(np.linalg.norm(R))
     if x >= SERIES_SWITCH:
         raise InputError(

@@ -6,6 +6,7 @@ independent evaluation of w^3 d^2 / (3 pi hbar eps0 c^3) with CODATA
 constants: 4257926.9227325665 1/s.
 """
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 
 import polyemit
 from polyemit.cli import RunConfig, main, parse_frequency
+from polyemit.constants import ATOMIC_QUADRUPOLE, C0, EPS0, HBAR
 from polyemit.dynamics import (EmitterEnsembleModel, build_ensemble,
                                evolve_ensemble, product_density)
 from polyemit.emitter import (MultipoleEmitter, bilinear_form,
@@ -27,7 +29,8 @@ from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
                                   eval_homogeneous_jet)
 from polyemit.quadrature import (SpectralGreenModel, homogeneous_pair_model,
                                  imaginary_axis_form, lorentzian_model)
-from polyemit.rates import coupling_strength, free_space_rates
+from polyemit.rates import (collective_rate, coupling_strength,
+                            emission_rate, free_space_rates)
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -302,6 +305,22 @@ def test_spectral_model_fields_are_pinned():
         "scattered"]
 
 
+def test_setting_lists_are_pinned():
+    # no setting without a caller: the near-degeneracy bound is
+    # rates._FREQ_RATIO_TOL, and a generated grid carries the default
+    # symmetry tolerance and its own provenance
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(coupling_strength) == ["a", "b", "model", "omega_bar",
+                                         "rel_tol"]
+    assert params(collective_rate) == ["a", "b", "model_or_jet", "omega_bar"]
+    assert params(build_ensemble) == ["emitters", "environment", "omega_ref",
+                                      "rel_tol"]
+    assert params(grid_from_homogeneous) == ["medium", "frequency", "axes",
+                                             "fd_step"]
+
+
 # --- free-space ---------------------------------------------------------------
 
 def test_free_space_matches_frozen_value(emitter_file, capsys):
@@ -330,6 +349,47 @@ def test_free_space_inert_emitter(tmp_path, capsys):
     assert main(["free-space", "--emitter", path]) == 0
     _, _, rows = parse_csv(capsys.readouterr().out)
     assert all(float(r[1]) == 0.0 for r in rows)
+
+
+def free_space_doc(tmp_path, capsys, **moments):
+    path = write_json(tmp_path / "emitter.json",
+                      {"position_m": [0, 0, 0], "omega0_rad_per_s": W384,
+                       **moments})
+    assert main(["free-space", "--emitter", path, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["gamma_per_s"]
+
+
+def test_free_space_is_the_emission_rate_of_any_quadrupole(tmp_path,
+                                                           capsys):
+    # free-space reports emission_rate on the coincident jet, which holds
+    # for any Q; the EQ closed form holds for a symmetric traceless Q only
+    closed = (W384 ** 5 * ATOMIC_QUADRUPOLE ** 2
+              / (10 * math.pi * HBAR * EPS0 * C0 ** 5))
+    # a pure trace does not radiate
+    gamma = free_space_doc(tmp_path, capsys,
+                           Q_atomic=np.eye(3).tolist())
+    assert gamma["EQ"] == 0.0 and gamma["total"] == 0.0
+    # diag(1, 0, 0) radiates as its traceless part, sum |Q|^2 = 2/3
+    gamma = free_space_doc(tmp_path, capsys,
+                           Q_atomic=np.diag([1.0, 0.0, 0.0]).tolist())
+    assert gamma["EQ"] == pytest.approx(2.0 / 3.0 * closed, rel=1e-12)
+    assert gamma["total"] == gamma["EQ"]
+
+
+def test_free_space_total_keeps_md_eq_interference(tmp_path, capsys):
+    # m along z with Q = i (e_xy - e_yx): the MD-EQ cross pairs are
+    # nonzero, and the total is emission_rate's, not ED + MD + EQ
+    moments = {"m_bohr_magnetons": [0, 0, 1],
+               "Q_atomic": [[0, [0, 1], 0], [[0, -1], 0, 0], [0, 0, 0]]}
+    gamma = free_space_doc(tmp_path, capsys, **moments)
+    e = MultipoleEmitter.from_dict({"position_m": [0, 0, 0],
+                                    "omega0_rad_per_s": W384, **moments})
+    rep = emission_rate(e, coincident_im_jet(W384))
+    assert gamma["total"] == rep.gamma_total
+    interference = 2 * rep.gamma_by_channel_pair[("MD", "EQ")]
+    assert interference < -1e-2 * gamma["total"]
+    assert gamma["total"] == pytest.approx(
+        gamma["ED"] + gamma["MD"] + gamma["EQ"] + interference, rel=1e-12)
 
 
 def test_free_space_malformed_file_exits_2(tmp_path, capsys):

@@ -290,17 +290,6 @@ def test_emitter_file_parsing(tmp_path):
         MultipoleEmitter.from_file(path)
 
 
-def test_q_declaration_check():
-    e = MultipoleEmitter(position=np.zeros(3), omega0=W0,
-                         Q=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-                                    dtype=complex) * 1e-39)
-    e.check_q_real_symmetric()
-    e2 = MultipoleEmitter(position=np.zeros(3), omega0=W0,
-                          Q=np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]]) * 1e-39)
-    with pytest.raises(InputError):
-        e2.check_q_real_symmetric()
-
-
 def test_emitter_validation():
     with pytest.raises(InputError):
         MultipoleEmitter(position=np.zeros(3), omega0=-1.0)

@@ -238,7 +238,7 @@ def test_batched_jet_equals_scalar_calls_bitwise(index):
                                    lossy_dispersion])
 @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
 def test_value_equals_jet_value_bitwise(index, shape):
-    # eval_homogeneous assembles the value block alone
+    # eval_homogeneous is the value block of the same assembly
     med = Medium(index)
     r_obs, r_src = np.array([40e-9, -25e-9, 60e-9]), np.array([5e-9, 0, 1e-9])
     dist = float(np.linalg.norm(r_obs - r_src))
@@ -314,6 +314,36 @@ def test_coincident_jet_is_smallsep_limit_of_full_jet():
 def test_coincident_jet_rejects_lossy_medium():
     with pytest.raises(InputError):
         coincident_im_jet(W0, Medium(lambda w: 1.5 + 0.2j))
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5, lossless_dispersion])
+@pytest.mark.parametrize("shape", [(1,), (4,), (2, 3)])
+def test_batched_coincident_jet_equals_scalar_calls_bitwise(index, shape):
+    med = Medium(index)
+    omegas = W0 * np.geomspace(0.05, 20.0, math.prod(shape)).reshape(shape)
+    batched = coincident_im_jet(omegas, med)
+    assert batched.batch_shape == shape and batched.part == "imag"
+    for i in np.ndindex(shape):
+        single = coincident_im_jet(float(omegas[i]), med)
+        assert single.batch_shape == ()
+        for name in ("value", "d_obs", "d_src", "d_mixed"):
+            assert same_bits(getattr(batched, name)[i], getattr(single, name))
+    # a list of frequencies is an array of them
+    listed = coincident_im_jet([2.4e15, 1e15], med)
+    assert same_bits(listed.d_mixed[1], coincident_im_jet(1e15, med).d_mixed)
+
+
+def test_batched_coincident_jet_rejects_any_bad_frequency():
+    with pytest.raises(InputError, match="real frequency"):
+        coincident_im_jet(np.array([W0, 1j * W0]))
+    with pytest.raises(InputError, match="lossless"):
+        coincident_im_jet([W0, 2 * W0], Medium(lossy_dispersion))
+    with pytest.raises(InputError, match="nonzero"):
+        coincident_im_jet([W0, 0.0])
+    with pytest.raises(InputError, match="positive"):
+        coincident_im_jet([W0, -W0])
+    with pytest.raises(InputError, match="frequency"):
+        coincident_im_jet([W0, math.nan])
 
 
 def test_series_exact_values():
