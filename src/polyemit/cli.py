@@ -7,6 +7,13 @@ name and renamed, so a failing run never leaves a partial output file.
 Exit codes: 0 success, 2 input error (bad flags, malformed files, domain
 violations), 3 numerical failure (quadrature or time stepping).
 
+argparse hands its namespace straight to the subcommand. It enforces the
+required flags, the --format choices and the numeric types; each handler
+then checks the values it reads (--index through Medium, --t-max through
+errors.positive_number, --t-points >= 2, the --emitter count, --frequency
+and --channels) before it reads any file. No flag sets a tolerance: they
+are module constants, or the "rtol"/"atol" fields of an ensemble spec.
+
 Unit discipline at the boundary: frequencies must carry an explicit
 suffix, either THz (linear frequency, converted as w = 2 pi f) or rad/s
 (angular, used as given). Transition moments enter through emitter JSON
@@ -54,8 +61,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import replace
 
 import numpy as np
 
@@ -78,68 +84,7 @@ from .rates import coupling_strength  # noqa: F401
 _CSV_SCHEMA = "polyemit-csv 1"
 
 
-# --- run configuration -------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: everything a subcommand needs, checked before
-    any computation. Unknown keys are rejected when built from a dict."""
-
-    subcommand: str
-    emitters: tuple = ()
-    grid: Optional[str] = None
-    ensemble: Optional[str] = None
-    out: Optional[str] = None
-    format: str = "csv"
-    tol_rel: Optional[float] = None
-    channels: Optional[frozenset] = None
-    quiet: bool = False
-    index: float = 1.0
-    frequency: Optional[float] = None
-    t_max: Optional[float] = None
-    t_points: int = 201
-
-    _COMMANDS = ("free-space", "map", "couple", "dynamics", "validate")
-
-    def __post_init__(self):
-        if self.subcommand not in self._COMMANDS:
-            raise InputError(f"unknown subcommand {self.subcommand!r}")
-        if self.format not in ("csv", "json"):
-            raise InputError("format must be csv or json")
-        if self.tol_rel is not None and not (is_number(self.tol_rel)
-                                             and 0.0 < self.tol_rel < 1.0):
-            raise InputError("tol-rel must lie in (0, 1)")
-        object.__setattr__(self, "index", Medium(self.index).refractive_index)
-        if self.frequency is not None:
-            positive_number(self.frequency, "frequency")
-        if self.t_max is not None:
-            positive_number(self.t_max, "t-max (seconds)")
-        if not (isinstance(self.t_points, int) and self.t_points >= 2):
-            raise InputError("t-points must be an integer >= 2")
-        object.__setattr__(self, "emitters", tuple(self.emitters))
-        need = {"free-space": 1, "couple": 2}.get(self.subcommand)
-        if need is not None and len(self.emitters) != need:
-            raise InputError(f"{self.subcommand} needs exactly {need} "
-                             f"--emitter file(s)")
-        if self.subcommand == "map" and (not self.grid
-                                         or len(self.emitters) != 1):
-            raise InputError("map needs --grid and exactly one --emitter")
-        if self.subcommand == "validate" and not self.grid:
-            raise InputError("validate needs --grid")
-        if self.subcommand == "dynamics":
-            if not self.ensemble:
-                raise InputError("dynamics needs --ensemble")
-            if self.t_max is None:
-                raise InputError("dynamics needs --t-max (seconds)")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise InputError(f"unknown run-config keys {sorted(unknown)}")
-        return cls(**data)
-
+# --- argv checks -------------------------------------------------------------
 
 def parse_frequency(text: str) -> float:
     """Angular frequency in rad/s from a suffixed literal.
@@ -157,16 +102,23 @@ def parse_frequency(text: str) -> float:
             except ValueError:
                 raise InputError(
                     f"cannot parse frequency value {body!r}") from None
-            return positive_number(value, "frequency") * scale
+            # checked in rad/s, so a conversion past the float range fails
+            return positive_number(value * scale, f"frequency {s!r} in rad/s")
     raise InputError(
         f"frequency {s!r} needs an explicit unit suffix: THz or rad/s")
 
 
-def _parse_channels(text: Optional[str]) -> Optional[frozenset]:
-    if text is None:
-        return None
-    return normalize_channels([p.strip() for p in text.split(",")
-                               if p.strip()])
+def _emitter_files(args: argparse.Namespace, need: int) -> tuple:
+    """The --emitter paths, exactly need of them, and the --channels
+    selection (None keeps every channel), checked before any file is
+    read."""
+    if len(args.emitter) != need:
+        raise InputError(f"{args.subcommand} needs exactly {need} "
+                         f"--emitter file(s)")
+    if args.channels is None:
+        return args.emitter, None
+    return args.emitter, normalize_channels(
+        [p.strip() for p in args.channels.split(",") if p.strip()])
 
 
 # --- output plumbing ---------------------------------------------------------
@@ -212,49 +164,53 @@ def _write_atomic(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _deliver(cfg: RunConfig, csv_parts: tuple, doc: dict) -> None:
-    if cfg.format == "csv":
+def _deliver(args: argparse.Namespace, csv_parts: tuple, doc: dict) -> None:
+    if args.format == "csv":
         comments, headers, rows = csv_parts
-        text = _render_csv(cfg.subcommand, comments, headers, rows)
+        text = _render_csv(args.subcommand, comments, headers, rows)
     else:
         text = _render_json(doc)
-    if cfg.out:
-        _write_atomic(cfg.out, text)
-        if not cfg.quiet:
-            print(f"wrote {cfg.out}")
+    if args.out:
+        _write_atomic(args.out, text)
+        if not args.quiet:
+            print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
 
 
 # --- subcommands -------------------------------------------------------------
 
-def _cmd_free_space(cfg: RunConfig) -> int:
-    e = MultipoleEmitter.from_file(cfg.emitters[0]).restricted(cfg.channels)
-    omega = cfg.frequency if cfg.frequency is not None else e.omega0
+def _cmd_free_space(args: argparse.Namespace) -> int:
+    med = Medium(args.index)
+    omega = (None if args.frequency is None
+             else parse_frequency(args.frequency))
+    paths, channels = _emitter_files(args, 1)
+    e = MultipoleEmitter.from_file(paths[0]).restricted(channels)
+    if omega is None:
+        omega = e.omega0
     rep = emission_rate(replace(e, omega0=omega),
-                        coincident_im_jet(omega, Medium(cfg.index)))
+                        coincident_im_jet(omega, med))
     # the diagonal channel pairs; the total adds their interference
     g_ed, g_md, g_eq = (rep.gamma_by_channel_pair[(c, c)] for c in CHANNELS)
     rows = [["ED", g_ed], ["MD", g_md], ["EQ", g_eq],
             ["total", rep.gamma_total]]
-    comments = [f"refractive index: {cfg.index!r}",
+    comments = [f"refractive index: {med.refractive_index!r}",
                 f"frequency_rad_per_s: {omega!r}",
                 "columns: channel, decay rate in 1/s"]
-    doc = {"subcommand": "free-space", "refractive_index": cfg.index,
+    doc = {"subcommand": "free-space",
+           "refractive_index": med.refractive_index,
            "frequency_rad_per_s": omega,
            "gamma_per_s": {"ED": g_ed, "MD": g_md, "EQ": g_eq,
                            "total": rep.gamma_total}}
-    _deliver(cfg, (comments, ["channel", "gamma_per_s"], rows), doc)
+    _deliver(args, (comments, ["channel", "gamma_per_s"], rows), doc)
     return 0
 
 
-def _cmd_map(cfg: RunConfig) -> int:
-    grid = _load_grid_file(cfg.grid)
-    e = MultipoleEmitter.from_file(cfg.emitters[0]).restricted(cfg.channels)
-    kwargs = {}
-    if cfg.tol_rel is not None:
-        kwargs["freq_rtol"] = cfg.tol_rel
-    rep = enhancement_map(grid, e, **kwargs)
+def _cmd_map(args: argparse.Namespace) -> int:
+    paths, channels = _emitter_files(args, 1)
+    grid = _load_grid_file(args.grid)
+    e = MultipoleEmitter.from_file(paths[0]).restricted(channels)
+    rep = enhancement_map(grid, e)
     norm = rep.normalization
     by_pair = norm["enhancement_by_channel_pair"]
     pairs = sorted(by_pair)
@@ -272,27 +228,29 @@ def _cmd_map(cfg: RunConfig) -> int:
                       "enhancement_by_channel_pair": enh,
                       "gamma_total_per_s": rep.gamma_total[i]})
     comments = [
-        f"grid: {cfg.grid}",
+        f"grid: {args.grid}",
         f"channels: {','.join(norm['channels'])}",
         f"gamma_free_space_per_s: {norm['gamma_fs']['value']!r}",
         "columns: node position (m), total enhancement over the free-space "
         "rate, per channel-pair enhancement, absolute rate (1/s)",
     ]
-    doc = {"subcommand": "map", "grid": cfg.grid,
+    doc = {"subcommand": "map", "grid": args.grid,
            "channels": norm["channels"],
            "gamma_free_space_per_s": norm["gamma_fs"]["value"],
            "gamma_free_space_by_channel": norm["gamma_fs_by_channel"],
            "nodes": nodes}
-    _deliver(cfg, (comments, headers, rows), doc)
+    _deliver(args, (comments, headers, rows), doc)
     return 0
 
 
-def _cmd_couple(cfg: RunConfig) -> int:
-    a, b = (MultipoleEmitter.from_file(path).restricted(cfg.channels)
-            for path in cfg.emitters)
-    med = Medium(cfg.index)
-    wbar = _reference_frequency([a, b], cfg.frequency)
-    rel_tol = cfg.tol_rel if cfg.tol_rel is not None else 1e-8
+def _cmd_couple(args: argparse.Namespace) -> int:
+    med = Medium(args.index)
+    omega = (None if args.frequency is None
+             else parse_frequency(args.frequency))
+    paths, channels = _emitter_files(args, 2)
+    a, b = (MultipoleEmitter.from_file(path).restricted(channels)
+            for path in paths)
+    wbar = _reference_frequency([a, b], omega)
     separation = float(np.linalg.norm(a.position - b.position))
 
     if separation == 0.0:
@@ -302,7 +260,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
                   for y in (a, b)] for x in (a, b)]
         xi = None
     else:
-        model = build_ensemble([a, b], med, omega_ref=wbar, rel_tol=rel_tol)
+        model = build_ensemble([a, b], med, omega_ref=wbar)
         gamma = model.gamma
         xi = model.xi[0][1]
     gamma_a, cross, gamma_b = gamma[0][0], gamma[0][1], gamma[1][1]
@@ -315,7 +273,7 @@ def _cmd_couple(cfg: RunConfig) -> int:
             ["gamma_cross", *split(cross), "1/s", ""],
             ["gamma_a", *split(gamma_a), "1/s", ""],
             ["gamma_b", *split(gamma_b), "1/s", ""]]
-    comments = [f"refractive index: {cfg.index!r}",
+    comments = [f"refractive index: {med.refractive_index!r}",
                 f"mean frequency rad/s: {wbar!r}",
                 f"separation_m: {separation!r}",
                 "columns: quantity, real part, imaginary part, unit, note"]
@@ -324,12 +282,12 @@ def _cmd_couple(cfg: RunConfig) -> int:
         return None if z is None else {"re": complex(z).real,
                                        "im": complex(z).imag}
 
-    doc = {"subcommand": "couple", "refractive_index": cfg.index,
+    doc = {"subcommand": "couple", "refractive_index": med.refractive_index,
            "mean_frequency_rad_per_s": wbar, "separation_m": separation,
            "xi_rad_per_s": czdoc(xi),
            "gamma_cross_per_s": czdoc(cross),
            "gamma_a_per_s": czdoc(gamma_a), "gamma_b_per_s": czdoc(gamma_b)}
-    _deliver(cfg, (comments, ["quantity", "re", "im", "unit", "note"], rows),
+    _deliver(args, (comments, ["quantity", "re", "im", "unit", "note"], rows),
              doc)
     return 0
 
@@ -437,15 +395,16 @@ def _parse_ensemble_spec(path: str) -> tuple:
     return model, rho0, rtol, atol
 
 
-def _cmd_dynamics(cfg: RunConfig) -> int:
-    model, rho0, rtol, atol = _parse_ensemble_spec(cfg.ensemble)
-    if cfg.tol_rel is not None:
-        rtol = cfg.tol_rel
-    times = np.linspace(0.0, cfg.t_max, cfg.t_points)
+def _cmd_dynamics(args: argparse.Namespace) -> int:
+    t_max = positive_number(args.t_max, "t-max (seconds)")
+    if args.t_points < 2:
+        raise InputError("t-points must be an integer >= 2")
+    model, rho0, rtol, atol = _parse_ensemble_spec(args.ensemble)
+    times = np.linspace(0.0, t_max, args.t_points)
     traj = evolve_ensemble(model, rho0, times, rtol=rtol, atol=atol,
                            keep_states=False)
     headers, data = traj.table()
-    comments = [f"ensemble: {cfg.ensemble}",
+    comments = [f"ensemble: {args.ensemble}",
                 f"model: {json.dumps(model.to_dict(), sort_keys=True)}",
                 f"integrator rtol: {rtol!r}, atol: {atol!r}",
                 f"error_estimate: {traj.error_estimate!r}",
@@ -453,25 +412,22 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
                 "<sigma_z> (lab frame)"]
     doc = {"subcommand": "dynamics", "model": model.to_dict(),
            "trajectory": traj.to_dict()}
-    _deliver(cfg, (comments, headers, [list(r) for r in data]), doc)
+    _deliver(args, (comments, headers, [list(r) for r in data]), doc)
     return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    grid = _load_grid_file(cfg.grid)
-    kwargs = {}
-    if cfg.tol_rel is not None:
-        kwargs["derivative_rtol"] = cfg.tol_rel
-    report = validate_grid(grid, **kwargs)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    grid = _load_grid_file(args.grid)
+    report = validate_grid(grid)
     rows = [[c.name, c.passed, c.residual, c.detail]
             for c in report.checks]
-    comments = [f"grid: {cfg.grid}",
+    comments = [f"grid: {args.grid}",
                 f"all_pass: {'true' if report.all_pass else 'false'}",
                 f"missing_blocks: {','.join(report.missing_blocks) or 'none'}",
                 "columns: check name, pass flag, worst residual, detail"]
-    doc = {"subcommand": "validate", "grid": cfg.grid}
+    doc = {"subcommand": "validate", "grid": args.grid}
     doc.update(report.to_dict())
-    _deliver(cfg, (comments, ["check", "passed", "residual", "detail"], rows),
+    _deliver(args, (comments, ["check", "passed", "residual", "detail"], rows),
              doc)
     return 0 if report.all_pass else 2
 
@@ -496,11 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--quiet", action="store_true",
                        help="suppress status messages")
-        p.add_argument("--tol-rel", type=float, default=None,
-                       help="relative tolerance override (frequency match "
-                            "for map, quadrature for couple, integrator "
-                            "rtol for dynamics, derivative cross-check for "
-                            "validate)")
         if emitters:
             p.add_argument("--emitter", action="append", default=[],
                            metavar="FILE", help="emitter JSON file"
@@ -546,33 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    data = {"subcommand": args.subcommand, "out": args.out,
-            "format": args.format, "quiet": args.quiet,
-            "tol_rel": args.tol_rel}
-    if hasattr(args, "emitter"):
-        data["emitters"] = tuple(args.emitter)
-        data["channels"] = _parse_channels(args.channels)
-    if getattr(args, "grid", None) is not None:
-        data["grid"] = args.grid
-    if getattr(args, "ensemble", None) is not None:
-        data["ensemble"] = args.ensemble
-    if hasattr(args, "index"):
-        data["index"] = args.index
-    if getattr(args, "frequency", None) is not None:
-        data["frequency"] = parse_frequency(args.frequency)
-    if hasattr(args, "t_max"):
-        data["t_max"] = args.t_max
-        data["t_points"] = args.t_points
-    return RunConfig.from_dict(data)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.subcommand](args)
     except (QuadratureError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

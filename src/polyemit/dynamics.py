@@ -52,7 +52,7 @@ from scipy.sparse import csr_matrix
 
 from .emitter import MultipoleEmitter
 from .errors import (CoincidentPointError, InputError, IntegrationError,
-                     increasing_axis, positive_number)
+                     finite_array, increasing_axis, positive_number)
 from .grid import TensorGrid
 from .homogeneous import Medium, coincident_im_jet
 from .quadrature import SpectralGreenModel, homogeneous_pair_model
@@ -73,10 +73,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _finite(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
-
-
 def product_density(labels: str) -> np.ndarray:
     """Density matrix of a product state given per-emitter labels,
     e.g. "eg" puts emitter 1 excited and emitter 2 in the ground state."""
@@ -93,12 +89,10 @@ def product_density(labels: str) -> np.ndarray:
 
 def pure_density(amplitudes) -> np.ndarray:
     """Density matrix of a pure state from its basis amplitudes."""
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    vec = finite_array(amplitudes, "state amplitudes").reshape(-1)
     dim = vec.size
     if dim < 2 or dim & (dim - 1):
         raise InputError("amplitude count must be a power of two (2**N)")
-    if not _finite(vec):
-        raise InputError("state amplitudes must be finite")
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise InputError("zero state vector is not normalizable")
@@ -137,22 +131,14 @@ class EmitterEnsembleModel:
         object.__setattr__(self, "omega_ref", positive_number(
             self.omega_ref, "reference frequency omega_ref"))
 
-        delta = np.asarray(self.delta, dtype=float)
+        delta = finite_array(self.delta, "delta", real=True)
         if delta.ndim != 1 or delta.size == 0:
             raise InputError("delta must be a 1-D array, one entry per emitter")
-        if not np.all(np.isfinite(delta)):
-            raise InputError("delta entries must be finite")
         n = delta.size
 
         mats = {}
         for name in ("xi", "gamma"):
-            mat = np.asarray(getattr(self, name), dtype=complex)
-            if mat.shape != (n, n):
-                raise InputError(
-                    f"{name} has shape {mat.shape}, expected ({n}, {n}) "
-                    f"for {n} emitters")
-            if not _finite(mat):
-                raise InputError(f"{name} entries must be finite")
+            mat = finite_array(getattr(self, name), name, (n, n))
             mats[name] = _hermitize(mat, name)
 
         eig = np.linalg.eigvalsh(mats["gamma"])
@@ -204,16 +190,14 @@ class Trajectory:
         times = _time_grid(self.times)
         nt = times.size
 
-        sigma = np.asarray(self.sigma, dtype=complex)
-        sigma_z = np.asarray(self.sigma_z, dtype=float)
+        sigma = finite_array(self.sigma, "sigma")
+        sigma_z = finite_array(self.sigma_z, "sigma_z", real=True)
         if sigma.ndim != 2 or sigma.shape[0] != nt:
             raise InputError(f"sigma has shape {sigma.shape}, expected "
                              f"({nt}, n_emitters)")
         if sigma_z.shape != sigma.shape:
             raise InputError(f"sigma_z shape {sigma_z.shape} does not match "
                              f"sigma shape {sigma.shape}")
-        if not (_finite(sigma) and np.all(np.isfinite(sigma_z))):
-            raise InputError("expectation values must be finite")
         if np.any(np.abs(sigma_z) > 1.0 + _BOUND_TOL):
             raise InputError("sigma_z leaves [-1, 1] beyond tolerance")
         if np.any(np.abs(sigma) > 1.0 + _BOUND_TOL):
@@ -221,13 +205,8 @@ class Trajectory:
 
         rho = self.rho
         if rho is not None:
-            rho = np.asarray(rho, dtype=complex)
             dim = 2 ** sigma.shape[1]
-            if rho.shape != (nt, dim, dim):
-                raise InputError(f"rho has shape {rho.shape}, expected "
-                                 f"({nt}, {dim}, {dim})")
-            if not _finite(rho):
-                raise InputError("density snapshots must be finite")
+            rho = finite_array(rho, "density snapshots rho", (nt, dim, dim))
             traces = np.trace(rho, axis1=1, axis2=2)
             if np.max(np.abs(traces - 1.0)) > _TRACE_TOL:
                 raise InputError("density matrix trace deviates from one "
@@ -285,12 +264,7 @@ def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:
     otherwise on the full matrix.
     """
     dim = sum(m.size for m in members)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise InputError(f"{what} has shape {rho.shape}, expected "
-                         f"({dim}, {dim})")
-    if not _finite(rho):
-        raise InputError(f"{what} must be finite")
+    rho = finite_array(rho, what, (dim, dim))
     rho = _hermitize(rho, what)
     if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
         raise InputError(f"{what} must have unit trace within {_TRACE_TOL:g}")
@@ -596,8 +570,8 @@ def _pair_source(environment, omega_ref: float):
         "spectral model")
 
 
-def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
-                   rel_tol: float = 1e-8) -> EmitterEnsembleModel:
+def build_ensemble(emitters, environment,
+                   omega_ref: Optional[float] = None) -> EmitterEnsembleModel:
     """Ensemble coefficients from pairwise environment responses.
 
     environment selects what each emitter pair sees:
@@ -651,7 +625,7 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
             if a == b:
                 gamma[a, a] = _real_entry(rate, "decay rate")
                 if isinstance(pair, SpectralGreenModel) and pair.scattered:
-                    delta[a] = lamb_shift(ea, pair, rel_tol=rel_tol)
+                    delta[a] = lamb_shift(ea, pair)
                 continue
             if not isinstance(pair, SpectralGreenModel):
                 raise InputError(
@@ -659,8 +633,7 @@ def build_ensemble(emitters, environment, omega_ref: Optional[float] = None,
                     f"coupling, not a {type(pair).__name__}")
             gamma[a, b] = rate
             gamma[b, a] = np.conj(rate)
-            xi[a, b] = coupling_strength(
-                ea, eb, pair, omega_bar=wbar, rel_tol=rel_tol).xi
+            xi[a, b] = coupling_strength(ea, eb, pair, omega_bar=wbar).xi
             xi[b, a] = np.conj(xi[a, b])
 
     return EmitterEnsembleModel(omega_ref=wbar, delta=delta, xi=xi,

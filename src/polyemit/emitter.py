@@ -30,8 +30,8 @@ import numpy as np
 
 from .constants import (ATOMIC_DIPOLE, ATOMIC_QUADRUPOLE, BOHR_MAGNETON, C0,
                         EPS0, HBAR)
-from .errors import (InputError, MissingDerivativeError, finite_point,
-                     is_number, positive_number)
+from .errors import (InputError, MissingDerivativeError, finite_array,
+                     finite_point, is_number, positive_number)
 from .jets import GreensJet
 
 __all__ = ["CHANNELS", "MultipoleEmitter", "bilinear_form",
@@ -75,24 +75,6 @@ def normalize_channels(channels) -> frozenset:
     if not out:
         raise InputError("channel selection must be non-empty")
     return out
-
-
-def _as_complex_vector(v, name) -> np.ndarray:
-    a = np.asarray(v, dtype=complex)
-    if a.shape != (3,):
-        raise InputError(f"{name} must be a 3-vector")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} has non-finite entries")
-    return a
-
-
-def _as_complex_matrix(v, name) -> np.ndarray:
-    a = np.asarray(v, dtype=complex)
-    if a.shape != (3, 3):
-        raise InputError(f"{name} must be a 3x3 tensor")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} has non-finite entries")
-    return a
 
 
 def _numbers(value, name: str):
@@ -166,9 +148,9 @@ class MultipoleEmitter:
                            finite_point(self.position, "emitter position"))
         object.__setattr__(self, "omega0", positive_number(
             self.omega0, "transition frequency omega0"))
-        object.__setattr__(self, "d", _as_complex_vector(self.d, "d"))
-        object.__setattr__(self, "m", _as_complex_vector(self.m, "m"))
-        object.__setattr__(self, "Q", _as_complex_matrix(self.Q, "Q"))
+        for name, shape in (("d", (3,)), ("m", (3,)), ("Q", (3, 3))):
+            object.__setattr__(self, name, finite_array(
+                getattr(self, name), f"moment {name}", shape))
 
     # -- derived quantities ------------------------------------------------
 

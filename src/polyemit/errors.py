@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the rules for numbers, axes and points.
+"""Exception hierarchy, and the rules for numbers, arrays, axes and points.
 
 Every error the package raises deliberately derives from PolyemitError so
 callers (and the CLI) can separate usage problems from genuine bugs.
@@ -101,18 +101,24 @@ def _real_array(value):
     return None if arr is None else arr.astype(float)
 
 
-def complex_frequencies(value, name: str = "frequency",
-                        error=InputError) -> np.ndarray:
-    """value as a complex array when every entry is a finite int, float or
-    complex (numpy's too): never a bool, a string or None. The one rule for
-    (complex) frequencies; the physics that needs more, such as a nonzero
-    or positive real frequency, checks that after. Otherwise error naming
-    the field."""
-    w = _array_of(value, "iufc")
-    if w is None or not np.isfinite(w).all():
-        raise error(f"{name} must be a finite real or complex number, or an "
-                    f"array of them, got {reprlib.repr(value)}")
-    return w.astype(complex, copy=False)
+def finite_array(value, name: str, shape=None, real: bool = False,
+                 error=InputError) -> np.ndarray:
+    """value as a complex array (a float array when real) of finite ints,
+    floats and, unless real, complex numbers (numpy's too): never a bool, a
+    string, None or a ragged list. The one rule for (complex) frequencies,
+    moment vectors and tensors, ensemble matrices, states and amplitude
+    tensors; the physics that needs more, such as a nonzero or positive
+    real frequency, checks that after. shape, when given, is the shape it
+    must have. An ndarray of a numeric dtype is taken as it is, with no
+    scan of its entries. Otherwise error naming the field."""
+    arr = _array_of(value, "iuf" if real else "iufc")
+    if arr is None or not np.isfinite(arr).all():
+        kind = "real" if real else "real or complex"
+        raise error(f"{name} must be a finite {kind} number, or an array of "
+                    f"them, got {reprlib.repr(value)}")
+    if shape is not None and arr.shape != shape:
+        raise error(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr.astype(float if real else complex, copy=False)
 
 
 def finite_point(value, name: str, error=InputError) -> np.ndarray:

@@ -76,6 +76,9 @@ _D1_SRC_KEYS = tuple(f"d1_{a}_src" for a in _AXES)
 _D2_KEYS = tuple(f"d2_{a}{b}" for a in _AXES for b in _AXES)
 # validate_grid's bound on the imaginary residue of stored (real) tensors
 _IMAG_RTOL = 1e-6
+# validate_grid's bound on declared derivative blocks against finite
+# differences of the value block
+_DERIVATIVE_RTOL = 0.05
 
 
 def _derivative_order(key: str) -> int:
@@ -669,8 +672,7 @@ def _symmetry_residual(value: np.ndarray) -> tuple:
     return float(rel[worst]), worst
 
 
-def validate_grid(grid: TensorGrid,
-                  derivative_rtol: float = 0.05) -> GridValidationReport:
+def validate_grid(grid: TensorGrid) -> GridValidationReport:
     """Run the grid invariant checks and report pass/fail per check.
 
     Checks: header/unit sanity, node-wise value symmetry (tolerance from
@@ -679,7 +681,7 @@ def validate_grid(grid: TensorGrid,
     derivative blocks with finite differences of the value block along
     axes with at least three nodes. The derivative cross-check compares
     at interior nodes only and is limited by the solver's own truncation
-    error, hence the loose default tolerance.
+    error, hence the loose tolerance _DERIVATIVE_RTOL.
     """
     checks = []
 
@@ -763,7 +765,8 @@ def validate_grid(grid: TensorGrid,
     detail = ("cross-checked " + ", ".join(compared)) if compared else \
         "no derivative blocks with enough nodes to cross-check"
     checks.append(CheckResult(
-        "derivative-consistency", worst_fd <= derivative_rtol, worst_fd, detail))
+        "derivative-consistency", worst_fd <= _DERIVATIVE_RTOL, worst_fd,
+        detail))
 
     missing = tuple(sorted(_allowed_keys(grid.derivative_semantics)
                            - {"value"} - set(grid.blocks)))

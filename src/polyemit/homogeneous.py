@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from .constants import C0
-from .errors import (CoincidentPointError, InputError, complex_frequencies,
+from .errors import (CoincidentPointError, InputError, finite_array,
                      finite_point, is_finite_number, is_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
@@ -123,9 +123,9 @@ class Medium:
 
 
 def _frequencies(omega) -> np.ndarray:
-    """omega as a complex array (errors.complex_frequencies): every entry
+    """omega as a complex array (errors.finite_array): every entry
     nonzero, real ones positive."""
-    w = complex_frequencies(omega)
+    w = finite_array(omega, "frequency")
     if np.any(w == 0):
         raise InputError("frequency must be nonzero")
     if np.any((w.imag == 0.0) & (w.real <= 0.0)):

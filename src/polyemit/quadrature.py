@@ -50,7 +50,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import (ModelDomainError, QuadratureError, complex_frequencies,
+from .errors import (ModelDomainError, QuadratureError, finite_array,
                      finite_point, positive_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
@@ -242,11 +242,11 @@ class SpectralGreenModel:
     def jet(self, omega) -> GreensJet:
         """The jet at omega, or at every entry of an array of frequencies.
 
-        omega follows the frequency rule (errors.complex_frequencies). A
-        single frequency reaches the evaluator as a Python complex, an
-        array as a complex ndarray.
+        omega follows the frequency rule (errors.finite_array). A single
+        frequency reaches the evaluator as a Python complex, an array as a
+        complex ndarray.
         """
-        w = complex_frequencies(omega)
+        w = finite_array(omega, "frequency")
         return self.evaluator(complex(w) if w.ndim == 0 else w)
 
 
@@ -370,9 +370,10 @@ def lorentzian_model(terms) -> SpectralGreenModel:
     G_block(w) = sum_j A_j_block / (w_rj^2 - w^2 - i eta_j w).
 
     terms: list of (blocks, omega_r, eta) with blocks a dict mapping block
-    names to complex amplitude tensors, and omega_r and eta positive finite
-    numbers. Satisfies Schwarz reflection, is analytic in the upper half
-    plane, and has quadratic limit -sum_j A_j_block.
+    names to complex amplitude tensors (errors.finite_array), and omega_r
+    and eta positive finite numbers. Satisfies Schwarz reflection, is
+    analytic in the upper half plane, and has quadratic limit
+    -sum_j A_j_block.
     """
     parsed = []
     for blocks, omega_r, eta in terms:
@@ -383,10 +384,8 @@ def lorentzian_model(terms) -> SpectralGreenModel:
         for name, tensor in blocks.items():
             if name not in BLOCK_SHAPES:
                 raise ModelDomainError(f"unknown block name {name!r}")
-            arr = np.asarray(tensor, dtype=complex)
-            if arr.shape != BLOCK_SHAPES[name]:
-                raise ModelDomainError(f"block {name} has wrong shape")
-            blk[name] = arr
+            blk[name] = finite_array(tensor, f"amplitude of block {name}",
+                                     BLOCK_SHAPES[name], error=ModelDomainError)
         parsed.append((blk, omega_r, eta))
 
     all_names = sorted({n for blk, _, _ in parsed for n in blk})

@@ -50,6 +50,9 @@ __all__ = ["RateReport", "CouplingReport", "emission_rate",
 # largest relative deviation of an emitter's transition frequency from the
 # reference frequency of its pair or ensemble
 _FREQ_RATIO_TOL = 1e-2
+# largest relative deviation of a grid's frequency from the transition
+# frequency of the emitter enhancement_map maps
+_GRID_FREQ_RTOL = 1e-6
 
 
 @dataclass
@@ -175,8 +178,7 @@ def free_space_rates(e: MultipoleEmitter, n: float,
     return g_ed, g_md, g_eq
 
 
-def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
-               rel_tol: float = 1e-8) -> float:
+def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel) -> float:
     """Environment-induced level shift from the scattered Green model.
 
     delta = -P int_0^inf w^2 Z(w)/(w - w0) dw with Z the emitter's own
@@ -192,8 +194,7 @@ def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel,
     bundle = moment_product_bundle(e, e)
     if not bundle.required_blocks():
         return 0.0
-    return _real_entry(-imaginary_axis_form(model, bundle, e.omega0,
-                                            rel_tol=rel_tol).value,
+    return _real_entry(-imaginary_axis_form(model, bundle, e.omega0).value,
                        "level shift")
 
 
@@ -226,8 +227,7 @@ def _reference_frequency(emitters, omega_ref: Optional[float]) -> float:
 
 def coupling_strength(a: MultipoleEmitter, b: MultipoleEmitter,
                       model: SpectralGreenModel,
-                      omega_bar: Optional[float] = None,
-                      rel_tol: float = 1e-8) -> CouplingReport:
+                      omega_bar: Optional[float] = None) -> CouplingReport:
     """Coherent multipole-multipole coupling xi_ab (rad/s, complex).
 
     xi_ab = -P int_0^inf w^2 Z_ab(w)/(w - wbar) dw, in its imaginary-axis
@@ -237,7 +237,7 @@ def coupling_strength(a: MultipoleEmitter, b: MultipoleEmitter,
     bundle = moment_product_bundle(a, b)
     if not bundle.required_blocks():
         return CouplingReport(xi=0.0 + 0.0j, method="none")
-    res = imaginary_axis_form(model, bundle, wbar, rel_tol=rel_tol)
+    res = imaginary_axis_form(model, bundle, wbar)
     return CouplingReport(xi=-res.value, method="imaginary-axis",
                           xi_error=res.error)
 
@@ -267,8 +267,7 @@ def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
                           method=method)
 
 
-def enhancement_map(grid, e: MultipoleEmitter,
-                    freq_rtol: float = 1e-6) -> RateReport:
+def enhancement_map(grid, e: MultipoleEmitter) -> RateReport:
     """Emission rates at every grid node, normalized to free space.
 
     One emission_rate call on the grid's batched node jet: the report's
@@ -279,11 +278,11 @@ def enhancement_map(grid, e: MultipoleEmitter,
     magnetic free-space rate, not to zero dipole decay; gamma_fs_by_channel
     holds its diagonal channel pairs, for the active channels.
     """
-    if abs(grid.frequency - e.omega0) > freq_rtol * e.omega0:
+    if abs(grid.frequency - e.omega0) > _GRID_FREQ_RTOL * e.omega0:
         raise InputError(
             f"grid frequency {grid.frequency:g} does not match the "
             f"emitter's transition frequency {e.omega0:g} within "
-            f"{freq_rtol:g} relative")
+            f"{_GRID_FREQ_RTOL:g} relative")
     active = e.active_channels()
     if not active:
         raise InputError("inert emitter: no channel to map")

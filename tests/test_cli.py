@@ -17,20 +17,21 @@ import numpy as np
 import pytest
 
 import polyemit
-from polyemit.cli import RunConfig, main, parse_frequency
+from polyemit.cli import build_parser, main, parse_frequency
 from polyemit.constants import ATOMIC_QUADRUPOLE, C0, EPS0, HBAR
 from polyemit.dynamics import (EmitterEnsembleModel, build_ensemble,
-                               evolve_ensemble, product_density)
+                               evolve_ensemble, product_density, pure_density)
 from polyemit.emitter import (MultipoleEmitter, bilinear_form,
                               moment_product_bundle)
 from polyemit.errors import GridFormatError, InputError, ModelDomainError
-from polyemit.grid import grid_from_homogeneous, save_grid
+from polyemit.grid import grid_from_homogeneous, save_grid, validate_grid
 from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
                                   eval_homogeneous_jet)
 from polyemit.quadrature import (SpectralGreenModel, homogeneous_pair_model,
                                  imaginary_axis_form, lorentzian_model)
 from polyemit.rates import (collective_rate, coupling_strength,
-                            emission_rate, free_space_rates)
+                            emission_rate, enhancement_map, free_space_rates,
+                            lamb_shift)
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -79,42 +80,102 @@ def test_parse_frequency_suffixes():
         parse_frequency("384GHz")
     with pytest.raises(InputError, match="positive"):
         parse_frequency("-1THz")
+    # the rule holds in rad/s, after the unit conversion
+    with pytest.raises(InputError, match="positive finite"):
+        parse_frequency("1e300THz")
 
 
-def test_run_config_rejects_unknown_keys_and_bad_values():
-    with pytest.raises(InputError, match="unknown run-config keys"):
-        RunConfig.from_dict({"subcommand": "validate", "grid": "g.json",
-                             "bogus": 1})
-    with pytest.raises(InputError, match="grid"):
-        RunConfig.from_dict({"subcommand": "map",
-                             "emitters": ("e.json",)})
-    with pytest.raises(InputError, match="emitter"):
-        RunConfig.from_dict({"subcommand": "couple",
-                             "emitters": ("a.json",)})
-    with pytest.raises(InputError, match="format"):
-        RunConfig.from_dict({"subcommand": "validate", "grid": "g",
-                             "format": "yaml"})
-    with pytest.raises(InputError, match="t-max"):
-        RunConfig.from_dict({"subcommand": "dynamics", "ensemble": "s"})
+def refusal(argv, tmp_path, capsys):
+    """Exit code and stderr of main(argv) with every FILE in argv, and
+    each file a subcommand requires, naming a file that does not exist:
+    an argv refusal must come before any file is read."""
+    if "FILE" not in argv:
+        argv = argv + {"free-space": ["--emitter", "FILE"],
+                       "couple": ["--emitter", "FILE", "--emitter", "FILE"],
+                       "dynamics": ["--ensemble", "FILE"]}[argv[0]]
+    missing = str(tmp_path / "missing.json")
+    argv = [missing if a == "FILE" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own refusals
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "missing.json" not in err
+    return code, err
 
 
-@pytest.mark.parametrize("field, value", [
-    ("t_max", True), ("t_max", "1e-9"), ("t_max", 10 ** 400),
-    ("frequency", True), ("frequency", math.inf), ("frequency", "2.4e15"),
-    ("tol_rel", "1e-6")],
+def test_run_config_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
+    # argparse owns the flag set, the required flags and the --format
+    # choices; each handler checks its emitter count and channels
+    for argv, message in [
+            (["validate", "--grid", "FILE", "--bogus", "1"], "unrecognized"),
+            (["free-space", "--tol-rel", "0.5"],
+             "unrecognized arguments: --tol-rel"),
+            (["map", "--emitter", "FILE"], "--grid"),
+            (["validate", "--grid", "FILE", "--format", "yaml"], "--format"),
+            (["dynamics", "--ensemble", "FILE"], "--t-max"),
+            (["free-space", "--emitter", "FILE", "--emitter", "FILE"],
+             "free-space needs exactly 1 --emitter"),
+            (["couple", "--emitter", "FILE"],
+             "couple needs exactly 2 --emitter"),
+            (["couple", "--emitter", "FILE", "--emitter", "FILE",
+              "--emitter", "FILE"], "couple needs exactly 2 --emitter"),
+            (["map", "--grid", "FILE", "--emitter", "FILE", "--emitter",
+              "FILE"], "map needs exactly 1 --emitter"),
+            (["map", "--grid", "FILE", "--emitter", "FILE", "--channels",
+              "ed,xx"], "unknown channels")]:
+        code, err = refusal(argv, tmp_path, capsys)
+        assert code == 2 and message in err, argv
+
+
+T_MAX = "t-max (seconds) must be a positive finite number"
+FREQUENCY = "in rad/s must be a positive finite number"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dynamics", "--t-max", "True"], "--t-max: invalid float value"),
+    (["dynamics", "--t-max", "1e-9s"], "--t-max: invalid float value"),
+    (["dynamics", "--t-max", "1" + "0" * 400], T_MAX),
+    (["free-space", "--frequency", "TrueTHz"], "cannot parse frequency"),
+    (["free-space", "--frequency", "infTHz"], FREQUENCY),
+    (["free-space", "--frequency", "2.4e15"], "suffix"),
+    (["free-space", "--tol-rel", "1e-6"], "unrecognized arguments"),
+    (["free-space", "--frequency", "1e300THz"], FREQUENCY),
+    (["free-space", "--frequency", "1" + "0" * 400 + "rad/s"], FREQUENCY),
+    (["free-space", "--index", "0.5"], "refractive index"),
+    (["free-space", "--index", "nan"], "refractive index"),
+    (["couple", "--index", "0.5"], "refractive index"),
+    (["couple", "--index", "nan"], "refractive index"),
+    (["free-space", "--frequency", "nanTHz"], FREQUENCY),
+    (["free-space", "--frequency=-infTHz"], FREQUENCY),
+    (["free-space", "--frequency=-1THz"], FREQUENCY),
+    (["couple", "--frequency", "0rad/s"], FREQUENCY),
+    (["dynamics", "--t-max", "-1"], T_MAX),
+    (["dynamics", "--t-max", "0"], T_MAX),
+    (["dynamics", "--t-max", "nan"], T_MAX),
+    (["dynamics", "--t-max", "inf"], T_MAX),
+    (["dynamics", "--t-max=-inf"], T_MAX),
+    (["dynamics", "--t-max", "1e-9", "--t-points", "1"], "t-points")],
     ids=["t_max-bool", "t_max-string", "t_max-huge-int", "frequency-bool",
-         "frequency-inf", "frequency-string", "tol_rel-string"])
-def test_run_config_numeric_fields_follow_the_number_rule(field, value):
-    # each numeric field is a finite number by errors.is_number, never a
-    # bool or a string, and a bad one is an InputError naming the field
-    data = {"subcommand": "dynamics", "ensemble": "s", "t_max": 1e-9,
-            field: value}
-    with pytest.raises(InputError, match=field.replace("_", "[-_]")):
-        RunConfig.from_dict(data)
+         "frequency-inf", "frequency-string", "tol_rel-string",
+         "frequency-overflow", "frequency-huge-int",
+         "free-space-index-below-1",
+         "free-space-index-nan", "couple-index-below-1", "couple-index-nan",
+         "frequency-nan", "frequency--inf", "frequency-negative",
+         "frequency-zero", "t_max-negative", "t_max-zero", "t_max-nan",
+         "t_max-inf", "t_max--inf", "t_points-1"])
+def test_run_config_numeric_fields_follow_the_number_rule(tmp_path, capsys,
+                                                          argv, message):
+    # each numeric flag is a finite number by the package's rules (Medium,
+    # errors.positive_number, the frequency suffix), and a bad one exits 2
+    # naming the flag before any file is read
+    code, err = refusal(argv, tmp_path, capsys)
+    assert code == 2 and message in err
 
 
-# one rule per input kind: errors.positive_number, finite_point and
-# increasing_axis, at every entry point that takes such an input
+# one rule per input kind: errors.positive_number, finite_array,
+# finite_point and increasing_axis, at every entry point that takes such
+# an input
 
 ED = MultipoleEmitter(position=np.zeros(3), omega0=W384, d=[1e-29, 0, 0])
 ED2 = dataclasses.replace(ED, position=np.array([0.0, 0.0, 60e-9]))
@@ -171,15 +232,6 @@ SCALAR_SITES = {
         lambda v: imaginary_axis_form(RESONANCE,
                                       moment_product_bundle(ED, ED), v),
         ModelDomainError, "omega0"),
-    "RunConfig.frequency": (
-        lambda v: RunConfig.from_dict({"subcommand": "free-space",
-                                       "emitters": ("e.json",),
-                                       "frequency": v}),
-        InputError, "frequency"),
-    "RunConfig.t_max": (
-        lambda v: RunConfig.from_dict({"subcommand": "dynamics",
-                                       "ensemble": "s", "t_max": v}),
-        InputError, "t-max"),
 }
 BAD_SCALARS = {"bool": True, "string": "1e-9", "nan": math.nan,
                "inf": math.inf, "-inf": -math.inf, "zero": 0,
@@ -234,6 +286,32 @@ BAD_FREQUENCIES = {"string": "2.4e15", "bool": True, "none": None,
                    "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
                    "nan+1j": complex(math.nan, 1.0), "huge-int": 10 ** 400}
 
+# site: (call, shape of its array, error class, field named in the message)
+ARRAY_SITES = {
+    "MultipoleEmitter.d": (lambda a: dataclasses.replace(ED, d=a), (3,),
+                           InputError, "moment d"),
+    "MultipoleEmitter.m": (lambda a: dataclasses.replace(ED, m=a), (3,),
+                           InputError, "moment m"),
+    "MultipoleEmitter.Q": (lambda a: dataclasses.replace(ED, Q=a), (3, 3),
+                           InputError, "moment Q"),
+    "EmitterEnsembleModel.delta": (lambda a: ensemble(delta=a), (1,),
+                                   InputError, "delta"),
+    "EmitterEnsembleModel.xi": (lambda a: ensemble(xi=a), (1, 1),
+                                InputError, "xi"),
+    "EmitterEnsembleModel.gamma": (lambda a: ensemble(gamma=a), (1, 1),
+                                   InputError, "gamma"),
+    "evolve_ensemble.rho0": (lambda a: evolve(rho0=a), (2, 2), InputError,
+                             "initial state"),
+    "pure_density": (pure_density, (2,), InputError, "state amplitudes"),
+    "lorentzian_model.amplitude": (
+        lambda a: lorentzian_model([({"value": a}, W384, 1e13)]), (3, 3),
+        ModelDomainError, "amplitude of block value"),
+}
+# the first entry of an otherwise zero list, nested to the site's shape
+BAD_ENTRIES = {"string": "1", "bool": True, "none": None, "nan": math.nan,
+               "inf": math.inf, "nan+1j": complex(math.nan, 1.0),
+               "huge-int": 10 ** 400}
+
 
 @pytest.mark.parametrize("site, value", [
     (site, value) for site in SCALAR_SITES for value in BAD_SCALARS],
@@ -254,6 +332,20 @@ def test_frequency_inputs_follow_the_complex_frequency_rule(site, value):
     # bool, a string, None or an int past the float range
     with pytest.raises(InputError, match="frequency"):
         FREQUENCY_SITES[site](BAD_FREQUENCIES[value])
+
+
+@pytest.mark.parametrize("site, value", [
+    (site, value) for site in ARRAY_SITES for value in BAD_ENTRIES],
+    ids=lambda x: x)
+def test_array_inputs_follow_the_finite_array_rule(site, value):
+    # an array entry is a finite int, float or complex, as for a
+    # frequency: never a bool, a string, None or an int past the float
+    # range
+    call, shape, error, field = ARRAY_SITES[site]
+    entries = [BAD_ENTRIES[value]] + [0] * (math.prod(shape) - 1)
+    nested = np.array(entries, dtype=object).reshape(shape).tolist()
+    with pytest.raises(error, match=field):
+        call(nested)
 
 
 @pytest.mark.parametrize("site, value", [
@@ -307,18 +399,38 @@ def test_spectral_model_fields_are_pinned():
 
 def test_setting_lists_are_pinned():
     # no setting without a caller: the near-degeneracy bound is
-    # rates._FREQ_RATIO_TOL, and a generated grid carries the default
-    # symmetry tolerance and its own provenance
+    # rates._FREQ_RATIO_TOL, the map's grid-frequency bound
+    # rates._GRID_FREQ_RTOL, the derivative cross-check's bound
+    # grid._DERIVATIVE_RTOL, couplings and shifts use imaginary_axis_form's
+    # default tolerance, and a generated grid carries the default symmetry
+    # tolerance and its own provenance
     def params(f):
         return list(inspect.signature(f).parameters)
 
-    assert params(coupling_strength) == ["a", "b", "model", "omega_bar",
-                                         "rel_tol"]
+    assert params(coupling_strength) == ["a", "b", "model", "omega_bar"]
     assert params(collective_rate) == ["a", "b", "model_or_jet", "omega_bar"]
-    assert params(build_ensemble) == ["emitters", "environment", "omega_ref",
-                                      "rel_tol"]
+    assert params(lamb_shift) == ["e", "model"]
+    assert params(build_ensemble) == ["emitters", "environment", "omega_ref"]
     assert params(grid_from_homogeneous) == ["medium", "frequency", "axes",
                                              "fd_step"]
+    assert params(enhancement_map) == ["grid", "e"]
+    assert params(validate_grid) == ["grid"]
+
+    # no flag sets a tolerance: those are module constants or fields of
+    # the ensemble spec
+    sub = next(a for a in build_parser()._actions
+               if a.dest == "subcommand")
+    flags = {name: sorted(opt for a in p._actions for opt in a.option_strings
+                          if opt not in ("-h", "--help"))
+             for name, p in sub.choices.items()}
+    common = ["--format", "--out", "--quiet"]
+    emitter = ["--channels", "--emitter"]
+    assert flags == {
+        "free-space": sorted(common + emitter + ["--frequency", "--index"]),
+        "map": sorted(common + emitter + ["--grid"]),
+        "couple": sorted(common + emitter + ["--frequency", "--index"]),
+        "dynamics": sorted(common + ["--ensemble", "--t-max", "--t-points"]),
+        "validate": sorted(common + ["--grid"])}
 
 
 # --- free-space ---------------------------------------------------------------

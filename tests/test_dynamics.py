@@ -220,6 +220,10 @@ def test_model_validation():
     with pytest.raises(InputError, match="reference frequency"):
         EmitterEnsembleModel(omega_ref=-1.0, delta=[0.0], xi=np.zeros((1, 1)),
                              gamma=np.zeros((1, 1)))
+    # detunings are real: a complex one is refused, not truncated
+    with pytest.raises(InputError, match="delta"):
+        EmitterEnsembleModel(omega_ref=1e15, delta=[1j], xi=np.zeros((1, 1)),
+                             gamma=np.zeros((1, 1)))
     # negative eigenvalue within the stated tolerance band is accepted
     eps = 1e-12
     g = np.array([[1.0, 1.0 + eps], [1.0 + eps, 1.0]]) * 1e7
