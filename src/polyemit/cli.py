@@ -439,6 +439,12 @@ _HANDLERS = {"free-space": _cmd_free_space, "map": _cmd_map,
 
 # --- argument parsing --------------------------------------------------------
 
+def _dash_value(flag: str) -> str:
+    """Help text: argparse reads a value that starts with '-' (other than a
+    plain negative number) as the next flag."""
+    return f"; a value starting with '-' needs the {flag}=VALUE form"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyemit",
@@ -471,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refractive index (default 1)")
     p.add_argument("--frequency",
                    help="evaluation frequency with suffix, e.g. 384THz or "
-                        "2.4e15rad/s (default: the emitter's)")
+                        "2.4e15rad/s (default: the emitter's)"
+                        + _dash_value("--frequency"))
 
     p = sub.add_parser("map", help="enhancement map over a sampled grid")
     common(p, emitters=1, grid=True)
@@ -483,12 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=float, default=1.0,
                    help="refractive index (default 1)")
     p.add_argument("--frequency",
-                   help="mean frequency with suffix (default: emitter mean)")
+                   help="mean frequency with suffix (default: emitter mean)"
+                        + _dash_value("--frequency"))
 
     p = sub.add_parser("dynamics", help="ensemble trajectory")
     common(p, ensemble=True)
     p.add_argument("--t-max", type=float, required=True,
-                   help="trajectory end time in seconds")
+                   help="trajectory end time in seconds"
+                        + _dash_value("--t-max"))
     p.add_argument("--t-points", type=int, default=201,
                    help="number of grid times (default 201)")
 

@@ -26,6 +26,12 @@ Below x = SERIES_SWITCH the F_p come from their power series, above it from
 scipy.special.spherical_jn. The coincident imaginary-part jet is the R = 0
 case. For complex k (lossy media, imaginary frequencies) the closed forms
 give both parts.
+
+On the imaginary axis w = i kappa of a constant index n, x = i alpha kappa
+with alpha = n r / c, exp(i x) = exp(-alpha kappa) and 1/k^2 =
+-c^2 / (n^2 kappa^2). Each radial value is then exp(-alpha kappa) times a
+real Laurent polynomial in kappa with powers -2 to 2, and so is the jet
+(imaginary_axis_laurent).
 """
 
 from __future__ import annotations
@@ -66,6 +72,10 @@ _CLOSED = np.array([[0, 0, 1, 1j, -1],
                     [1, 10j, -45, -105j, 105]])
 _FACTOR = np.array([1.0, 0.5, 0.25, 1.0, 0.5, 0.25])
 _R_POWER = np.array([3, 5, 7, 5, 7, 9])
+# x^q = (i alpha kappa)^q at w = i kappa: _CLOSED times i^q (real), columns
+# reordered to ascending q, which is the power kappa^(q - 2) after 1/k^2
+_LAURENT = (_CLOSED * np.array([1, -1j, -1, 1j, 1])).real[:, ::-1]
+_Q = np.arange(5)
 
 
 def _im_rows(F):
@@ -244,17 +254,37 @@ def _assemble(geometry: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
     return dict(zip(BLOCK_SHAPES, _block_views(flat, shape)))
 
 
-def _jet_blocks(R, omega, medium: Medium) -> dict:
-    """Jet blocks at separation R != 0, batch shape omega.shape."""
+def _separation(R) -> tuple:
+    """R as a finite point and its length, which must be nonzero."""
     R = finite_point(R, "separation")
     r = float(np.linalg.norm(R))
     if r == 0.0:
         raise CoincidentPointError(
             "Green tensor diverges at zero separation; "
             "use coincident_im_jet for the finite imaginary part")
+    return R, r
+
+
+def _jet_blocks(R, omega, medium: Medium) -> dict:
+    """Jet blocks at separation R != 0, batch shape omega.shape."""
+    R, r = _separation(R)
     w = _frequencies(omega)
     return _assemble(_geometry(R), _radial(r, w.reshape(-1), medium),
                      w.shape)
+
+
+def imaginary_axis_laurent(R, n: float) -> tuple:
+    """(alpha, blocks) with G(R, i kappa) = exp(-alpha kappa)
+    sum_{p=-2}^{2} kappa^p G_p for the index n (a real number), alpha =
+    n |R| / c: blocks maps each block name to the real coefficients G_p,
+    stacked on a leading axis of the five powers p = -2..2. -G_-2 is the
+    static pole S of G = S/w^2 + O(1/w) at w = 0."""
+    R, r = _separation(R)
+    alpha = n * r / C0
+    radial = (_LAURENT * alpha ** _Q
+              * (-(C0 / n) ** 2 / (4.0 * math.pi) * _FACTOR
+                 / r ** _R_POWER)[:, None])
+    return alpha, _assemble(_geometry(R), radial, (5,))
 
 
 def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:

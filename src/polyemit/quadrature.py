@@ -18,12 +18,27 @@ Two layers:
     moving off the real axis. The g2inf term is the surviving arc
     contribution; models declare it (zero for faster-than-quadratic decay).
 
-The unit of work is the 15-node Kronrod panel: one engine integrates
-vector integrands, which map the array of a panel's nodes to their values
-in one call. The spectral form therefore evaluates one batched Green jet
-(SpectralGreenModel.jet on the node array) and makes one contraction per
-panel. integrate_adaptive takes a scalar integrand f(x) and lifts it onto
-the same engine (one call per node).
+A model may declare that its imaginary-axis jet is exp(-alpha k) times a
+Laurent polynomial sum_{p=-2}^{2} k^p G_p with real G_p (a uniform medium
+of constant index, homogeneous_pair_model). Its k-integral is then the
+finite sum sum_m c_m J_m of
+
+    J_m = int_0^inf exp(-alpha k) k^m / (k^2 + w0^2) dk,   m = 0..4,
+
+and Re G(w0) = sum_p Re[exp(i alpha w0) (-i w0)^p] G_p; no jet is
+evaluated. With z = alpha w0, J_0 = f(z)/w0 and J_1 = g(z), the auxiliary
+functions of the sine and cosine integrals (DLMF sections 6.2, 6.7),
+and J_(m+2) = m!/alpha^(m+1) - w0^2 J_m. That recurrence cancels at large
+z, so from z = _LAGUERRE_SWITCH up J_m comes from a fixed Gauss-Laguerre
+rule in s = alpha k instead. Every other model (a dispersive index,
+lorentzian_model) is integrated adaptively.
+
+The unit of adaptive work is the 15-node Kronrod panel: one engine
+integrates vector integrands, which map the array of a panel's nodes to
+their values in one call. The spectral form therefore evaluates one
+batched Green jet (SpectralGreenModel.jet on the node array) and makes one
+contraction per panel. integrate_adaptive takes a scalar integrand f(x) and
+lifts it onto the same engine (one call per node).
 
 A range [a, inf) is mapped onto [0, 1) by x = a + s t/(1 - t), s the
 problem's frequency scale (QUADPACK's qagi transform), and integrated by
@@ -49,6 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import roots_laguerre, sici
 
 from .errors import (ModelDomainError, QuadratureError, finite_array,
                      finite_point, positive_number)
@@ -78,6 +94,20 @@ _W7 = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
 
 # error allowed per unit of absolute panel mass Sum |panel|
 _MAGNITUDE_TOL = 1e-10
+
+# the Laurent powers p = -2..2 of a declared imaginary-axis form, and the
+# powers m = 0..4 of its k-integrals J_m
+_P = np.arange(-2.0, 3.0)
+_M = np.arange(5)
+_MINUS_I_POWERS = np.array([-1, 1j, 1, -1j, -1])  # (-i)^p
+# J_m from z = alpha w0 = _LAGUERRE_SWITCH up: a 40-node Gauss-Laguerre rule.
+# Against 40-digit mpmath, m = 0..4, the recurrence is within 2.5e-14
+# relative below z = 5 (4.8e-13 at z = 10, 3e-3 at 1e3) and the rule within
+# 6e-15 from z = 5 to 1e4 (1e-13 at z = 4)
+_LAGUERRE_SWITCH = 5.0
+_LAGUERRE_S, _LAGUERRE_W = roots_laguerre(40)
+# relative accuracy of each J_m, the error estimate of a closed-form sum
+_MOMENT_RTOL = 1e-13
 
 
 def _nodes(a: float, b: float) -> np.ndarray:
@@ -215,7 +245,13 @@ class SpectralGreenModel:
     G_block(w) = S/w^2 + O(1) near w = 0 (real S by Schwarz reflection;
     None means the model is regular at zero). scattered marks models that
     represent only the structure-induced part of the response (finite at
-    the source point), the part level shifts are computed from. Block
+    the source point), the part level shifts are computed from.
+    imaginary_axis_laurent declares G(i k) = exp(-alpha k) sum_{p=-2}^{2}
+    k^p G_p as (alpha, blocks), blocks mapping block name -> the real G_p
+    stacked on a leading axis of the five powers (see
+    homogeneous.imaginary_axis_laurent); imaginary_axis_form then sums
+    instead of integrating (module doc), and static_pole_blocks must be
+    -G_-2. None means the k-integral is integrated adaptively. Block
     names are those of jets.BLOCK_SHAPES.
 
     Evaluator contract: evaluator(w) takes one complex frequency (a Python
@@ -238,6 +274,7 @@ class SpectralGreenModel:
     uhp_quadratic_limit: Optional[dict] = None
     static_pole_blocks: Optional[dict] = None
     scattered: bool = True
+    imaginary_axis_laurent: Optional[tuple] = None
 
     def jet(self, omega) -> GreensJet:
         """The jet at omega, or at every entry of an array of frequencies.
@@ -299,22 +336,67 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     A nonvanishing f2 . S is rejected rather than mis-integrated; it does
     vanish for magnetic dipoles in a uniform medium, whose two curls
     annihilate the gradient field of the electrostatic pole.
+
+    A model that declares its imaginary-axis Laurent form
+    (SpectralGreenModel.imaginary_axis_laurent) has the resonant term and
+    the k-integral summed in closed form (module doc): no jet is evaluated,
+    neval is 0, and error bounds the J_m error. Its f2 . G_-2 (that is,
+    f2 . S) and f2 . G_-1 must vanish the same way and are dropped. Any
+    other model is integrated adaptively, and rel_tol applies to it alone.
     """
     omega0 = positive_number(omega0, "pole frequency omega0",
                              ModelDomainError)
-    f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
-
+    f0, f1 = bundle.f0, bundle.f1
     statics = {name: np.asarray(s_blk) for name, s_blk in
                (model.static_pole_blocks or {}).items()}
+    if model.imaginary_axis_laurent is None:
+        res = _adaptive_terms(model, bundle, omega0, statics, rel_tol)
+    else:
+        res = _laurent_terms(model.imaginary_axis_laurent, bundle, omega0)
+
+    # arc term: -(pi/2) f0 . g2inf
+    arc = 0.0 + 0.0j
+    g2 = model.uhp_quadratic_limit or {}
+    if f0 and g2:
+        shared = {name: f0[name] for name in f0 if name in g2}
+        if shared:
+            arc = -0.5 * math.pi * bundle.contract(g2, shared)
+
+    # static-pole correction: -(pi/2) f1 . S / omega0
+    pole_term = 0.0 + 0.0j
+    if statics and f1:
+        shared = {name: f1[name] for name in f1 if name in statics}
+        if shared:
+            pole_term = -(0.5 * math.pi / omega0) * bundle.contract(
+                statics, shared)
+
+    res.value = complex(res.value + arc + pole_term)
+    return res
+
+
+def _refuse_divergent_f2(values, scale) -> None:
+    """Refuse f2 terms whose contraction with the model's 1/w^2 (or 1/w)
+    part is more than roundoff on its uncancelled size scale: they diverge
+    at k = 0 on the imaginary axis."""
+    if np.any(np.abs(values) > 1e-10 * np.asarray(scale)):
+        raise ModelDomainError(
+            "1/w^2 coefficient terms combined with a model that has "
+            "a static pole at zero frequency diverge on the "
+            "imaginary axis; restrict channels")
+
+
+def _adaptive_terms(model: SpectralGreenModel, bundle, omega0: float,
+                    statics: dict, rel_tol: float) -> QuadratureResult:
+    """pi p(omega0) . Re G(omega0) plus the k-integral, integrated
+    adaptively: the resonant jet, then one jet evaluation and one
+    contraction per panel."""
+    f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
     f2_static = {name: f2[name] for name in f2 if name in statics}
     if f2_static:
-        scale = sum(float(np.sum(np.abs(t) * np.abs(statics[name])))
-                    for name, t in f2_static.items())
-        if abs(bundle.contract(statics, f2_static)) > 1e-10 * scale:
-            raise ModelDomainError(
-                "1/w^2 coefficient terms combined with a model that has "
-                "a static pole at zero frequency diverge on the "
-                "imaginary axis; restrict channels")
+        _refuse_divergent_f2(
+            bundle.contract(statics, f2_static),
+            sum(float(np.sum(np.abs(t) * np.abs(statics[name])))
+                for name, t in f2_static.items()))
 
     # resonant term: pi p(omega0) . Re G(omega0)
     re_blocks = model.jet(omega0).real_blocks()
@@ -339,26 +421,64 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
 
     # one call on [0, inf), with kappa = omega0 at the middle of [0, 1)
     res = _integrate_to_infinity(integrand, 0.0, omega0, rel_tol, abs_tol)
-
-    # arc term: -(pi/2) f0 . g2inf
-    arc = 0.0 + 0.0j
-    g2 = model.uhp_quadratic_limit or {}
-    if f0 and g2:
-        shared = {name: f0[name] for name in f0 if name in g2}
-        if shared:
-            arc = -0.5 * math.pi * bundle.contract(g2, shared)
-
-    # static-pole correction: -(pi/2) f1 . S / omega0
-    pole_term = 0.0 + 0.0j
-    if statics and f1:
-        shared = {name: f1[name] for name in f1 if name in statics}
-        if shared:
-            pole_term = -(0.5 * math.pi / omega0) * bundle.contract(
-                statics, shared)
-
-    res.value = complex(resonant + res.value + arc + pole_term)
+    res.value = complex(resonant + res.value)
     res.neval += 1  # the resonant jet
     return res
+
+
+def _exp_moments(alpha: float, omega0: float) -> np.ndarray:
+    """J_m = int_0^inf exp(-alpha k) k^m / (k^2 + omega0^2) dk for
+    m = 0..4 (module doc), each within _MOMENT_RTOL relative."""
+    z = alpha * omega0
+    if z >= _LAGUERRE_SWITCH:
+        # s = alpha k: J_m = alpha^(1-m) int_0^inf e^-s s^m / (s^2 + z^2) ds
+        s = _LAGUERRE_S
+        return (alpha ** (1 - _M)
+                * (s ** _M[:, None] @ (_LAGUERRE_W / (s * s + z * z))))
+    si, ci = sici(z)
+    sin, cos = math.sin(z), math.cos(z)
+    moments = np.empty(5)
+    moments[0] = (ci * sin - (si - 0.5 * math.pi) * cos) / omega0  # f(z)
+    moments[1] = -ci * cos - (si - 0.5 * math.pi) * sin            # g(z)
+    for m in range(3):
+        moments[m + 2] = (math.factorial(m) / alpha ** (m + 1)
+                          - omega0 ** 2 * moments[m])
+    return moments
+
+
+def _laurent_terms(laurent: tuple, bundle, omega0: float) -> QuadratureResult:
+    """pi p(omega0) . Re G(omega0) plus the k-integral for a model that
+    declares G(i k) = exp(-alpha k) sum_p k^p G_p, summed in closed form
+    from one contraction of the rows f0 w0^2, f1 w0 and f2 with the G_p."""
+    alpha, blocks = laurent
+    f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
+    names = list(dict.fromkeys([*f0, *f1, *f2]))
+    # row r, power p = -2..2: (f0 w0^2, f1 w0, f2) . G_p
+    rows = bundle.contract(blocks, _coefficient_rows(
+        names, {name: t * omega0 ** 2 for name, t in f0.items()},
+        {name: t * omega0 for name, t in f1.items()}, f2))
+    if f2:
+        # f2 . G_-2 and f2 . G_-1 vanish (two curls annihilate them): a
+        # nonzero one would diverge at k = 0, roundoff is dropped
+        _refuse_divergent_f2(rows[2, :2], bundle.contract(
+            {name: np.abs(blocks[name][:2]) for name in f2},
+            {name: np.abs(t) for name, t in f2.items()}))
+        rows[2, :2] = 0.0
+
+    # k-integrand (k^2 A.G + B.G) / (k^2 + w0^2), A = f0 w0 + f1 and
+    # B = -f2 w0: the weight of exp(-alpha k) k^m / (k^2 + w0^2), m = 0..4,
+    # is A.G_(m-2) plus B.G_m
+    weights = (rows[0] + rows[1]) / omega0
+    weights[:3] -= omega0 * rows[2, 2:]
+    terms = weights * _exp_moments(alpha, omega0)
+
+    # resonant term: Re G(w0) = sum_p Re[exp(i alpha w0) (-i w0)^p] G_p
+    phase = ((np.exp(1j * alpha * omega0) * _MINUS_I_POWERS).real
+             * omega0 ** _P)
+    resonant = math.pi * np.dot(phase, rows.sum(axis=0))
+    return QuadratureResult(
+        value=complex(resonant + terms.sum()),
+        error=_MOMENT_RTOL * float(np.sum(np.abs(terms))), neval=0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +543,18 @@ def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
     at zero frequency, declared through static_pole_blocks. Not a
     scattered-part model: level shifts from it are the free-space ones the
     transition frequency already absorbs.
+
+    With a constant index the model declares its imaginary-axis Laurent
+    form (homogeneous.imaginary_axis_laurent), so imaginary_axis_form sums
+    its k-integral in closed form, and the static pole is exactly
+    S = -G_-2. A callable (dispersive) index has no such form: its
+    k-integral is integrated adaptively, and S is -G_-2 of the index the
+    field sees at k = 1e-4 c/|R| on the imaginary axis (the static limit,
+    for an index flat at low frequency).
     """
     from .constants import C0
     from .errors import CoincidentPointError
-    from .homogeneous import eval_homogeneous_jet
+    from .homogeneous import eval_homogeneous_jet, imaginary_axis_laurent
 
     r_obs = finite_point(r_obs, "field point")
     r_src = finite_point(r_src, "source point")
@@ -439,14 +567,13 @@ def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
     def evaluator(w) -> GreensJet:
         return eval_homogeneous_jet(r_obs, r_src, w, medium)
 
-    # static pole: S = -lim k^2 G(ik). Richardson in k^2 removes the next
-    # expansion order (G is even in w up to the first radiative term).
-    kappa = 1e-4 * C0 / dist
-    probe = evaluator(np.array([1j, 2j]) * kappa)
-    statics = {}
-    for name, blk in probe.blocks.items():
-        s = -(4.0 * kappa ** 2 * blk[0] - 4.0 * kappa ** 2 * blk[1]) / 3.0
-        statics[name] = np.ascontiguousarray(s.real)
-
-    return SpectralGreenModel(evaluator=evaluator, uhp_quadratic_limit=None,
-                              static_pole_blocks=statics, scattered=False)
+    n = medium.refractive_index
+    dispersive = callable(n)
+    if dispersive:
+        n = float(np.real(medium.index(1e-4j * C0 / dist)))
+    laurent = imaginary_axis_laurent(r_obs - r_src, n)
+    statics = {name: -blk[0] for name, blk in laurent[1].items()}
+    return SpectralGreenModel(
+        evaluator=evaluator, uhp_quadratic_limit=None,
+        static_pole_blocks=statics, scattered=False,
+        imaginary_axis_laurent=None if dispersive else laurent)

@@ -8,6 +8,11 @@ that is:
   * pv_spectral_form: the real-axis principal value
     P int_0^inf w^2 F(w) . Im G(w) / (w - w0) dw, the oracle for every
     imaginary-axis result (polyemit.quadrature.imaginary_axis_form);
+  * adaptive_pair_model: a uniform-medium pair model without its
+    imaginary-axis Laurent declaration, whose k-integral imaginary_axis_form
+    therefore integrates adaptively, the oracle of the closed-form sum;
+  * exp_moment_reference: the integrals J_m of that sum in 40-digit
+    mpmath, through exponential integrals of complex argument;
   * kk_residual and check_imaginary_axis_reality: causality checks on
     sampled spectra and on a model's jet at imaginary frequency;
   * small_R_series_im: the small-separation series of Im G;
@@ -29,9 +34,11 @@ point). The package never takes the real-axis route.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from polyemit.dynamics import _MAX_EMITTERS, Trajectory, _time_grid
@@ -41,7 +48,32 @@ from polyemit.homogeneous import (SERIES_SWITCH, Medium,
 from polyemit.quadrature import (QuadratureResult, SpectralGreenModel,
                                  _adaptive, _coefficient_rows, _lift,
                                  _integrate_to_infinity, _pole_coefficients,
-                                 _roundoff_floor)
+                                 _roundoff_floor, homogeneous_pair_model)
+
+
+def adaptive_pair_model(medium: Medium, r_obs, r_src) -> SpectralGreenModel:
+    """homogeneous_pair_model with its Laurent declaration removed: the
+    same jets and static pole, integrated by the adaptive engine."""
+    return dataclasses.replace(homogeneous_pair_model(medium, r_obs, r_src),
+                               imaginary_axis_laurent=None)
+
+
+def exp_moment_reference(alpha: float, omega0: float, m: int) -> float:
+    """J_m = int_0^inf exp(-alpha k) k^m / (k^2 + omega0^2) dk in 40-digit
+    arithmetic. With k = omega0 t, z = alpha omega0 and
+    1/(t^2 + 1) = (1/(t - i) - 1/(t + i)) / 2i, each part splits into
+    int_0^inf e^(-zt) t^j dt = j!/z^(j+1) and
+    int_0^inf e^(-zt) / (t - a) dt = e^(-za) E1(-za)."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(alpha) * omega0
+
+        def part(a):
+            poly = sum(a ** (m - 1 - j) * mpmath.factorial(j) / z ** (j + 1)
+                       for j in range(m))
+            return poly + a ** m * mpmath.exp(-z * a) * mpmath.e1(-z * a)
+
+        t_moment = (part(1j) - part(-1j)) / 2j
+        return float(mpmath.re(t_moment) * mpmath.mpf(omega0) ** (m - 1))
 
 
 # ---------------------------------------------------------------------------

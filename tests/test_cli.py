@@ -391,10 +391,10 @@ def test_public_names_are_pinned():
 
 
 def test_spectral_model_fields_are_pinned():
-    # the evaluator and the three declarations imaginary_axis_form reads
+    # the evaluator and the four declarations imaginary_axis_form reads
     assert [f.name for f in dataclasses.fields(SpectralGreenModel)] == [
         "evaluator", "uhp_quadratic_limit", "static_pole_blocks",
-        "scattered"]
+        "scattered", "imaginary_axis_laurent"]
 
 
 def test_setting_lists_are_pinned():
@@ -633,6 +633,61 @@ def test_couple_magnetic_dipole_pair(tmp_path, capsys):
                             W384)[1]
     assert doc["gamma_a_per_s"]["re"] == pytest.approx(g_md, rel=1e-10)
     assert doc["xi_rad_per_s"]["re"] != 0.0
+
+
+def test_couple_magnetic_pair_at_small_separation(tmp_path, capsys):
+    # k0 R = 1e-3 in vacuum: the adaptive integral exited 3 ("adaptive
+    # budget exhausted"); the closed form equals the dual ED pair, d = m/c
+    sep = 1e-3 * C0 / W384
+    docs = {kind: [{"position_m": [0.0, 0.0, z], "omega0_rad_per_s": W384,
+                    key: [value, 0.0, 0.0]} for z in (0.0, sep)]
+            for kind, key, value in (("md", "m_J_per_T", 1e-23),
+                                     ("ed", "d_Cm", 1e-23 / C0))}
+    xi = {}
+    for kind, (da, db) in docs.items():
+        a = write_json(tmp_path / f"{kind}a.json", da)
+        b = write_json(tmp_path / f"{kind}b.json", db)
+        assert main(["couple", "--emitter", a, "--emitter", b,
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        xi[kind] = complex(doc["xi_rad_per_s"]["re"],
+                           doc["xi_rad_per_s"]["im"])
+    assert abs(xi["md"] - xi["ed"]) <= 1e-13 * abs(xi["ed"])
+
+
+def test_repeated_calls_in_one_process_keep_no_state(tmp_path, emitter_file,
+                                                     capsys):
+    # repeated calls in one process give the same bytes, and no --emitter
+    # value carries over into the next call
+    other = write_json(tmp_path / "b.json",
+                       {"position_m": [0.0, 0.0, 80e-9],
+                        "omega0_rad_per_s": W384,
+                        "d_atomic": [1.0, 0.0, 0.0]})
+    argv = ["couple", "--emitter", emitter_file, "--emitter", other,
+            "--format", "json"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert main(["free-space", "--emitter", emitter_file]) == 0
+    assert main(["couple", "--emitter", emitter_file]) == 2
+    assert "couple needs exactly 2 --emitter" in capsys.readouterr().err
+
+
+def test_dash_values_need_the_equals_form(tmp_path, capsys):
+    # argparse reads "--frequency -1THz" as a missing value; the help says
+    # so, and the --flag=value form reaches the frequency rule
+    sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    for name, flag in (("free-space", "--frequency"), ("couple", "--frequency"),
+                       ("dynamics", "--t-max")):
+        action = next(a for a in sub.choices[name]._actions
+                      if flag in a.option_strings)
+        assert f"needs the {flag}=VALUE form" in action.help
+    code, err = refusal(["couple", "--frequency", "-1THz"], tmp_path, capsys)
+    assert code == 2 and "expected one argument" in err
+    code, err = refusal(["couple", "--frequency=-1THz"], tmp_path, capsys)
+    assert code == 2 and FREQUENCY in err
 
 
 def test_couple_inert_pair_is_zero(tmp_path, capsys):

@@ -19,6 +19,7 @@ from polyemit import (CoincidentPointError, InputError, Medium,
                       eval_homogeneous, eval_homogeneous_jet)
 from polyemit.constants import ATOMIC_QUADRUPOLE, BOHR_MAGNETON, C0
 from polyemit.emitter import moment_product_bundle
+from polyemit.homogeneous import imaginary_axis_laurent
 
 from oracles import small_R_series_im
 
@@ -129,6 +130,28 @@ def test_imaginary_axis_static_limit():
     want = (np.eye(3) - 3 * np.outer(rh, rh)) * C0 ** 2 / (
         4 * math.pi * n ** 2 * kappa ** 2 * r ** 3)
     assert np.max(np.abs(G - want)) < 1e-9 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1.0, 1.7])
+def test_imaginary_axis_laurent_reproduces_the_jet(n):
+    # G(i kappa) = exp(-alpha kappa) sum_p kappa^p G_p, every block, from
+    # the static to the radiative end; -G_-2 is the electrostatic tensor
+    R = np.array([25e-9, -40e-9, 10e-9])
+    r = np.linalg.norm(R)
+    alpha, blocks = imaginary_axis_laurent(R, n)
+    assert alpha == n * r / C0
+    for kappa in W0 * np.array([1e-3, 0.3, 1.0, 10.0, 100.0]):
+        jet = eval_homogeneous_jet(R, np.zeros(3), 1j * kappa, Medium(n))
+        for name, coeffs in blocks.items():
+            got = math.exp(-alpha * kappa) * np.tensordot(
+                kappa ** np.arange(-2.0, 3.0), coeffs, 1)
+            want = getattr(jet, name).real
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rh = R / r
+    static = (3 * np.outer(rh, rh) - np.eye(3)) * C0 ** 2 / (
+        4 * math.pi * n ** 2 * r ** 3)
+    assert np.max(np.abs(-blocks["value"][0] - static)) <= 1e-15 * np.max(
+        np.abs(static))
 
 
 def test_jet_value_matches_eval():

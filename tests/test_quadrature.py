@@ -14,14 +14,17 @@ from polyemit.constants import C0
 from polyemit.emitter import MultipoleEmitter, moment_product_bundle
 from polyemit.errors import (CoincidentPointError, ModelDomainError,
                              PartFlagError, QuadratureError)
-from polyemit.homogeneous import Medium
+from polyemit.homogeneous import Medium, eval_homogeneous_jet
 from polyemit.jets import GreensJet
-from polyemit.quadrature import (SpectralGreenModel, _adaptive,
+from polyemit.quadrature import (_LAGUERRE_SWITCH, SpectralGreenModel,
+                                 _adaptive, _exp_moments,
                                  _integrate_to_infinity,
                                  homogeneous_pair_model, imaginary_axis_form,
                                  integrate_adaptive, lorentzian_model)
+from polyemit.rates import collective_rate, coupling_strength
 
-from oracles import (check_imaginary_axis_reality, kk_residual, pv_integral,
+from oracles import (adaptive_pair_model, check_imaginary_axis_reality,
+                     exp_moment_reference, kk_residual, pv_integral,
                      pv_spectral_form)
 
 WR1, ETA1 = 2.50e15, 6.0e13
@@ -354,7 +357,7 @@ def test_neval_counts_every_evaluation(rng):
         Q = rng.standard_normal((3, 3)) * 1e-39
         return MultipoleEmitter(position=p, omega0=WR1, d=d, Q=Q + Q.T)
 
-    model = homogeneous_pair_model(Medium(1.5), pos[0], pos[1])
+    model = adaptive_pair_model(Medium(1.5), pos[0], pos[1])
     jet = CountingCalls(model.evaluator)
     counted = dataclasses.replace(model, evaluator=jet)
     bundle = moment_product_bundle(emitter(pos[0]), emitter(pos[1]))
@@ -442,7 +445,7 @@ def test_imaginary_axis_form_matches_pointwise_reference(rng, n, wavelengths):
 
     bundle = moment_product_bundle(emitter(pos[0]), emitter(pos[1]))
     assert bundle.f0 and bundle.f1 and bundle.f2  # ED, EQ, MD all enter
-    model = homogeneous_pair_model(Medium(n), pos[0], pos[1])
+    model = adaptive_pair_model(Medium(n), pos[0], pos[1])
     got = imaginary_axis_form(model, bundle, WR1).value
     want = pointwise_imaginary_axis_form(model, bundle, WR1)
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -459,7 +462,7 @@ def test_one_jet_evaluation_per_panel(rng):
 
     bundle = random_pair_bundle(rng)
     pos = [np.zeros(3), np.array([0.0, 0.0, 50e-9])]
-    homogeneous = homogeneous_pair_model(Medium(1.5), pos[0], pos[1])
+    homogeneous = adaptive_pair_model(Medium(1.5), pos[0], pos[1])
     res = imaginary_axis_form(recorded(homogeneous),
                               ed_bundle(np.array([1e-29, 0, 0]), pos), WR1)
     # the resonant jet, then one call on the 15 nodes of each panel
@@ -479,7 +482,9 @@ def test_one_jet_evaluation_per_panel(rng):
     assert sizes == [3]
 
 
-def test_static_pole_probe_is_one_batched_jet(monkeypatch):
+def test_pair_model_declares_its_laurent_form_without_a_jet(monkeypatch):
+    # building the model evaluates no jet: the Laurent coefficients come
+    # from the closed forms, and the static pole is exactly S = -G_-2
     import polyemit.homogeneous as homogeneous
     calls = []
     original = homogeneous.eval_homogeneous_jet
@@ -489,9 +494,112 @@ def test_static_pole_probe_is_one_batched_jet(monkeypatch):
         return original(r_obs, r_src, omega, medium)
 
     monkeypatch.setattr(homogeneous, "eval_homogeneous_jet", counted)
-    homogeneous_pair_model(Medium(1.5), np.zeros(3),
-                           np.array([0.0, 0.0, 120e-9]))
-    assert calls == [(2,)]
+    pos = [np.zeros(3), np.array([20e-9, -50e-9, 120e-9])]
+    model = homogeneous_pair_model(Medium(1.5), *pos)
+    assert calls == []
+    alpha, blocks = model.imaginary_axis_laurent
+    assert alpha == 1.5 * np.linalg.norm(pos[1]) / C0
+    assert list(blocks) == list(model.static_pole_blocks)
+    for name, blk in blocks.items():
+        assert blk.shape[0] == 5
+        assert np.array_equal(model.static_pole_blocks[name], -blk[0])
+
+
+# ---------------------------------------------------------------------------
+# closed-form k-integrals of uniform-medium pairs
+
+
+@pytest.mark.parametrize("omega0", [WR1, 1.0])
+def test_exp_moments_match_mpmath(omega0):
+    # each J_m on both sides of the switch, z = alpha omega0 from 1e-4 to
+    # 1e4, against 40-digit exponential integrals
+    zs = np.concatenate([np.geomspace(1e-4, 1e4, 49),
+                         [np.nextafter(_LAGUERRE_SWITCH, 0.0),
+                          _LAGUERRE_SWITCH]])
+    for z in zs:
+        alpha = z / omega0
+        got = _exp_moments(alpha, omega0)
+        for m in range(5):
+            want = exp_moment_reference(alpha, omega0, m)
+            assert abs(got[m] - want) <= 1e-13 * abs(want), (z, m)
+
+
+def dual_pair_xi(n, kR, kind):
+    """xi of two x-oriented MD emitters (kind "m") separated along z by
+    kR / k0 in the index n, or of their dual ED pair (kind "d",
+    d = n m / c)."""
+    m = np.array([1e-23, 0.0, 0.0])
+    moments = {"m": m} if kind == "m" else {"d": n * m / C0}
+    a = MultipoleEmitter(position=np.zeros(3), omega0=WR1, **moments)
+    b = MultipoleEmitter(position=np.array([0.0, 0.0, kR * C0 / WR1]),
+                         omega0=WR1, **moments)
+    model = homogeneous_pair_model(Medium(n), a.position, b.position)
+    return coupling_strength(a, b, model).xi
+
+
+@pytest.mark.parametrize("n", [1.0, 1.0001, 1.33, 1.5])
+def test_md_pairs_at_small_separation_match_their_dual_electric_pairs(n):
+    # the adaptive route refused 9 of these 24 points ("adaptive budget
+    # exhausted"); duality makes every one equal to its ED pair
+    for kR in (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2):
+        xi_md = dual_pair_xi(n, kR, "m")
+        xi_ed = dual_pair_xi(n, kR, "d")
+        assert abs(xi_md - xi_ed) <= 1e-13 * abs(xi_ed), kR
+
+
+PAIRINGS = ("d", "m", "q", "dm", "dq", "mq", "dmq")
+
+
+@pytest.mark.parametrize("channels", PAIRINGS)
+def test_closed_form_matches_the_adaptive_oracle(rng, channels):
+    # every channel pairing, on both sides of the J_m switch (z = n kR):
+    # the closed-form sum within the oracle's own error estimate, and the
+    # decay entry bit for bit, since it never touches the k-integral
+    def emitter(p):
+        d = m = np.zeros(3)
+        Q = np.zeros((3, 3))
+        if "d" in channels:
+            d = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e-29
+        if "m" in channels:
+            m = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e-23
+        if "q" in channels:
+            Q = rng.standard_normal((3, 3)) * 1e-39
+        return MultipoleEmitter(position=p, omega0=WR1, d=d, m=m, Q=Q + Q.T)
+
+    for n in (1.0, 1.5):
+        for kR in (0.3, 3.0, 30.0):
+            u = rng.standard_normal(3)
+            pos = [np.zeros(3), kR * C0 / WR1 * u / np.linalg.norm(u)]
+            a, b = emitter(pos[0]), emitter(pos[1])
+            model = homogeneous_pair_model(Medium(n), *pos)
+            oracle = adaptive_pair_model(Medium(n), *pos)
+            got = coupling_strength(a, b, model)
+            want = coupling_strength(a, b, oracle)
+            assert (abs(got.xi - want.xi)
+                    <= want.xi_error + 1e-13 * abs(want.xi)), (n, kR)
+            assert got.xi_error <= 1e-12 * abs(got.xi)
+            gamma = collective_rate(a, b, model).gamma_cross
+            assert gamma == collective_rate(a, b, oracle).gamma_cross
+            jet = eval_homogeneous_jet(pos[0], pos[1], WR1, Medium(n))
+            assert gamma == collective_rate(a, b, jet).gamma_cross
+
+
+def test_dispersive_index_stays_adaptive(rng):
+    # a callable index has no Laurent form; a flat one gives the constant
+    # index's static pole and, within the adaptive error, its coupling
+    pos = [np.zeros(3), np.array([30e-9, 0.0, 90e-9])]
+    flat = homogeneous_pair_model(Medium(lambda w: 1.5 + 0j), *pos)
+    const = homogeneous_pair_model(Medium(1.5), *pos)
+    assert flat.imaginary_axis_laurent is None
+    for name, S in const.static_pole_blocks.items():
+        assert np.array_equal(flat.static_pole_blocks[name], S)
+    d = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1e-29
+    a = MultipoleEmitter(position=pos[0], omega0=WR1, d=d)
+    b = MultipoleEmitter(position=pos[1], omega0=WR1, d=d)
+    got = coupling_strength(a, b, flat)
+    want = coupling_strength(a, b, const).xi
+    assert got.xi_error > 0.0
+    assert abs(got.xi - want) <= got.xi_error + 1e-13 * abs(want)
 
 
 def test_wrapped_scalar_evaluator_matches_batched_model(rng):
