@@ -25,23 +25,22 @@ Emitter file example:
     {"position_m": [0, 0, 0], "omega0_rad_per_s": 2.4e15,
      "d_atomic": [1, 0, 0]}
 
-Ensemble spec for the dynamics subcommand, either a prebuilt model
+Ensemble spec for the dynamics subcommand, either a prebuilt model, the
+document EmitterEnsembleModel.to_dict writes and from_dict reads,
 
-    {"model": {"omega_ref_rad_per_s": 3e8,
-               "delta_rad_per_s": [0, 0],
-               "xi_rad_per_s": {"re": [[0, 0], [0, 0]],
-                                "im": [[0, 0], [0, 0]]},
-               "gamma_rad_per_s": {"re": [[g, g], [g, g]],
-                                   "im": [[0, 0], [0, 0]]}},
-     "initial": "eg"}
+    {"model": <model document>, "initial": "eg"}
 
 or emitters plus a uniform background
 
     {"emitters": [<emitter objects>], "medium_index": 1.0,
      "initial_amplitudes": [0, 1, 1, 0]}
 
-with optional "rtol"/"atol" integrator overrides. Unknown keys anywhere in
-the spec are rejected before any computation starts.
+with optional "omega_ref_rad_per_s" and "rtol"/"atol" integrator
+settings. Unknown keys anywhere in the spec are rejected before any
+computation starts. Each numeric field of an emitter, model or spec
+passes the package's rule of its kind (errors.positive_number,
+finite_point, finite_array, and Medium's rule for medium_index), named
+by its key; no reader has a number check of its own.
 
 free-space and map's free-space reference are emission_rate on the
 coincident imaginary-part jet of the uniform medium: the ED, MD and EQ rows
@@ -67,10 +66,10 @@ import numpy as np
 
 from .dynamics import (EmitterEnsembleModel, build_ensemble, evolve_ensemble,
                        product_density, pure_density)
-from .emitter import (CHANNELS, MultipoleEmitter, _numbers, _numeric_field,
-                      _parse_complex, normalize_channels)
+from .emitter import (CHANNELS, MultipoleEmitter, _parse_complex,
+                      normalize_channels)
 from .errors import (InputError, IntegrationError, MissingDerivativeError,
-                     PartFlagError, PolyemitError, QuadratureError, is_number,
+                     PartFlagError, PolyemitError, QuadratureError,
                      positive_number)
 from .grid import TensorGrid, load_grid, validate_grid
 from .homogeneous import Medium, coincident_im_jet
@@ -300,16 +299,6 @@ def _load_grid_file(path: str) -> TensorGrid:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _matrix_from_doc(node, n: int, what: str) -> np.ndarray:
-    if not (isinstance(node, dict) and set(node) == {"re", "im"}):
-        raise InputError(f"{what} must be an object with re and im matrices")
-    re = np.asarray(_numbers(node["re"], f"{what}.re"), dtype=float)
-    im = np.asarray(_numbers(node["im"], f"{what}.im"), dtype=float)
-    if re.shape != (n, n) or im.shape != (n, n):
-        raise InputError(f"{what} matrices must be {n}x{n}")
-    return re + 1j * im
-
-
 def _parse_ensemble_spec(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -329,44 +318,18 @@ def _parse_ensemble_spec(path: str) -> tuple:
     if ("model" in spec) == ("emitters" in spec):
         raise InputError(f"{path}: give exactly one of model or emitters")
     if "model" in spec:
-        node = spec["model"]
-        if not isinstance(node, dict):
-            raise InputError(f"{path}: model must be an object")
-        mkeys = {"omega_ref_rad_per_s", "delta_rad_per_s", "xi_rad_per_s",
-                 "gamma_rad_per_s", "n_emitters"}
-        bad = set(node) - mkeys
-        if bad:
-            raise InputError(f"{path}: unknown model keys {sorted(bad)}")
-        try:
-            delta = np.asarray(_numbers(node["delta_rad_per_s"],
-                                        "delta_rad_per_s"), dtype=float)
-            n = delta.size
-            model = EmitterEnsembleModel(
-                omega_ref=_numbers(node["omega_ref_rad_per_s"],
-                                   "omega_ref_rad_per_s"),
-                delta=delta,
-                xi=_matrix_from_doc(node["xi_rad_per_s"], n, "xi"),
-                gamma=_matrix_from_doc(node["gamma_rad_per_s"], n, "gamma"))
-        except KeyError as exc:
-            raise InputError(f"{path}: model needs {exc.args[0]}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: model entries must be numeric "
-                             f"({exc})") from None
-        # written by EmitterEnsembleModel.to_dict; optional, but must agree
-        count = node.get("n_emitters", n)
-        if not (is_number(count) and count == n):
-            raise InputError(f"{path}: n_emitters is {count!r} but "
-                             f"delta_rad_per_s has {n} entries")
+        model = EmitterEnsembleModel.from_dict(spec["model"])
     else:
         if not isinstance(spec["emitters"], list) or not spec["emitters"]:
             raise InputError(f"{path}: emitters must be a non-empty list")
         ems = [MultipoleEmitter.from_dict(d) for d in spec["emitters"]]
-        med = Medium(_numeric_field(f"{path}: medium_index", float,
-                                    spec.get("medium_index", 1.0)))
+        try:
+            med = Medium(spec.get("medium_index", 1.0))
+        except InputError as exc:
+            raise InputError(f"medium_index: {exc}") from None
         omega_ref = spec.get("omega_ref_rad_per_s")
         if omega_ref is not None:
-            omega_ref = _numeric_field(f"{path}: omega_ref_rad_per_s",
-                                       float, omega_ref)
+            omega_ref = positive_number(omega_ref, "omega_ref_rad_per_s")
         model = build_ensemble(ems, med, omega_ref=omega_ref)
 
     n = model.n_emitters
@@ -390,8 +353,8 @@ def _parse_ensemble_spec(path: str) -> tuple:
                              f"{n} emitters")
         rho0 = pure_density(amps)
 
-    rtol = _numeric_field(f"{path}: rtol", float, spec.get("rtol", 1e-10))
-    atol = _numeric_field(f"{path}: atol", float, spec.get("atol", 1e-12))
+    rtol = positive_number(spec.get("rtol", 1e-10), "rtol")
+    atol = positive_number(spec.get("atol", 1e-12), "atol")
     return model, rho0, rtol, atol
 
 

@@ -52,7 +52,8 @@ from scipy.sparse import csr_matrix
 
 from .emitter import MultipoleEmitter
 from .errors import (CoincidentPointError, InputError, IntegrationError,
-                     finite_array, increasing_axis, positive_number)
+                     finite_array, increasing_axis, is_number,
+                     positive_number)
 from .grid import TensorGrid
 from .homogeneous import Medium, coincident_im_jet
 from .quadrature import SpectralGreenModel, homogeneous_pair_model
@@ -158,6 +159,16 @@ class EmitterEnsembleModel:
         return self.delta.size
 
     def to_dict(self) -> dict:
+        """The model document, e.g. for two emitters
+
+            {"n_emitters": 2, "omega_ref_rad_per_s": 3e8,
+             "delta_rad_per_s": [0, 0],
+             "xi_rad_per_s": {"re": [[0, 0], [0, 0]],
+                              "im": [[0, 0], [0, 0]]},
+             "gamma_rad_per_s": {"re": [[g, g], [g, g]],
+                                 "im": [[0, 0], [0, 0]]}}
+
+        which from_dict reads back bit for bit."""
         return {"n_emitters": int(self.n_emitters),
                 "omega_ref_rad_per_s": self.omega_ref,
                 "delta_rad_per_s": self.delta.tolist(),
@@ -165,6 +176,46 @@ class EmitterEnsembleModel:
                                  "im": self.xi.imag.tolist()},
                 "gamma_rad_per_s": {"re": self.gamma.real.tolist(),
                                     "im": self.gamma.imag.tolist()}}
+
+    @classmethod
+    def from_dict(cls, doc) -> "EmitterEnsembleModel":
+        """The model of a to_dict document. Each field passes the rule of
+        its kind, named by its key; n_emitters may be left out, but when
+        given must be the length of delta_rad_per_s."""
+        keys = {"omega_ref_rad_per_s", "delta_rad_per_s", "xi_rad_per_s",
+                "gamma_rad_per_s"}
+        if not isinstance(doc, dict):
+            raise InputError("model must be an object")
+        unknown = set(doc) - keys - {"n_emitters"}
+        if unknown:
+            raise InputError(f"unknown model keys {sorted(unknown)}")
+        missing = keys - set(doc)
+        if missing:
+            raise InputError(f"model needs {sorted(missing)}")
+        delta = finite_array(doc["delta_rad_per_s"], "delta_rad_per_s",
+                             real=True)
+        n = delta.size
+        count = doc.get("n_emitters", n)
+        if not (is_number(count) and count == n):
+            raise InputError(f"n_emitters is {count!r} but delta_rad_per_s "
+                             f"has {n} entries")
+
+        def matrix(key):
+            node = doc[key]
+            if not (isinstance(node, dict) and set(node) == {"re", "im"}):
+                raise InputError(f"{key} must be an object with re and im "
+                                 f"matrices")
+            re, im = (finite_array(node[p], f"{key}.{p}", (n, n), real=True)
+                      for p in ("re", "im"))
+            # set part by part so that -0.0 survives (re + 1j * im drops it)
+            out = re.astype(complex)
+            out.imag = im
+            return out
+
+        return cls(omega_ref=positive_number(doc["omega_ref_rad_per_s"],
+                                             "omega_ref_rad_per_s"),
+                   delta=delta, xi=matrix("xi_rad_per_s"),
+                   gamma=matrix("gamma_rad_per_s"))
 
 
 @dataclass(frozen=True, eq=False)

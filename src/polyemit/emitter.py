@@ -77,28 +77,6 @@ def normalize_channels(channels) -> frozenset:
     return out
 
 
-def _numbers(value, name: str):
-    """value when it is a number or nested lists of numbers (is_number);
-    otherwise TypeError naming the field."""
-    stack = [value.tolist() if isinstance(value, np.ndarray) else value]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, (list, tuple)):
-            stack.extend(x)
-        elif not is_number(x):
-            raise TypeError(f"{name} must be numeric, got {value!r}")
-    return value
-
-
-def _numeric_field(name: str, convert, value):
-    """convert(value) for an input field; a value that is not a number (or
-    nested lists of numbers) raises InputError naming the field."""
-    try:
-        return convert(_numbers(value, name))
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{name} must be numeric, got {value!r}") from None
-
-
 def _parse_complex(x, name: str) -> complex:
     """One entry of the JSON complex encoding: a number, or an [re, im]
     pair of numbers (is_number)."""
@@ -114,19 +92,15 @@ def _parse_complex(x, name: str) -> complex:
 
 
 def _parse_complex_array(node, shape, name):
-    """JSON complex encoding (_parse_complex entries) nested in lists."""
-    arr = np.empty(shape, dtype=complex)
-    try:
-        if len(shape) == 1:
-            for i in range(shape[0]):
-                arr[i] = _parse_complex(node[i], name)
-        else:
-            for i in range(shape[0]):
-                for j in range(shape[1]):
-                    arr[i, j] = _parse_complex(node[i][j], name)
-    except (IndexError, TypeError, KeyError) as exc:
-        raise InputError(f"{name}: wrong shape, expected {shape}") from exc
-    return arr
+    """JSON complex encoding (_parse_complex entries) nested in lists of
+    exactly shape: a missing or extra entry or level is refused."""
+    def walk(x, dims):
+        if not dims:
+            return _parse_complex(x, name)
+        if not isinstance(x, (list, tuple)) or len(x) != dims[0]:
+            raise InputError(f"{name}: wrong shape, expected {shape}")
+        return [walk(v, dims[1:]) for v in x]
+    return np.array(walk(node, shape), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -185,11 +159,8 @@ class MultipoleEmitter:
         if "position_m" not in data or "omega0_rad_per_s" not in data:
             raise InputError("emitter description needs position_m and "
                              "omega0_rad_per_s")
-        pos = _numeric_field("position_m",
-                             lambda v: np.asarray(v, dtype=float),
-                             data["position_m"])
-        omega0 = _numeric_field("omega0_rad_per_s", float,
-                                data["omega0_rad_per_s"])
+        pos = finite_point(data["position_m"], "position_m")
+        omega0 = positive_number(data["omega0_rad_per_s"], "omega0_rad_per_s")
 
         def moment(si_key, atomic_key, shape, unit):
             given_si = si_key in data

@@ -32,6 +32,12 @@ exact (N, 3, 3, [re, im]) layout (ragged or extra nesting, true, null,
 strings), NaN or Infinity anywhere, invalid JSON, an integer too large
 for a float, or text after the document.
 
+The header fields pass TensorGrid's own checks, named by their document
+keys: frequency_rad_per_s and symmetry_rtol errors.positive_number, each
+axis errors.increasing_axis (through _node_axis, which reads a scalar z
+as a fixed plane). The axes are checked before any block, since a block
+is read against their node count; the other fields after the blocks.
+
 The derivative_semantics declaration fixes what the d1/d2 blocks mean:
 
     "split":  d1_a      field-point gradient       dG/dr_a
@@ -486,14 +492,6 @@ def _read_json(text: str):
         raise GridFormatError(f"grid file is not valid JSON: {exc}") from None
 
 
-def _as_float(value, field: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise GridFormatError(
-            f"{field}: integer too large for a float") from None
-
-
 def _locate_block_defect(key: str, payload, n_nodes: int):
     """Pinpoint why a block payload failed the fast vectorized parse."""
     if len(payload) != n_nodes:
@@ -568,11 +566,8 @@ def _grid_from_doc(doc) -> TensorGrid:
     version = doc.get("format_version")
     if isinstance(version, bool) or version != 1:
         raise GridFormatError(f"format_version: expected 1, got {version!r}")
-    freq = doc.get("frequency_rad_per_s")
-    if not is_number(freq):
-        raise GridFormatError("frequency_rad_per_s: expected a number")
-    freq = _as_float(freq, "frequency_rad_per_s")
 
+    # read before the blocks, whose parse needs the node count
     axes_doc = doc.get("axes")
     if not isinstance(axes_doc, dict):
         raise GridFormatError("axes: expected an object with x, y, z")
@@ -580,21 +575,12 @@ def _grid_from_doc(doc) -> TensorGrid:
     for name in _AXES:
         if name not in axes_doc:
             raise GridFormatError(f"axes.{name}: required")
-        ax = axes_doc[name]
-        if is_number(ax):
-            if name != "z":
-                raise GridFormatError(
-                    f"axes.{name}: only z may be a fixed scalar")
-            axes.append([_as_float(ax, f"axes.{name}")])
-            fixed.append(True)
-            continue
-        if not isinstance(ax, list) or not ax or not all(
-                is_number(v) for v in ax):
+        axes.append(_node_axis(axes_doc[name], f"axes.{name}",
+                               GridFormatError))
+        fixed.append(not isinstance(axes_doc[name], list))
+        if fixed[-1] and name != "z":
             raise GridFormatError(
-                f"axes.{name}: expected a nonempty number array "
-                "(or a fixed scalar for z)")
-        axes.append([_as_float(v, f"axes.{name}") for v in ax])
-        fixed.append(False)
+                f"axes.{name}: only z may be a fixed scalar")
 
     blocks_doc = doc.get("blocks")
     if not isinstance(blocks_doc, dict) or "value" not in blocks_doc:
@@ -604,19 +590,15 @@ def _grid_from_doc(doc) -> TensorGrid:
     blocks = {key: _parse_block(key, payload, n_nodes, shape)
               for key, payload in blocks_doc.items()}
 
-    tol = doc.get("symmetry_rtol", 1e-6)
-    if not is_number(tol):
-        raise GridFormatError("symmetry_rtol: expected a number")
-
     return TensorGrid(
-        frequency=freq,
+        frequency=doc.get("frequency_rad_per_s"),
         length_unit=doc.get("length_unit"),
         value_unit_exponent=doc.get("value_unit_exponent"),
         derivative_semantics=doc.get("derivative_semantics"),
         axes=tuple(axes),
         fixed_axes=tuple(fixed),
         blocks=blocks,
-        symmetry_tol=_as_float(tol, "symmetry_rtol"),
+        symmetry_tol=doc.get("symmetry_rtol", 1e-6),
         provenance=doc.get("provenance"),
     )
 

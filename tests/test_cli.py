@@ -902,18 +902,26 @@ def test_dynamics_spec_validation(tmp_path, capsys):
                             "initial": "e"})
     assert main(["dynamics", "--ensemble", wrong_len, "--t-max", "1e-8"]) == 2
     # a bool or a numeric string is not a number, as in grid files
-    for key, value in (("delta_rad_per_s", ["abc"]),
-                       ("omega_ref_rad_per_s", "x"),
-                       ("delta_rad_per_s", ["0"]),
-                       ("omega_ref_rad_per_s", True),
-                       ("gamma_rad_per_s", {"re": [["1e7"]], "im": [[0]]})):
+    array = "must be a finite real number, or an array of them"
+    scalar = "must be a positive finite number"
+    for key, value, expect in (
+            ("delta_rad_per_s", ["abc"], f"delta_rad_per_s {array}"),
+            ("omega_ref_rad_per_s", "x", f"omega_ref_rad_per_s {scalar}"),
+            ("delta_rad_per_s", ["0"], f"delta_rad_per_s {array}"),
+            ("omega_ref_rad_per_s", True, f"omega_ref_rad_per_s {scalar}"),
+            ("gamma_rad_per_s", {"re": [["1e7"]], "im": [[0]]},
+             f"gamma_rad_per_s.re {array}"),
+            ("xi_rad_per_s", {"re": [[0]], "im": [["0"]]},
+             f"xi_rad_per_s.im {array}"),
+            ("omega_ref_rad_per_s", 10 ** 400,
+             f"omega_ref_rad_per_s {scalar}")):
         doc = _model_doc(1, [[1e7]])
         doc[key] = value
         path = write_json(tmp_path / "text.json",
                           {"model": doc, "initial": "e"})
         capsys.readouterr()
         assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8"]) == 2
-        assert "model entries must be numeric" in capsys.readouterr().err
+        assert expect in capsys.readouterr().err
     # n_emitters, as EmitterEnsembleModel.to_dict writes it, must agree
     for count, code in ((1, 0), (5, 2), (0, 2), (True, 2), ("1", 2)):
         doc = dict(_model_doc(1, [[1e7]]), n_emitters=count)
@@ -946,31 +954,42 @@ def emitter_pair_spec():
     (("emitters", 1, "position_m"), [math.nan, 0, 0], "finite"),
     (("medium_index",), math.nan, "finite"),
     # a bool or a numeric string is not a number, as in grid files
-    (("rtol",), "1e-9", "rtol must be numeric"),
-    (("atol",), False, "atol must be numeric"),
+    (("rtol",), "1e-9", "rtol must be a positive finite number"),
+    (("atol",), False, "atol must be a positive finite number"),
     (("initial_amplitudes",), [0, "0.6", "0.8", 0],
      "initial_amplitudes[1] must be numeric"),
     (("initial_amplitudes",), [0, [True, 0], 0.8, 0],
      "initial_amplitudes[1] must be numeric"),
-    (("medium_index",), "1.5", "medium_index must be numeric"),
-    (("medium_index",), True, "medium_index must be numeric"),
-    (("emitters", 1, "position_m"), ["0", 0, 0], "position_m must be numeric"),
+    (("medium_index",), "1.5",
+     "medium_index: constant refractive index must be a real number"),
+    (("medium_index",), True,
+     "medium_index: constant refractive index must be a real number"),
+    (("emitters", 1, "position_m"), ["0", 0, 0],
+     "position_m must be a finite real 3-vector"),
     (("emitters", 1, "omega0_rad_per_s"), True,
-     "omega0_rad_per_s must be numeric"),
+     "omega0_rad_per_s must be a positive finite number"),
     (("emitters", 1, "omega0_rad_per_s"), "2.4e15",
-     "omega0_rad_per_s must be numeric"),
+     "omega0_rad_per_s must be a positive finite number"),
     (("emitters", 1, "d_atomic"), [True, 0, 0], "d_atomic must be numeric"),
     (("emitters", 1, "d_atomic"), ["1", 0, 0], "d_atomic must be numeric"),
     # an integer no float holds is refused by the one complex-entry parser
     (("emitters", 1, "d_atomic"), [10 ** 400, 0, 0],
      "d_atomic: integer too large"),
     (("initial_amplitudes",), [0, 10 ** 400, 0, 0], "initial_amplitudes[1]"),
+    (("emitters", 1, "position_m"), [10 ** 400, 0, 0],
+     "position_m must be a finite real 3-vector"),
+    # a moment is exactly its shape: no entry or row is dropped
+    (("emitters", 1, "d_atomic"), [1, 0, 0, 7],
+     "d_atomic: wrong shape, expected (3,)"),
+    (("emitters", 1, "Q_atomic"), np.eye(4).tolist(),
+     "Q_atomic: wrong shape, expected (3, 3)"),
 ], ids=["rtol", "atol", "omega_ref", "amplitude", "amplitude_pair",
         "medium_index", "position", "omega0", "nan_position", "nan_index",
         "rtol_string", "atol_bool", "amplitude_string", "amplitude_pair_bool",
         "index_string", "index_bool", "position_string", "omega0_bool",
         "omega0_string", "d_bool", "d_string", "d_huge_int",
-        "amplitude_huge_int"])
+        "amplitude_huge_int", "position_huge_int", "d_too_long",
+        "Q_too_large"])
 def test_dynamics_bad_number_exits_2(tmp_path, capsys, where, value, expect):
     spec = emitter_pair_spec()
     node = spec
@@ -1053,17 +1072,18 @@ def test_validate_malformed_grid_file(tmp_path, capsys):
 
 def test_validate_huge_integer_exits_2(grid_file, tmp_path, capsys):
     huge = 10 ** 400  # no float holds it
-    for field, mutate in (
-            ("frequency_rad_per_s",
+    for message, mutate in (
+            ("frequency_rad_per_s must be a positive finite number",
              lambda d: d.update(frequency_rad_per_s=huge)),
-            ("axes.x", lambda d: d["axes"]["x"].__setitem__(-1, huge)),
-            ("blocks.value",
+            ("axes.x must be a nonempty finite strictly increasing",
+             lambda d: d["axes"]["x"].__setitem__(-1, huge)),
+            ("blocks.value: integer too large",
              lambda d: d["blocks"]["value"][0][0][0].__setitem__(0, huge))):
         doc = json.loads(open(grid_file, "rb").read().decode("utf-8"))
         mutate(doc)
         bad = write_json(tmp_path / "huge.json", doc)
         assert main(["validate", "--grid", bad]) == 2
-        assert f"error: {field}: integer too large" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 # --- output discipline -------------------------------------------------------------

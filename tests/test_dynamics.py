@@ -236,6 +236,18 @@ def test_model_echo_is_json_ready():
     doc = json.loads(json.dumps(model.to_dict()))
     assert doc["n_emitters"] == 2
     assert doc["gamma_rad_per_s"]["re"][0][0] > 0
+    # from_dict reads back what to_dict writes, bit for bit (signed zeros
+    # too), also after a JSON round trip
+    signed = EmitterEnsembleModel(omega_ref=2e8, delta=[-0.0, 1e6],
+                                  xi=[[-0.0, 1e6], [1e6, -0.0]],
+                                  gamma=[[1e7, -0.0], [-0.0, 1e7]])
+    for m in (model, signed):
+        for echo in (m.to_dict(), json.loads(json.dumps(m.to_dict()))):
+            back = EmitterEnsembleModel.from_dict(echo)
+            assert back.omega_ref == m.omega_ref
+            for name in ("delta", "xi", "gamma"):
+                assert (getattr(back, name).tobytes()
+                        == getattr(m, name).tobytes()), name
 
 
 # --- ensemble propagation vs independent oracle -----------------------------

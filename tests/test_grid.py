@@ -155,13 +155,20 @@ def test_load_rejects_malformed():
            "unrecognized")
 
     huge = 10 ** 400  # an integer literal no float can hold
+    scalar = "must be a positive finite number"
+    axis = "must be a nonempty finite strictly increasing"
     reject(lambda d: d.update(frequency_rad_per_s=huge),
-           "frequency_rad_per_s: integer too large")
-    reject(lambda d: d.update(symmetry_rtol=huge),
-           "symmetry_rtol: integer too large")
-    reject(lambda d: d["axes"].update(x=[0, huge]),
-           "axes.x: integer too large")
-    reject(lambda d: d["axes"].update(z=-huge), "axes.z: integer too large")
+           f"frequency_rad_per_s {scalar}")
+    reject(lambda d: d.update(symmetry_rtol=huge), f"symmetry_rtol {scalar}")
+    reject(lambda d: d["axes"].update(x=[0, huge]), f"axes.x {axis}")
+    reject(lambda d: d["axes"].update(z=-huge), f"axes.z {axis}")
+    # a bool or a numeric string is not a number
+    reject(lambda d: d.update(frequency_rad_per_s=True),
+           f"frequency_rad_per_s {scalar}")
+    reject(lambda d: d.update(symmetry_rtol=True), f"symmetry_rtol {scalar}")
+    reject(lambda d: d.update(symmetry_rtol="1e-6"), f"symmetry_rtol {scalar}")
+    reject(lambda d: d["axes"].update(z=True), f"axes.z {axis}")
+    reject(lambda d: d["axes"].update(x=[0, True]), f"axes.x {axis}")
     reject(lambda d: d["blocks"]["value"][1][0][2].__setitem__(1, huge),
            "blocks.value: integer too large")
 
