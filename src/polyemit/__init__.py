@@ -19,10 +19,10 @@ from .quadrature import (QuadratureResult, SpectralGreenModel,
                          homogeneous_pair_model)
 from .rates import (RateReport, CouplingReport, emission_rate,
                     free_space_rates, lamb_shift, coupling_strength,
-                    collective_rate, enhancement_map)
+                    collective_rate, build_ensemble, enhancement_map)
 from .grid import (TensorGrid, save_grid, load_grid, validate_grid,
                    grid_from_homogeneous, GridValidationReport)
 from .dynamics import (EmitterEnsembleModel, Trajectory, product_density,
-                       pure_density, evolve_ensemble, build_ensemble)
+                       pure_density, evolve_ensemble)
 
 __version__ = "0.1.0"

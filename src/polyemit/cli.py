@@ -64,7 +64,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import (EmitterEnsembleModel, build_ensemble, evolve_ensemble,
+from .dynamics import (EmitterEnsembleModel, evolve_ensemble,
                        product_density, pure_density)
 from .emitter import (CHANNELS, MultipoleEmitter, _parse_complex,
                       normalize_channels)
@@ -73,8 +73,8 @@ from .errors import (InputError, IntegrationError, MissingDerivativeError,
                      positive_number)
 from .grid import TensorGrid, load_grid, validate_grid
 from .homogeneous import Medium, coincident_im_jet
-from .rates import (_reference_frequency, collective_rate, emission_rate,
-                    enhancement_map)
+from .rates import (_reference_frequency, build_ensemble, collective_rate,
+                    emission_rate, enhancement_map)
 # not called here (couple goes through build_ensemble); perfbench/tracing.py
 # wraps these two names on this module
 from .quadrature import homogeneous_pair_model  # noqa: F401
@@ -318,6 +318,10 @@ def _parse_ensemble_spec(path: str) -> tuple:
     if ("model" in spec) == ("emitters" in spec):
         raise InputError(f"{path}: give exactly one of model or emitters")
     if "model" in spec:
+        # a model carries its own reference frequency and environment
+        stray = sorted({"medium_index", "omega_ref_rad_per_s"} & set(spec))
+        if stray:
+            raise InputError(f"{path}: {stray[0]} goes with emitters only")
         model = EmitterEnsembleModel.from_dict(spec["model"])
     else:
         if not isinstance(spec["emitters"], list) or not spec["emitters"]:

@@ -1,11 +1,11 @@
 """Open quantum dynamics of interacting two-level multipole emitters.
 
-The electromagnetic environment enters only through ensemble coefficients
-(all rad/s): per-emitter level shifts delta_a, a Hermitian coherent
-coupling matrix xi_ab, and a positive-semidefinite collective decay matrix
-gamma_ab. With sigma_a the lowering operator of emitter a and n_a its
-excited-state projector, the density matrix evolves in the frame rotating
-at the reference frequency w_ref under
+This module only propagates: the environment enters through ensemble
+coefficients (rad/s, from rates.build_ensemble or a model document), the
+level shifts delta_a, a Hermitian coupling matrix xi_ab and a
+positive-semidefinite decay matrix gamma_ab. With sigma_a the lowering
+operator of emitter a and n_a its excited-state projector, the density
+matrix evolves in the frame rotating at the reference frequency w_ref under
 
     drho/dt = -i [sum_a delta_a n_a + sum_ab xi_ab sigma_a^+ sigma_b, rho]
               + sum_ab gamma_ab (sigma_b rho sigma_a^+
@@ -29,8 +29,8 @@ clipped to zero.
 
 Rate convention: gamma_aa is the population decay rate of emitter a, so a
 lone coherence decays at gamma_aa / 2. The diagonal of xi acts as an
-additional frequency shift; model builders in this module keep it at zero
-and put self shifts into delta.
+additional frequency shift; rates.build_ensemble keeps it at zero and
+puts self shifts into delta.
 
 Reported <sigma_a> values are lab frame, carrying the full
 exp(-i w_ref (t - t0)) phase; density matrix snapshots stay in the
@@ -50,15 +50,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.sparse import csr_matrix
 
-from .emitter import MultipoleEmitter
-from .errors import (CoincidentPointError, InputError, IntegrationError,
-                     finite_array, increasing_axis, is_number,
-                     positive_number)
-from .grid import TensorGrid
-from .homogeneous import Medium, coincident_im_jet
-from .quadrature import SpectralGreenModel, homogeneous_pair_model
-from .rates import (_FREQ_RATIO_TOL, _real_entry, _reference_frequency,
-                    collective_rate, coupling_strength, lamb_shift)
+from .errors import (InputError, IntegrationError, finite_array,
+                     increasing_axis, is_number, positive_number)
 
 _MAX_EMITTERS = 10       # propagation cap, state dimension 2**10
 _MAX_SNAPSHOT = 6        # density matrices retained on trajectories
@@ -194,6 +187,9 @@ class EmitterEnsembleModel:
             raise InputError(f"model needs {sorted(missing)}")
         delta = finite_array(doc["delta_rad_per_s"], "delta_rad_per_s",
                              real=True)
+        if delta.ndim != 1 or delta.size == 0:
+            raise InputError("delta_rad_per_s must be a 1-D array, one "
+                             "entry per emitter")
         n = delta.size
         count = doc.get("n_emitters", n)
         if not (is_number(count) and count == n):
@@ -585,107 +581,3 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
                       omega_ref=model.omega_ref,
                       rho=_dense(blocks, members, dim) if keep_states else None,
                       error_estimate=estimate)
-
-
-# --- assembling ensemble coefficients from an environment -------------------
-
-def _pair_source(environment, omega_ref: float):
-    """environment as (a, b, diagonal) -> GreensJet, spectral model or None."""
-    if isinstance(environment, Medium):
-        jet0 = coincident_im_jet(omega_ref, environment)
-
-        def medium(a, b, diagonal):
-            if diagonal:
-                return jet0
-            if float(np.linalg.norm(a.position - b.position)) == 0.0:
-                raise CoincidentPointError(
-                    "coherent coupling diverges for emitters at the "
-                    "same position; assemble the model directly with "
-                    "the xi you intend")
-            return homogeneous_pair_model(environment, a.position,
-                                          b.position)
-        return medium
-    if isinstance(environment, TensorGrid):
-        if (abs(environment.frequency - omega_ref)
-                > _FREQ_RATIO_TOL * omega_ref):
-            raise InputError(
-                "grid frequency differs from the reference frequency by "
-                "more than the allowed fraction")
-        return lambda a, b, diagonal: (environment.jet_at(a.position)
-                                       if diagonal else None)
-    if callable(environment):
-        return lambda a, b, diagonal: environment(a, b)
-    raise InputError(
-        "environment must be a homogeneous Medium, a sampled "
-        "TensorGrid, or a callable mapping an emitter pair to a "
-        "spectral model")
-
-
-def build_ensemble(emitters, environment,
-                   omega_ref: Optional[float] = None) -> EmitterEnsembleModel:
-    """Ensemble coefficients from pairwise environment responses.
-
-    environment selects what each emitter pair sees:
-
-    * Medium: uniform-medium analytics. Decay entries come from the
-      two-point imaginary-part jet (coincident jet on the diagonal),
-      couplings from the imaginary-axis form of the pair-bound spectral
-      model. Level shifts are zero by convention (the uniform background
-      shift is absorbed into the transition frequencies). Emitters at the
-      same position have a divergent coherent coupling and are rejected.
-    * TensorGrid: sampled coincident data. Only the decay diagonal can be
-      filled (a coincident map carries no two-point propagation), so
-      cross couplings and shifts are zero; emitters must lie inside the
-      grid. When omega_ref is omitted it is taken from the grid.
-    * callable (a, b) -> spectral model or None: fully custom. Diagonal
-      models supply the decay entry, and the level shift when they
-      declare themselves scattered; off-diagonal models supply decay and
-      coherent coupling (a bare jet is rejected there). None leaves the
-      pair at zero.
-
-    One loop over the pairs a <= b serves every environment, with the
-    diagonal decided by index. Off-diagonal entries are computed once and
-    mirrored, so the matrices are exactly Hermitian; positive
-    semidefiniteness of the decay matrix is then enforced by the model
-    container. Emitters with no moments contribute zero rows and columns.
-    """
-    ems = list(emitters)
-    if not ems:
-        raise InputError("at least one emitter is required")
-    for e in ems:
-        if not isinstance(e, MultipoleEmitter):
-            raise InputError("emitters must be MultipoleEmitter instances")
-    if isinstance(environment, TensorGrid) and omega_ref is None:
-        omega_ref = environment.frequency
-    wbar = _reference_frequency(ems, omega_ref)
-    source = _pair_source(environment, wbar)
-
-    n = len(ems)
-    delta = np.zeros(n)
-    xi = np.zeros((n, n), dtype=complex)
-    gamma = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(a, n):
-            ea, eb = ems[a], ems[b]
-            if not (ea.active_channels() and eb.active_channels()):
-                continue
-            pair = source(ea, eb, a == b)
-            if pair is None:
-                continue
-            rate = collective_rate(ea, eb, pair, omega_bar=wbar).gamma_cross
-            if a == b:
-                gamma[a, a] = _real_entry(rate, "decay rate")
-                if isinstance(pair, SpectralGreenModel) and pair.scattered:
-                    delta[a] = lamb_shift(ea, pair)
-                continue
-            if not isinstance(pair, SpectralGreenModel):
-                raise InputError(
-                    f"emitters {a} and {b} need a spectral model for their "
-                    f"coupling, not a {type(pair).__name__}")
-            gamma[a, b] = rate
-            gamma[b, a] = np.conj(rate)
-            xi[a, b] = coupling_strength(ea, eb, pair, omega_bar=wbar).xi
-            xi[b, a] = np.conj(xi[a, b])
-
-    return EmitterEnsembleModel(omega_ref=wbar, delta=delta, xi=xi,
-                                gamma=gamma)

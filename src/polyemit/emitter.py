@@ -16,7 +16,9 @@ index and the source-point derivatives.
 Frequency structure: products of two such operators depend on frequency as
 F(w) = f0 + f1/w + f2/w^2 with constant tensors f0, f1, f2. That polynomial
 structure in 1/w is what the spectral-integral machinery relies on, so this
-module exposes it directly (CoefficientBundle).
+module exposes it directly (CoefficientBundle). Every rate and shift of the
+package contracts a bundle; bilinear_form, the pairing at one frequency, is
+on no package path and serves as the tests' entry-by-entry reference.
 """
 
 from __future__ import annotations
@@ -203,14 +205,10 @@ def bilinear_form(a: MultipoleEmitter, b: MultipoleEmitter, jet: GreensJet,
     """Pair two emitters through a Green jet: sum over tensor entries of
     conj(D_a) x D_b applied to the jet blocks.
 
-    Conjugation sits on the a side. For a full jet this contracts the
-    complex Green blocks; for an imaginary-part jet it contracts the stored
-    Im values (result then carries Im G semantics). A batched jet gives an
-    array over its batch shape. One channel pairing is the form of the two
-    emitters restricted to those channels (MultipoleEmitter.restricted).
-    Requires omega > 0 and real (the spectral machinery handles complex
-    frequencies by analytic continuation of coefficient bundles, never by
-    conjugating at complex frequency).
+    Conjugation sits on the a side. A full jet contracts the complex Green
+    blocks, an imaginary-part jet its stored Im values; a batched jet gives
+    an array over its batch shape. Requires omega > 0 and real (complex
+    frequencies go through coefficient bundles by analytic continuation).
     """
     omega = positive_number(omega, "bilinear_form frequency omega")
     bundle = moment_product_bundle(a, b)

@@ -79,11 +79,14 @@ def positive_number(value, name: str, error=InputError) -> float:
 
 def _array_of(value, kinds: str):
     """value as an array when its dtype kind is one of kinds (so no bools,
-    strings, None, oversized ints or ragged nesting), else None."""
+    strings, None or ragged nesting), else None. An object array (ints
+    past int64) is read as floats when every entry is_finite_number."""
     try:
         arr = np.asarray(value)
     except ValueError:
         return None
+    if arr.dtype.kind == "O" and all(map(is_finite_number, arr.flat)):
+        arr = arr.astype(float)
     if arr.dtype.kind not in kinds:
         return None
     # numpy reads a bool among numbers, as in [True, 2], as a number

@@ -1,30 +1,28 @@
-"""Emission rates, level shifts, and pairwise couplings of multipole
-emitters in a structured electromagnetic environment.
+"""Emission rates, level shifts, pairwise couplings and ensemble
+coefficients of multipole emitters in a structured electromagnetic
+environment.
 
 Everything reduces to the spectral density of a pair of emitters,
 
     Z_ab(w) = sum_blocks F_ab(w) . Im G_blocks(r_a, r_b, w),
 
 with F_ab the normalized moment-product coefficients (emitter module).
-The observables:
+Every observable comes from one of two formulas:
 
-    gamma_ab   = 2 pi wbar^2 Z_ab(wbar)                      (no integration)
-    xi_ab      = -P int_0^inf w^2 Z_ab(w) / (w - wbar) dw
-    delta      = xi from the scattered part of the environment, a = b
+    gamma_ab = 2 pi wbar^2 Z_ab(wbar)                    (collective_rate)
+    xi_ab    = -P int_0^inf w^2 Z_ab(w) / (w - wbar) dw  (coupling_strength)
 
-gamma and xi form a Hermitian pair (gamma_ab = conj(gamma_ba)); the
-coherent coupling matrix xi and the dissipator matrix gamma feed the
-dynamics module. The self terms reproduce the standard free-space decay
-closed forms, which double as the central cross-oracle.
+A decay rate is gamma_aa (emission_rate, split over channel pairs), and a
+level shift is xi_aa of the scattered environment (lamb_shift). gamma and
+xi are Hermitian (gamma_ab = conj(gamma_ba)); build_ensemble assembles
+gamma, xi and the shifts delta of an ensemble for the dynamics module.
+The self terms reproduce the free-space closed forms (free_space_rates),
+the central cross-oracle.
 
 Every emitter of a pair or ensemble lies within _FREQ_RATIO_TOL (1 %) of
 the reference frequency (default their mean). An emitter drives the
 channels of its nonzero moments; MultipoleEmitter.restricted deselects the
-others. Decay rates have one path, emission_rate, for a jet of any batch
-shape: enhancement_map is one emission_rate call on a grid's batched node
-jet, and its free-space reference is one on the vacuum coincident jet.
-free_space_rates is the closed-form reference those paths are checked
-against, for a symmetric traceless quadrupole.
+others.
 """
 
 from __future__ import annotations
@@ -36,16 +34,22 @@ from typing import Optional, Union
 import numpy as np
 
 from .constants import C0, EPS0, HBAR
-from .emitter import (CHANNELS, SPECTRAL_NORM, MultipoleEmitter,
-                      bilinear_form, moment_product_bundle)
-from .errors import InputError, ModelDomainError, positive_number
+from .dynamics import EmitterEnsembleModel
+from .emitter import CHANNELS, MultipoleEmitter, moment_product_bundle
+from .errors import (CoincidentPointError, InputError, ModelDomainError,
+                     positive_number)
+from .grid import TensorGrid
 from .homogeneous import Medium, coincident_im_jet
 from .jets import GreensJet
-from .quadrature import SpectralGreenModel, imaginary_axis_form
+from .quadrature import (SpectralGreenModel, homogeneous_pair_model,
+                         imaginary_axis_form)
+# not called here (every rate goes through collective_rate);
+# perfbench/tracing.py counts calls of this name on this module
+from .emitter import bilinear_form  # noqa: F401
 
 __all__ = ["RateReport", "CouplingReport", "emission_rate",
            "free_space_rates", "lamb_shift", "coupling_strength",
-           "collective_rate", "enhancement_map"]
+           "collective_rate", "build_ensemble", "enhancement_map"]
 
 # largest relative deviation of an emitter's transition frequency from the
 # reference frequency of its pair or ensemble
@@ -107,32 +111,29 @@ class CouplingReport:
 
 
 def emission_rate(e: MultipoleEmitter, jet: GreensJet) -> RateReport:
-    """Spontaneous decay rate from a coincident Green jet of any batch
-    shape.
+    """Spontaneous decay rate from a coincident Green jet of any batch shape.
 
-    gamma = (2/hbar eps0)(w0^2/c^2) conj(D) . Im G-jet . D, split over
-    channel pairs: pair (ca, cb) is the bilinear form of the emitter
-    restricted to ca with the emitter restricted to cb. Works on full or
-    Im-part jets; derivative blocks are required only for channels the
-    emitter actually drives, so the emitter's nonzero moments are the
-    channel selection. Rejects any batch entry whose jet violates the
-    positivity of a physical spectral density. Rates are floats for a
-    single-point jet and lists over the batch shape otherwise; each entry
-    equals the rate of that entry's jet alone, bit for bit.
+    The total is collective_rate of the emitter with itself; channel pair
+    (ca, cb) is collective_rate of the emitter restricted to ca with it
+    restricted to cb. Works on full or Im-part jets; derivative blocks are
+    required only for channels the emitter drives. Rejects any batch entry
+    whose jet violates the positivity of a physical spectral density.
+    Rates are floats for a single-point jet and lists over the batch shape
+    otherwise; each entry equals the rate of that entry's jet alone, bit
+    for bit.
     """
-    # 2 pi w0^2 Z(w0), the collective_rate formula, per channel pair
-    pref = 2.0 * math.pi * e.omega0 ** 2 * SPECTRAL_NORM
     im = jet.imag_part()
-    zero = np.zeros(im.batch_shape)
-    parts = {c: e.restricted(c) for c in e.active_channels()}
-    # conjugate channel pairs have conjugate values; the imaginary parts
-    # cancel in the (real) total and are dropped per entry
-    by_pair = {
-        (ca, cb): (np.real(pref * bilinear_form(parts[ca], parts[cb], im,
-                                                e.omega0))
-                   if ca in parts and cb in parts else zero)
-        for ca in CHANNELS for cb in CHANNELS}
-    total = sum(by_pair.values())
+
+    def rate(a, b):
+        # conjugate channel pairs have conjugate values; the imaginary
+        # parts cancel in the (real) total and are dropped per entry
+        return np.broadcast_to(np.real(collective_rate(
+            a, b, im, omega_bar=e.omega0).gamma_cross), im.batch_shape)
+
+    parts = {c: e.restricted(c) for c in CHANNELS}
+    by_pair = {(ca, cb): rate(parts[ca], parts[cb])
+               for ca in CHANNELS for cb in CHANNELS}
+    total = rate(e, e)
     scale = np.maximum(np.max(np.abs(list(by_pair.values())), axis=0),
                        1e-300)
     for c in CHANNELS:
@@ -181,20 +182,16 @@ def free_space_rates(e: MultipoleEmitter, n: float,
 def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel) -> float:
     """Environment-induced level shift from the scattered Green model.
 
-    delta = -P int_0^inf w^2 Z(w)/(w - w0) dw with Z the emitter's own
-    spectral density in the scattered field. The homogeneous part is
-    excluded by convention (its shift is absorbed into the transition
-    frequency), so the model must declare itself scattered.
+    delta = xi_ee at w0, coupling_strength of the emitter with itself.
+    The homogeneous part is excluded by convention (its shift is absorbed
+    into the transition frequency), so the model must be scattered.
     """
     if not model.scattered:
         raise ModelDomainError(
             "level shifts need the scattered part of the environment; this "
             "model represents a homogeneous (free) propagator whose shift "
             "is already absorbed in the transition frequency")
-    bundle = moment_product_bundle(e, e)
-    if not bundle.required_blocks():
-        return 0.0
-    return _real_entry(-imaginary_axis_form(model, bundle, e.omega0).value,
+    return _real_entry(coupling_strength(e, e, model, omega_bar=e.omega0).xi,
                        "level shift")
 
 
@@ -265,6 +262,110 @@ def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
     z = bundle.spectral_density(jet, wbar)
     return CouplingReport(gamma_cross=2.0 * math.pi * wbar ** 2 * z,
                           method=method)
+
+
+# --- assembling ensemble coefficients from an environment -------------------
+
+def _pair_source(environment, omega_ref: float):
+    """environment as (a, b, diagonal) -> GreensJet, spectral model or None."""
+    if isinstance(environment, Medium):
+        jet0 = coincident_im_jet(omega_ref, environment)
+
+        def medium(a, b, diagonal):
+            if diagonal:
+                return jet0
+            if float(np.linalg.norm(a.position - b.position)) == 0.0:
+                raise CoincidentPointError(
+                    "coherent coupling diverges for emitters at the "
+                    "same position; assemble the model directly with "
+                    "the xi you intend")
+            return homogeneous_pair_model(environment, a.position,
+                                          b.position)
+        return medium
+    if isinstance(environment, TensorGrid):
+        if (abs(environment.frequency - omega_ref)
+                > _FREQ_RATIO_TOL * omega_ref):
+            raise InputError(
+                "grid frequency differs from the reference frequency by "
+                "more than the allowed fraction")
+        return lambda a, b, diagonal: (environment.jet_at(a.position)
+                                       if diagonal else None)
+    if callable(environment):
+        return lambda a, b, diagonal: environment(a, b)
+    raise InputError(
+        "environment must be a homogeneous Medium, a sampled "
+        "TensorGrid, or a callable mapping an emitter pair to a "
+        "spectral model")
+
+
+def build_ensemble(emitters, environment,
+                   omega_ref: Optional[float] = None) -> EmitterEnsembleModel:
+    """Ensemble coefficients from pairwise environment responses.
+
+    environment selects what each emitter pair sees:
+
+    * Medium: uniform-medium analytics. Decay entries come from the
+      two-point imaginary-part jet (coincident jet on the diagonal),
+      couplings from the imaginary-axis form of the pair-bound spectral
+      model. Level shifts are zero by convention (the uniform background
+      shift is absorbed into the transition frequencies). Emitters at the
+      same position have a divergent coherent coupling and are rejected.
+    * TensorGrid: sampled coincident data. Only the decay diagonal can be
+      filled (a coincident map carries no two-point propagation), so
+      cross couplings and shifts are zero; emitters must lie inside the
+      grid. When omega_ref is omitted it is taken from the grid.
+    * callable (a, b) -> spectral model or None: fully custom. Diagonal
+      models supply the decay entry, and the level shift when they
+      declare themselves scattered; off-diagonal models supply decay and
+      coherent coupling (a bare jet is rejected there). None leaves the
+      pair at zero.
+
+    One loop over the pairs a <= b serves every environment, with the
+    diagonal decided by index. Off-diagonal entries are computed once and
+    mirrored, so the matrices are exactly Hermitian; positive
+    semidefiniteness of the decay matrix is then enforced by the model
+    container. Emitters with no moments contribute zero rows and columns.
+    """
+    ems = list(emitters)
+    if not ems:
+        raise InputError("at least one emitter is required")
+    for e in ems:
+        if not isinstance(e, MultipoleEmitter):
+            raise InputError("emitters must be MultipoleEmitter instances")
+    if isinstance(environment, TensorGrid) and omega_ref is None:
+        omega_ref = environment.frequency
+    wbar = _reference_frequency(ems, omega_ref)
+    source = _pair_source(environment, wbar)
+
+    n = len(ems)
+    delta = np.zeros(n)
+    xi = np.zeros((n, n), dtype=complex)
+    gamma = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(a, n):
+            ea, eb = ems[a], ems[b]
+            if not (ea.active_channels() and eb.active_channels()):
+                continue
+            pair = source(ea, eb, a == b)
+            if pair is None:
+                continue
+            rate = collective_rate(ea, eb, pair, omega_bar=wbar).gamma_cross
+            if a == b:
+                gamma[a, a] = _real_entry(rate, "decay rate")
+                if isinstance(pair, SpectralGreenModel) and pair.scattered:
+                    delta[a] = lamb_shift(ea, pair)
+                continue
+            if not isinstance(pair, SpectralGreenModel):
+                raise InputError(
+                    f"emitters {a} and {b} need a spectral model for their "
+                    f"coupling, not a {type(pair).__name__}")
+            gamma[a, b] = rate
+            gamma[b, a] = np.conj(rate)
+            xi[a, b] = coupling_strength(ea, eb, pair, omega_bar=wbar).xi
+            xi[b, a] = np.conj(xi[a, b])
+
+    return EmitterEnsembleModel(omega_ref=wbar, delta=delta, xi=xi,
+                                gamma=gamma)
 
 
 def enhancement_map(grid, e: MultipoleEmitter) -> RateReport:

@@ -19,19 +19,21 @@ import pytest
 import polyemit
 from polyemit.cli import build_parser, main, parse_frequency
 from polyemit.constants import ATOMIC_QUADRUPOLE, C0, EPS0, HBAR
-from polyemit.dynamics import (EmitterEnsembleModel, build_ensemble,
-                               evolve_ensemble, product_density, pure_density)
+from polyemit.dynamics import (EmitterEnsembleModel, evolve_ensemble,
+                               product_density, pure_density)
 from polyemit.emitter import (MultipoleEmitter, bilinear_form,
                               moment_product_bundle)
-from polyemit.errors import GridFormatError, InputError, ModelDomainError
+from polyemit.errors import (GridFormatError, InputError, ModelDomainError,
+                             finite_array, finite_point, increasing_axis,
+                             positive_number)
 from polyemit.grid import grid_from_homogeneous, save_grid, validate_grid
 from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
                                   eval_homogeneous_jet)
 from polyemit.quadrature import (SpectralGreenModel, homogeneous_pair_model,
                                  imaginary_axis_form, lorentzian_model)
-from polyemit.rates import (collective_rate, coupling_strength,
-                            emission_rate, enhancement_map, free_space_rates,
-                            lamb_shift)
+from polyemit.rates import (build_ensemble, collective_rate,
+                            coupling_strength, emission_rate, enhancement_map,
+                            free_space_rates, lamb_shift)
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -366,6 +368,17 @@ def test_axis_inputs_follow_the_increasing_axis_rule(site, value):
         call(BAD_AXES[value])
 
 
+def test_ints_past_int64_follow_the_float_rules():
+    # an int numpy stores as an object passes as the float it rounds to,
+    # as it does for positive_number; 10 ** 400 stays refused (BAD_*)
+    big = 2 ** 70
+    assert finite_point([big, 0, 0], "p").tolist() == [float(big), 0.0, 0.0]
+    assert increasing_axis([0, big], "a").tolist() == [0.0, float(big)]
+    assert finite_array([big], "x").tolist() == [complex(big)]
+    assert finite_array([big], "x", real=True).tolist() == [float(big)]
+    assert positive_number(big, "f") == float(big)
+
+
 # --- package surface ----------------------------------------------------------
 
 def test_public_names_are_pinned():
@@ -605,6 +618,25 @@ def test_couple_free_space_pair(tmp_path, emitter_file, capsys):
                                                        rel=1e-10)
     assert doc["xi_rad_per_s"]["re"] != 0.0
     assert abs(doc["gamma_cross_per_s"]["re"]) < doc["gamma_a_per_s"]["re"]
+
+
+@pytest.mark.parametrize("index", ["1", "1.5"])
+def test_couple_self_rate_is_the_free_space_total(tmp_path, capsys, index):
+    # one decay-rate formula: couple's gamma_a and the free-space total of
+    # the same ED+MD+EQ emitter are one JSON token, in vacuum and in glass
+    moments = {"omega0_rad_per_s": 2.4e15, "d_atomic": [1, 0, 0.3],
+               "m_bohr_magnetons": [0, 1, 0],
+               "Q_atomic": [[1, 0, 0], [0, -0.5, 0], [0, 0, -0.5]]}
+    a = write_json(tmp_path / "a.json", {"position_m": [0, 0, 0], **moments})
+    b = write_json(tmp_path / "b.json",
+                   {"position_m": [0, 0, 30e-9], **moments})
+    tokens = []
+    for argv in (["free-space", "--emitter", a],
+                 ["couple", "--emitter", a, "--emitter", b]):
+        assert main(argv + ["--index", index, "--format", "json"]) == 0
+        tokens.append(json.loads(capsys.readouterr().out, parse_float=str))
+    assert tokens[0]["gamma_per_s"]["total"] == \
+        tokens[1]["gamma_a_per_s"]["re"]
 
 
 def test_couple_colocated_reports_rate_but_no_coupling(tmp_path, emitter_file,
@@ -914,7 +946,10 @@ def test_dynamics_spec_validation(tmp_path, capsys):
             ("xi_rad_per_s", {"re": [[0]], "im": [["0"]]},
              f"xi_rad_per_s.im {array}"),
             ("omega_ref_rad_per_s", 10 ** 400,
-             f"omega_ref_rad_per_s {scalar}")):
+             f"omega_ref_rad_per_s {scalar}"),
+            # the model is sized by delta, so its shape is checked first
+            ("delta_rad_per_s", [[0.0, 0.0], [0.0, 0.0]],
+             "delta_rad_per_s must be a 1-D array")):
         doc = _model_doc(1, [[1e7]])
         doc[key] = value
         path = write_json(tmp_path / "text.json",
@@ -931,6 +966,21 @@ def test_dynamics_spec_validation(tmp_path, capsys):
         assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8",
                      "--t-points", "3"]) == code
         assert code == 0 or "n_emitters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("medium_index", "glass"),
+                                        ("omega_ref_rad_per_s", -5)])
+def test_dynamics_model_spec_refuses_emitter_keys(tmp_path, capsys, key,
+                                                  value):
+    # a model carries its own reference frequency and environment, so a
+    # key that only an emitters spec reads is refused, not ignored
+    path = write_json(tmp_path / "spec.json",
+                      {"model": _model_doc(1, [[1e7]]), "initial": "e",
+                       key: value})
+    assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8",
+                 "--t-points", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
 
 
 def emitter_pair_spec():

@@ -16,8 +16,7 @@ from scipy.linalg import expm
 
 import polyemit.dynamics
 from polyemit.dynamics import (EmitterEnsembleModel, Trajectory,
-                               build_ensemble, evolve_ensemble,
-                               product_density, pure_density)
+                               evolve_ensemble, product_density, pure_density)
 from polyemit.emitter import MultipoleEmitter
 from polyemit.errors import (CoincidentPointError, InputError,
                              IntegrationError)
@@ -25,8 +24,8 @@ from polyemit.grid import grid_from_homogeneous
 from polyemit.homogeneous import (Medium, coincident_im_jet,
                                   eval_homogeneous_jet)
 from polyemit.quadrature import homogeneous_pair_model, lorentzian_model
-from polyemit.rates import (collective_rate, coupling_strength,
-                            emission_rate, lamb_shift)
+from polyemit.rates import (build_ensemble, collective_rate,
+                            coupling_strength, emission_rate, lamb_shift)
 
 from oracles import evolve_single, lowering_operators
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from polyemit.constants import C0, EPS0, HBAR
-from polyemit.dynamics import build_ensemble
 from polyemit.emitter import MultipoleEmitter, moment_product_bundle
 from polyemit.errors import (InputError, MissingDerivativeError,
                              ModelDomainError)
@@ -17,8 +16,9 @@ from polyemit.homogeneous import Medium, coincident_im_jet, eval_homogeneous_jet
 from polyemit.jets import GreensJet
 from polyemit.quadrature import (homogeneous_pair_model, imaginary_axis_form,
                                  lorentzian_model)
-from polyemit.rates import (collective_rate, coupling_strength, emission_rate,
-                            enhancement_map, free_space_rates, lamb_shift)
+from polyemit.rates import (build_ensemble, collective_rate,
+                            coupling_strength, emission_rate, enhancement_map,
+                            free_space_rates, lamb_shift)
 
 from oracles import pv_spectral_form
 
@@ -197,6 +197,19 @@ def test_emission_rate_on_stacked_jet_equals_each_entry(rng):
             assert rep.gamma_by_channel_pair[pair][i // 3][i % 3] == v
 
 
+def test_emission_rate_total_is_the_collective_rate_bit_for_bit(rng):
+    # one decay-rate formula: the total is collective_rate of the emitter
+    # with itself, clamped at zero, for a single jet and a grid's batch
+    e = random_emitter(rng)
+    jet = coincident_im_jet(W0, Medium(1.3))
+    ref = collective_rate(e, e, jet, omega_bar=e.omega0).gamma_cross
+    assert emission_rate(e, jet).gamma_total == max(ref.real, 0.0)
+    nodes = kernel_grid(rng).node_jet()
+    ref = collective_rate(e, e, nodes, omega_bar=e.omega0).gamma_cross
+    assert emission_rate(e, nodes).gamma_total == \
+        np.maximum(ref.real, 0.0).tolist()
+
+
 def test_rate_report_serialization(rng):
     e = random_emitter(rng, channels="d")
     rep = emission_rate(e, coincident_im_jet(W0, Medium(1.0)))
@@ -243,6 +256,16 @@ def test_lamb_shift_methods_agree(rng):
     assert abs(d_pv - d_ia) < 5e-6 * abs(d_pv)
     # lamb_shift is the imaginary-axis form
     assert lamb_shift(e, model) == d_ia
+
+
+def test_lamb_shift_is_the_self_coupling_bit_for_bit(rng):
+    # one shift formula: lamb_shift is coupling_strength of the emitter
+    # with itself at its own frequency
+    model = lorentzian_model([
+        (reciprocal_blocks(rng, 1e5), 1.2 * W0, 0.04 * W0)])
+    e = random_emitter(rng)
+    xi = coupling_strength(e, e, model, omega_bar=e.omega0).xi
+    assert lamb_shift(e, model) == xi.real
 
 
 def test_lamb_shift_sign_and_dense_grid_oracle(rng):
