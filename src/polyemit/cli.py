@@ -7,7 +7,8 @@ name and renamed, so a failing run never leaves a partial output file.
 Exit codes: 0 success, 2 input error (bad flags, malformed files, domain
 violations), 3 numerical failure (quadrature or time stepping).
 
-argparse hands its namespace straight to the subcommand. It enforces the
+argparse hands its namespace straight to the subcommand; the parser is
+built once per process (build_parser) and only read. It enforces the
 required flags, the --format choices and the numeric types; each handler
 then checks the values it reads (--index through Medium, --t-max through
 errors.positive_number, --t-points >= 2, the --emitter count, --frequency
@@ -56,6 +57,7 @@ single sorted-key document. Output bytes are deterministic for fixed
 inputs and any PYTHONHASHSEED; map node order is grid-major.
 """
 import argparse
+import functools
 import json
 import math
 import os
@@ -412,7 +414,12 @@ def _dash_value(flag: str) -> str:
     return f"; a value starting with '-' needs the {flag}=VALUE form"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    call of main; read it, never change it. Each parse_args call returns a
+    fresh namespace and copies the --emitter default before appending, so
+    no value carries from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="polyemit",
         description="Decay rates, enhancement maps, pair couplings, and "
@@ -474,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code. The parser is the one
+    build_parser made for the process, so a call builds no argparse tree."""
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.subcommand](args)
     except (QuadratureError, IntegrationError) as exc:

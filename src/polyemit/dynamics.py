@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.sparse import csr_matrix
 
 from .errors import (InputError, IntegrationError, finite_array,
@@ -420,11 +420,36 @@ def _dense(blocks: dict, members: list, dim: int) -> np.ndarray:
     return out
 
 
+class _Dop853(DOP853):
+    """DOP853 that refuses a non-finite start and keeps no reference cycle.
+
+    scipy's OdeSolver wraps the right-hand side in closures over the
+    solver itself (fun, which counts nfev, and fun_vectorized, which
+    DOP853 never calls). That cycle would keep the stage arrays and the
+    right-hand side, with its operators, alive until a full garbage
+    collection. Calling fun_single directly breaks it, so the solver is
+    freed by reference counting when solve_ivp returns; nfev stays 0.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.fun = self.fun_single
+        del self.fun_vectorized
+        # a NaN first step never falls below the minimum step, so the
+        # step loop would spin forever
+        if not np.all(np.isfinite(self.f)):
+            raise IntegrationError(
+                "the right-hand side is not finite at the start: the model "
+                "coefficients overflow float64 arithmetic")
+
+
 def _integrate(model: EmitterEnsembleModel, lift: list, layout: dict,
                size: int, y0: np.ndarray, tau: np.ndarray, rtol: float,
                atol: float) -> np.ndarray:
     """Packed blocks (size, len(tau)) at the offsets tau from y0. The
-    operators live only for the solve."""
+    operators live only for the solve: the solver holds no reference
+    cycle, so it, its stage arrays and rhs with the jump operator are
+    freed by reference counting when solve_ivp returns."""
     drift, jump = _sector_operators(model, lift, layout, size)
     drift_h = [d.conj().T for d in drift]
 
@@ -442,7 +467,7 @@ def _integrate(model: EmitterEnsembleModel, lift: list, layout: dict,
         return np.concatenate([out.real, out.imag])
 
     sol = solve_ivp(rhs, (0.0, float(tau[-1])),
-                    np.concatenate([y0.real, y0.imag]), method="DOP853",
+                    np.concatenate([y0.real, y0.imag]), method=_Dop853,
                     t_eval=tau, rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"step control failed: {sol.message}")
@@ -477,7 +502,8 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     (k, k) block gets a spectral check; otherwise the state is assembled
     and checked spectrally up to dimension 64, by diagonal and purity
     bounds beyond that. Violations raise IntegrationError (loosened
-    rtol/atol surface here first).
+    rtol/atol surface here first), and so do step-control failure and
+    model coefficients that overflow float64 in the right-hand side.
 
     Density snapshots are retained for up to 6 emitters by default;
     keep_states forces or suppresses that. The returned error_estimate is

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolver
 
 import polyemit
 from polyemit.cli import build_parser, main, parse_frequency
@@ -705,6 +706,63 @@ def test_repeated_calls_in_one_process_keep_no_state(tmp_path, emitter_file,
     assert main(["free-space", "--emitter", emitter_file]) == 0
     assert main(["couple", "--emitter", emitter_file]) == 2
     assert "couple needs exactly 2 --emitter" in capsys.readouterr().err
+    # the parser is built once per process: no flag of one call carries
+    # into the next, so each call gives the bytes it gives on its own
+    mixed = write_json(tmp_path / "c.json",
+                       {"position_m": [0.0, 60e-9, 0.0],
+                        "omega0_rad_per_s": W384,
+                        "d_atomic": [1.0, 0.0, 0.0],
+                        "m_bohr_magnetons": [0.0, 0.0, 1.0]})
+    pair = ["couple", "--emitter", mixed, "--emitter", other]
+    alone = []
+    for call in (pair + ["--channels", "ed"], pair):
+        assert main(call) == 0
+        alone.append(capsys.readouterr().out)
+    assert alone[0] != alone[1]
+    assert main(pair) == 0
+    assert capsys.readouterr().out == alone[1]
+    assert main(["free-space", "--emitter", emitter_file, "--frequency",
+                 "400THz", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["frequency_rad_per_s"] != W384
+    assert main(["free-space", "--emitter", emitter_file, "--format",
+                 "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["frequency_rad_per_s"] == W384
+    out = tmp_path / "out.json"
+    assert main(pair + ["--format", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    written = out.read_bytes()
+    assert main(pair) == 0
+    assert capsys.readouterr().out == alone[1]
+    assert out.read_bytes() == written
+
+
+def test_calls_leave_no_parser_or_solver_in_cyclic_garbage(
+        tmp_path, emitter_file, capsys, cyclic_garbage):
+    # the parser is built once and a solve frees itself, so a call leaves
+    # neither for a full collection to find
+    other = write_json(tmp_path / "b.json",
+                       {"position_m": [0.0, 0.0, 80e-9],
+                        "omega0_rad_per_s": W384,
+                        "d_atomic": [1.0, 0.0, 0.0]})
+    g = 2.5e7
+    spec = write_json(tmp_path / "pair.json",
+                      {"model": _model_doc(2, [[g, g / 2], [g / 2, g]]),
+                       "initial": "eg"})
+    calls = (["couple", "--emitter", emitter_file, "--emitter", other],
+             ["dynamics", "--ensemble", spec, "--t-max", "1e-7"])
+
+    def run():
+        for argv in calls:
+            assert main(argv) == 0
+
+    run()
+    garbage = cyclic_garbage(run)
+    capsys.readouterr()
+    assert not [obj for obj in garbage
+                if type(obj).__module__ == "argparse"
+                or isinstance(obj, OdeSolver)]
 
 
 def test_dash_values_need_the_equals_form(tmp_path, capsys):
@@ -981,6 +1039,25 @@ def test_dynamics_model_spec_refuses_emitter_keys(tmp_path, capsys, key,
                  "--t-points", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+def test_dynamics_overflowing_model_exits_3_without_hanging(tmp_path):
+    # finite coefficients whose sum overflows give a NaN right-hand side,
+    # with which DOP853's step loop never ends; run in a child process so
+    # that a hang fails the test instead of stalling the suite
+    doc = _model_doc(1, [[1e6]], xi=[[1e308]])
+    doc["delta_rad_per_s"] = [1e308]
+    spec = write_json(tmp_path / "overflow.json",
+                      {"model": doc, "initial": "e"})
+    src = os.path.dirname(os.path.dirname(polyemit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyemit.cli", "dynamics", "--ensemble",
+         spec, "--t-max", "1e-6", "--t-points", "5"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert b"model coefficients overflow" in proc.stderr
+    assert proc.stdout == b""
 
 
 def emitter_pair_spec():

@@ -7,11 +7,13 @@ with scipy, written before and independently of the package integrator
 decay matrix, no ODE stepping). Beyond its reach (8 and 10 emitters) the
 references are the single-excitation propagator and the Dicke ladder.
 """
+import contextlib
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolver
 from scipy.linalg import expm
 
 import polyemit.dynamics
@@ -590,6 +592,30 @@ def test_single_excitation_start_of_ten_emitters_is_checked_by_sector(
     evolve_ensemble(model, product_density("e" + "g" * (n - 1)),
                     np.linspace(0.0, 1e-8, 3))
     assert sizes and max(sizes) < 2 ** n
+
+
+@pytest.mark.parametrize("case", ["solved", "step-control-failure"])
+def test_solve_leaves_no_cyclic_garbage(case, cyclic_garbage):
+    # the solver, its stage arrays and the right-hand side with the jump
+    # operator must go by reference counting, not wait for a full
+    # collection; gamma = 1e300 I makes DOP853's step control give up
+    t = np.linspace(0.0, 1e-7, 5)
+    if case == "solved":
+        model, labels = random_model(np.random.default_rng(17), 3), "eeg"
+        outcome = contextlib.nullcontext()
+    else:
+        model = EmitterEnsembleModel(omega_ref=1e15, delta=np.zeros(2),
+                                     xi=np.zeros((2, 2)),
+                                     gamma=1e300 * np.eye(2))
+        labels = "ee"
+        outcome = pytest.raises(IntegrationError, match="step control failed")
+
+    def solve():
+        with outcome, np.errstate(all="ignore"):
+            evolve_ensemble(model, product_density(labels), t)
+
+    garbage = cyclic_garbage(solve)
+    assert not [obj for obj in garbage if isinstance(obj, OdeSolver)]
 
 
 def test_state_helpers():
