@@ -125,6 +125,8 @@ def _emitter_files(args: argparse.Namespace, need: int) -> tuple:
 # --- output plumbing ---------------------------------------------------------
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -143,7 +145,7 @@ def _render_csv(subcommand: str, comments: list, headers: list,
     lines += [f"# {c}" for c in comments]
     lines.append(",".join(headers))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -218,16 +220,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
     headers = (["x_m", "y_m", "z_m", "enhancement_total"]
                + [f"enh_{p.replace('-', '_')}" for p in pairs]
                + ["gamma_total_per_s"])
-    rows = []
-    nodes = []
-    for i, point in enumerate(grid.node_points().tolist()):
-        enh = {p: by_pair[p][i] for p in pairs}
-        rows.append(point + [norm["enhancement_total"][i]]
-                    + list(enh.values()) + [rep.gamma_total[i]])
-        nodes.append({"position_m": point,
-                      "enhancement_total": norm["enhancement_total"][i],
-                      "enhancement_by_channel_pair": enh,
-                      "gamma_total_per_s": rep.gamma_total[i]})
+    points = grid.node_points()
+    columns = [*points.T.tolist(), norm["enhancement_total"],
+               *(by_pair[p] for p in pairs), rep.gamma_total]
     comments = [
         f"grid: {args.grid}",
         f"channels: {','.join(norm['channels'])}",
@@ -235,12 +230,17 @@ def _cmd_map(args: argparse.Namespace) -> int:
         "columns: node position (m), total enhancement over the free-space "
         "rate, per channel-pair enhancement, absolute rate (1/s)",
     ]
+    nodes = None if args.format == "csv" else [
+        {"position_m": point, "enhancement_total": total,
+         "enhancement_by_channel_pair": dict(zip(pairs, enh)),
+         "gamma_total_per_s": gamma}
+        for point, total, *enh, gamma in zip(points.tolist(), *columns[3:])]
     doc = {"subcommand": "map", "grid": args.grid,
            "channels": norm["channels"],
            "gamma_free_space_per_s": norm["gamma_fs"]["value"],
            "gamma_free_space_by_channel": norm["gamma_fs_by_channel"],
            "nodes": nodes}
-    _deliver(args, (comments, headers, rows), doc)
+    _deliver(args, (comments, headers, zip(*columns)), doc)
     return 0
 
 

@@ -102,7 +102,8 @@ def _hermitize(mat: np.ndarray, name: str) -> np.ndarray:
             raise InputError(
                 f"{name} must be Hermitian; relative asymmetry "
                 f"{asym / scale:.2e} exceeds {_HERM_RTOL:g}")
-    return 0.5 * (mat + mat.conj().T)
+    # halved before the sum, which would overflow for entries above 9e307
+    return 0.5 * mat + 0.5 * mat.conj().T
 
 
 @dataclass(frozen=True, eq=False)

@@ -330,13 +330,12 @@ class TensorGrid:
 # [re, im] entries. Both directions go between that layout and one flat
 # number list, so neither builds the nested per-entry lists (about 700k on
 # a 40 x 40 all-block grid) that json.loads would allocate and the cyclic
-# GC would then traverse.
+# GC would then traverse. A block's load is a few byte passes over its
+# text and one json.loads of its numbers, which is most of the time.
 
 _JSON_WS = b" \t\n\r"
 _NUMBER_CHARS = b"0123456789eE.+-"
 _WS_RUN = re.compile(r"[ \t\n\r]*")
-_BLOCK_CHARS_RUN = re.compile(r"[0-9eE.+\-\[\], \t\n\r]*")
-_NUMBERS_AS_N = bytes.maketrans(_NUMBER_CHARS, b"n" * len(_NUMBER_CHARS))
 _BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
@@ -441,21 +440,23 @@ def _read_object(text: str, pos: int, read_value: Callable) -> tuple:
 def _read_block(key: str, text: str, pos: int) -> tuple:
     """The block value at text[pos] as an (N, 3, 3, 2) float array.
 
-    The span runs to the last ']' before the first character that no
-    block of JSON numbers can hold. It is taken only if, with whitespace
-    gone, deleting the numbers leaves exactly the N-node bracket skeleton
-    and no number touches a bracket from outside an entry; its numbers
-    are then read by one json.loads of the span with the inner brackets
-    as spaces, so json's scanner still judges every number token.
+    The span runs to the last ']' before the next '"'. It is taken only if
+    it opens with '[', and, with whitespace gone, deleting the numbers
+    leaves exactly the N-node bracket skeleton (refusing every foreign
+    character) and no entry slot is empty ("[," or ",]"). Its numbers are
+    read by one json.loads of the span with the inner brackets as spaces,
+    so json's scanner judges every number token and takes exactly one
+    between each pair of commas: a number outside its [re, im] entry
+    would leave a slot empty.
     """
-    end = text.rfind("]", pos, _BLOCK_CHARS_RUN.match(text, pos).end()) + 1
+    stop = text.find('"', pos)
+    end = text.rfind("]", pos, len(text) if stop < 0 else stop) + 1
     span = text[pos:end].encode("ascii")
     packed = span.translate(None, _JSON_WS)
     skeleton = packed.translate(None, _NUMBER_CHARS).decode("ascii")
     n_nodes = len(skeleton) // _NODE_STRIDE
-    marked = packed.translate(_NUMBERS_AS_N)
-    if (skeleton != _block_layout(n_nodes, "[,]")
-            or b"]n" in marked or b"n[" in marked):
+    if (skeleton != _block_layout(n_nodes, "[,]") or span[:1] != b"["
+            or b"[," in packed or b",]" in packed):
         raise _Declined
     numbers = json.loads(
         b"[" + span[1:-1].translate(_BRACKETS_AS_SPACES) + b"]")
@@ -514,6 +515,10 @@ def _locate_block_defect(key: str, payload, n_nodes: int):
 
 
 def _parse_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
+    """A block payload, json's nested lists or _read_block's array, as a
+    complex array of the grid's shape. It is a view of the [re, im] pairs,
+    which keeps -0.0 (re + 1j * im drops it); TensorGrid checks that every
+    entry is finite."""
     if not isinstance(payload, (list, np.ndarray)):
         raise GridFormatError(f"blocks.{key}: expected a list of nodes")
     try:
@@ -525,13 +530,7 @@ def _parse_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
         arr = None
     if arr is None or arr.shape != (n_nodes, 3, 3, 2):
         _locate_block_defect(key, payload, n_nodes)
-    if not np.all(np.isfinite(arr)):
-        raise GridFormatError(f"blocks.{key}: non-finite entries")
-    # set part by part so that -0.0 survives (re + 1j * im drops it)
-    out = np.empty(shape + (3, 3), dtype=complex)
-    out.real = arr[..., 0].reshape(out.shape)
-    out.imag = arr[..., 1].reshape(out.shape)
-    return out
+    return arr.view(complex).reshape(shape + (3, 3))
 
 
 def load_grid(source) -> TensorGrid:

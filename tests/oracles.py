@@ -17,7 +17,9 @@ that is:
     sampled spectra and on a model's jet at imaginary frequency;
   * small_R_series_im: the small-separation series of Im G;
   * evolve_single: the closed-form decay of one emitter, and
-    lowering_operators, the dense per-emitter lowering operators.
+    lowering_operators, the dense per-emitter lowering operators;
+  * csv_cell: one CSV cell by isinstance dispatch alone, the oracle of
+    polyemit.cli._fmt and its exact-float shortcut.
 
 The engine pieces (_adaptive, _integrate_to_infinity, _coefficient_rows,
 _pole_coefficients, _roundoff_floor) are imported from
@@ -371,3 +373,19 @@ def evolve_single(gamma: float, delta: float, omega0: float, initial,
     rho[:, 0, 1] = np.conj(sig)
     return Trajectory(times=times, sigma=sig[:, None], sigma_z=sz[:, None],
                       omega_ref=0.0, rho=rho, error_estimate=0.0)
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: bools as true/false, integers exactly, floats by the
+    shortest round-trip repr, and text quoted when it holds a comma, a
+    double quote or a newline."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    text = str(value)
+    if any(c in text for c in ",\"\n"):
+        text = '"' + text.replace('"', '""') + '"'
+    return text

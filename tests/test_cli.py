@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import OdeSolver
 
 import polyemit
-from polyemit.cli import build_parser, main, parse_frequency
+from polyemit.cli import _render_csv, build_parser, main, parse_frequency
 from polyemit.constants import ATOMIC_QUADRUPOLE, C0, EPS0, HBAR
 from polyemit.dynamics import (EmitterEnsembleModel, evolve_ensemble,
                                product_density, pure_density)
@@ -35,6 +35,8 @@ from polyemit.quadrature import (SpectralGreenModel, homogeneous_pair_model,
 from polyemit.rates import (build_ensemble, collective_rate,
                             coupling_strength, emission_rate, enhancement_map,
                             free_space_rates, lamb_shift)
+
+from oracles import csv_cell
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -448,6 +450,22 @@ def test_setting_lists_are_pinned():
 
 
 # --- free-space ---------------------------------------------------------------
+
+def test_csv_cells_match_the_reference_formatter():
+    cells = [True, False, np.bool_(True), 0, -7, 2 ** 70, np.int64(-2 ** 62),
+             np.int32(5), 0.1, np.float64(0.1), np.float32(0.1), -0.0,
+             np.float64(-0.0), 5e-324, -5e-324, 1.7976931348623157e308,
+             "plain", "a,b", 'say "hi"', "two\nlines", '",\n', ""]
+    rows = [cells, cells[::-1]]
+    want = "".join(f"{line}\n" for line in [
+        "# polyemit-csv 1", "# subcommand: map", "# a note", "h1,h2",
+        *(",".join(csv_cell(v) for v in row) for row in rows)])
+    # map hands its rows over as a zip of its columns
+    for given in (rows, zip(*zip(*rows))):
+        assert _render_csv("map", ["a note"], ["h1", "h2"], given) == want
+    assert ",5e-324,-5e-324,1.7976931348623157e+308," in want
+    assert ',"a,b","say ""hi""","two\nlines",' in want
+
 
 def test_free_space_matches_frozen_value(emitter_file, capsys):
     assert main(["free-space", "--emitter", emitter_file]) == 0

@@ -232,6 +232,23 @@ def test_model_validation():
                          xi=np.zeros((2, 2)), gamma=g)
 
 
+def test_hermitian_part_of_entries_near_the_float_limit():
+    # 1e308 + 1e308 overflows; the Hermitian part halves before it sums
+    doc = {"omega_ref_rad_per_s": 1e15, "delta_rad_per_s": [0],
+           "xi_rad_per_s": {"re": [[1e308]], "im": [[0]]},
+           "gamma_rad_per_s": {"re": [[1e6]], "im": [[0]]}}
+    with np.errstate(all="raise"):
+        model = EmitterEnsembleModel.from_dict(doc)
+    assert model.xi[0, 0] == 1e308
+    # elsewhere it is the half-sum 0.5 * (mat + mat^H), bit for bit
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 5, 8):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for mat in (a + a.conj().T, a + a.conj().T + 1e-12 * a):
+            got = polyemit.dynamics._hermitize(mat, "mat")
+            assert got.tobytes() == (0.5 * (mat + mat.conj().T)).tobytes()
+
+
 def test_model_echo_is_json_ready():
     model = random_model(np.random.default_rng(3), 2)
     doc = json.loads(json.dumps(model.to_dict()))

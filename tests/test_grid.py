@@ -293,6 +293,15 @@ def test_block_reader_matches_json_route():
                 f"[{a}],[{b}]", f"[{a},{b}]]", "[]"):
         cases.append((base[:first.start(1)] + new + base[first.end(1):],
                       False))
+        # the same with whitespace around every bracket and comma, e.g.
+        # "[ a , ] b": the reader judges the layout on whitespace-free text
+        padded = re.sub(r"([\[\],])", r" \1 ", new)
+        cases.append((base[:first.start(1)] + padded + base[first.end(1):],
+                      False))
+    # a number before the block's opening bracket or after its closing one
+    for old, new in (('"value":[', '"value":7['), ('"value":[', '"value":- ['),
+                     ('"value":[', '"value":7 \n['), ("]]]]}", "]]]]7}")):
+        cases.append((base.replace(old, new, 1), False))
     for old, new in (("],[", "]["), ("],[", "],,["), ("],[", ",["),
                      ("]]],[[[", "]]][[["), ("]]]]", "]]],]")):
         cases.append((base.replace(old, new, 1), False))
@@ -364,6 +373,33 @@ def test_block_reader_matches_json_route():
 
     for text, fast in cases:
         assert_routes_agree(text, fast)
+
+
+def test_ragged_block_is_reported_before_a_non_finite_one():
+    # blocks are parsed in document order, and finiteness is TensorGrid's
+    # check, made once every block has parsed: the ragged block is the one
+    # reported, whichever block comes first
+    rng = np.random.default_rng(2525)
+    doc = json.loads(save_grid(hand_grid(rng, shape=(2, 2),
+                                          extra=("d1_x",))).decode())
+    doc["blocks"]["d1_x"][1][2].pop()
+    doc["blocks"]["value"][0][0][0][0] = 0.25
+    for keys in (("d1_x", "value"), ("value", "d1_x")):
+        text = compact(dict(doc, blocks={k: doc["blocks"][k] for k in keys}))
+        text = text.replace('"value":[[[[0.25,', '"value":[[[[1e400,', 1)
+        assert "1e400" in text
+        assert_routes_agree(text, False)
+        with pytest.raises(GridFormatError,
+                           match=re.escape("blocks.d1_x[1][2]: expected 3 "
+                                           "entries")):
+            load_grid(text)
+    # alone, the non-finite block is refused by TensorGrid's check
+    doc["blocks"]["d1_x"][1][2].append([0.0, 0.0])
+    text = compact(doc).replace('"value":[[[[0.25,', '"value":[[[[1e400,', 1)
+    assert_routes_agree(text, True)
+    with pytest.raises(GridFormatError, match=re.escape(
+            "blocks.value: non-finite entries")):
+        load_grid(text)
 
 
 def test_save_matches_reference_writer_on_random_bit_patterns():
