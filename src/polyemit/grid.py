@@ -4,7 +4,7 @@ Externally computed environments arrive as rectilinear grids of the
 imaginary part of the Green tensor at coincident points, optionally with
 derivative blocks. On-disk format is a UTF-8 JSON document:
 
-    {"format_version": 1,
+    {"format_version": 2,
      "frequency_rad_per_s": 2.4e15,
      "length_unit": "nm",                  # "nm" | "um" | "m"
      "value_unit_exponent": -1,            # value ~ unit^exp, d1 ~ unit^(exp-1)
@@ -12,25 +12,27 @@ derivative blocks. On-disk format is a UTF-8 JSON document:
      "symmetry_rtol": 1e-6,                # optional, default 1e-6
      "provenance": ...,                    # optional free-form metadata
      "axes": {"x": [...], "y": [...], "z": [...] or fixed scalar},
-     "blocks": {"value": [...], "d1_x": [...], ...}}
+     "blocks": {"value": "<base64>", "d1_x": "<base64>", ...}}
 
-Each block is a flat node-major list (row-major over x, y, z; z fastest)
-of 3x3 tensors whose entries are serialized as [re, im]. The physical
-content is Im G, which is real; a nonzero imaginary residue is tolerated
-on load and flagged by validate_grid. Axis coordinates are in
+Each block is one base64 string (the standard RFC 4648 alphabet) of the raw
+bytes of N = len(x) * len(y) * len(z) nodes of 3x3 tensors, node-major
+(row-major over x, y, z; z fastest), each entry a little-endian float64
+[re, im] pair: (N, 3, 3, 2) doubles, exactly N * 144 bytes. The
+physical content is Im G, which is real; a nonzero imaginary residue is
+tolerated on load and flagged by validate_grid. Axis coordinates are in
 length_unit; everything is converted to SI on access.
 
-save_grid writes canonical bytes: sorted keys, compact separators, and
-each block as one json.dumps of its flat [re, im, ...] number list set
-into the block's bracket layout. load_grid accepts any JSON whitespace
-and key order (a repeated key keeps its last value, as in json). It walks
-the top-level and blocks objects itself and reads each block as one flat
-number list, without building a list per node, row and entry. A document
-it cannot read that way goes through json.loads instead, and that route
-alone reports defects: any block that is more than JSON numbers in the
-exact (N, 3, 3, [re, im]) layout (ragged or extra nesting, true, null,
-strings), NaN or Infinity anywhere, invalid JSON, an integer too large
-for a float, or text after the document.
+save_grid always writes version 2 as canonical bytes: one json.dumps of
+the whole document with sorted keys and compact separators, so a grid
+has exactly one file, and signed zeros and subnormals survive exactly.
+load_grid reads the document with json.loads, so any JSON whitespace and
+key order load alike (a repeated key keeps its last value), and decodes
+each block with base64's validate=True.
+
+load_grid also reads format_version 1, whose blocks are nested lists
+(N, 3, 3, [re, im]) of JSON numbers; a bool, null or string where a
+number belongs is refused, as is a ragged block. An old file converts
+once, by save_grid(load_grid(v1_bytes)).
 
 The header fields pass TensorGrid's own checks, named by their document
 keys: frequency_rad_per_s and symmetry_rtol errors.positive_number, each
@@ -54,12 +56,11 @@ dipole-only queries: jets carry the value block and nothing else.
 
 from __future__ import annotations
 
-import functools
+import base64
 import json
 import math
-import re
 from dataclasses import dataclass
-from json.decoder import scanstring
+from itertools import chain
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -325,31 +326,9 @@ class TensorGrid:
 
 # ---------------------------------------------------------------------------
 # serialization
-#
-# Every v1 block is text of one fixed layout, N nodes of 3 rows of 3
-# [re, im] entries. Both directions go between that layout and one flat
-# number list, so neither builds the nested per-entry lists (about 700k on
-# a 40 x 40 all-block grid) that json.loads would allocate and the cyclic
-# GC would then traverse. A block's load is a few byte passes over its
-# text and one json.loads of its numbers, which is most of the time.
 
-_JSON_WS = b" \t\n\r"
-_NUMBER_CHARS = b"0123456789eE.+-"
-_WS_RUN = re.compile(r"[ \t\n\r]*")
-_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
-
-
-@functools.lru_cache(maxsize=8)
-def _block_layout(n_nodes: int, entry: str) -> str:
-    """Compact text of an n_nodes-node block with every entry spelled
-    entry: "[,]" gives the bracket skeleton, "[%s,%s]" the writer's
-    template."""
-    row = "[" + ",".join([entry] * 3) + "]"
-    node = "[" + ",".join([row] * 3) + "]"
-    return "[" + ",".join([node] * n_nodes) + "]"
-
-
-_NODE_STRIDE = len(_block_layout(2, "[,]")) - len(_block_layout(1, "[,]"))
+_BLOCK_DTYPE = np.dtype("<c16")  # little-endian float64 [re, im] pairs
+_NODE_BYTES = 9 * _BLOCK_DTYPE.itemsize
 
 
 def _dumps(obj) -> str:
@@ -357,127 +336,33 @@ def _dumps(obj) -> str:
                       separators=(",", ":"), allow_nan=False)
 
 
-def _block_text(arr: np.ndarray) -> str:
-    """One block as compact JSON: a single json.dumps of the flat
-    [re, im, ...] list, placed into the block layout."""
-    entries = np.stack([arr.real, arr.imag], axis=-1).reshape(-1, 18)
-    numbers = _dumps(entries.ravel().tolist())
-    return (_block_layout(len(entries), "[%s,%s]")
-            % tuple(numbers[1:-1].split(",")))
-
-
 def save_grid(grid: TensorGrid) -> bytes:
-    """Serialize to canonical UTF-8 JSON bytes.
+    """Serialize to canonical UTF-8 JSON bytes in format version 2.
 
     Canonical means sorted keys, compact separators, shortest
-    round-trip decimals; the same grid always produces the same bytes,
-    and load_grid(save_grid(g)) reproduces g exactly.
+    round-trip decimals in the header and each block's raw bytes in
+    base64; the same grid always produces the same bytes, and
+    load_grid(save_grid(g)) reproduces g exactly.
     """
-    axes = {name: (float(arr[0]) if fx else [float(v) for v in arr])
-            for name, arr, fx in zip(_AXES, grid.axes, grid.fixed_axes)}
-    # every key here sorts after "axes" and "blocks", which lead the text
-    head = {
-        "format_version": 1,
+    doc = {
+        "format_version": 2,
         "frequency_rad_per_s": grid.frequency,
         "length_unit": grid.length_unit,
         "value_unit_exponent": grid.value_unit_exponent,
         "derivative_semantics": grid.derivative_semantics,
         "symmetry_rtol": grid.symmetry_tol,
+        "axes": {name: (float(arr[0]) if fx else [float(v) for v in arr])
+                 for name, arr, fx in zip(_AXES, grid.axes, grid.fixed_axes)},
+        "blocks": {key: base64.b64encode(np.ascontiguousarray(
+                       arr, dtype=_BLOCK_DTYPE).tobytes()).decode("ascii")
+                   for key, arr in grid.blocks.items()},
     }
     if grid.provenance is not None:
-        head["provenance"] = grid.provenance
+        doc["provenance"] = grid.provenance
     try:
-        blocks = ",".join(f"{_dumps(k)}:{_block_text(grid.blocks[k])}"
-                          for k in sorted(grid.blocks))
-        text = (f'{{"axes":{_dumps(axes)},"blocks":{{{blocks}}},'
-                + _dumps(head)[1:])
+        return _dumps(doc).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise GridFormatError(f"grid is not serializable: {exc}") from None
-    return text.encode("utf-8")
-
-
-class _Declined(Exception):
-    """The block reader leaves the document to the json route."""
-
-
-def _decline(_token: str):
-    raise _Declined
-
-
-_HEADER_DECODER = json.JSONDecoder(parse_constant=_decline)
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    return _WS_RUN.match(text, pos).end()
-
-
-def _read_object(text: str, pos: int, read_value: Callable) -> tuple:
-    """Walk the JSON object at text[pos] by json's rules (a repeated key
-    keeps its first position and its last value); read_value(key, text,
-    pos) returns (value, end). Returns (dict, end)."""
-    if not text.startswith("{", pos):
-        raise _Declined
-    out = {}
-    pos = _skip_ws(text, pos + 1)
-    if text.startswith("}", pos):
-        return out, pos + 1
-    while True:
-        if not text.startswith('"', pos):
-            raise _Declined
-        key, pos = scanstring(text, pos + 1)
-        pos = _skip_ws(text, pos)
-        if not text.startswith(":", pos):
-            raise _Declined
-        out[key], pos = read_value(key, text, _skip_ws(text, pos + 1))
-        pos = _skip_ws(text, pos)
-        if text.startswith("}", pos):
-            return out, pos + 1
-        if not text.startswith(",", pos):
-            raise _Declined
-        pos = _skip_ws(text, pos + 1)
-
-
-def _read_block(key: str, text: str, pos: int) -> tuple:
-    """The block value at text[pos] as an (N, 3, 3, 2) float array.
-
-    The span runs to the last ']' before the next '"'. It is taken only if
-    it opens with '[', and, with whitespace gone, deleting the numbers
-    leaves exactly the N-node bracket skeleton (refusing every foreign
-    character) and no entry slot is empty ("[," or ",]"). Its numbers are
-    read by one json.loads of the span with the inner brackets as spaces,
-    so json's scanner judges every number token and takes exactly one
-    between each pair of commas: a number outside its [re, im] entry
-    would leave a slot empty.
-    """
-    stop = text.find('"', pos)
-    end = text.rfind("]", pos, len(text) if stop < 0 else stop) + 1
-    span = text[pos:end].encode("ascii")
-    packed = span.translate(None, _JSON_WS)
-    skeleton = packed.translate(None, _NUMBER_CHARS).decode("ascii")
-    n_nodes = len(skeleton) // _NODE_STRIDE
-    if (skeleton != _block_layout(n_nodes, "[,]") or span[:1] != b"["
-            or b"[," in packed or b",]" in packed):
-        raise _Declined
-    numbers = json.loads(
-        b"[" + span[1:-1].translate(_BRACKETS_AS_SPACES) + b"]")
-    return np.array(numbers, dtype=float).reshape(n_nodes, 3, 3, 2), end
-
-
-def _read_top_value(key: str, text: str, pos: int) -> tuple:
-    if key == "blocks":
-        return _read_object(text, pos, _read_block)
-    return _HEADER_DECODER.raw_decode(text, pos)
-
-
-def _read_fast(text: str) -> Optional[dict]:
-    """The document with every block already a float array, or None when
-    a block is more than JSON numbers in the v1 layout, or the text is
-    not valid JSON or holds NaN or Infinity."""
-    try:
-        doc, end = _read_object(text, _skip_ws(text, 0), _read_top_value)
-    except (_Declined, ValueError, OverflowError, RecursionError):
-        return None
-    return doc if _skip_ws(text, end) == len(text) else None
 
 
 def _reject_constant(token: str):
@@ -485,8 +370,6 @@ def _reject_constant(token: str):
 
 
 def _read_json(text: str):
-    """The document as json.loads builds it: the route that reports every
-    defect."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
@@ -494,7 +377,7 @@ def _read_json(text: str):
 
 
 def _locate_block_defect(key: str, payload, n_nodes: int):
-    """Pinpoint why a block payload failed the fast vectorized parse."""
+    """Pinpoint why a v1 block payload failed the vectorized parse."""
     if len(payload) != n_nodes:
         raise GridFormatError(
             f"blocks.{key}: expected {n_nodes} nodes, got {len(payload)}")
@@ -515,11 +398,10 @@ def _locate_block_defect(key: str, payload, n_nodes: int):
 
 
 def _parse_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
-    """A block payload, json's nested lists or _read_block's array, as a
-    complex array of the grid's shape. It is a view of the [re, im] pairs,
-    which keeps -0.0 (re + 1j * im drops it); TensorGrid checks that every
-    entry is finite."""
-    if not isinstance(payload, (list, np.ndarray)):
+    """A v1 block, json's nested lists, as a complex array of the grid's
+    shape. It is a view of the [re, im] pairs, which keeps -0.0 (re + 1j *
+    im drops it); TensorGrid checks that every entry is finite."""
+    if not isinstance(payload, list):
         raise GridFormatError(f"blocks.{key}: expected a list of nodes")
     try:
         arr = np.asarray(payload, dtype=float)
@@ -530,16 +412,38 @@ def _parse_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
         arr = None
     if arr is None or arr.shape != (n_nodes, 3, 3, 2):
         _locate_block_defect(key, payload, n_nodes)
+    # asarray also converts true, false, null and numeric strings; of
+    # json's values, is_number holds for exactly the ints and floats
+    entries = chain.from_iterable(chain.from_iterable(payload))
+    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+        _locate_block_defect(key, payload, n_nodes)
     return arr.view(complex).reshape(shape + (3, 3))
+
+
+def _decode_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
+    """A v2 block, one base64 string of the (N, 3, 3) [re, im] pairs, as a
+    complex array of the grid's shape; TensorGrid checks that every entry
+    is finite."""
+    if not isinstance(payload, str):
+        raise GridFormatError(f"blocks.{key}: expected a base64 string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise GridFormatError(f"blocks.{key}: invalid base64: {exc}") from None
+    if len(raw) != n_nodes * _NODE_BYTES:
+        raise GridFormatError(
+            f"blocks.{key}: expected {n_nodes * _NODE_BYTES} bytes for "
+            f"{n_nodes} nodes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=_BLOCK_DTYPE).reshape(shape + (3, 3))
 
 
 def load_grid(source) -> TensorGrid:
     """Parse a grid file into a fully validated, unit-aware TensorGrid.
 
-    Accepts bytes, str, or a binary file-like object. Structural
-    problems (malformed header, missing semantics declaration,
-    non-monotone axes, ragged or non-finite blocks) are rejected with
-    a diagnostic naming the offending field.
+    Accepts bytes, str, or a binary file-like object, in format version 1
+    or 2. Structural problems (malformed header, missing semantics
+    declaration, non-monotone axes, ragged, undecodable or non-finite
+    blocks) are rejected with a diagnostic naming the offending field.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -551,20 +455,19 @@ def load_grid(source) -> TensorGrid:
     if not isinstance(source, str):
         raise InputError(
             "load_grid expects bytes, str, or a binary file-like object")
-    doc = _read_fast(source)
-    return _grid_from_doc(_read_json(source) if doc is None else doc)
+    return _grid_from_doc(_read_json(source))
 
 
 def _grid_from_doc(doc) -> TensorGrid:
-    """Check a decoded document and build its grid. Blocks arrive as
-    json's nested lists or as _read_block's arrays; both give the same
-    grid and the same diagnostics."""
+    """Check a decoded document and build its grid."""
     if not isinstance(doc, dict):
         raise GridFormatError("grid file top level must be a JSON object")
 
     version = doc.get("format_version")
-    if isinstance(version, bool) or version != 1:
-        raise GridFormatError(f"format_version: expected 1, got {version!r}")
+    if isinstance(version, bool) or version not in (1, 2):
+        raise GridFormatError(
+            f"format_version: expected 1 or 2, got {version!r}")
+    read_block = _decode_block if version == 2 else _parse_block
 
     # read before the blocks, whose parse needs the node count
     axes_doc = doc.get("axes")
@@ -586,7 +489,7 @@ def _grid_from_doc(doc) -> TensorGrid:
         raise GridFormatError("blocks: expected an object with a 'value' block")
     shape = tuple(len(a) for a in axes)
     n_nodes = int(np.prod(shape))
-    blocks = {key: _parse_block(key, payload, n_nodes, shape)
+    blocks = {key: read_block(key, payload, n_nodes, shape)
               for key, payload in blocks_doc.items()}
 
     return TensorGrid(

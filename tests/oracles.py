@@ -19,7 +19,9 @@ that is:
   * evolve_single: the closed-form decay of one emitter, and
     lowering_operators, the dense per-emitter lowering operators;
   * csv_cell: one CSV cell by isinstance dispatch alone, the oracle of
-    polyemit.cli._fmt and its exact-float shortcut.
+    polyemit.cli._fmt and its exact-float shortcut;
+  * reference_save: a grid as a format-version-1 document, the writer of
+    every v1 file the grid reader tests load.
 
 The engine pieces (_adaptive, _integrate_to_infinity, _coefficient_rows,
 _pole_coefficients, _roundoff_floor) are imported from
@@ -37,6 +39,7 @@ point). The package never takes the real-axis route.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from typing import Callable
 
@@ -389,3 +392,26 @@ def csv_cell(value) -> str:
     if any(c in text for c in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
+
+
+def reference_save(grid) -> bytes:
+    """A TensorGrid as canonical format-version-1 bytes: json.dumps of the
+    whole document with sorted keys, compact separators and every block
+    entry a nested [re, im] list."""
+    doc = {
+        "format_version": 1, "frequency_rad_per_s": grid.frequency,
+        "length_unit": grid.length_unit,
+        "value_unit_exponent": grid.value_unit_exponent,
+        "derivative_semantics": grid.derivative_semantics,
+        "symmetry_rtol": grid.symmetry_tol,
+        "axes": {name: (float(arr[0]) if fx else [float(v) for v in arr])
+                 for name, arr, fx in zip("xyz", grid.axes, grid.fixed_axes)},
+        "blocks": {k: [[[[float(e.real), float(e.imag)] for e in row]
+                        for row in node]
+                       for node in grid.blocks[k].reshape(-1, 3, 3)]
+                   for k in sorted(grid.blocks)},
+    }
+    if grid.provenance is not None:
+        doc["provenance"] = grid.provenance
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":"), allow_nan=False).encode("utf-8")

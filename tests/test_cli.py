@@ -27,7 +27,8 @@ from polyemit.emitter import (MultipoleEmitter, bilinear_form,
 from polyemit.errors import (GridFormatError, InputError, ModelDomainError,
                              finite_array, finite_point, increasing_axis,
                              positive_number)
-from polyemit.grid import grid_from_homogeneous, save_grid, validate_grid
+from polyemit.grid import (grid_from_homogeneous, load_grid, save_grid,
+                           validate_grid)
 from polyemit.homogeneous import (Medium, coincident_im_jet, eval_homogeneous,
                                   eval_homogeneous_jet)
 from polyemit.quadrature import (SpectralGreenModel, homogeneous_pair_model,
@@ -36,7 +37,7 @@ from polyemit.rates import (build_ensemble, collective_rate,
                             coupling_strength, emission_rate, enhancement_map,
                             free_space_rates, lamb_shift)
 
-from oracles import csv_cell
+from oracles import csv_cell, reference_save
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -1198,8 +1199,15 @@ def test_validate_good_grid(grid_file, capsys):
     assert all(r[1] == "true" for r in rows)
 
 
+def v1_doc(grid_file):
+    """The grid of grid_file as a format-version-1 document, whose blocks
+    are nested [re, im] lists."""
+    with open(grid_file, "rb") as fh:
+        return json.loads(reference_save(load_grid(fh)))
+
+
 def test_validate_broken_grid_exits_2(grid_file, tmp_path, capsys):
-    doc = json.loads(open(grid_file, "rb").read().decode("utf-8"))
+    doc = v1_doc(grid_file)
     doc["blocks"]["value"][0][0][1][0] = 1.0  # asymmetric entry
     bad = write_json(tmp_path / "broken.json", doc)
     assert main(["validate", "--grid", bad, "--format", "json"]) == 2
@@ -1224,11 +1232,38 @@ def test_validate_huge_integer_exits_2(grid_file, tmp_path, capsys):
              lambda d: d["axes"]["x"].__setitem__(-1, huge)),
             ("blocks.value: integer too large",
              lambda d: d["blocks"]["value"][0][0][0].__setitem__(0, huge))):
-        doc = json.loads(open(grid_file, "rb").read().decode("utf-8"))
+        doc = v1_doc(grid_file)
         mutate(doc)
         bad = write_json(tmp_path / "huge.json", doc)
         assert main(["validate", "--grid", bad]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_v1_and_v2_grids_give_identical_outputs(grid_file, tmp_path,
+                                                monkeypatch, capsys):
+    # the output echoes the --grid path, so both files are grid.json
+    with open(grid_file, "rb") as fh:
+        grid = load_grid(fh)
+    emitter = write_json(tmp_path / "emitter.json",
+                         {"position_m": [0.0, 0.0, 0.0],
+                          "omega0_rad_per_s": W384,
+                          "d_atomic": [1.0, 0.0, 0.0],
+                          "m_bohr_magnetons": [0.0, 1.0, 0.0],
+                          "Q_atomic": [[1.0, 0.0, 0.0], [0.0, -0.5, 0.0],
+                                       [0.0, 0.0, -0.5]]})
+    outputs = {}
+    for version, data in (("v1", reference_save(grid)),
+                          ("v2", save_grid(grid))):
+        (tmp_path / version).mkdir()
+        (tmp_path / version / "grid.json").write_bytes(data)
+        monkeypatch.chdir(tmp_path / version)
+        for fmt in ("csv", "json"):
+            assert main(["validate", "--grid", "grid.json",
+                         "--format", fmt]) == 0
+            assert main(["map", "--grid", "grid.json", "--emitter", emitter,
+                         "--format", fmt]) == 0
+        outputs[version] = capsys.readouterr().out
+    assert outputs["v1"] == outputs["v2"]
 
 
 # --- output discipline -------------------------------------------------------------
