@@ -19,6 +19,8 @@ structure in 1/w is what the spectral-integral machinery relies on, so this
 module exposes it directly (CoefficientBundle). Every rate and shift of the
 package contracts a bundle; bilinear_form, the pairing at one frequency, is
 on no package path and serves as the tests' entry-by-entry reference.
+moment_product_stack stacks the bundles of many pairs on a leading axis,
+over which every contraction broadcasts.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .errors import (InputError, MissingDerivativeError, finite_array,
 from .jets import GreensJet
 
 __all__ = ["CHANNELS", "MultipoleEmitter", "bilinear_form",
-           "CoefficientBundle", "moment_product_bundle", "normalize_channels"]
+           "CoefficientBundle", "moment_product_bundle",
+           "moment_product_stack", "normalize_channels"]
 
 CHANNELS = ("ED", "MD", "EQ")
 
@@ -51,19 +54,28 @@ for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
 SPECTRAL_NORM = 1.0 / (HBAR * np.pi * EPS0 * C0 ** 2)
 
 
-# channel -> (derivative order, power of 1/w, ket tensor of an emitter):
-# D = d + (Q + (i/w) M) . grad, with the derivative acting on the Green
-# argument the emitter sits at
+def _magnetic(m: np.ndarray) -> np.ndarray:
+    """M[mu, k] = sum_p eps[p, k, mu] m_p, over any leading axes of m (the
+    i/w factor lives in _CHANNEL_TABLE)."""
+    return np.einsum('pkm,...p->...mk', _EPS, m)
+
+
+# channel -> (derivative order, power of 1/w, ket tensor of the moments d,
+# m, Q, which may carry a leading emitter axis): D = d + (Q + (i/w) M) .
+# grad, with the derivative acting on the Green argument the emitter sits at
 _CHANNEL_TABLE = {
-    "ED": (0, 0, lambda e: e.d),
-    "EQ": (1, 0, lambda e: e.Q),
-    "MD": (1, 1, lambda e: 1j * e.magnetic_coupling()),
+    "ED": (0, 0, lambda d, m, Q: d),
+    "EQ": (1, 0, lambda d, m, Q: Q),
+    "MD": (1, 1, lambda d, m, Q: 1j * _magnetic(m)),
 }
 
 # (bra derivative order, ket derivative order) -> jet block, and the outer
-# product of bra and ket tensors laid out like that block
-_PRODUCT = {(0, 0): ("value", 'm,n->mn'), (1, 0): ("d_obs", 'mk,n->mnk'),
-            (0, 1): ("d_src", 'm,nl->mnl'), (1, 1): ("d_mixed", 'mk,nl->mnkl')}
+# product of bra and ket tensors laid out like that block (over any
+# leading pair axes)
+_PRODUCT = {(0, 0): ("value", '...m,...n->...mn'),
+            (1, 0): ("d_obs", '...mk,...n->...mnk'),
+            (0, 1): ("d_src", '...m,...nl->...mnl'),
+            (1, 1): ("d_mixed", '...mk,...nl->...mnkl')}
 
 def normalize_channels(channels) -> frozenset:
     if channels is None:
@@ -129,10 +141,6 @@ class MultipoleEmitter:
                 getattr(self, name), f"moment {name}", shape))
 
     # -- derived quantities ------------------------------------------------
-
-    def magnetic_coupling(self) -> np.ndarray:
-        """M[mu, k] = sum_p eps[p, k, mu] m_p (the i/w factor lives elsewhere)."""
-        return np.einsum('pkm,p->mk', _EPS, self.m)
 
     def restricted(self, channels) -> "MultipoleEmitter":
         """This emitter with the moments of every channel outside channels
@@ -277,6 +285,35 @@ class CoefficientBundle:
         return self.contract(jet.imag_part().blocks, self.at(omega))
 
 
+def _channel_terms(d, m, Q) -> list:
+    """(derivative order, power of 1/w, ket tensor) of each channel whose
+    tensor is not all zero, for the moments d, m, Q of one emitter or of a
+    stack of them."""
+    out = []
+    for order, power, ket in _CHANNEL_TABLE.values():
+        tensor = ket(d, m, Q)
+        if tensor.any():
+            out.append((order, power, tensor))
+    return out
+
+
+def _moment_products(bras: list, kets: list) -> CoefficientBundle:
+    """The bundle of the channel terms of a bra and a ket side (see
+    moment_product_bundle), one einsum per channel pairing; stacked terms
+    give a bundle stacked alike."""
+    powers = ({}, {}, {})
+    for order_a, power_a, ta in bras:
+        bra = ta.conj()
+        for order_b, power_b, tb in kets:
+            name, spec = _PRODUCT[(order_a, order_b)]
+            term = SPECTRAL_NORM * np.einsum(spec, bra, tb)
+            acc = powers[power_a + power_b]
+            acc[name] = acc[name] + term if name in acc else term
+    f0, f1, f2 = ({name: t for name, t in acc.items() if t.any()}
+                  for acc in powers)
+    return CoefficientBundle(f0=f0, f1=f1, f2=f2)
+
+
 def moment_product_bundle(a: MultipoleEmitter,
                           b: MultipoleEmitter) -> CoefficientBundle:
     """Coefficient tensors of conj(D_a) x D_b / (hbar pi eps0 c^2).
@@ -288,22 +325,22 @@ def moment_product_bundle(a: MultipoleEmitter,
     with zero moments contribute nothing, so a restricted emitter selects
     channels; all-zero products are dropped.
     """
-    def terms(e):
-        out = []
-        for order, power, ket in _CHANNEL_TABLE.values():
-            tensor = ket(e)
-            if tensor.any():
-                out.append((order, power, tensor))
-        return out
+    return _moment_products(_channel_terms(a.d, a.m, a.Q),
+                            _channel_terms(b.d, b.m, b.Q))
 
-    powers = ({}, {}, {})
-    for order_a, power_a, ta in terms(a):
-        bra = ta.conj()
-        for order_b, power_b, tb in terms(b):
-            name, spec = _PRODUCT[(order_a, order_b)]
-            term = SPECTRAL_NORM * np.einsum(spec, bra, tb)
-            acc = powers[power_a + power_b]
-            acc[name] = acc[name] + term if name in acc else term
-    f0, f1, f2 = ({name: t for name, t in acc.items() if t.any()}
-                  for acc in powers)
-    return CoefficientBundle(f0=f0, f1=f1, f2=f2)
+
+def moment_product_stack(emitters, bra_index, ket_index) -> CoefficientBundle:
+    """moment_product_bundle of every pair (emitters[bra_index[p]],
+    emitters[ket_index[p]]), stacked on a leading pair axis p: one einsum
+    per channel pairing for all pairs. A channel that no emitter of a side
+    drives is left out of that side, and a product that is zero for every
+    pair is dropped; where a pair lacks a channel that others drive, its
+    coefficients are exact zeros."""
+    terms = _channel_terms(*(np.array([getattr(e, name) for e in emitters])
+                             for name in ("d", "m", "Q")))
+
+    def side(index):
+        # the channels this side drives, as moment_product_bundle takes them
+        rows = [(order, power, t[index]) for order, power, t in terms]
+        return [term for term in rows if term[2].any()]
+    return _moment_products(side(bra_index), side(ket_index))

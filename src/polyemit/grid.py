@@ -101,6 +101,13 @@ def _allowed_keys(semantics: str) -> set:
     return keys
 
 
+def _owner(arr: np.ndarray):
+    """The object at the end of arr's chain of views."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr
+
+
 def _node_axis(ax, name: str, error=InputError) -> np.ndarray:
     """A grid axis by increasing_axis, with a scalar (a fixed plane) as a
     one-node axis."""
@@ -184,7 +191,11 @@ class TensorGrid:
                 raise GridFormatError(
                     f"blocks.{key}: unrecognized under "
                     f"{self.derivative_semantics!r} semantics")
-            arr = np.asarray(self.blocks[key], dtype=complex).copy()
+            arr = np.asarray(self.blocks[key], dtype=complex)
+            if not isinstance(_owner(arr), bytes):
+                # a view of immutable bytes (a decoded v2 block) needs
+                # no private copy
+                arr = arr.copy()
             if arr.shape != want:
                 raise GridFormatError(
                     f"blocks.{key}: shape {arr.shape} does not match grid {want}")
@@ -434,6 +445,12 @@ def _decode_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
         raise GridFormatError(
             f"blocks.{key}: expected {n_nodes * _NODE_BYTES} bytes for "
             f"{n_nodes} nodes, got {len(raw)}")
+    # some Pythons' strict decoding ignores "=" after a complete quantum;
+    # N x 144 bytes is a multiple of 3, so its base64 carries no padding
+    if 3 * len(payload) != 4 * len(raw):
+        raise GridFormatError(
+            f"blocks.{key}: invalid base64: {len(payload)} characters for "
+            f"{len(raw)} bytes (surplus padding)")
     return np.frombuffer(raw, dtype=_BLOCK_DTYPE).reshape(shape + (3, 3))
 
 
@@ -455,7 +472,9 @@ def load_grid(source) -> TensorGrid:
     if not isinstance(source, str):
         raise InputError(
             "load_grid expects bytes, str, or a binary file-like object")
-    return _grid_from_doc(_read_json(source))
+    doc = _read_json(source)
+    del source  # the text is not needed while the blocks decode
+    return _grid_from_doc(doc)
 
 
 def _grid_from_doc(doc) -> TensorGrid:

@@ -32,6 +32,10 @@ with alpha = n r / c, exp(i x) = exp(-alpha kappa) and 1/k^2 =
 -c^2 / (n^2 kappa^2). Each radial value is then exp(-alpha kappa) times a
 real Laurent polynomial in kappa with powers -2 to 2, and so is the jet
 (imaginary_axis_laurent).
+
+An ensemble needs both forms for many point pairs: pair_terms gives the
+Im jet at one real frequency and the Laurent form of a stack of
+separations from one geometry.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ __all__ = [
 SERIES_SWITCH = 0.5
 
 _EYE = np.eye(3)
+# delta_mk delta_nl + delta_ml delta_nk
+_SYM3 = _EYE[:, None, :, None] * _EYE[:, None, :]
+_SYM3 = _SYM3 + _SYM3.transpose(0, 1, 3, 2)
 # a jet as one flat row: where each block after the first starts, and width
 *_SPLITS, _WIDTH = np.cumsum([math.prod(s) for s in BLOCK_SHAPES.values()])
 
@@ -164,9 +171,10 @@ def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _im_radial(r: float, k: np.ndarray) -> np.ndarray:
+def _im_radial(r, k: np.ndarray) -> np.ndarray:
     """Im of A, A', A'', B, B', B'' (rows) at |R| = r for the real 1-d
-    wavenumbers k, from the generating function j0(sqrt(u))."""
+    wavenumbers k, or at the 1-d distances r for one wavenumber k (shape
+    (1,)), from the generating function j0(sqrt(u))."""
     x = k * r
     rows = np.empty((6, x.size))
     low = x < SERIES_SWITCH
@@ -202,31 +210,36 @@ def _geometry(R: np.ndarray) -> np.ndarray:
         d_k G_mn = 2 A' R_k delta_mn + 2 B' R_m R_n R_k + B sym1_mnk
         d_k d_l G_mn = delta_mn (2 A' delta_kl + 4 A'' R_k R_l) + B sym3_mnkl
                        + R_m R_n (2 B' delta_kl + 4 B'' R_k R_l) + 2 B' sym2_mnkl
+
+    R may stack separations on leading axes; the geometry, (6, _WIDTH)
+    for one, is then (6,) + R.shape[:-1] + (_WIDTH,).
     """
-    geometry = np.zeros((6, _WIDTH))
-    value, d_obs, d_src, d_mixed = _block_views(geometry, (6,))
-    RR = np.outer(R, R)
+    lead = R.shape[:-1]
+    geometry = np.zeros((6,) + lead + (_WIDTH,))
+    value, d_obs, d_src, d_mixed = _block_views(geometry, (6,) + lead)
+    # R as the index n of (m, n, k), k of (m, n, k) and l of (m, n, k, l)
+    R_n = R[..., None, :, None]
+    R_k = R[..., None, None, :]
+    R_l = R[..., None, None, None, :]
+    RR = R[..., :, None] * R[..., None, :]
     value[0] = _EYE
     value[3] = RR
     # delta_mk R_n + delta_nk R_m
-    t = _EYE[:, None, :] * R[:, None]
-    sym1 = t + t.transpose(1, 0, 2)
+    t = _EYE[:, None, :] * R_n
+    sym1 = t + t.swapaxes(-3, -2)
     # R_k sym1_mnl + R_l sym1_mnk
-    t = sym1[..., None] * R
-    sym2 = t + t.transpose(0, 1, 3, 2)
-    # delta_mk delta_nl + delta_ml delta_nk
-    t = _EYE[:, None, :, None] * _EYE[:, None, :]
-    sym3 = t + t.transpose(0, 1, 3, 2)
-    d_obs[1] = 2.0 * _EYE[:, :, None] * R
+    t = sym1[..., None] * R_l
+    sym2 = t + t.swapaxes(-2, -1)
+    d_obs[1] = 2.0 * _EYE[:, :, None] * R_k
     d_obs[3] = sym1
-    d_obs[4] = 2.0 * RR[:, :, None] * R
+    d_obs[4] = 2.0 * RR[..., None] * R_k
     # d/dr = +d/dR and d/dr' = -d/dR: one sign flip per source derivative
     d_src[:] = -d_obs
     d_mixed[1] = -2.0 * _EYE[:, :, None, None] * _EYE
-    d_mixed[2] = -4.0 * _EYE[:, :, None, None] * RR
-    d_mixed[3] = -sym3
-    d_mixed[4] = -2.0 * (RR[:, :, None, None] * _EYE + sym2)
-    d_mixed[5] = -4.0 * RR[:, :, None, None] * RR
+    d_mixed[2] = -4.0 * _EYE[:, :, None, None] * RR[..., None, None, :, :]
+    d_mixed[3] = -_SYM3
+    d_mixed[4] = -2.0 * (RR[..., None, None] * _EYE + sym2)
+    d_mixed[5] = -4.0 * RR[..., None, None] * RR[..., None, None, :, :]
     return geometry
 
 
@@ -245,12 +258,16 @@ _COINCIDENT = _geometry(np.zeros(3))
 
 def _assemble(geometry: np.ndarray, radial: np.ndarray, shape: tuple) -> dict:
     """Jet blocks (name -> array of batch shape `shape`) from a geometry
-    (see _geometry) and the radial values (6, N), real or complex. Exact
-    zeros come out as +0.0."""
-    geometry = geometry.astype(radial.dtype)
-    flat = np.zeros((radial.shape[1], geometry.shape[1]), dtype=radial.dtype)
+    (see _geometry) and the radial values (6, ...), real or complex, whose
+    trailing axes broadcast against the geometry's separation axes: (6, N)
+    for N frequencies at one separation, (6, P) for one value per stacked
+    separation. Exact zeros come out as +0.0."""
+    geometry = geometry.astype(radial.dtype, copy=False)
+    flat = np.zeros(np.broadcast_shapes(radial.shape[1:] + (1,),
+                                        geometry.shape[1:]),
+                    dtype=radial.dtype)
     for coef, row in zip(radial, geometry):
-        flat += coef[:, None] * row
+        flat += coef[..., None] * row
     return dict(zip(BLOCK_SHAPES, _block_views(flat, shape)))
 
 
@@ -273,6 +290,21 @@ def _jet_blocks(R, omega, medium: Medium) -> dict:
                      w.shape)
 
 
+def _laurent_radial(r, n: float) -> tuple:
+    """(alpha, radial values (6, 5) + shape(r)): A, A', A'', B, B', B''
+    (rows) on the imaginary axis as exp(-alpha kappa) times the powers
+    kappa^-2 .. kappa^2, at the distances r > 0 (a number or an array)."""
+    r = np.asarray(r)
+    alpha = n * r / C0
+    axes = (1,) * r.ndim
+    radial = (_LAURENT.reshape(_LAURENT.shape + axes)
+              * alpha ** _Q.reshape(_Q.shape + axes)
+              * (-(C0 / n) ** 2 / (4.0 * math.pi)
+                 * _FACTOR.reshape(_FACTOR.shape + axes)
+                 / r ** _R_POWER.reshape(_R_POWER.shape + axes))[:, None])
+    return alpha, radial
+
+
 def imaginary_axis_laurent(R, n: float) -> tuple:
     """(alpha, blocks) with G(R, i kappa) = exp(-alpha kappa)
     sum_{p=-2}^{2} kappa^p G_p for the index n (a real number), alpha =
@@ -280,11 +312,37 @@ def imaginary_axis_laurent(R, n: float) -> tuple:
     stacked on a leading axis of the five powers p = -2..2. -G_-2 is the
     static pole S of G = S/w^2 + O(1/w) at w = 0."""
     R, r = _separation(R)
-    alpha = n * r / C0
-    radial = (_LAURENT * alpha ** _Q
-              * (-(C0 / n) ** 2 / (4.0 * math.pi) * _FACTOR
-                 / r ** _R_POWER)[:, None])
-    return alpha, _assemble(_geometry(R), radial, (5,))
+    alpha, radial = _laurent_radial(r, n)
+    return float(alpha), _assemble(_geometry(R), radial, (5,))
+
+
+def pair_terms(R: np.ndarray, omega: float, medium: Medium) -> tuple:
+    """The Im-part jet at the real frequency omega and the imaginary-axis
+    Laurent form of P point pairs at once, from one geometry of their
+    separations R, shape (P, 3), each nonzero.
+
+    Returns (jet, laurent): jet an Im-part GreensJet of batch shape (P,),
+    from the generating-function rows alone (no complex closed form); each
+    row is the imaginary part of eval_homogeneous_jet at its separation,
+    bit for bit. laurent is imaginary_axis_laurent of each pair, with a
+    pair axis after the power axis (alpha of shape (P,), blocks of shape
+    (5, P) + block shape), or None for a callable (dispersive) index,
+    which has no such form. omega and the medium must pass
+    coincident_im_jet's frequency and lossless rules, which the caller
+    checks.
+    """
+    # k and |R| rounded as eval_homogeneous_jet rounds them for one pair
+    w = np.array([complex(omega)])
+    k = (medium.index(w) * w / C0).real
+    r = np.sqrt(np.vecdot(R, R))
+    geometry = _geometry(R)
+    jet = GreensJet(**_assemble(geometry, _im_radial(r, k), r.shape),
+                    part="imag")
+    n = medium.refractive_index
+    if callable(n):
+        return jet, None
+    alpha, radial = _laurent_radial(r, n)
+    return jet, (alpha, _assemble(geometry, radial, (5,) + r.shape))
 
 
 def eval_homogeneous(R, omega, medium: Medium = Medium()) -> np.ndarray:

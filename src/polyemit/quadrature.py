@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -254,6 +254,13 @@ class SpectralGreenModel:
     -G_-2. None means the k-integral is integrated adaptively. Block
     names are those of jets.BLOCK_SHAPES.
 
+    A model with a declared Laurent form may stand for a stack of P point
+    pairs (laurent_pairs_model): alpha then has shape (P,), each G_p block
+    (5, P) + block shape and each static block (P,) + block shape, and
+    imaginary_axis_form, its one reader, returns a value and an error per
+    pair for a bundle stacked over the same pairs. Such a model evaluates
+    no jet; its evaluator is None.
+
     Evaluator contract: evaluator(w) takes one complex frequency (a Python
     complex) or a complex ndarray of frequencies, and returns a GreensJet
     whose batch shape is the shape of w (a single frequency gives batch
@@ -370,7 +377,8 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
             pole_term = -(0.5 * math.pi / omega0) * bundle.contract(
                 statics, shared)
 
-    res.value = complex(res.value + arc + pole_term)
+    value = res.value + arc + pole_term
+    res.value = complex(value) if np.ndim(value) == 0 else value
     return res
 
 
@@ -426,34 +434,41 @@ def _adaptive_terms(model: SpectralGreenModel, bundle, omega0: float,
     return res
 
 
-def _exp_moments(alpha: float, omega0: float) -> np.ndarray:
+def _exp_moments(alpha, omega0: float) -> np.ndarray:
     """J_m = int_0^inf exp(-alpha k) k^m / (k^2 + omega0^2) dk for
-    m = 0..4 (module doc), each within _MOMENT_RTOL relative."""
+    m = 0..4 (module doc), each within _MOMENT_RTOL relative, of shape
+    (5,) + shape(alpha): alpha may be an array of decay constants."""
+    shape = np.shape(alpha)
+    alpha = np.reshape(alpha, -1)
     z = alpha * omega0
-    if z >= _LAGUERRE_SWITCH:
-        # s = alpha k: J_m = alpha^(1-m) int_0^inf e^-s s^m / (s^2 + z^2) ds
-        s = _LAGUERRE_S
-        return (alpha ** (1 - _M)
-                * (s ** _M[:, None] @ (_LAGUERRE_W / (s * s + z * z))))
     si, ci = sici(z)
-    sin, cos = math.sin(z), math.cos(z)
-    moments = np.empty(5)
+    sin, cos = np.sin(z), np.cos(z)
+    moments = np.empty((5, z.size))
     moments[0] = (ci * sin - (si - 0.5 * math.pi) * cos) / omega0  # f(z)
     moments[1] = -ci * cos - (si - 0.5 * math.pi) * sin            # g(z)
     for m in range(3):
         moments[m + 2] = (math.factorial(m) / alpha ** (m + 1)
                           - omega0 ** 2 * moments[m])
-    return moments
+    far = z >= _LAGUERRE_SWITCH
+    if far.any():
+        # s = alpha k: J_m = alpha^(1-m) int_0^inf e^-s s^m / (s^2 + z^2) ds
+        s, zf = _LAGUERRE_S[:, None], z[far]
+        moments[:, far] = (alpha[far] ** (1 - _M[:, None])
+                           * (s.T ** _M[:, None]
+                              @ (_LAGUERRE_W[:, None] / (s * s + zf * zf))))
+    return moments.reshape((5,) + shape)
 
 
 def _laurent_terms(laurent: tuple, bundle, omega0: float) -> QuadratureResult:
     """pi p(omega0) . Re G(omega0) plus the k-integral for a model that
     declares G(i k) = exp(-alpha k) sum_p k^p G_p, summed in closed form
-    from one contraction of the rows f0 w0^2, f1 w0 and f2 with the G_p."""
+    from one contraction of the rows f0 w0^2, f1 w0 and f2 with the G_p.
+    A declaration and bundle stacked over pairs give values and errors
+    over the pairs (SpectralGreenModel)."""
     alpha, blocks = laurent
     f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
     names = list(dict.fromkeys([*f0, *f1, *f2]))
-    # row r, power p = -2..2: (f0 w0^2, f1 w0, f2) . G_p
+    # row r, power p = -2..2 (then any pair axis): (f0 w0^2, f1 w0, f2) . G_p
     rows = bundle.contract(blocks, _coefficient_rows(
         names, {name: t * omega0 ** 2 for name, t in f0.items()},
         {name: t * omega0 for name, t in f1.items()}, f2))
@@ -473,12 +488,16 @@ def _laurent_terms(laurent: tuple, bundle, omega0: float) -> QuadratureResult:
     terms = weights * _exp_moments(alpha, omega0)
 
     # resonant term: Re G(w0) = sum_p Re[exp(i alpha w0) (-i w0)^p] G_p
-    phase = ((np.exp(1j * alpha * omega0) * _MINUS_I_POWERS).real
-             * omega0 ** _P)
-    resonant = math.pi * np.dot(phase, rows.sum(axis=0))
+    axes = (1,) * np.ndim(alpha)
+    phase = ((np.exp(1j * alpha * omega0)
+              * _MINUS_I_POWERS.reshape((5,) + axes)).real
+             * omega0 ** _P.reshape((5,) + axes))
+    resonant = math.pi * np.vecdot(phase, rows.sum(axis=0), axis=0)
+    value = resonant + terms.sum(axis=0)
+    error = _MOMENT_RTOL * np.sum(np.abs(terms), axis=0)
     return QuadratureResult(
-        value=complex(resonant + terms.sum()),
-        error=_MOMENT_RTOL * float(np.sum(np.abs(terms))), neval=0)
+        value=complex(value) if value.ndim == 0 else value,
+        error=float(error) if error.ndim == 0 else error, neval=0)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +591,17 @@ def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
     if dispersive:
         n = float(np.real(medium.index(1e-4j * C0 / dist)))
     laurent = imaginary_axis_laurent(r_obs - r_src, n)
+    return replace(laurent_pairs_model(laurent), evaluator=evaluator,
+                   imaginary_axis_laurent=None if dispersive else laurent)
+
+
+def laurent_pairs_model(laurent: tuple) -> SpectralGreenModel:
+    """The uniform-medium model that a declared Laurent form (alpha,
+    blocks) fixes, of one point pair or stacked over pairs
+    (homogeneous.pair_terms): the static pole S = -G_-2, no quadratic
+    limit, not scattered, and no evaluator (SpectralGreenModel)."""
     statics = {name: -blk[0] for name, blk in laurent[1].items()}
     return SpectralGreenModel(
-        evaluator=evaluator, uhp_quadratic_limit=None,
+        evaluator=None, uhp_quadratic_limit=None,
         static_pole_blocks=statics, scattered=False,
-        imaginary_axis_laurent=None if dispersive else laurent)
+        imaginary_axis_laurent=laurent)

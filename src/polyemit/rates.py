@@ -35,14 +35,15 @@ import numpy as np
 
 from .constants import C0, EPS0, HBAR
 from .dynamics import EmitterEnsembleModel
-from .emitter import CHANNELS, MultipoleEmitter, moment_product_bundle
+from .emitter import (CHANNELS, MultipoleEmitter, moment_product_bundle,
+                      moment_product_stack)
 from .errors import (CoincidentPointError, InputError, ModelDomainError,
                      positive_number)
 from .grid import TensorGrid
-from .homogeneous import Medium, coincident_im_jet
+from .homogeneous import Medium, coincident_im_jet, pair_terms
 from .jets import GreensJet
 from .quadrature import (SpectralGreenModel, homogeneous_pair_model,
-                         imaginary_axis_form)
+                         imaginary_axis_form, laurent_pairs_model)
 # not called here (every rate goes through collective_rate);
 # perfbench/tracing.py counts calls of this name on this module
 from .emitter import bilinear_form  # noqa: F401
@@ -234,9 +235,16 @@ def coupling_strength(a: MultipoleEmitter, b: MultipoleEmitter,
     bundle = moment_product_bundle(a, b)
     if not bundle.required_blocks():
         return CouplingReport(xi=0.0 + 0.0j, method="none")
+    xi, error = _coupling(model, bundle, wbar)
+    return CouplingReport(xi=xi, method="imaginary-axis", xi_error=error)
+
+
+def _coupling(model: SpectralGreenModel, bundle, wbar: float) -> tuple:
+    """(xi, error estimate): xi = -P int_0^inf w^2 Z(w)/(w - wbar) dw of
+    one pair, or of every pair of a model and a bundle stacked over pairs
+    (arrays over the pair axis)."""
     res = imaginary_axis_form(model, bundle, wbar)
-    return CouplingReport(xi=-res.value, method="imaginary-axis",
-                          xi_error=res.error)
+    return -res.value, res.error
 
 
 def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
@@ -259,29 +267,74 @@ def collective_rate(a: MultipoleEmitter, b: MultipoleEmitter,
     else:
         jet = model_or_jet.jet(wbar)
         method = "model"
-    z = bundle.spectral_density(jet, wbar)
-    return CouplingReport(gamma_cross=2.0 * math.pi * wbar ** 2 * z,
+    return CouplingReport(gamma_cross=_decay(bundle, jet, wbar),
                           method=method)
+
+
+def _decay(bundle, jet: GreensJet, wbar: float):
+    """gamma = 2 pi wbar^2 Z(wbar) of one pair, or of every pair of a
+    bundle stacked over pairs against a jet batched alike or shared (an
+    array over the pair axis)."""
+    return 2.0 * math.pi * wbar ** 2 * bundle.spectral_density(jet, wbar)
 
 
 # --- assembling ensemble coefficients from an environment -------------------
 
-def _pair_source(environment, omega_ref: float):
-    """environment as (a, b, diagonal) -> GreensJet, spectral model or None."""
-    if isinstance(environment, Medium):
-        jet0 = coincident_im_jet(omega_ref, environment)
+# pairs of emitters in a uniform medium assembled per batch: bounds the
+# working memory of the assembly (about 30 kB per pair) at every ensemble
+# size
+_PAIR_CHUNK = 128
 
-        def medium(a, b, diagonal):
-            if diagonal:
-                return jet0
-            if float(np.linalg.norm(a.position - b.position)) == 0.0:
-                raise CoincidentPointError(
-                    "coherent coupling diverges for emitters at the "
-                    "same position; assemble the model directly with "
-                    "the xi you intend")
-            return homogeneous_pair_model(environment, a.position,
-                                          b.position)
-        return medium
+
+def _medium_entries(ems: list, medium: Medium, wbar: float,
+                    gamma: np.ndarray, xi: np.ndarray) -> None:
+    """Fill gamma and xi of emitters in a uniform medium.
+
+    The diagonal contracts the one coincident jet emitter by emitter, as
+    emission_rate does, so each decay rate is emission_rate's total bit
+    for bit. The pairs a < b of active emitters go in one pass per
+    _PAIR_CHUNK pairs: one geometry of their separations
+    (homogeneous.pair_terms) gives their Im jets at wbar and their
+    Laurent forms, one stacked bundle (emitter.moment_product_stack)
+    serves both gamma and xi, and each is one evaluation of its formula
+    over the chunk. A dispersive index has no Laurent form, so its
+    couplings are integrated pair by pair.
+    """
+    jet0 = coincident_im_jet(wbar, medium)
+    active = np.array([i for i, e in enumerate(ems) if e.active_channels()],
+                      dtype=int)
+    for i in active:
+        gamma[i, i] = _real_entry(_decay(
+            moment_product_bundle(ems[i], ems[i]), jet0, wbar), "decay rate")
+    ia, ib = (active[ix] for ix in np.triu_indices(active.size, k=1))
+    positions = np.array([e.position for e in ems])
+    R = positions[ia] - positions[ib]
+    if np.any(np.vecdot(R, R) == 0.0):
+        raise CoincidentPointError(
+            "coherent coupling diverges for emitters at the same position; "
+            "assemble the model directly with the xi you intend")
+    for lo in range(0, ia.size, _PAIR_CHUNK):
+        a, b = ia[lo:lo + _PAIR_CHUNK], ib[lo:lo + _PAIR_CHUNK]
+        bundle = moment_product_stack(ems, a, b)
+        if not bundle.required_blocks():
+            continue  # every moment product underflows: the pairs stay zero
+        jet, laurent = pair_terms(R[lo:lo + _PAIR_CHUNK], wbar, medium)
+        gamma[a, b] = _decay(bundle, jet, wbar)
+        if laurent is not None:
+            xi[a, b] = _coupling(laurent_pairs_model(laurent), bundle,
+                                 wbar)[0]
+        else:
+            xi[a, b] = [coupling_strength(
+                ems[i], ems[j], homogeneous_pair_model(
+                    medium, ems[i].position, ems[j].position),
+                omega_bar=wbar).xi for i, j in zip(a, b)]
+        gamma[b, a] = np.conj(gamma[a, b])
+        xi[b, a] = np.conj(xi[a, b])
+
+
+def _pair_source(environment, omega_ref: float):
+    """A TensorGrid or callable environment as (a, b, diagonal) ->
+    GreensJet, spectral model or None."""
     if isinstance(environment, TensorGrid):
         if (abs(environment.frequency - omega_ref)
                 > _FREQ_RATIO_TOL * omega_ref):
@@ -304,12 +357,13 @@ def build_ensemble(emitters, environment,
 
     environment selects what each emitter pair sees:
 
-    * Medium: uniform-medium analytics. Decay entries come from the
-      two-point imaginary-part jet (coincident jet on the diagonal),
-      couplings from the imaginary-axis form of the pair-bound spectral
-      model. Level shifts are zero by convention (the uniform background
-      shift is absorbed into the transition frequencies). Emitters at the
-      same position have a divergent coherent coupling and are rejected.
+    * Medium: uniform-medium analytics, every pair in one pass
+      (_medium_entries). Decay entries come from the two-point
+      imaginary-part jet (coincident jet on the diagonal), couplings from
+      the imaginary-axis form of the pairs' Laurent coefficients. Level
+      shifts are zero by convention (the uniform background shift is
+      absorbed into the transition frequencies). Emitters at the same
+      position have a divergent coherent coupling and are rejected.
     * TensorGrid: sampled coincident data. Only the decay diagonal can be
       filled (a coincident map carries no two-point propagation), so
       cross couplings and shifts are zero; emitters must lie inside the
@@ -320,9 +374,10 @@ def build_ensemble(emitters, environment,
       coherent coupling (a bare jet is rejected there). None leaves the
       pair at zero.
 
-    One loop over the pairs a <= b serves every environment, with the
-    diagonal decided by index. Off-diagonal entries are computed once and
-    mirrored, so the matrices are exactly Hermitian; positive
+    A grid or a callable is asked pair by pair, a <= b, with the diagonal
+    decided by index. Every entry comes from collective_rate's and
+    coupling_strength's formulas. Off-diagonal entries are computed once
+    and mirrored, so the matrices are exactly Hermitian; positive
     semidefiniteness of the decay matrix is then enforced by the model
     container. Emitters with no moments contribute zero rows and columns.
     """
@@ -335,12 +390,17 @@ def build_ensemble(emitters, environment,
     if isinstance(environment, TensorGrid) and omega_ref is None:
         omega_ref = environment.frequency
     wbar = _reference_frequency(ems, omega_ref)
-    source = _pair_source(environment, wbar)
 
     n = len(ems)
     delta = np.zeros(n)
     xi = np.zeros((n, n), dtype=complex)
     gamma = np.zeros((n, n), dtype=complex)
+    if isinstance(environment, Medium):
+        _medium_entries(ems, environment, wbar, gamma, xi)
+        return EmitterEnsembleModel(omega_ref=wbar, delta=delta, xi=xi,
+                                    gamma=gamma)
+
+    source = _pair_source(environment, wbar)
     for a in range(n):
         for b in range(a, n):
             ea, eb = ems[a], ems[b]

@@ -464,6 +464,9 @@ def test_v2_reader_refuses_bad_blocks():
         # bad padding
         (2, block[:-1], invalid),
         (2, block[:6] + "=" + block[7:], invalid),
+        # surplus padding, which some strict decoders ignore
+        (2, block + "=", invalid),
+        (2, block + "====", invalid),
         # valid base64 of the wrong length
         (2, block[:-4], length + "573"),
         (2, block + "AAAA", length + "579"),
@@ -511,6 +514,30 @@ def test_save_matches_reference_writer_on_random_bit_patterns():
         assert data == save_grid(g)
         assert same_grid(load_grid(data), g)
         assert same_grid(load_grid(reference_save(g)), g)
+
+
+def test_blocks_are_private_and_read_only():
+    # a decoded v2 block is a read-only view of immutable bytes and is kept
+    # as it is; any other array is copied, so its owner cannot change the
+    # grid afterwards
+    rng = np.random.default_rng(2727)
+    g = hand_grid(rng, extra=("d1_x",))
+    for arr in load_grid(save_grid(g)).blocks.values():
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0, 0] = 1.0
+    # a caller's array, and a view of a mutable buffer
+    buffer = bytearray(g.blocks["value"].tobytes())
+    for value in (np.array(g.blocks["value"]),
+                  np.frombuffer(buffer, complex).reshape(
+                      g.blocks["value"].shape)):
+        mine = TensorGrid(
+            frequency=W0, length_unit="nm", value_unit_exponent=-1,
+            derivative_semantics="split", axes=g.axes,
+            fixed_axes=g.fixed_axes, blocks={"value": value})
+        value[...] = 0.0
+        assert np.array_equal(mine.blocks["value"], g.blocks["value"])
+        assert not mine.blocks["value"].flags.writeable
 
 
 def test_load_memory_stays_near_file_size():

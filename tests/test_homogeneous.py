@@ -19,7 +19,7 @@ from polyemit import (CoincidentPointError, InputError, Medium,
                       eval_homogeneous, eval_homogeneous_jet)
 from polyemit.constants import ATOMIC_QUADRUPOLE, BOHR_MAGNETON, C0
 from polyemit.emitter import moment_product_bundle
-from polyemit.homogeneous import imaginary_axis_laurent
+from polyemit.homogeneous import imaginary_axis_laurent, pair_terms
 
 from oracles import small_R_series_im
 
@@ -152,6 +152,32 @@ def test_imaginary_axis_laurent_reproduces_the_jet(n):
         4 * math.pi * n ** 2 * r ** 3)
     assert np.max(np.abs(-blocks["value"][0] - static)) <= 1e-15 * np.max(
         np.abs(static))
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5, lambda w: 1.5 + 0j])
+def test_pair_terms_are_the_per_pair_jets_bit_for_bit(index):
+    # one geometry for a stack of separations, from the series regime
+    # (k|R| < SERIES_SWITCH) to several wavelengths: each row is the Im
+    # part of eval_homogeneous_jet and the Laurent form of its pair
+    rng = np.random.default_rng(27)
+    R = rng.standard_normal((12, 3)) * np.logspace(-9, -5.5, 12)[:, None]
+    med = Medium(index)
+    jet, laurent = pair_terms(R, W0, med)
+    assert jet.part == "imag" and jet.batch_shape == (12,)
+    if callable(index):
+        assert laurent is None
+    else:
+        alpha, blocks = laurent
+        assert alpha.shape == (12,)
+    for p, sep in enumerate(R):
+        want = eval_homogeneous_jet(sep, np.zeros(3), W0, med).imag_part()
+        for name, blk in want.blocks.items():
+            assert np.array_equal(jet.blocks[name][p], blk), (p, name)
+        if not callable(index):
+            a, single = imaginary_axis_laurent(sep, index)
+            assert alpha[p] == a
+            for name, blk in single.items():
+                assert np.array_equal(blocks[name][:, p], blk), (p, name)
 
 
 def test_jet_value_matches_eval():

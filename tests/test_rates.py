@@ -3,6 +3,7 @@ shifts, Hermiticity, and free-space anchors."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -767,3 +768,125 @@ def test_enhancement_map_guards(rng):
                              Q=np.eye(3) * 1e-39)
     with pytest.raises(InputError, match="does not radiate in free space"):
         enhancement_map(_StubGrid(W0, 1.0, pts), trace)
+
+
+# ---------------------------------------------------------------------------
+# ensemble assembly in a uniform medium: every pair in one pass
+
+def ring(n, spacing=60e-9):
+    """n identical ED+EQ emitters on a ring: z dipoles and the axial
+    quadrupole Q = diag(-1/2, -1/2, 1), symmetric about the ring axis."""
+    radius = spacing / (2.0 * math.sin(math.pi / n))
+    angles = 2.0 * math.pi * np.arange(n) / n
+    return [MultipoleEmitter(
+                position=radius * np.array([math.cos(t), math.sin(t), 0.0]),
+                omega0=W0, d=np.array([0.0, 0.0, 1e-29]),
+                Q=1e-29 * C0 / W0 * np.diag([-0.5, -0.5, 1.0]))
+            for t in angles]
+
+
+def test_ring_coefficients_are_circulant_with_dft_eigenvalues():
+    n = 50
+    model = build_ensemble(ring(n), Medium(1.5))
+    for mat in (model.gamma, model.xi):
+        scale = np.max(np.abs(mat))
+        shifted = np.array([np.roll(row, -i) for i, row in enumerate(mat)])
+        assert np.max(np.abs(shifted - mat[0])) <= 1e-13 * scale
+    # each Fourier vector is an eigenvector of xi - i gamma / 2, with the
+    # DFT of the first row as its eigenvalue
+    h = model.xi - 0.5j * model.gamma
+    fourier = np.exp(2j * math.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    eigenvalues = fourier @ h[0]
+    residual = h @ fourier - fourier * eigenvalues
+    assert (np.max(np.linalg.norm(residual, axis=0)) / math.sqrt(n)
+            <= 1e-12 * np.linalg.norm(h, 2))
+
+
+SUBSETS = ("d", "m", "q", "dm", "dq", "mq", "dmq")
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5])
+def test_ensemble_entries_are_the_per_pair_formulas(rng, index):
+    # random ensembles of 3 to 6 emitters over all seven channel subsets:
+    # every entry is collective_rate or coupling_strength of its pair
+    med = Medium(index)
+    for size in range(3, 7):
+        ems = [random_emitter(rng, rng.uniform(-200e-9, 200e-9, 3),
+                              omega0=W0 * (1 + 1e-3 * rng.standard_normal()),
+                              channels=SUBSETS[(size + i) % 7])
+               for i in range(size)]
+        model = build_ensemble(ems, med)
+        wbar = model.omega_ref
+        gamma = np.zeros((size, size), complex)
+        xi = np.zeros((size, size), complex)
+        jet0 = coincident_im_jet(wbar, med)
+        for a, ea in enumerate(ems):
+            gamma[a, a] = collective_rate(ea, ea, jet0, wbar).gamma_cross
+            for b, eb in enumerate(ems):
+                if a != b:
+                    pm = homogeneous_pair_model(med, ea.position, eb.position)
+                    gamma[a, b] = collective_rate(ea, eb, pm,
+                                                  wbar).gamma_cross
+                    xi[a, b] = coupling_strength(ea, eb, pm, wbar).xi
+        for got, want in ((model.gamma, gamma), (model.xi, xi)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # the diagonal is collective_rate's, bit for bit
+        assert np.array_equal(np.diag(model.gamma), np.diag(gamma).real)
+
+
+def test_chunked_assembly_equals_one_batch(rng, monkeypatch):
+    import polyemit.rates
+    ems = [random_emitter(rng, rng.uniform(-200e-9, 200e-9, 3),
+                          channels=SUBSETS[i % 7]) for i in range(9)]
+    ems.insert(4, MultipoleEmitter(position=[0, 0, 1e-6], omega0=W0))
+    whole = build_ensemble(ems, Medium(1.5))
+    monkeypatch.setattr(polyemit.rates, "_PAIR_CHUNK", 4)
+    chunked = build_ensemble(ems, Medium(1.5))
+    for a, b in ((whole.gamma, chunked.gamma), (whole.xi, chunked.xi)):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+    # the inert emitter keeps a zero row and column
+    assert not np.any(chunked.gamma[4]) and not np.any(chunked.xi[:, 4])
+
+
+def test_assembly_evaluates_one_geometry_and_no_complex_jet(rng,
+                                                            monkeypatch):
+    # up to _PAIR_CHUNK pairs share one geometry, whatever their number,
+    # and no pair evaluates the complex closed forms
+    import polyemit.homogeneous as homogeneous
+    calls = {"_geometry": 0, "_radial": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(homogeneous, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(homogeneous, name, counted)
+    for size in (2, 5, 12):
+        for key in calls:
+            calls[key] = 0
+        ems = [random_emitter(rng, rng.uniform(-200e-9, 200e-9, 3))
+               for _ in range(size)]
+        build_ensemble(ems, Medium(1.5))
+        assert calls == {"_geometry": 1, "_radial": 0}, size
+
+
+def test_assembly_memory_does_not_grow_with_the_pair_count():
+    # the pairs are assembled in chunks of a fixed size: four times the
+    # pairs (40 -> 80 emitters) add only the n x n matrices
+    peaks = []
+    for n in (40, 80):
+        ems = ring(n)
+        tracemalloc.start()
+        try:
+            build_ensemble(ems, Medium(1.5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_underflowing_moment_products_leave_zero_entries():
+    # moments whose products underflow to zero give zero entries, as an
+    # inert pair does, rather than a failed sum
+    tiny = [MultipoleEmitter(position=[0.0, 0.0, z], omega0=W0,
+                             d=[1e-180, 0.0, 0.0]) for z in (0.0, 1e-7)]
+    model = build_ensemble(tiny, Medium(1.5))
+    assert not np.any(model.gamma) and not np.any(model.xi)
