@@ -16,5 +16,3 @@ BOHR_MAGNETON = _sc.physical_constants["Bohr magneton"][0]   # J / T
 # atomic-unit conversion factors for emitter moments
 ATOMIC_DIPOLE = E_CHARGE * BOHR_RADIUS           # C m  (e a0)
 ATOMIC_QUADRUPOLE = E_CHARGE * BOHR_RADIUS ** 2  # C m^2  (e a0^2)
-
-TWO_PI = 2.0 * 3.141592653589793

@@ -20,7 +20,8 @@ module exposes it directly (CoefficientBundle). Every rate and shift of the
 package contracts a bundle; bilinear_form, the pairing at one frequency, is
 on no package path and serves as the tests' entry-by-entry reference.
 moment_product_stack stacks the bundles of many pairs on a leading axis,
-over which every contraction broadcasts.
+over which every contraction broadcasts, row p to the bits of its pair's
+bundle alone.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ class CoefficientBundle:
     Each field maps block name (value/d_obs/d_src/d_mixed) to a constant
     complex tensor shaped like the block. Real and imaginary parts of F(w)
     are the spectral coefficient tensors commonly written R_mn and I_mn.
-    contract is the one place where coefficient tensors meet jet blocks.
+    contract is the one place where coefficient tensors meet jet blocks,
+    and it sums them in BLOCK_SHAPES order, whichever blocks a bundle has.
     """
 
     f0: dict
@@ -271,13 +273,15 @@ class CoefficientBundle:
         blocks batched over n frequencies give an (s, n) array).
         """
         total = 0.0 + 0.0j
-        for name, coeff in coeffs.items():
+        for name, spec in self._SUM.items():
+            if name not in coeffs:
+                continue
             blk = blocks.get(name)
             if blk is None:
                 raise MissingDerivativeError(
                     f"jet lacks the {name} block needed by the enabled "
                     f"channels")
-            total += np.einsum(self._SUM[name], coeff, blk)
+            total += np.einsum(spec, coeffs[name], blk)
         return complex(total) if np.ndim(total) == 0 else total
 
     def spectral_density(self, jet: GreensJet, omega: float):
@@ -300,13 +304,14 @@ def _channel_terms(d, m, Q) -> list:
 def _moment_products(bras: list, kets: list) -> CoefficientBundle:
     """The bundle of the channel terms of a bra and a ket side (see
     moment_product_bundle), one einsum per channel pairing; stacked terms
-    give a bundle stacked alike."""
+    give a bundle stacked alike. Every tensor is C-ordered (an einsum
+    reduction follows its operands' layout), so contract rounds alike."""
     powers = ({}, {}, {})
     for order_a, power_a, ta in bras:
         bra = ta.conj()
         for order_b, power_b, tb in kets:
             name, spec = _PRODUCT[(order_a, order_b)]
-            term = SPECTRAL_NORM * np.einsum(spec, bra, tb)
+            term = SPECTRAL_NORM * np.einsum(spec, bra, tb, order="C")
             acc = powers[power_a + power_b]
             acc[name] = acc[name] + term if name in acc else term
     f0, f1, f2 = ({name: t for name, t in acc.items() if t.any()}
@@ -335,7 +340,7 @@ def moment_product_stack(emitters, bra_index, ket_index) -> CoefficientBundle:
     per channel pairing for all pairs. A channel that no emitter of a side
     drives is left out of that side, and a product that is zero for every
     pair is dropped; where a pair lacks a channel that others drive, its
-    coefficients are exact zeros."""
+    coefficients are exact zeros. Row p contracts as its pair's own bundle."""
     terms = _channel_terms(*(np.array([getattr(e, name) for e in emitters])
                              for name in ("d", "m", "Q")))
 

@@ -258,8 +258,9 @@ class SpectralGreenModel:
     pairs (laurent_pairs_model): alpha then has shape (P,), each G_p block
     (5, P) + block shape and each static block (P,) + block shape, and
     imaginary_axis_form, its one reader, returns a value and an error per
-    pair for a bundle stacked over the same pairs. Such a model evaluates
-    no jet; its evaluator is None.
+    pair for a bundle stacked over the same pairs, each the bits of that
+    pair's own model and bundle (a single pair is summed as a stack of
+    one). Such a model evaluates no jet; its evaluator is None.
 
     Evaluator contract: evaluator(w) takes one complex frequency (a Python
     complex) or a complex ndarray of frequencies, and returns a GreensJet
@@ -361,24 +362,14 @@ def imaginary_axis_form(model: SpectralGreenModel, bundle, omega0: float,
     else:
         res = _laurent_terms(model.imaginary_axis_laurent, bundle, omega0)
 
-    # arc term: -(pi/2) f0 . g2inf
-    arc = 0.0 + 0.0j
+    # arc term -(pi/2) f0 . g2inf and static-pole correction
+    # -(pi/2) f1 . S / omega0, over the blocks both declare (none: zero)
     g2 = model.uhp_quadratic_limit or {}
-    if f0 and g2:
-        shared = {name: f0[name] for name in f0 if name in g2}
-        if shared:
-            arc = -0.5 * math.pi * bundle.contract(g2, shared)
-
-    # static-pole correction: -(pi/2) f1 . S / omega0
-    pole_term = 0.0 + 0.0j
-    if statics and f1:
-        shared = {name: f1[name] for name in f1 if name in statics}
-        if shared:
-            pole_term = -(0.5 * math.pi / omega0) * bundle.contract(
-                statics, shared)
-
-    value = res.value + arc + pole_term
-    res.value = complex(value) if np.ndim(value) == 0 else value
+    arc = -0.5 * math.pi * bundle.contract(
+        g2, {name: t for name, t in f0.items() if name in g2})
+    pole_term = -(0.5 * math.pi / omega0) * bundle.contract(
+        statics, {name: t for name, t in f1.items() if name in statics})
+    res.value = res.value + arc + pole_term
     return res
 
 
@@ -452,10 +443,11 @@ def _exp_moments(alpha, omega0: float) -> np.ndarray:
     far = z >= _LAGUERRE_SWITCH
     if far.any():
         # s = alpha k: J_m = alpha^(1-m) int_0^inf e^-s s^m / (s^2 + z^2) ds
-        s, zf = _LAGUERRE_S[:, None], z[far]
-        moments[:, far] = (alpha[far] ** (1 - _M[:, None])
-                           * (s.T ** _M[:, None]
-                              @ (_LAGUERRE_W[:, None] / (s * s + zf * zf))))
+        # summed along the last axis, which rounds a pair alike in any stack
+        s, zf = _LAGUERRE_S, z[far, None]
+        moments[:, far] = (alpha[far] ** (1 - _M[:, None]) * np.sum(
+            s ** _M[:, None, None] * (_LAGUERRE_W / (s * s + zf * zf)),
+            axis=-1))
     return moments.reshape((5,) + shape)
 
 
@@ -464,11 +456,18 @@ def _laurent_terms(laurent: tuple, bundle, omega0: float) -> QuadratureResult:
     declares G(i k) = exp(-alpha k) sum_p k^p G_p, summed in closed form
     from one contraction of the rows f0 w0^2, f1 w0 and f2 with the G_p.
     A declaration and bundle stacked over pairs give values and errors
-    over the pairs (SpectralGreenModel)."""
+    over the pairs (SpectralGreenModel). One pair is the stack of one, and
+    the sums over rows and powers are elementwise adds (Python's sum), so
+    a pair has the same bits alone as in any stack."""
     alpha, blocks = laurent
-    f0, f1, f2 = bundle.f0, bundle.f1, bundle.f2
+    single = np.ndim(alpha) == 0
+    if single:
+        alpha = np.reshape(alpha, 1)
+        blocks = {name: blk[:, None] for name, blk in blocks.items()}
+    f0, f1, f2 = ({name: t[None] if single else t for name, t in c.items()}
+                  for c in (bundle.f0, bundle.f1, bundle.f2))
     names = list(dict.fromkeys([*f0, *f1, *f2]))
-    # row r, power p = -2..2 (then any pair axis): (f0 w0^2, f1 w0, f2) . G_p
+    # row r, power p = -2..2, pair: (f0 w0^2, f1 w0, f2) . G_p
     rows = bundle.contract(blocks, _coefficient_rows(
         names, {name: t * omega0 ** 2 for name, t in f0.items()},
         {name: t * omega0 for name, t in f1.items()}, f2))
@@ -488,16 +487,13 @@ def _laurent_terms(laurent: tuple, bundle, omega0: float) -> QuadratureResult:
     terms = weights * _exp_moments(alpha, omega0)
 
     # resonant term: Re G(w0) = sum_p Re[exp(i alpha w0) (-i w0)^p] G_p
-    axes = (1,) * np.ndim(alpha)
-    phase = ((np.exp(1j * alpha * omega0)
-              * _MINUS_I_POWERS.reshape((5,) + axes)).real
-             * omega0 ** _P.reshape((5,) + axes))
-    resonant = math.pi * np.vecdot(phase, rows.sum(axis=0), axis=0)
-    value = resonant + terms.sum(axis=0)
-    error = _MOMENT_RTOL * np.sum(np.abs(terms), axis=0)
-    return QuadratureResult(
-        value=complex(value) if value.ndim == 0 else value,
-        error=float(error) if error.ndim == 0 else error, neval=0)
+    phase = ((np.exp(1j * alpha * omega0) * _MINUS_I_POWERS[:, None]).real
+             * omega0 ** _P[:, None])
+    value = math.pi * sum(phase * sum(rows)) + sum(terms)
+    error = _MOMENT_RTOL * sum(np.abs(terms))
+    if single:
+        value, error = complex(value[0]), float(error[0])
+    return QuadratureResult(value=value, error=error, neval=0)
 
 
 # ---------------------------------------------------------------------------

@@ -196,15 +196,15 @@ def lamb_shift(e: MultipoleEmitter, model: SpectralGreenModel) -> float:
                        "level shift")
 
 
-def _real_entry(value: complex, what: str) -> float:
-    """The real part of a rate or shift that is real by Hermiticity; an
+def _real_entry(value, what: str):
+    """The real part of rates or shifts that are real by Hermiticity; an
     imaginary part beyond 1e-8 relative raises ModelDomainError."""
-    value = complex(value)
-    if abs(value.imag) > 1e-8 * max(abs(value), 1e-300):
+    value = np.asarray(value, dtype=complex)
+    if np.any(np.abs(value.imag) > 1e-8 * np.maximum(np.abs(value), 1e-300)):
         raise ModelDomainError(
             f"{what} came out complex beyond tolerance; the environment's "
             f"spectral density is not Hermitian for this emitter")
-    return float(value.real)
+    return float(value.real) if value.ndim == 0 else value.real
 
 
 def _reference_frequency(emitters, omega_ref: Optional[float]) -> float:
@@ -290,22 +290,21 @@ def _medium_entries(ems: list, medium: Medium, wbar: float,
                     gamma: np.ndarray, xi: np.ndarray) -> None:
     """Fill gamma and xi of emitters in a uniform medium.
 
-    The diagonal contracts the one coincident jet emitter by emitter, as
-    emission_rate does, so each decay rate is emission_rate's total bit
-    for bit. The pairs a < b of active emitters go in one pass per
-    _PAIR_CHUNK pairs: one geometry of their separations
-    (homogeneous.pair_terms) gives their Im jets at wbar and their
-    Laurent forms, one stacked bundle (emitter.moment_product_stack)
-    serves both gamma and xi, and each is one evaluation of its formula
-    over the chunk. A dispersive index has no Laurent form, so its
-    couplings are integrated pair by pair.
+    The diagonal is one stacked bundle (emitter.moment_product_stack) of
+    the active emitters with themselves against the coincident jet. Their
+    pairs a < b go in one pass per _PAIR_CHUNK pairs: one geometry of
+    their separations (homogeneous.pair_terms) gives their Im jets at wbar
+    and their Laurent forms, one stacked bundle serves both gamma and xi,
+    and each is one evaluation of its formula over the chunk. A pair
+    computes alike alone or stacked, so every entry is collective_rate's or
+    coupling_strength's bit for bit. A dispersive index has no Laurent
+    form, so its couplings are integrated pair by pair.
     """
-    jet0 = coincident_im_jet(wbar, medium)
     active = np.array([i for i, e in enumerate(ems) if e.active_channels()],
                       dtype=int)
-    for i in active:
-        gamma[i, i] = _real_entry(_decay(
-            moment_product_bundle(ems[i], ems[i]), jet0, wbar), "decay rate")
+    gamma[active, active] = _real_entry(_decay(
+        moment_product_stack(ems, active, active),
+        coincident_im_jet(wbar, medium), wbar), "decay rate")
     ia, ib = (active[ix] for ix in np.triu_indices(active.size, k=1))
     positions = np.array([e.position for e in ems])
     R = positions[ia] - positions[ib]

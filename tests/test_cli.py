@@ -643,20 +643,25 @@ def test_couple_free_space_pair(tmp_path, emitter_file, capsys):
 @pytest.mark.parametrize("index", ["1", "1.5"])
 def test_couple_self_rate_is_the_free_space_total(tmp_path, capsys, index):
     # one decay-rate formula: couple's gamma_a and the free-space total of
-    # the same ED+MD+EQ emitter are one JSON token, in vacuum and in glass
-    moments = {"omega0_rad_per_s": 2.4e15, "d_atomic": [1, 0, 0.3],
-               "m_bohr_magnetons": [0, 1, 0],
-               "Q_atomic": [[1, 0, 0], [0, -0.5, 0], [0, 0, -0.5]]}
-    a = write_json(tmp_path / "a.json", {"position_m": [0, 0, 0], **moments})
-    b = write_json(tmp_path / "b.json",
-                   {"position_m": [0, 0, 30e-9], **moments})
-    tokens = []
-    for argv in (["free-space", "--emitter", a],
-                 ["couple", "--emitter", a, "--emitter", b]):
-        assert main(argv + ["--index", index, "--format", "json"]) == 0
-        tokens.append(json.loads(capsys.readouterr().out, parse_float=str))
-    assert tokens[0]["gamma_per_s"]["total"] == \
-        tokens[1]["gamma_a_per_s"]["re"]
+    # the same emitter are one JSON token, in vacuum and in glass, for an
+    # ED+MD+EQ emitter and for an MD-only one beside it (a layout-sensitive
+    # case: alone, its moment product is not laid out as a stacked row)
+    full = {"omega0_rad_per_s": 2.4e15, "d_atomic": [1, 0, 0.3],
+            "m_bohr_magnetons": [0, 1, 0],
+            "Q_atomic": [[1, 0, 0], [0, -0.5, 0], [0, 0, -0.5]]}
+    md_only = {"omega0_rad_per_s": 2.4e15, "m_bohr_magnetons": [0.3, 0.6, 0.5]}
+    b = write_json(tmp_path / "b.json", {"position_m": [0, 0, 30e-9], **full})
+    for moments in (full, md_only):
+        a = write_json(tmp_path / "a.json",
+                       {"position_m": [0, 0, 0], **moments})
+        tokens = []
+        for argv in (["free-space", "--emitter", a],
+                     ["couple", "--emitter", a, "--emitter", b]):
+            assert main(argv + ["--index", index, "--format", "json"]) == 0
+            tokens.append(json.loads(capsys.readouterr().out,
+                                     parse_float=str))
+        assert tokens[0]["gamma_per_s"]["total"] == \
+            tokens[1]["gamma_a_per_s"]["re"]
 
 
 def test_couple_colocated_reports_rate_but_no_coupling(tmp_path, emitter_file,

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from polyemit.constants import C0, EPS0, HBAR
-from polyemit.emitter import MultipoleEmitter, moment_product_bundle
+from polyemit.emitter import (MultipoleEmitter, moment_product_bundle,
+                              moment_product_stack)
 from polyemit.errors import (InputError, MissingDerivativeError,
                              ModelDomainError)
 from polyemit.grid import TensorGrid
-from polyemit.homogeneous import Medium, coincident_im_jet, eval_homogeneous_jet
+from polyemit.homogeneous import (Medium, coincident_im_jet,
+                                  eval_homogeneous_jet, pair_terms)
 from polyemit.jets import GreensJet
 from polyemit.quadrature import (homogeneous_pair_model, imaginary_axis_form,
-                                 lorentzian_model)
+                                 laurent_pairs_model, lorentzian_model)
 from polyemit.rates import (build_ensemble, collective_rate,
                             coupling_strength, emission_rate, enhancement_map,
                             free_space_rates, lamb_shift)
@@ -807,31 +809,73 @@ SUBSETS = ("d", "m", "q", "dm", "dq", "mq", "dmq")
 
 @pytest.mark.parametrize("index", [1.0, 1.5])
 def test_ensemble_entries_are_the_per_pair_formulas(rng, index):
-    # random ensembles of 3 to 6 emitters over all seven channel subsets:
-    # every entry is collective_rate or coupling_strength of its pair
+    # random ensembles of 3 to 8 emitters over all seven channel subsets:
+    # every entry a <= b is collective_rate or coupling_strength of its
+    # pair, bit for bit, each entry b > a is its conjugate, and so the
+    # pair formulas of (b, a) up to roundoff
     med = Medium(index)
-    for size in range(3, 7):
+    for size in range(3, 9):
         ems = [random_emitter(rng, rng.uniform(-200e-9, 200e-9, 3),
                               omega0=W0 * (1 + 1e-3 * rng.standard_normal()),
                               channels=SUBSETS[(size + i) % 7])
                for i in range(size)]
         model = build_ensemble(ems, med)
         wbar = model.omega_ref
-        gamma = np.zeros((size, size), complex)
-        xi = np.zeros((size, size), complex)
+        gamma, xi, gamma_ba, xi_ba = np.zeros((4, size, size), complex)
         jet0 = coincident_im_jet(wbar, med)
         for a, ea in enumerate(ems):
-            gamma[a, a] = collective_rate(ea, ea, jet0, wbar).gamma_cross
-            for b, eb in enumerate(ems):
-                if a != b:
-                    pm = homogeneous_pair_model(med, ea.position, eb.position)
-                    gamma[a, b] = collective_rate(ea, eb, pm,
-                                                  wbar).gamma_cross
-                    xi[a, b] = coupling_strength(ea, eb, pm, wbar).xi
-        for got, want in ((model.gamma, gamma), (model.xi, xi)):
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        # the diagonal is collective_rate's, bit for bit
-        assert np.array_equal(np.diag(model.gamma), np.diag(gamma).real)
+            gamma[a, a] = collective_rate(ea, ea, jet0, wbar).gamma_cross.real
+            for b in range(a + 1, size):
+                eb = ems[b]
+                pm = homogeneous_pair_model(med, ea.position, eb.position)
+                gamma[a, b] = collective_rate(ea, eb, pm, wbar).gamma_cross
+                xi[a, b] = coupling_strength(ea, eb, pm, wbar).xi
+                gamma[b, a], xi[b, a] = np.conj(gamma[a, b]), np.conj(xi[a, b])
+                pm = homogeneous_pair_model(med, eb.position, ea.position)
+                gamma_ba[b, a] = collective_rate(eb, ea, pm, wbar).gamma_cross
+                xi_ba[b, a] = coupling_strength(eb, ea, pm, wbar).xi
+        assert np.array_equal(model.gamma, gamma)
+        assert np.array_equal(model.xi, xi)
+        lower = np.tril_indices(size, -1)
+        for got, want in ((model.gamma, gamma_ba), (model.xi, xi_ba)):
+            assert (np.max(np.abs(got[lower] - want[lower]))
+                    <= 1e-14 * np.max(np.abs(got)))
+
+
+@pytest.mark.parametrize("channels", SUBSETS)
+def test_a_stacked_pair_computes_as_the_pair_alone(rng, channels):
+    # four emitters of one channel subset, each paired with emitters of
+    # every subset, in glass: row p of the stacked bundle contracts like
+    # the bundle of its pair alone, against the coincident jet and a
+    # grid's node jets, and the Laurent sum of a chunk gives each pair's
+    # coupling_strength, near (z < 5) and far (Gauss-Laguerre J_m) alike
+    med = Medium(1.5)
+    ems = [random_emitter(rng, rng.uniform(-400e-9, 400e-9, 3),
+                          channels=c) for c in (channels,) * 4 + SUBSETS]
+    bra, ket = (ix.ravel() for ix in np.indices((4, len(ems))))
+    stack = moment_product_stack(ems, bra, ket)
+    jet0 = coincident_im_jet(W0, med)
+    diagonal = stack.spectral_density(jet0, W0)
+    nodes = kernel_grid(rng).node_jet().imag_part().blocks
+    rows = stack.at(W0)
+    for p, (a, b) in enumerate(zip(bra, ket)):
+        pair = moment_product_bundle(ems[a], ems[b])
+        assert diagonal[p] == pair.spectral_density(jet0, W0)
+        assert np.array_equal(
+            stack.contract(nodes, {name: t[p] for name, t in rows.items()}),
+            pair.contract(nodes, pair.at(W0)))
+
+    a, b = bra[bra != ket], ket[bra != ket]
+    positions = np.array([e.position for e in ems])
+    _, laurent = pair_terms(positions[a] - positions[b], W0, med)
+    z = laurent[0] * W0
+    assert np.any(z < 5.0) and np.any(z >= 5.0)
+    xi = -imaginary_axis_form(laurent_pairs_model(laurent),
+                              moment_product_stack(ems, a, b), W0).value
+    for p, (i, j) in enumerate(zip(a, b)):
+        assert xi[p] == coupling_strength(
+            ems[i], ems[j], homogeneous_pair_model(
+                med, ems[i].position, ems[j].position), W0).xi
 
 
 def test_chunked_assembly_equals_one_batch(rng, monkeypatch):
@@ -842,8 +886,8 @@ def test_chunked_assembly_equals_one_batch(rng, monkeypatch):
     whole = build_ensemble(ems, Medium(1.5))
     monkeypatch.setattr(polyemit.rates, "_PAIR_CHUNK", 4)
     chunked = build_ensemble(ems, Medium(1.5))
-    for a, b in ((whole.gamma, chunked.gamma), (whole.xi, chunked.xi)):
-        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+    assert np.array_equal(whole.gamma, chunked.gamma)
+    assert np.array_equal(whole.xi, chunked.xi)
     # the inert emitter keeps a zero row and column
     assert not np.any(chunked.gamma[4]) and not np.any(chunked.xi[:, 4])
 
