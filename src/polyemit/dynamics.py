@@ -368,9 +368,13 @@ def _sector_operators(model: EmitterEnsembleModel, lift: list,
     sum_ab gamma_ab sigma_b rho_(k+1,l+1) sigma_a^+ of block (k, l). Entry
     (i, j) of that term has exactly (n-k)(n-l) terms: over the unexcited
     emitters b of i and a of j, rho_(k+1,l+1)[up_b(i), up_a(j)] with
-    weight gamma_ab. Every row of a block thus has one count, so the
-    row pointers are known before any entry is written. Negative decay
-    eigenvalues inside the model's tolerance band are clipped to zero.
+    weight gamma_ab. A (k, k) block is Hermitian, so only its lower
+    triangle (i >= j) stores terms; the rows of its upper entries are
+    empty, and the right-hand side fills them with the conjugates of their
+    mirrors (see _integrate). Every stored row of a block thus has one
+    count, so the row pointers are known before any entry is written.
+    Negative decay eigenvalues inside the model's tolerance band are
+    clipped to zero.
     """
     n = model.n_emitters
     eig, vec = np.linalg.eigh(model.gamma)
@@ -385,21 +389,26 @@ def _sector_operators(model: EmitterEnsembleModel, lift: list,
                   coef[free[:, :, None], free[:, None, :]])
         drift.append(block)
 
-    # the blocks whose block one sector up is carried
-    fed = {(k, l): part for (k, l), (part, _) in layout.items()
+    # the blocks whose block one sector up is carried, each with the mask
+    # of its entries that store terms
+    fed ={(k, l): (part, np.tri(*shape, dtype=bool) if k == l
+                    else np.ones(shape, dtype=bool))
+           for (k, l), (part, shape) in layout.items()
            if (k + 1, l + 1) in layout}
     indptr = np.zeros(size + 1, dtype=np.int32)
-    for (k, l), part in fed.items():
-        indptr[part.start + 1:part.stop + 1] = (n - k) * (n - l)
+    for (k, l), (part, stored) in fed.items():
+        indptr[part.start + 1:part.stop + 1] = \
+            (n - k) * (n - l) * stored.ravel()
     np.cumsum(indptr, out=indptr)
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1], dtype=complex)
-    for (k, l), part in fed.items():
-        # entries of block (k, l) as (row i, column j, raised b, raised a)
+    for (k, l), (part, stored) in fed.items():
+        # stored entries of block (k, l) as (entry (i, j), raised b, raised a)
+        rows, cols = np.nonzero(stored)
         (free_b, up_b), (free_a, up_a) = lift[k], lift[l]
-        free_b, up_b = free_b[:, None, :, None], up_b[:, None, :, None]
-        free_a, up_a = free_a[None, :, None, :], up_a[None, :, None, :]
-        shape = np.broadcast_shapes(up_b.shape, up_a.shape)
+        free_b, up_b = free_b[rows, :, None], up_b[rows, :, None]
+        free_a, up_a = free_a[cols, None, :], up_a[cols, None, :]
+        shape = (rows.size, n - k, n - l)
         entries = slice(indptr[part.start], indptr[part.stop])
         upper, (_, width) = layout[k + 1, l + 1]
         np.add(upper.start + width * up_b, up_a, casting="unsafe",
@@ -419,6 +428,18 @@ def _dense(blocks: dict, members: list, dim: int) -> np.ndarray:
             out[:, members[l][:, None], members[k]] = \
                 np.conj(np.swapaxes(arr, 1, 2))
     return out
+
+
+def _positive(stack: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of stack (..., m, m) has no eigenvalue
+    below -_BOUND_TOL. One Cholesky factorization of stack + _BOUND_TOL I
+    decides for the whole stack; only when it fails is the spectrum
+    computed, to tell the matrices apart."""
+    try:
+        np.linalg.cholesky(stack + _BOUND_TOL * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(stack)[..., 0] >= -_BOUND_TOL
+    return np.ones(stack.shape[:-2], dtype=bool)
 
 
 class _Dop853(DOP853):
@@ -447,16 +468,29 @@ class _Dop853(DOP853):
 def _integrate(model: EmitterEnsembleModel, lift: list, layout: dict,
                size: int, y0: np.ndarray, tau: np.ndarray, rtol: float,
                atol: float) -> np.ndarray:
-    """Packed blocks (size, len(tau)) at the offsets tau from y0. The
-    operators live only for the solve: the solver holds no reference
-    cycle, so it, its stage arrays and rhs with the jump operator are
-    freed by reference counting when solve_ivp returns."""
+    """Packed blocks (size, len(tau)) at the offsets tau from y0.
+
+    The solver state is the complex packed state viewed as floats, real
+    and imaginary parts interleaved, so rhs reads and returns views. The
+    jump operator leaves the upper entries of each fed (k, k) block empty;
+    rhs sets them to the conjugates of their mirrors. The operators live
+    only for the solve: the solver holds no reference cycle, so it, its
+    stage arrays and rhs with the jump operator are freed by reference
+    counting when solve_ivp returns."""
     drift, jump = _sector_operators(model, lift, layout, size)
     drift_h = [d.conj().T for d in drift]
+    # upper entries (i < j) of the fed (k, k) blocks and their mirrors (j, i)
+    upper = mirror = np.empty(0, dtype=np.intp)
+    for (k, l), (part, (m, _)) in layout.items():
+        if k == l and (k + 1, k + 1) in layout:
+            i, j = np.triu_indices(m, 1)
+            upper = np.append(upper, part.start + m * i + j)
+            mirror = np.append(mirror, part.start + m * j + i)
 
     def rhs(_t, y):
-        z = y[:size] + 1j * y[size:]
+        z = np.ascontiguousarray(y).view(complex)
         out = jump @ z
+        out[upper] = out[mirror].conj()
         for (k, l), (part, shape) in layout.items():
             rho = z[part].reshape(shape)
             if k == l:
@@ -465,14 +499,13 @@ def _integrate(model: EmitterEnsembleModel, lift: list, layout: dict,
             else:
                 der = drift[k] @ rho + rho @ drift_h[l]
             out[part] += der.ravel()
-        return np.concatenate([out.real, out.imag])
+        return out.view(float)
 
-    sol = solve_ivp(rhs, (0.0, float(tau[-1])),
-                    np.concatenate([y0.real, y0.imag]), method=_Dop853,
-                    t_eval=tau, rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, float(tau[-1])), y0.view(float),
+                    method=_Dop853, t_eval=tau, rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"step control failed: {sol.message}")
-    return sol.y[:size] + 1j * sol.y[size:]
+    return np.ascontiguousarray(sol.y.T).view(complex).T
 
 
 def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
@@ -493,18 +526,24 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     a sector. Every right-hand side makes one dense drift product per
     carried block and one sparse mat-vec for all the jump terms together:
     the jump operator, built once per call, stores exactly the
-    (n-k)(n-l) terms of each entry of block (k, l). The blocks are
-    integrated together with an adaptive high-order Runge-Kutta scheme;
-    no 2**n x 2**n operator is formed.
+    (n-k)(n-l) terms of each entry of block (k, l), and of a Hermitian
+    (k, k) block only those of its lower triangle, the upper entries
+    being their mirrors' conjugates. The blocks are integrated together
+    with an adaptive high-order Runge-Kutta scheme; no 2**n x 2**n
+    operator is formed. Each (k, k) block is re-symmetrized at the output
+    times, so every snapshot is exactly Hermitian.
 
     Expectations are evaluated on the requested grid, and at every output
-    time the trace must stay at one (within 1e-9) and the state positive.
-    A start with only the k = l family stays block diagonal, so every
-    (k, k) block gets a spectral check; otherwise the state is assembled
-    and checked spectrally up to dimension 64, by diagonal and purity
-    bounds beyond that. Violations raise IntegrationError (loosened
-    rtol/atol surface here first), and so do step-control failure and
-    model coefficients that overflow float64 in the right-hand side.
+    time the trace must stay at one (within 1e-9) and the state positive,
+    no eigenvalue below -1e-7. A start with only the k = l family stays
+    block diagonal, so every (k, k) block is checked; otherwise the state
+    is assembled and checked up to dimension 64, by diagonal and purity
+    bounds beyond that. A check passes when the Cholesky factorization of
+    the matrix plus 1e-7 I succeeds, at all output times at once for a
+    block; the spectrum is computed only when it fails, to name the first
+    failing time. Violations raise IntegrationError (loosened rtol/atol
+    surface here first), and so do step-control failure and model
+    coefficients that overflow float64 in the right-hand side.
 
     Density snapshots are retained for up to 6 emitters by default;
     keep_states forces or suppresses that. The returned error_estimate is
@@ -554,6 +593,8 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     for (k, l), (part, shape) in layout.items():
         arr = path[part].T.reshape(nt, *shape)
         if k == l:
+            # the solver's interpolation to the output times rounds the
+            # two entries of a mirrored pair apart
             arr = 0.5 * (arr + np.conj(np.swapaxes(arr, 1, 2)))
         blocks[k, l] = arr
     diagonals = [np.diagonal(blocks[k, k], axis1=1, axis2=2).real
@@ -564,23 +605,23 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     trace = sum(diag.sum(axis=1) for diag in diagonals)
     block_diagonal = families == [0]
     if block_diagonal:
-        # the state stays block diagonal: exact spectral check per sector
-        lowest = np.min([np.linalg.eigvalsh(blocks[k, k])[:, 0]
-                         for k in range(top + 1)], axis=0)
+        # the state stays block diagonal: exact check per sector
+        positive = np.all([_positive(blocks[k, k]) for k in range(top + 1)],
+                          axis=0)
     for i in range(nt):
         if abs(trace[i] - 1.0) > _TRACE_TOL:
             raise IntegrationError(
                 f"trace drifted beyond {_TRACE_TOL:g} at output time "
                 f"{times[i]:.6g}; tighten rtol/atol")
         if block_diagonal:
-            bad = lowest[i] < -pos_tol
+            bad = not positive[i]
         else:
             snap = _dense({key: arr[i:i + 1] for key, arr in blocks.items()},
                           members, dim)[0]
             bad = (np.min(np.diagonal(snap).real) < -pos_tol
                    or float(np.sum(np.abs(snap) ** 2)) > 1.0 + pos_tol)
             if not bad and dim <= 64:
-                bad = np.linalg.eigvalsh(snap)[0] < -pos_tol
+                bad = not _positive(snap)
         if bad:
             raise IntegrationError(
                 f"state positivity violated beyond {pos_tol:g} at output "

@@ -376,6 +376,8 @@ def _assert_matches_brute(model, rho0, t, tol=1e-9):
     assert np.max(np.abs(traj.sigma - ref_sig * phase)) < tol
     assert np.max(np.abs(traj.sigma_z - ref_sz)) < tol
     assert np.max(np.abs(traj.rho - states)) < tol
+    # every snapshot is exactly Hermitian
+    assert np.array_equal(traj.rho, traj.rho.conj().swapaxes(-1, -2))
     return traj
 
 
@@ -455,16 +457,46 @@ def test_sector_propagation_every_family_of_five_emitters():
     assert np.max(np.abs(traj.sigma)) > 1e-2
 
 
-def test_ensemble_ground_state_is_stationary(monkeypatch):
-    built = []
+@pytest.fixture
+def built(monkeypatch):
+    """The jump operators evolve_ensemble builds, in call order."""
+    jumps = []
     real_operators = polyemit.dynamics._sector_operators
 
     def recorded(*args):
         drift, jump = real_operators(*args)
-        built.append(jump)
+        jumps.append(jump)
         return drift, jump
 
     monkeypatch.setattr(polyemit.dynamics, "_sector_operators", recorded)
+    return jumps
+
+
+@pytest.mark.parametrize("start", ["eeeee", "every-family"])
+def test_jump_stores_the_lower_triangle_of_hermitian_blocks(built, start):
+    # block (k, l) stores (n - k)(n - l) terms per stored entry: a (k, k)
+    # block its m(m + 1)/2 lower entries, any other block all its entries
+    n = 5
+    rng = np.random.default_rng(58)
+    model = random_model(rng, n)
+    if start == "eeeee":
+        rho0 = product_density(start)
+        carried = [(k, k) for k in range(n + 1)]
+    else:
+        a = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+        rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        carried = [(k, l) for k in range(n + 1) for l in range(k + 1)]
+    evolve_ensemble(model, rho0, np.linspace(0.0, 1.2e-7, 3))
+    want = 0
+    for k, l in carried:
+        if (k + 1, l + 1) in carried:
+            m = math.comb(n, k)
+            rows = m * (m + 1) // 2 if k == l else m * math.comb(n, l)
+            want += rows * (n - k) * (n - l)
+    assert [jump.nnz for jump in built] == [want]
+
+
+def test_ensemble_ground_state_is_stationary(built):
     model = random_model(np.random.default_rng(57), 4)
     t = np.linspace(0.0, 1.2e-7, 7)
     traj = evolve_ensemble(model, product_density("gggg"), t)
@@ -526,11 +558,41 @@ def test_invariant_checks_catch_a_corrupted_state(monkeypatch, start):
         monkeypatch.setattr(polyemit.dynamics, "solve_ivp", solve)
 
     corrupt(lambda y: 2.0 * y[:, -1] - y[:, 0])
-    with pytest.raises(IntegrationError, match="positivity"):
+    with pytest.raises(IntegrationError,
+                       match=r"positivity .* at output time 3e-07;"):
         evolve_ensemble(model, rho0, t)
     corrupt(lambda y: 1.5 * y[:, -1])
     with pytest.raises(IntegrationError, match="trace"):
         evolve_ensemble(model, rho0, t)
+
+
+@pytest.mark.parametrize("lowest, fails", [(-2e-7, True), (-5e-8, False)])
+def test_positivity_bound_is_the_smallest_eigenvalue(monkeypatch, lowest,
+                                                     fails):
+    # from "eg" the one-excitation block stays rank one; at one interior
+    # time its null direction is pushed to the eigenvalue `lowest`, and the
+    # ground population takes up the trace
+    real_integrate = polyemit.dynamics._integrate
+    model = random_model(np.random.default_rng(71), 2)
+    t = np.linspace(0.0, 3e-7, 5)
+
+    def integrate(model, lift, layout, size, *args):
+        path = real_integrate(model, lift, layout, size, *args)
+        (part, shape), (ground, _) = layout[1, 1], layout[0, 0]
+        rho = path[part, 2].reshape(shape)
+        w, v = np.linalg.eigh(rho)
+        shift = lowest - w[0]
+        path[part, 2] = (rho + shift * np.outer(v[:, 0], v[:, 0].conj())
+                         ).ravel()
+        path[ground, 2] -= shift
+        return path
+
+    monkeypatch.setattr(polyemit.dynamics, "_integrate", integrate)
+    outcome = (pytest.raises(IntegrationError,
+                             match=r"positivity .* at output time 1\.5e-07;")
+               if fails else contextlib.nullcontext())
+    with outcome:
+        evolve_ensemble(model, product_density("eg"), t)
 
 
 def test_halved_tolerance_stays_within_reported_estimate():
@@ -596,19 +658,24 @@ def test_block_diagonal_start_with_negative_sector_eigenvalue_is_rejected():
 
 def test_single_excitation_start_of_ten_emitters_is_checked_by_sector(
         monkeypatch):
-    sizes = []
-    eigvalsh = np.linalg.eigvalsh
+    sizes = {"eigvalsh": [], "cholesky": []}
 
-    def recorded(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
-        return eigvalsh(a, *args, **kwargs)
+    def recorder(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        def recorded(a, *args, **kwargs):
+            sizes[name].append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    recorder("eigvalsh")
+    recorder("cholesky")
     n = 10
     model = random_model(np.random.default_rng(61), n)
     evolve_ensemble(model, product_density("e" + "g" * (n - 1)),
                     np.linspace(0.0, 1e-8, 3))
-    assert sizes and max(sizes) < 2 ** n
+    for name, seen in sizes.items():
+        assert seen and max(seen) < 2 ** n, name
 
 
 @pytest.mark.parametrize("case", ["solved", "step-control-failure"])
