@@ -24,8 +24,9 @@ excitation is an (n+1)-dimensional problem); exact, capped at 10 emitters
 patterns, give each member's unexcited emitters and its place one sector
 up once one of them is raised. The dense drift block of every sector and
 one sparse jump operator over all carried blocks are built from them.
-Negative decay-matrix eigenvalues inside the model's tolerance band are
-clipped to zero.
+The solver carries each Hermitian (k, k) block as its lower triangle
+only, and every other block whole. Negative decay-matrix eigenvalues
+inside the model's tolerance band are clipped to zero.
 
 Rate convention: gamma_aa is the population decay rate of emitter a, so a
 lone coherence decays at gamma_aa / 2. The diagonal of xi acts as an
@@ -42,6 +43,7 @@ Basis conventions: per emitter, index 0 is ground and 1 is excited;
 emitter 0 is the leftmost Kronecker factor; sigma = |g><e| and
 sigma_z = 2 n - 1.
 """
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -355,7 +357,7 @@ def _sectors(n: int) -> tuple:
 
 
 def _sector_operators(model: EmitterEnsembleModel, lift: list,
-                      layout: dict, size: int) -> tuple:
+                      layout: dict, size: int, pack: np.ndarray) -> tuple:
     """Drift blocks and the jump operator of the carried blocks.
 
     drift[k] is D = -i H - (1/2) sum_ab gamma_ab sigma_a^+ sigma_b on
@@ -363,18 +365,19 @@ def _sector_operators(model: EmitterEnsembleModel, lift: list,
     there, with unexcited emitters a and b, adds coef_ab to entry
     (up_a(j), up_b(j)).
 
-    jump (size x size, CSR over the packed state of layout) maps every
-    carried block rho_(k+1,l+1) to the jump term
+    jump (CSR, one row per packed entry and one column per entry of the
+    full state of layout, see _packing) maps every carried block
+    rho_(k+1,l+1) to the jump term
     sum_ab gamma_ab sigma_b rho_(k+1,l+1) sigma_a^+ of block (k, l). Entry
     (i, j) of that term has exactly (n-k)(n-l) terms: over the unexcited
     emitters b of i and a of j, rho_(k+1,l+1)[up_b(i), up_a(j)] with
-    weight gamma_ab. A (k, k) block is Hermitian, so only its lower
-    triangle (i >= j) stores terms; the rows of its upper entries are
-    empty, and the right-hand side fills them with the conjugates of their
-    mirrors (see _integrate). Every stored row of a block thus has one
-    count, so the row pointers are known before any entry is written.
-    Negative decay eigenvalues inside the model's tolerance band are
-    clipped to zero.
+    weight gamma_ab. A (k, k) block is Hermitian and packed as its lower
+    triangle (i >= j), so only those entries store terms. Every stored row
+    of a block thus has one count, so the row pointers over the full state
+    are known before any entry is written; the rows of the upper entries
+    are empty, and dropping them from the row pointers leaves the entries
+    in place. Negative decay eigenvalues inside the model's tolerance band
+    are clipped to zero.
     """
     n = model.n_emitters
     eig, vec = np.linalg.eigh(model.gamma)
@@ -391,7 +394,7 @@ def _sector_operators(model: EmitterEnsembleModel, lift: list,
 
     # the blocks whose block one sector up is carried, each with the mask
     # of its entries that store terms
-    fed ={(k, l): (part, np.tri(*shape, dtype=bool) if k == l
+    fed = {(k, l): (part, np.tri(*shape, dtype=bool) if k == l
                     else np.ones(shape, dtype=bool))
            for (k, l), (part, shape) in layout.items()
            if (k + 1, l + 1) in layout}
@@ -414,7 +417,8 @@ def _sector_operators(model: EmitterEnsembleModel, lift: list,
         np.add(upper.start + width * up_b, up_a, casting="unsafe",
                out=indices[entries].reshape(shape))
         np.take(gamma, n * free_a + free_b, out=data[entries].reshape(shape))
-    jump = csr_matrix((data, indices, indptr), shape=(size, size))
+    jump = csr_matrix((data, indices, np.append(indptr[pack], indptr[-1])),
+                      shape=(pack.size, size))
     return drift, jump
 
 
@@ -465,47 +469,83 @@ class _Dop853(DOP853):
                 "coefficients overflow float64 arithmetic")
 
 
+def _packing(layout: dict, size: int) -> tuple:
+    """The packed solver state of the full state of layout.
+
+    pack lists, ascending, the full-state entries the solver carries: the
+    lower triangle (i >= j) of each (k, k) block and every entry of the
+    other blocks. src maps each full-state entry to its packed entry, and
+    an upper (k, k) entry (i < j) to that of its mirror (j, i); upper
+    marks those entries, whose values are their sources' conjugates.
+    diagonal lists the diagonal entries of the (k, k) blocks."""
+    upper = np.zeros(size, dtype=bool)
+    mirror = np.arange(size)
+    diagonal = []
+    for (k, l), (part, (m, _)) in layout.items():
+        if k == l:
+            i, j = np.triu_indices(m, 1)
+            upper[part.start + m * i + j] = True
+            mirror[part.start + m * i + j] = part.start + m * j + i
+            diagonal.append(part.start + (m + 1) * np.arange(m))
+    pack = np.flatnonzero(~upper)
+    place = np.empty(size, dtype=np.intp)
+    place[pack] = np.arange(pack.size)
+    return pack, place[mirror], upper, np.concatenate(diagonal)
+
+
 def _integrate(model: EmitterEnsembleModel, lift: list, layout: dict,
                size: int, y0: np.ndarray, tau: np.ndarray, rtol: float,
                atol: float) -> np.ndarray:
-    """Packed blocks (size, len(tau)) at the offsets tau from y0.
+    """Full-state blocks (size, len(tau)) at the offsets tau from y0.
 
-    The solver state is the complex packed state viewed as floats, real
-    and imaginary parts interleaved, so rhs reads and returns views. The
-    jump operator leaves the upper entries of each fed (k, k) block empty;
-    rhs sets them to the conjugates of their mirrors. The operators live
-    only for the solve: the solver holds no reference cycle, so it, its
-    stage arrays and rhs with the jump operator are freed by reference
-    counting when solve_ivp returns."""
-    drift, jump = _sector_operators(model, lift, layout, size)
-    drift_h = [d.conj().T for d in drift]
-    # upper entries (i < j) of the fed (k, k) blocks and their mirrors (j, i)
-    upper = mirror = np.empty(0, dtype=np.intp)
-    for (k, l), (part, (m, _)) in layout.items():
-        if k == l and (k + 1, k + 1) in layout:
-            i, j = np.triu_indices(m, 1)
-            upper = np.append(upper, part.start + m * i + j)
-            mirror = np.append(mirror, part.start + m * j + i)
+    The solver carries the packed state (see _packing), complex and
+    viewed as floats with real and imaginary parts interleaved, so rhs
+    reads and returns views. rhs rebuilds the full state with one gather,
+    conjugating the upper (k, k) entries, and makes one batched drift
+    product per run of equal-shape blocks in layout: D_k rho + (D_k rho)^+
+    for a run of (k, k) blocks, D_k rho + rho D_l^+ for a run holding any
+    other block. The jump operator gives the packed entries of the jump
+    terms, to which the packed entries of the drift are added. The path
+    is unpacked once: each upper (k, k) entry is its mirror's conjugate
+    and each diagonal entry its real part, so every (k, k) block is
+    exactly Hermitian. The operators live only for the solve: the solver
+    holds no reference cycle, so it, its stage arrays and rhs with the
+    jump operator are freed by reference counting when solve_ivp
+    returns."""
+    pack, src, upper, diagonal = _packing(layout, size)
+    drift, jump = _sector_operators(model, lift, layout, size, pack)
+    # runs of equal-shape blocks: (full-state slice, stacked shape,
+    # stacked D_k, stacked D_l^+ or None for a run of (k, k) blocks)
+    runs = []
+    for shape, run in itertools.groupby(layout.items(),
+                                        key=lambda item: item[1][1]):
+        keys, parts = zip(*((key, part) for key, (part, _) in run))
+        right = (None if all(k == l for k, l in keys) else
+                 np.stack([drift[l].conj().T for _, l in keys]))
+        runs.append((slice(parts[0].start, parts[-1].stop),
+                     (len(keys), *shape),
+                     np.stack([drift[k] for k, _ in keys]), right))
 
     def rhs(_t, y):
-        z = np.ascontiguousarray(y).view(complex)
+        z = np.ascontiguousarray(y).view(complex)[src]
+        np.conjugate(z, out=z, where=upper)
+        der = np.empty(size, dtype=complex)
+        for part, shape, left, right in runs:
+            rho, d = z[part].reshape(shape), der[part].reshape(shape)
+            np.matmul(left, rho, out=d)
+            d += d.conj().swapaxes(1, 2) if right is None else rho @ right
         out = jump @ z
-        out[upper] = out[mirror].conj()
-        for (k, l), (part, shape) in layout.items():
-            rho = z[part].reshape(shape)
-            if k == l:
-                der = drift[k] @ rho
-                der += der.conj().T
-            else:
-                der = drift[k] @ rho + rho @ drift_h[l]
-            out[part] += der.ravel()
+        out += der[pack]
         return out.view(float)
 
-    sol = solve_ivp(rhs, (0.0, float(tau[-1])), y0.view(float),
+    sol = solve_ivp(rhs, (0.0, float(tau[-1])), y0[pack].view(float),
                     method=_Dop853, t_eval=tau, rtol=rtol, atol=atol)
     if not sol.success:
         raise IntegrationError(f"step control failed: {sol.message}")
-    return np.ascontiguousarray(sol.y.T).view(complex).T
+    path = np.ascontiguousarray(sol.y.T).view(complex).T[src]
+    np.conjugate(path, out=path, where=upper[:, None])
+    path.imag[diagonal] = 0.0
+    return path
 
 
 def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
@@ -523,15 +563,17 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
                       + sum_ab gamma_ab sigma_b rho_(k+1,l+1) sigma_a^+
 
     with D = -i H - (1/2) sum_ab gamma_ab sigma_a^+ sigma_b restricted to
-    a sector. Every right-hand side makes one dense drift product per
-    carried block and one sparse mat-vec for all the jump terms together:
-    the jump operator, built once per call, stores exactly the
-    (n-k)(n-l) terms of each entry of block (k, l), and of a Hermitian
-    (k, k) block only those of its lower triangle, the upper entries
-    being their mirrors' conjugates. The blocks are integrated together
-    with an adaptive high-order Runge-Kutta scheme; no 2**n x 2**n
-    operator is formed. Each (k, k) block is re-symmetrized at the output
-    times, so every snapshot is exactly Hermitian.
+    a sector. The blocks are integrated together with an adaptive
+    high-order Runge-Kutta scheme, each Hermitian (k, k) block carried as
+    its lower triangle only, the upper entries being their mirrors'
+    conjugates; no 2**n x 2**n operator is formed. The blocks are laid
+    out by shape, so every right-hand side makes one batched dense drift
+    product per run of equal-shape blocks and one sparse mat-vec for all
+    the jump terms together: the jump operator, built once per call,
+    stores exactly the (n-k)(n-l) terms of each carried entry of block
+    (k, l). The path is unpacked once, mirrors as exact conjugates and
+    diagonals as their real parts, so every snapshot is exactly Hermitian
+    with no further pass.
 
     Expectations are evaluated on the requested grid, and at every output
     time the trace must stay at one (within 1e-9) and the state positive,
@@ -574,13 +616,17 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     families = [d for d in range(top + 1)
                 if any(np.any(rho_init[np.ix_(members[k], members[k - d])]
                               != 0) for k in range(d, top + 1))]
-    layout = {}     # (k, l) -> (slice of the packed state, block shape)
+    # (k, l) -> (slice of the full state, block shape), with blocks of
+    # equal shape adjacent so that their drift is one batched product
+    layout = {}
     size = 0
-    for d in families:
-        for k in range(d, top + 1):
-            shape = (members[k].size, members[k - d].size)
-            layout[k, k - d] = (slice(size, size + shape[0] * shape[1]), shape)
-            size += shape[0] * shape[1]
+    for k, l in sorted(((k, k - d) for d in families
+                        for k in range(d, top + 1)),
+                       key=lambda kl: (members[kl[0]].size,
+                                       members[kl[1]].size)):
+        shape = (members[k].size, members[l].size)
+        layout[k, l] = (slice(size, size + shape[0] * shape[1]), shape)
+        size += shape[0] * shape[1]
     tau = times - times[0]
     y0 = np.concatenate([rho_init[np.ix_(members[k], members[l])].ravel()
                          for k, l in layout])
@@ -589,14 +635,8 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     else:
         path = _integrate(model, lift, layout, size, y0, tau, rtol, atol)
     nt = times.size
-    blocks = {}
-    for (k, l), (part, shape) in layout.items():
-        arr = path[part].T.reshape(nt, *shape)
-        if k == l:
-            # the solver's interpolation to the output times rounds the
-            # two entries of a mirrored pair apart
-            arr = 0.5 * (arr + np.conj(np.swapaxes(arr, 1, 2)))
-        blocks[k, l] = arr
+    blocks = {(k, l): path[part].T.reshape(nt, *shape)
+              for (k, l), (part, shape) in layout.items()}
     diagonals = [np.diagonal(blocks[k, k], axis1=1, axis2=2).real
                  for k in range(top + 1)]
 

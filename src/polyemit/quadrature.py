@@ -300,9 +300,17 @@ def _coefficient_rows(names, *rows) -> dict:
     (zero where a set lacks it), stacked on a leading axis and followed by
     a unit axis. One contraction against blocks batched over frequency then
     gives one row of values per set."""
-    return {name: np.stack(np.broadcast_arrays(
-                *(row.get(name, 0.0) for row in rows)))[:, None]
-            for name in names}
+    out = {}
+    for name in names:
+        tensors = [np.asarray(row.get(name, 0.0)) for row in rows]
+        block = np.zeros(
+            (len(rows), 1, *np.broadcast_shapes(*(t.shape for t in tensors))),
+            dtype=np.result_type(*tensors))
+        for r, row in enumerate(rows):
+            if name in row:
+                block[r, 0] = tensors[r]
+        out[name] = block
+    return out
 
 
 def _pole_coefficients(bundle, omega0: float) -> dict:

@@ -8,6 +8,7 @@ decay matrix, no ODE stepping). Beyond its reach (8 and 10 emitters) the
 references are the single-excitation propagator and the Dicke ladder.
 """
 import contextlib
+import itertools
 import json
 import math
 
@@ -472,10 +473,9 @@ def built(monkeypatch):
     return jumps
 
 
-@pytest.mark.parametrize("start", ["eeeee", "every-family"])
-def test_jump_stores_the_lower_triangle_of_hermitian_blocks(built, start):
-    # block (k, l) stores (n - k)(n - l) terms per stored entry: a (k, k)
-    # block its m(m + 1)/2 lower entries, any other block all its entries
+def _five_emitter_start(start):
+    """A model, a start and the blocks (k, l) it carries: "eeeee" or a
+    full-rank mixed state, which populates every block."""
     n = 5
     rng = np.random.default_rng(58)
     model = random_model(rng, n)
@@ -486,6 +486,15 @@ def test_jump_stores_the_lower_triangle_of_hermitian_blocks(built, start):
         a = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
         rho0 = a @ a.conj().T / np.trace(a @ a.conj().T).real
         carried = [(k, l) for k in range(n + 1) for l in range(k + 1)]
+    return model, rho0, carried
+
+
+@pytest.mark.parametrize("start", ["eeeee", "every-family"])
+def test_jump_stores_the_lower_triangle_of_hermitian_blocks(built, start):
+    # block (k, l) stores (n - k)(n - l) terms per stored entry: a (k, k)
+    # block its m(m + 1)/2 lower entries, any other block all its entries
+    n = 5
+    model, rho0, carried = _five_emitter_start(start)
     evolve_ensemble(model, rho0, np.linspace(0.0, 1.2e-7, 3))
     want = 0
     for k, l in carried:
@@ -494,6 +503,60 @@ def test_jump_stores_the_lower_triangle_of_hermitian_blocks(built, start):
             rows = m * (m + 1) // 2 if k == l else m * math.comb(n, l)
             want += rows * (n - k) * (n - l)
     assert [jump.nnz for jump in built] == [want]
+
+
+@pytest.mark.parametrize("start, entries", [("eeeee", 142),
+                                            ("every-family", 528)])
+def test_solver_carries_the_lower_triangle_of_hermitian_blocks(
+        monkeypatch, start, entries):
+    # the solver state holds the m(m + 1)/2 lower entries of a (k, k)
+    # block and every entry of any other block: 142 complex numbers from
+    # "eeeee", not the 252 of its six (k, k) blocks
+    n = 5
+    model, rho0, carried = _five_emitter_start(start)
+    real_solve = polyemit.dynamics.solve_ivp
+    carried_sizes = []
+
+    def solve(fun, t_span, y0, **kwargs):
+        carried_sizes.append(y0.size // 2)   # complex entries as float pairs
+        return real_solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(polyemit.dynamics, "solve_ivp", solve)
+    evolve_ensemble(model, rho0, np.linspace(0.0, 1.2e-7, 3))
+    want = 0
+    for k, l in carried:
+        m = math.comb(n, k)
+        want += m * (m + 1) // 2 if k == l else m * math.comb(n, l)
+    assert want == entries
+    assert carried_sizes == [entries]
+
+
+def test_sector_propagation_every_family_of_four_emitters(monkeypatch):
+    # a pure state with every amplitude nonzero populates every block
+    # (k, l); blocks (1, 1), (3, 3) and (3, 1) are all 4 x 4, so one batched
+    # drift product serves Hermitian and non-Hermitian blocks alike, and
+    # the snapshots are still exactly Hermitian (_assert_matches_brute)
+    rng = np.random.default_rng(59)
+    model = random_model(rng, 4)
+    rho0 = pure_density(rng.normal(size=16) + 1j * rng.normal(size=16))
+    real_integrate = polyemit.dynamics._integrate
+    layouts = []
+
+    def integrate(model, lift, layout, *args):
+        layouts.append(layout)
+        return real_integrate(model, lift, layout, *args)
+
+    monkeypatch.setattr(polyemit.dynamics, "_integrate", integrate)
+    t = np.linspace(0.0, 1.2e-7, 6)
+    traj = _assert_matches_brute(model, rho0, t)
+    assert np.max(np.abs(traj.sigma)) > 1e-2
+    # blocks of one shape are adjacent in the state
+    runs = [(shape, [key for key, _ in run]) for shape, run in
+            itertools.groupby(((key, shape) for key, (_, shape)
+                               in layouts[0].items()), key=lambda kv: kv[1])]
+    assert len(runs) == len({shape for shape, _ in runs})
+    assert len(layouts[0]) == 15
+    assert {(1, 1), (3, 3), (3, 1)} <= set(dict(runs)[4, 4])
 
 
 def test_ensemble_ground_state_is_stationary(built):
