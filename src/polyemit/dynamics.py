@@ -139,7 +139,7 @@ class EmitterEnsembleModel:
             mats[name] = _hermitize(mat, name)
 
         eig = np.linalg.eigvalsh(mats["gamma"])
-        norm = float(np.max(np.abs(eig))) if eig.size else 0.0
+        norm = float(np.max(np.abs(eig)))
         if norm > 0.0 and eig[0] < -_PSD_RTOL * norm:
             raise InputError(
                 f"decay matrix must be positive semidefinite; smallest "
@@ -680,7 +680,7 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     sigma_lab = sig_rot * np.exp(-1j * model.omega_ref * tau)[:, None]
 
     rate_scale = max(float(np.max(np.abs(np.linalg.eigvalsh(model.gamma)))),
-                     float(np.linalg.norm(model.xi, 2)) if n else 0.0,
+                     float(np.linalg.norm(model.xi, 2)),
                      float(np.max(np.abs(model.delta))))
     horizon = float(tau[-1]) * rate_scale
     estimate = (50.0 + 10.0 * horizon) * rtol + 10.0 * (1.0 + horizon) * atol

@@ -66,8 +66,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.special import roots_laguerre, sici
 
-from .errors import (ModelDomainError, QuadratureError, finite_array,
-                     finite_point, positive_number)
+from .constants import C0
+from .errors import (CoincidentPointError, ModelDomainError, QuadratureError,
+                     finite_array, finite_point, positive_number)
 from .jets import BLOCK_SHAPES, GreensJet
 
 __all__ = ["QuadratureResult", "SpectralGreenModel", "imaginary_axis_form",
@@ -575,8 +576,7 @@ def homogeneous_pair_model(medium, r_obs, r_src) -> SpectralGreenModel:
     field sees at k = 1e-4 c/|R| on the imaginary axis (the static limit,
     for an index flat at low frequency).
     """
-    from .constants import C0
-    from .errors import CoincidentPointError
+    # imported here so perfbench/tracing.py can wrap eval_homogeneous_jet
     from .homogeneous import eval_homogeneous_jet, imaginary_axis_laurent
 
     r_obs = finite_point(r_obs, "field point")

@@ -488,6 +488,28 @@ def test_free_space_json_and_explicit_frequency(emitter_file, capsys):
     assert doc["frequency_rad_per_s"] == pytest.approx(W384, rel=1e-15)
 
 
+def test_free_space_ignores_scipy_constants(emitter_file):
+    # scipy's constants set to their CODATA 2018 values before polyemit is
+    # imported; the package holds its own, so the rate does not move
+    child = f"""
+import scipy.constants as sc
+sc.epsilon_0 = 8.8541878128e-12
+for key, value in (("Bohr radius", 5.29177210903e-11),
+                   ("Bohr magneton", 9.2740100783e-24)):
+    sc.physical_constants[key] = (value,) + sc.physical_constants[key][1:]
+from polyemit.cli import main
+raise SystemExit(main(["free-space", "--emitter", {emitter_file!r},
+                       "--format", "json"]))
+"""
+    src = os.path.dirname(os.path.dirname(polyemit.__file__))
+    proc = subprocess.run([sys.executable, "-c", child],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    total = json.loads(proc.stdout)["gamma_per_s"]["total"]
+    assert total == pytest.approx(GAMMA_ED_UNIT_ATOMIC, rel=1e-12)
+
+
 def test_free_space_inert_emitter(tmp_path, capsys):
     path = write_json(tmp_path / "inert.json",
                       {"position_m": [0, 0, 0], "omega0_rad_per_s": W384})

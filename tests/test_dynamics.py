@@ -901,6 +901,23 @@ def test_build_ensemble_from_grid():
     assert np.all(model.xi == 0.0)
 
 
+def test_build_ensemble_grid_frequency_guard():
+    # a grid more than 1 % from the reference frequency is refused
+    e1, e2 = _pair(separation=60e-9)
+    w0 = e1.omega0
+    ax = np.array([-60e-9, 0.0, 60e-9])
+    far = grid_from_homogeneous(Medium(1.0), 1.015 * w0, (ax, ax, ax))
+    with pytest.raises(InputError, match="grid frequency differs from the "
+                                         "reference frequency"):
+        build_ensemble([e1, e2], far, omega_ref=w0)
+    near = grid_from_homogeneous(Medium(1.0), 1.005 * w0, (ax, ax, ax))
+    model = build_ensemble([e1, e2], near, omega_ref=w0)
+    assert model.omega_ref == w0
+    assert np.all(np.diag(model.gamma).real > 0.0)
+    assert model.gamma[0, 1] == 0.0 and model.gamma[1, 0] == 0.0
+    assert np.all(model.xi == 0.0)
+
+
 def test_build_ensemble_from_pair_models():
     e1, e2 = _pair()
     wbar = e1.omega0
