@@ -140,12 +140,14 @@ def _fmt(value) -> str:
 
 
 def _render_csv(subcommand: str, comments: list, headers: list,
-                rows: list) -> str:
+                rows) -> str:
+    """The CSV document: each row a sequence of cells, one _fmt each, or
+    a str, a line its caller has already formatted."""
     lines = [f"# {_CSV_SCHEMA}", f"# subcommand: {subcommand}"]
     lines += [f"# {c}" for c in comments]
     lines.append(",".join(headers))
     for row in rows:
-        lines.append(",".join(map(_fmt, row)))
+        lines.append(row if isinstance(row, str) else ",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -220,9 +222,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
     headers = (["x_m", "y_m", "z_m", "enhancement_total"]
                + [f"enh_{p.replace('-', '_')}" for p in pairs]
                + ["gamma_total_per_s"])
-    points = grid.node_points()
-    columns = [*points.T.tolist(), norm["enhancement_total"],
-               *(by_pair[p] for p in pairs), rep.gamma_total]
+    # lists of floats in node_points() order
+    columns = [norm["enhancement_total"], *(by_pair[p] for p in pairs),
+               rep.gamma_total]
     comments = [
         f"grid: {args.grid}",
         f"channels: {','.join(norm['channels'])}",
@@ -230,17 +232,27 @@ def _cmd_map(args: argparse.Namespace) -> int:
         "columns: node position (m), total enhancement over the free-space "
         "rate, per channel-pair enhancement, absolute rate (1/s)",
     ]
-    nodes = None if args.format == "csv" else [
-        {"position_m": point, "enhancement_total": total,
-         "enhancement_by_channel_pair": dict(zip(pairs, enh)),
-         "gamma_total_per_s": gamma}
-        for point, total, *enh, gamma in zip(points.tolist(), *columns[3:])]
+    if args.format == "csv":
+        # the lines _fmt would give: each axis value formatted once, each
+        # other cell by one repr
+        xs, ys, zs = ([repr(v) for v in a.tolist()] for a in grid.axes_si())
+        rows = map(",".join, zip([f"{x},{y},{z}" for x in xs for y in ys
+                                  for z in zs],
+                                 *(map(repr, col) for col in columns)))
+        nodes = None
+    else:
+        rows = None
+        nodes = [{"position_m": point, "enhancement_total": total,
+                  "enhancement_by_channel_pair": dict(zip(pairs, enh)),
+                  "gamma_total_per_s": gamma}
+                 for point, total, *enh, gamma
+                 in zip(grid.node_points().tolist(), *columns)]
     doc = {"subcommand": "map", "grid": args.grid,
            "channels": norm["channels"],
            "gamma_free_space_per_s": norm["gamma_fs"]["value"],
            "gamma_free_space_by_channel": norm["gamma_fs_by_channel"],
            "nodes": nodes}
-    _deliver(args, (comments, headers, zip(*columns)), doc)
+    _deliver(args, (comments, headers, rows), doc)
     return 0
 
 
@@ -439,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--channels",
                            help="restrict to channels, e.g. ed,md")
         if grid:
-            p.add_argument("--grid", required=True, help="grid JSON file")
+            p.add_argument("--grid", required=True, help="grid file")
         if ensemble:
             p.add_argument("--ensemble", required=True,
                            help="ensemble spec JSON file")

@@ -2,37 +2,47 @@
 
 Externally computed environments arrive as rectilinear grids of the
 imaginary part of the Green tensor at coincident points, optionally with
-derivative blocks. On-disk format is a UTF-8 JSON document:
+derivative blocks. save_grid writes format version 3, a binary
+container laid out as NumPy's .npy files are:
 
-    {"format_version": 2,
+    b"\x93PEGRID"                          magic (0x93 starts no UTF-8 text)
+    {"axes": {"x": [...], "y": [...], "z": [...] or fixed scalar},
+     "blocks": ["d1_x", ..., "value"],     # block names, in data order
+     "derivative_semantics": "split",      # "split" | "total", mandatory
+     "format_version": 3,
      "frequency_rad_per_s": 2.4e15,
      "length_unit": "nm",                  # "nm" | "um" | "m"
-     "value_unit_exponent": -1,            # value ~ unit^exp, d1 ~ unit^(exp-1)
-     "derivative_semantics": "split",      # "split" | "total", mandatory
-     "symmetry_rtol": 1e-6,                # optional, default 1e-6
      "provenance": ...,                    # optional free-form metadata
-     "axes": {"x": [...], "y": [...], "z": [...] or fixed scalar},
-     "blocks": {"value": "<base64>", "d1_x": "<base64>", ...}}
+     "symmetry_rtol": 1e-6,                # optional, default 1e-6
+     "value_unit_exponent": -1}            # value ~ unit^exp, d1 ~ unit^(exp-1)
+    spaces, then b"\n" as the last byte of a multiple of 64 bytes
+    the raw bytes of each listed block, in list order, and nothing after
 
-Each block is one base64 string (the standard RFC 4648 alphabet) of the raw
-bytes of N = len(x) * len(y) * len(z) nodes of 3x3 tensors, node-major
-(row-major over x, y, z; z fastest), each entry a little-endian float64
-[re, im] pair: (N, 3, 3, 2) doubles, exactly N * 144 bytes. The
-physical content is Im G, which is real; a nonzero imaginary residue is
-tolerated on load and flagged by validate_grid. Axis coordinates are in
-length_unit; everything is converted to SI on access.
+The header is one UTF-8 JSON object on one line (shown here spread out,
+with comments). Each block is N = len(x) * len(y) * len(z) nodes of 3x3
+tensors, node-major (row-major over x, y, z; z fastest), each entry a
+little-endian float64 [re, im] pair: (N, 3, 3, 2) doubles, exactly
+N * 144 bytes. The physical content is Im G, which is real; a nonzero
+imaginary residue is tolerated on load and flagged by validate_grid.
+Axis coordinates are in length_unit; everything is converted to SI on
+access.
 
-save_grid always writes version 2 as canonical bytes: one json.dumps of
-the whole document with sorted keys and compact separators, so a grid
-has exactly one file, and signed zeros and subnormals survive exactly.
-load_grid reads the document with json.loads, so any JSON whitespace and
-key order load alike (a repeated key keeps its last value), and decodes
-each block with base64's validate=True.
+save_grid's bytes are canonical: the header is one json.dumps with
+sorted keys and compact separators, the block names are sorted, so a
+grid has exactly one file, and signed zeros and subnormals survive
+exactly. load_grid reads the header with json.loads, so any JSON
+whitespace and key order load alike (a repeated key keeps its last
+value), and the block names may come in any order. The block data
+starts at a multiple of 64 bytes, so each loaded block is an aligned,
+read-only view of the file's bytes, with no copy.
 
-load_grid also reads format_version 1, whose blocks are nested lists
-(N, 3, 3, [re, im]) of JSON numbers; a bool, null or string where a
-number belongs is refused, as is a ragged block. An old file converts
-once, by save_grid(load_grid(v1_bytes)).
+load_grid also reads the two JSON formats before it, UTF-8 documents
+with the same fields and the blocks inside: in format_version 2
+"blocks" maps each name to one base64 string (the standard RFC 4648
+alphabet, no padding) of the block's raw bytes; in format_version 1 to
+nested lists (N, 3, 3, [re, im]) of JSON numbers, where a bool, null or
+string in place of a number is refused, as is a ragged block. An old
+file converts once, by save_grid(load_grid(old_bytes)).
 
 The header fields pass TensorGrid's own checks, named by their document
 keys: frequency_rad_per_s and symmetry_rtol errors.positive_number, each
@@ -193,8 +203,8 @@ class TensorGrid:
                     f"{self.derivative_semantics!r} semantics")
             arr = np.asarray(self.blocks[key], dtype=complex)
             if not isinstance(_owner(arr), bytes):
-                # a view of immutable bytes (a decoded v2 block) needs
-                # no private copy
+                # a view of immutable bytes (a v2 or v3 block) needs no
+                # private copy
                 arr = arr.copy()
             if arr.shape != want:
                 raise GridFormatError(
@@ -340,6 +350,8 @@ class TensorGrid:
 
 _BLOCK_DTYPE = np.dtype("<c16")  # little-endian float64 [re, im] pairs
 _NODE_BYTES = 9 * _BLOCK_DTYPE.itemsize
+_MAGIC = b"\x93PEGRID"  # 0x93 is a UTF-8 continuation byte
+_ALIGN = 64  # v3 block data starts at a multiple of this many bytes
 
 
 def _dumps(obj) -> str:
@@ -348,15 +360,16 @@ def _dumps(obj) -> str:
 
 
 def save_grid(grid: TensorGrid) -> bytes:
-    """Serialize to canonical UTF-8 JSON bytes in format version 2.
+    """Serialize to canonical bytes in format version 3.
 
-    Canonical means sorted keys, compact separators, shortest
-    round-trip decimals in the header and each block's raw bytes in
-    base64; the same grid always produces the same bytes, and
-    load_grid(save_grid(g)) reproduces g exactly.
+    Canonical means a header of sorted keys, compact separators and
+    shortest round-trip decimals, the block names sorted, and each
+    block's raw little-endian bytes; the same grid always produces the
+    same bytes, and load_grid(save_grid(g)) reproduces g exactly.
     """
+    keys = sorted(grid.blocks)
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "frequency_rad_per_s": grid.frequency,
         "length_unit": grid.length_unit,
         "value_unit_exponent": grid.value_unit_exponent,
@@ -364,27 +377,29 @@ def save_grid(grid: TensorGrid) -> bytes:
         "symmetry_rtol": grid.symmetry_tol,
         "axes": {name: (float(arr[0]) if fx else [float(v) for v in arr])
                  for name, arr, fx in zip(_AXES, grid.axes, grid.fixed_axes)},
-        "blocks": {key: base64.b64encode(np.ascontiguousarray(
-                       arr, dtype=_BLOCK_DTYPE).tobytes()).decode("ascii")
-                   for key, arr in grid.blocks.items()},
+        "blocks": keys,
     }
     if grid.provenance is not None:
         doc["provenance"] = grid.provenance
     try:
-        return _dumps(doc).encode("utf-8")
+        header = _MAGIC + _dumps(doc).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise GridFormatError(f"grid is not serializable: {exc}") from None
+    # the newline ends the padding, as the last byte before the blocks
+    pad = b" " * (-(len(header) + 1) % _ALIGN) + b"\n"
+    return b"".join([header, pad, *(
+        np.ascontiguousarray(grid.blocks[key], dtype=_BLOCK_DTYPE)
+        for key in keys)])
 
 
-def _reject_constant(token: str):
-    raise GridFormatError(f"non-finite number {token!r} in grid file")
+def _read_json(text: str, what: str = "grid file"):
+    def reject_constant(token: str):
+        raise GridFormatError(f"non-finite number {token!r} in {what}")
 
-
-def _read_json(text: str):
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
-        raise GridFormatError(f"grid file is not valid JSON: {exc}") from None
+        raise GridFormatError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _locate_block_defect(key: str, payload, n_nodes: int):
@@ -454,19 +469,65 @@ def _decode_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
     return np.frombuffer(raw, dtype=_BLOCK_DTYPE).reshape(shape + (3, 3))
 
 
+def _view_blocks(names, data: bytes, offset: int, n_nodes: int,
+                 shape: tuple) -> dict:
+    """The v3 blocks: for each name in list order, the next N x 144 bytes
+    of data from offset on, as a read-only view of the grid's shape.
+    TensorGrid checks the names against the semantics, and that every
+    entry is finite."""
+    if not (isinstance(names, list) and all(isinstance(k, str) for k in names)
+            and len(set(names)) == len(names) and "value" in names):
+        raise GridFormatError(
+            "blocks: expected a list of distinct block names with 'value'")
+    size = n_nodes * _NODE_BYTES
+    if len(data) - offset != len(names) * size:
+        raise GridFormatError(
+            f"blocks: expected {len(names) * size} bytes for {len(names)} "
+            f"blocks of {n_nodes} nodes, got {len(data) - offset}")
+    return {key: np.frombuffer(data, _BLOCK_DTYPE, 9 * n_nodes,
+                               offset + i * size).reshape(shape + (3, 3))
+            for i, key in enumerate(names)}
+
+
+def _load_v3(data: bytes) -> TensorGrid:
+    """A v3 file: the magic, the header line, the raw blocks."""
+    if not data.startswith(_MAGIC):
+        raise GridFormatError(
+            f"magic: expected {_MAGIC!r}, got {data[:len(_MAGIC)]!r}")
+    end = data.find(b"\n", len(_MAGIC))
+    if end < 0:
+        raise GridFormatError("header: no terminating newline")
+    try:
+        text = data[len(_MAGIC):end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"header is not UTF-8: {exc}") from None
+    doc = _read_json(text, "header")
+    if not isinstance(doc, dict):
+        raise GridFormatError("header must be a JSON object")
+    if (end + 1) % _ALIGN:
+        raise GridFormatError(
+            f"header: block data starts at byte {end + 1}, not at a "
+            f"multiple of {_ALIGN}")
+    return _grid_from_doc(doc, data, end + 1)
+
+
 def load_grid(source) -> TensorGrid:
     """Parse a grid file into a fully validated, unit-aware TensorGrid.
 
-    Accepts bytes, str, or a binary file-like object, in format version 1
-    or 2. Structural problems (malformed header, missing semantics
-    declaration, non-monotone axes, ragged, undecodable or non-finite
-    blocks) are rejected with a diagnostic naming the offending field.
+    Accepts bytes, str, or a binary file-like object, in format version
+    1, 2 or 3 (bytes only, told apart by its magic). Structural problems
+    (malformed header, missing semantics declaration, non-monotone axes,
+    ragged, undecodable, mis-sized or non-finite blocks) are rejected
+    with a diagnostic naming the offending field.
     """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray, memoryview)):
+        source = bytes(source)
+        if source[:1] == _MAGIC[:1]:
+            return _load_v3(source)
         try:
-            source = bytes(source).decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GridFormatError(f"grid file is not UTF-8: {exc}") from None
     if not isinstance(source, str):
@@ -474,19 +535,22 @@ def load_grid(source) -> TensorGrid:
             "load_grid expects bytes, str, or a binary file-like object")
     doc = _read_json(source)
     del source  # the text is not needed while the blocks decode
+    if not isinstance(doc, dict):
+        raise GridFormatError("grid file top level must be a JSON object")
     return _grid_from_doc(doc)
 
 
-def _grid_from_doc(doc) -> TensorGrid:
-    """Check a decoded document and build its grid."""
-    if not isinstance(doc, dict):
-        raise GridFormatError("grid file top level must be a JSON object")
-
+def _grid_from_doc(doc: dict, data: Optional[bytes] = None,
+                   offset: int = 0) -> TensorGrid:
+    """Check a decoded document and build its grid: a v1 or v2 document,
+    or, with data given, a v3 header whose blocks are data from offset
+    on."""
+    versions = (1, 2) if data is None else (3,)
     version = doc.get("format_version")
-    if isinstance(version, bool) or version not in (1, 2):
+    if isinstance(version, bool) or version not in versions:
         raise GridFormatError(
-            f"format_version: expected 1 or 2, got {version!r}")
-    read_block = _decode_block if version == 2 else _parse_block
+            f"format_version: expected {' or '.join(map(str, versions))}, "
+            f"got {version!r}")
 
     # read before the blocks, whose parse needs the node count
     axes_doc = doc.get("axes")
@@ -502,14 +566,18 @@ def _grid_from_doc(doc) -> TensorGrid:
         if fixed[-1] and name != "z":
             raise GridFormatError(
                 f"axes.{name}: only z may be a fixed scalar")
-
-    blocks_doc = doc.get("blocks")
-    if not isinstance(blocks_doc, dict) or "value" not in blocks_doc:
-        raise GridFormatError("blocks: expected an object with a 'value' block")
     shape = tuple(len(a) for a in axes)
     n_nodes = int(np.prod(shape))
-    blocks = {key: read_block(key, payload, n_nodes, shape)
-              for key, payload in blocks_doc.items()}
+
+    blocks_doc = doc.get("blocks")
+    if data is not None:
+        blocks = _view_blocks(blocks_doc, data, offset, n_nodes, shape)
+    elif not isinstance(blocks_doc, dict) or "value" not in blocks_doc:
+        raise GridFormatError("blocks: expected an object with a 'value' block")
+    else:
+        read_block = _decode_block if version == 2 else _parse_block
+        blocks = {key: read_block(key, payload, n_nodes, shape)
+                  for key, payload in blocks_doc.items()}
 
     return TensorGrid(
         frequency=doc.get("frequency_rad_per_s"),

@@ -20,8 +20,9 @@ that is:
     lowering_operators, the dense per-emitter lowering operators;
   * csv_cell: one CSV cell by isinstance dispatch alone, the oracle of
     polyemit.cli._fmt and its exact-float shortcut;
-  * reference_save: a grid as a format-version-1 document, the writer of
-    every v1 file the grid reader tests load.
+  * reference_save and reference_save_v2: a grid as a format-version-1
+    and a format-version-2 document, the writers of every v1 and v2 file
+    the grid reader tests load (polyemit.grid.save_grid writes v3).
 
 The engine pieces (_adaptive, _integrate_to_infinity, _coefficient_rows,
 _pole_coefficients, _roundoff_floor) are imported from
@@ -38,6 +39,7 @@ point). The package never takes the real-axis route.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -394,24 +396,42 @@ def csv_cell(value) -> str:
     return text
 
 
-def reference_save(grid) -> bytes:
-    """A TensorGrid as canonical format-version-1 bytes: json.dumps of the
-    whole document with sorted keys, compact separators and every block
-    entry a nested [re, im] list."""
+def _header(grid, version: int) -> dict:
+    """The header fields of a grid's v1 or v2 document."""
     doc = {
-        "format_version": 1, "frequency_rad_per_s": grid.frequency,
+        "format_version": version, "frequency_rad_per_s": grid.frequency,
         "length_unit": grid.length_unit,
         "value_unit_exponent": grid.value_unit_exponent,
         "derivative_semantics": grid.derivative_semantics,
         "symmetry_rtol": grid.symmetry_tol,
         "axes": {name: (float(arr[0]) if fx else [float(v) for v in arr])
                  for name, arr, fx in zip("xyz", grid.axes, grid.fixed_axes)},
-        "blocks": {k: [[[[float(e.real), float(e.imag)] for e in row]
-                        for row in node]
-                       for node in grid.blocks[k].reshape(-1, 3, 3)]
-                   for k in sorted(grid.blocks)},
     }
     if grid.provenance is not None:
         doc["provenance"] = grid.provenance
+    return doc
+
+
+def _canonical(doc: dict) -> bytes:
     return json.dumps(doc, ensure_ascii=False, sort_keys=True,
                       separators=(",", ":"), allow_nan=False).encode("utf-8")
+
+
+def reference_save(grid) -> bytes:
+    """A TensorGrid as canonical format-version-1 bytes: json.dumps of the
+    whole document with sorted keys, compact separators and every block
+    entry a nested [re, im] list."""
+    return _canonical(dict(_header(grid, 1), blocks={
+        k: [[[[float(e.real), float(e.imag)] for e in row] for row in node]
+            for node in grid.blocks[k].reshape(-1, 3, 3)]
+        for k in sorted(grid.blocks)}))
+
+
+def reference_save_v2(grid) -> bytes:
+    """A TensorGrid as canonical format-version-2 bytes, as save_grid wrote
+    them before format version 3: the v1 document with each block one
+    base64 string of its raw little-endian [re, im] pairs."""
+    return _canonical(dict(_header(grid, 2), blocks={
+        k: base64.b64encode(np.ascontiguousarray(
+            arr, dtype="<c16").tobytes()).decode("ascii")
+        for k, arr in grid.blocks.items()}))

@@ -18,7 +18,8 @@ import pytest
 from scipy.integrate import OdeSolver
 
 import polyemit
-from polyemit.cli import _render_csv, build_parser, main, parse_frequency
+from polyemit.cli import (_fmt, _render_csv, build_parser, main,
+                          parse_frequency)
 from polyemit.constants import ATOMIC_QUADRUPOLE, C0, EPS0, HBAR
 from polyemit.dynamics import (EmitterEnsembleModel, evolve_ensemble,
                                product_density, pure_density)
@@ -37,7 +38,7 @@ from polyemit.rates import (build_ensemble, collective_rate,
                             coupling_strength, emission_rate, enhancement_map,
                             free_space_rates, lamb_shift)
 
-from oracles import csv_cell, reference_save
+from oracles import csv_cell, reference_save, reference_save_v2
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -610,6 +611,45 @@ def test_map_output_bytes_repeat_across_runs(grid_file, emitter_file,
     assert main(["map", "--grid", grid_file, "--emitter", emitter_file,
                  "--out", str(b), "--quiet"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_map_csv_equals_the_row_wise_rendering(tmp_path, capsys):
+    # map formats its x, y and z columns from the distinct axis values and
+    # every other cell by one repr; the oracle is the row-wise rendering,
+    # one _fmt per cell of node_points() and the report's columns, on a
+    # grid whose nodes all differ
+    rng = np.random.default_rng(3232)
+    axes = (np.cumsum(rng.uniform(1e-9, 9e-9, 5)) - 2e-8,
+            np.cumsum(rng.uniform(1e-9, 9e-9, 4)), np.array([-1e-8, 3e-8]))
+    base = grid_from_homogeneous(Medium(1.3), W384, axes)
+    factor = rng.uniform(0.5, 1.5, size=base.shape + (1, 1))
+    grid = dataclasses.replace(
+        base, blocks={k: v * factor for k, v in base.blocks.items()})
+    path = tmp_path / "grid.json"
+    path.write_bytes(save_grid(grid))
+    emitter = write_json(tmp_path / "emitter.json",
+                         {"position_m": [0.0, 0.0, 0.0],
+                          "omega0_rad_per_s": W384,
+                          "d_atomic": [1.0, 0.2, 0.0],
+                          "m_bohr_magnetons": [0.0, 1.0, 0.3],
+                          "Q_atomic": [[1.0, 0.1, 0.0], [0.1, -0.5, 0.0],
+                                       [0.0, 0.0, -0.5]]})
+    assert main(["map", "--grid", str(path), "--emitter", emitter]) == 0
+    out = capsys.readouterr().out
+
+    rep = enhancement_map(grid, MultipoleEmitter.from_file(emitter))
+    norm = rep.normalization
+    pairs = sorted(norm["enhancement_by_channel_pair"])
+    headers = (["x_m", "y_m", "z_m", "enhancement_total"]
+               + [f"enh_{p.replace('-', '_')}" for p in pairs]
+               + ["gamma_total_per_s"])
+    rows = zip(*grid.node_points().T.tolist(), norm["enhancement_total"],
+               *(norm["enhancement_by_channel_pair"][p] for p in pairs),
+               rep.gamma_total)
+    want = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    _, sep, body = out.partition("\n" + ",".join(headers) + "\n")
+    assert sep and body == want
+    assert len(set(norm["enhancement_total"])) == 5 * 4 * 2
 
 
 def test_map_frequency_mismatch_exits_2_without_output(grid_file, tmp_path,
@@ -1268,7 +1308,8 @@ def test_validate_huge_integer_exits_2(grid_file, tmp_path, capsys):
 
 def test_v1_and_v2_grids_give_identical_outputs(grid_file, tmp_path,
                                                 monkeypatch, capsys):
-    # the output echoes the --grid path, so both files are grid.json
+    # and v3 too; the output echoes the --grid path, so every file is
+    # grid.json
     with open(grid_file, "rb") as fh:
         grid = load_grid(fh)
     emitter = write_json(tmp_path / "emitter.json",
@@ -1280,7 +1321,8 @@ def test_v1_and_v2_grids_give_identical_outputs(grid_file, tmp_path,
                                        [0.0, 0.0, -0.5]]})
     outputs = {}
     for version, data in (("v1", reference_save(grid)),
-                          ("v2", save_grid(grid))):
+                          ("v2", reference_save_v2(grid)),
+                          ("v3", save_grid(grid))):
         (tmp_path / version).mkdir()
         (tmp_path / version / "grid.json").write_bytes(data)
         monkeypatch.chdir(tmp_path / version)
@@ -1290,7 +1332,7 @@ def test_v1_and_v2_grids_give_identical_outputs(grid_file, tmp_path,
             assert main(["map", "--grid", "grid.json", "--emitter", emitter,
                          "--format", fmt]) == 0
         outputs[version] = capsys.readouterr().out
-    assert outputs["v1"] == outputs["v2"]
+    assert outputs["v1"] == outputs["v2"] == outputs["v3"]
 
 
 # --- output discipline -------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from polyemit.grid import (TensorGrid, grid_from_homogeneous, load_grid,
 from polyemit.homogeneous import Medium, coincident_im_jet
 from polyemit.rates import emission_rate, enhancement_map
 
-from oracles import reference_save
+from oracles import reference_save, reference_save_v2
 
 W0 = 2.4e15
 
@@ -440,12 +441,12 @@ def test_ragged_block_is_reported_before_a_non_finite_one():
 
 
 # ---------------------------------------------------------------------------
-# the format-version-2 reader and writer
+# the format-version-2 reader
 
 def test_v2_reader_refuses_bad_blocks():
     rng = np.random.default_rng(2626)
     g = hand_grid(rng, shape=(2, 2), extra=("d1_x",))
-    doc = json.loads(save_grid(g))
+    doc = json.loads(reference_save_v2(g))
     assert doc["format_version"] == 2
     # each block is one JSON string, so an indented copy is the same grid
     assert same_grid(load_grid(json.dumps(doc, indent=2)), g)
@@ -487,9 +488,178 @@ def test_v2_reader_refuses_bad_blocks():
         assert got[2].startswith(want), (payload, got)
 
 
+# ---------------------------------------------------------------------------
+# the format-version-3 container
+
+MAGIC = b"\x93PEGRID"
+
+
+def v3_split(data):
+    """A v3 file as its header document and its block bytes."""
+    assert data.startswith(MAGIC)
+    end = data.index(b"\n") + 1
+    return json.loads(data[len(MAGIC):end]), data[end:]
+
+
+def v3_file(header, blocks, align=64):
+    """v3 bytes: the magic, header text (a document is written compact),
+    space padding and a newline up to a multiple of align, the blocks."""
+    if isinstance(header, dict):
+        header = compact(header)
+    if isinstance(header, str):
+        header = header.encode("utf-8")
+    head = MAGIC + header
+    return head + b" " * (-(len(head) + 1) % align) + b"\n" + blocks
+
+
+def test_v3_layout_and_zero_copy_views():
+    rng = np.random.default_rng(2929)
+    g = hand_grid(rng, shape=(3, 2), extra=("d1_y", "d2_xz"))
+    # a provenance of every length from 0 to 64 characters gives every
+    # padding from 0 to 63 spaces
+    pads = set()
+    for n in range(65):
+        grid = dataclasses.replace(g, provenance="p" * n)
+        data = save_grid(grid)
+        assert data == save_grid(grid)
+        offset = data.index(b"\n") + 1
+        assert offset % 64 == 0
+        header = data[len(MAGIC):offset - 1]
+        pads.add(len(header) - len(header.rstrip(b" ")))
+        doc, raw = v3_split(data)
+        assert header.rstrip(b" ") == compact(doc).encode("utf-8")
+        assert list(doc) == sorted(doc)
+        assert doc["format_version"] == 3
+        assert doc["blocks"] == ["d1_y", "d2_xz", "value"]
+        assert raw == b"".join(grid.blocks[k].astype("<c16").tobytes()
+                               for k in doc["blocks"])
+        assert len(raw) == 3 * 6 * 144
+        loaded = load_grid(data)
+        assert same_grid(loaded, grid)
+        for key, arr in loaded.blocks.items():
+            # a read-only view of the file's bytes, aligned for its dtype
+            base = arr
+            while isinstance(base, np.ndarray):
+                assert not base.flags.owndata
+                base = base.base
+            assert base is data, key
+            assert not arr.flags.writeable
+            assert arr.flags.aligned
+            assert arr.ctypes.data % arr.dtype.alignment == 0
+    assert pads == set(range(64))
+    # bytearray, memoryview and file input load the same grid, as views
+    # of one bytes copy
+    data = save_grid(g)
+    for source in (bytearray(data), memoryview(data), io.BytesIO(data)):
+        loaded = load_grid(source)
+        assert same_grid(loaded, g)
+        assert all(arr.flags.aligned for arr in loaded.blocks.values())
+
+
+def test_v1_v2_and_v3_files_load_alike_and_convert():
+    rng = np.random.default_rng(3030)
+    g = hand_grid(rng, shape=(2, 3), extra=("d1_x", "d1_x_src", "d2_yy"))
+    blocks = {k: np.array(v) for k, v in g.blocks.items()}
+    blocks["value"][0, 0, 0, 1, 2] = complex(-0.0, 5e-324)
+    blocks["d1_x"][1, 2, 0, 0, 0] = complex(-5e-324, -0.0)
+    g = dataclasses.replace(g, blocks=blocks,
+                            provenance={"note": "Grün ∂G ✓", "n": [1, None]})
+    v3 = save_grid(g)
+    for data in (reference_save(g), reference_save_v2(g), v3):
+        loaded = load_grid(data)
+        assert same_grid(loaded, g)
+        assert save_grid(loaded) == v3
+    # the header may use any JSON whitespace and key order, and list the
+    # blocks in any order, their bytes following that order
+    doc, raw = v3_split(v3)
+    size = len(raw) // len(doc["blocks"])
+    parts = dict(zip(doc["blocks"], (raw[i:i + size]
+                                     for i in range(0, len(raw), size))))
+    names = doc["blocks"][::-1]
+    shuffled = dict(reversed(list(doc.items())), blocks=names)
+    for header in (json.dumps(shuffled, indent=2).replace("\n", " "),
+                   " " + compact(shuffled) + "\t"):
+        data = v3_file(header, b"".join(parts[k] for k in names))
+        assert same_grid(load_grid(data), g)
+        assert save_grid(load_grid(data)) == v3
+
+
+def test_v3_reader_refuses_bad_files():
+    rng = np.random.default_rng(3131)
+    g = hand_grid(rng, shape=(2, 2), extra=("d1_x",))
+    data = save_grid(g)
+    doc, raw = v3_split(data)
+    assert v3_file(doc, raw) == data
+    assert doc["blocks"] == ["d1_x", "value"]
+    parts = np.frombuffer(raw, dtype="<f8").copy()
+    parts[5] = math.nan  # in d1_x, the first block
+    size = "blocks: expected 1152 bytes for 2 blocks of 4 nodes, got "
+    names = "blocks: expected a list of distinct block names with 'value'"
+    cases = [
+        # the magic
+        (b"\x93PEGRIX" + data[7:], "magic: expected "),
+        (b"\x93NUMPY" + data[6:], "magic: expected "),
+        (data[:3], "magic: expected "),
+        # the header line
+        (MAGIC + compact(doc).encode("utf-8"), "header: no terminating "
+                                                "newline"),
+        (v3_file(b'{"a":"\xff"}', raw), "header is not UTF-8: "),
+        (v3_file(b"\xc3" + compact(doc).encode("utf-8"), raw),
+         "header is not UTF-8: "),
+        (v3_file("[1, 2]", raw), "header must be a JSON object"),
+        (v3_file('"grid"', raw), "header must be a JSON object"),
+        (v3_file("", raw), "header is not valid JSON: "),
+        (v3_file(compact(doc)[:-1], raw), "header is not valid JSON: "),
+        (v3_file(compact(doc) + "{}", raw), "header is not valid JSON: "),
+        (v3_file(compact(doc)[:-1] + ',"provenance":NaN}', raw),
+         "non-finite number 'NaN' in header"),
+        (v3_file(compact(doc)[:-1] + ',"symmetry_rtol":-Infinity}', raw),
+         "non-finite number '-Infinity' in header"),
+        (MAGIC + b" " + data[len(MAGIC):],
+         "header: block data starts at byte "),
+        (v3_file(dict(doc, format_version=2), raw),
+         "format_version: expected 3, got 2"),
+        (v3_file(dict(doc, format_version=3.5), raw),
+         "format_version: expected 3, got 3.5"),
+        # the block names
+        (v3_file(dict(doc, blocks={"d1_x": 0, "value": 1}), raw), names),
+        (v3_file(dict(doc, blocks="value"), raw), names),
+        (v3_file({k: v for k, v in doc.items() if k != "blocks"}, raw),
+         names),
+        (v3_file(dict(doc, blocks=["value", "value"]), raw), names),
+        (v3_file(dict(doc, blocks=["d1_x", "d1_x"]), raw), names),
+        (v3_file(dict(doc, blocks=["d1_x", 7]), raw), names),
+        (v3_file(dict(doc, blocks=["d1_x", ["value"]]), raw), names),
+        (v3_file(dict(doc, blocks=["d1_x", "d1_y"]), raw), names),
+        (v3_file(dict(doc, blocks=["d3_x", "value"]), raw),
+         "blocks.d3_x: unrecognized under 'split' semantics"),
+        (v3_file(dict(doc, blocks=["d1_x_src", "value"],
+                      derivative_semantics="total"), raw),
+         "blocks.d1_x_src: unrecognized under 'total' semantics"),
+        # the block bytes
+        (data[:-1], size + "1151"),
+        (data + b"\0", size + "1153"),
+        (data + b"\n", size + "1153"),
+        (data[:-576], size + "576"),
+        (v3_file(doc, b""), size + "0"),
+        (v3_file(dict(doc, blocks=["value"]), raw),
+         "blocks: expected 576 bytes for 1 blocks of 4 nodes, got 1152"),
+        (v3_file(doc, parts.tobytes()), "blocks.d1_x: non-finite entries"),
+        # the other header fields, through the checks v1 and v2 share
+        (v3_file(dict(doc, axes=dict(doc["axes"], x=[0.0, 0.0])), raw),
+         "axes.x must be a nonempty finite strictly increasing"),
+        (v3_file(dict(doc, length_unit="mm"), raw), "length_unit 'mm'"),
+    ]
+    for data, want in cases:
+        got = outcome(data)
+        assert got[:2] == ("raises", GridFormatError), (data[:80], got)
+        assert got[2].startswith(want), (data[:80], got)
+
+
 def test_save_matches_reference_writer_on_random_bit_patterns():
-    # the v2 and the v1 document of a grid load to that grid, bit for bit,
-    # with signed zeros and subnormals among random finite bit patterns
+    # the v3 bytes and the v2 and v1 documents of a grid load to that grid,
+    # bit for bit, with signed zeros and subnormals among random finite
+    # bit patterns
     rng = np.random.default_rng(77)
     keys = ["value", *all_block_keys()]
     for shape in ((1, 1), (3, 2)):
@@ -513,16 +683,18 @@ def test_save_matches_reference_writer_on_random_bit_patterns():
         data = save_grid(g)
         assert data == save_grid(g)
         assert same_grid(load_grid(data), g)
+        assert same_grid(load_grid(reference_save_v2(g)), g)
         assert same_grid(load_grid(reference_save(g)), g)
 
 
 def test_blocks_are_private_and_read_only():
-    # a decoded v2 block is a read-only view of immutable bytes and is kept
-    # as it is; any other array is copied, so its owner cannot change the
-    # grid afterwards
+    # a v3 or a decoded v2 block is a read-only view of immutable bytes and
+    # is kept as it is; any other array is copied, so its owner cannot
+    # change the grid afterwards
     rng = np.random.default_rng(2727)
     g = hand_grid(rng, extra=("d1_x",))
-    for arr in load_grid(save_grid(g)).blocks.values():
+    for arr in chain(load_grid(save_grid(g)).blocks.values(),
+                     load_grid(reference_save_v2(g)).blocks.values()):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0, 0, 0, 0] = 1.0
@@ -851,22 +1023,28 @@ def test_fd_step_follows_the_number_rule(step):
 
 
 def test_producer_fd_grid_bytes_are_pinned():
-    # v1 and v2 bytes of two finite-difference grids, as the stencils and
-    # their summation order give them: a change to either shows here
+    # v1, v2 and v3 bytes of two finite-difference grids, as the stencils
+    # and their summation order give them: a change to either shows here.
+    # The v1 and v2 bytes are the oracle writers', pinned while save_grid
+    # wrote v2
     pins = [
         (Medium(1.5), (np.linspace(0, 60e-9, 4), np.linspace(0, 40e-9, 3),
                        0.0), 2e-9,
          "217325c8f5c18dd2f07905e6c49c00bbdd808644ede5ffedd322f3fe8d1fa6fb",
-         "11770537d2e4d1d559c329a5aa6b802c0ac6ec342a412cb87e6b9335c51bc625"),
+         "11770537d2e4d1d559c329a5aa6b802c0ac6ec342a412cb87e6b9335c51bc625",
+         "8ca643103312f406546b1bc580363b74c0b104e0f57f268abcfa1bca6ac6b363"),
         (Medium(2.0), (np.linspace(0, 30e-9, 2), np.linspace(0, 30e-9, 2),
                        0.0), 1e-9,
          "37901698fbeb7e9d5609a28f603c3af62f37596877b6c4d243852e67c9750399",
-         "0846d0764ff71701a893b1392615928292941770172e70dfa3a3006ae3b1c008"),
+         "0846d0764ff71701a893b1392615928292941770172e70dfa3a3006ae3b1c008",
+         "2472ef303113d624a8f9417f22e26655cb9d5757785ddb970dad0e2679c1ab58"),
     ]
-    for medium, axes, h, want_v1, want_v2 in pins:
+    for medium, axes, h, want_v1, want_v2, want_v3 in pins:
         grid = grid_from_homogeneous(medium, 2.4e15, axes, fd_step=h)
         assert hashlib.sha256(reference_save(grid)).hexdigest() == want_v1, h
-        assert hashlib.sha256(save_grid(grid)).hexdigest() == want_v2, h
+        assert hashlib.sha256(
+            reference_save_v2(grid)).hexdigest() == want_v2, h
+        assert hashlib.sha256(save_grid(grid)).hexdigest() == want_v3, h
 
 
 def test_producer_fd_grid_has_no_negative_zeros():
