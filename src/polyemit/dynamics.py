@@ -305,13 +305,13 @@ def _time_grid(times) -> np.ndarray:
     return increasing_axis(times, "time grid")
 
 
-def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:
+def _check_density(rho: np.ndarray, members: list, what: str) -> tuple:
     """rho as a Hermitian, unit-trace, positive semidefinite density over
-    the basis that members splits into excitation sectors (see _sectors).
-
-    Without coherence between sectors (exactly zero entries there) the
-    spectrum is checked block by block on the populated (k, k) blocks;
-    otherwise on the full matrix.
+    the basis that members splits into excitation sectors (see _sectors),
+    the families k - l >= 0 in which it has an exactly nonzero entry, and
+    the highest sector it populates. Positivity (_positive at 1e-9) is
+    checked on the (k, k) blocks up to that sector when k = l is the only
+    family, otherwise on the full matrix.
     """
     dim = sum(m.size for m in members)
     rho = finite_array(rho, what, (dim, dim))
@@ -321,14 +321,14 @@ def _check_density(rho: np.ndarray, members: list, what: str) -> np.ndarray:
     sector = np.empty(dim, dtype=np.intp)
     for k, m in enumerate(members):
         sector[m] = k
-    if np.any(rho[sector[:, None] != sector]):
-        blocks = [rho]
-    else:
-        blocks = [blk for blk in (rho[np.ix_(m, m)] for m in members)
-                  if np.any(blk)]
-    if min(np.linalg.eigvalsh(blk)[0] for blk in blocks) < -1e-9:
+    rows, cols = (sector[i] for i in np.nonzero(rho))
+    top = int(rows.max())
+    families = np.flatnonzero(np.bincount(rows - cols + top)[top:]).tolist()
+    blocks = ([rho[np.ix_(m, m)] for m in members[:top + 1]]
+              if families == [0] else [rho])
+    if not all(_positive(blk, 1e-9) for blk in blocks):
         raise InputError(f"{what} must be positive semidefinite")
-    return rho
+    return rho, families, top
 
 
 def _sectors(n: int) -> tuple:
@@ -422,9 +422,10 @@ def _sector_operators(model: EmitterEnsembleModel, lift: list,
     return drift, jump
 
 
-def _dense(blocks: dict, members: list, dim: int) -> np.ndarray:
+def _dense(blocks: dict, members: list) -> np.ndarray:
     """Full (nt, dim, dim) states from the carried (k, l) blocks, k >= l."""
     nt = next(iter(blocks.values())).shape[0]
+    dim = sum(m.size for m in members)
     out = np.zeros((nt, dim, dim), dtype=complex)
     for (k, l), arr in blocks.items():
         out[:, members[k][:, None], members[l]] = arr
@@ -434,16 +435,26 @@ def _dense(blocks: dict, members: list, dim: int) -> np.ndarray:
     return out
 
 
-def _positive(stack: np.ndarray) -> np.ndarray:
+def _positive(stack: np.ndarray, tol: float) -> np.ndarray:
     """Whether each Hermitian matrix of stack (..., m, m) has no eigenvalue
-    below -_BOUND_TOL. One Cholesky factorization of stack + _BOUND_TOL I
-    decides for the whole stack; only when it fails is the spectrum
-    computed, to tell the matrices apart."""
+    below -tol. One Cholesky factorization of stack + tol I decides for
+    the whole stack; only when it fails is the spectrum computed, to tell
+    the matrices apart."""
     try:
-        np.linalg.cholesky(stack + _BOUND_TOL * np.eye(stack.shape[-1]))
+        np.linalg.cholesky(stack + tol * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
-        return np.linalg.eigvalsh(stack)[..., 0] >= -_BOUND_TOL
+        return np.linalg.eigvalsh(stack)[..., 0] >= -tol
     return np.ones(stack.shape[:-2], dtype=bool)
+
+
+def _bounds(blocks: dict) -> tuple:
+    """Smallest diagonal entry and purity sum_ij |rho_ij|^2, at each time,
+    of the state of the carried (k, l) blocks, k >= l (see _dense); a
+    k != l block counts for its mirror too."""
+    low = np.min([np.diagonal(arr, axis1=1, axis2=2).real.min(axis=1)
+                  for (k, l), arr in blocks.items() if k == l], axis=0)
+    return low, sum((1 + (k != l)) * np.sum(np.abs(arr) ** 2, axis=(1, 2))
+                    for (k, l), arr in blocks.items())
 
 
 class _Dop853(DOP853):
@@ -577,15 +588,13 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
 
     Expectations are evaluated on the requested grid, and at every output
     time the trace must stay at one (within 1e-9) and the state positive,
-    no eigenvalue below -1e-7. A start with only the k = l family stays
-    block diagonal, so every (k, k) block is checked; otherwise the state
-    is assembled and checked up to dimension 64, by diagonal and purity
-    bounds beyond that. A check passes when the Cholesky factorization of
-    the matrix plus 1e-7 I succeeds, at all output times at once for a
-    block; the spectrum is computed only when it fails, to name the first
-    failing time. Violations raise IntegrationError (loosened rtol/atol
-    surface here first), and so do step-control failure and model
-    coefficients that overflow float64 in the right-hand side.
+    no eigenvalue below -1e-7 (_positive). A start with only the k = l
+    family stays block diagonal, so every (k, k) block is checked;
+    otherwise the smallest diagonal entry and the purity, read off the
+    blocks, are bounded, and up to 6 emitters the assembled state is
+    checked too. The first failing time, trace before positivity, raises
+    IntegrationError (loosened rtol/atol surface here first), and so do
+    step-control failure and model coefficients that overflow float64.
 
     Density snapshots are retained for up to 6 emitters by default;
     keep_states forces or suppresses that. The returned error_estimate is
@@ -599,7 +608,6 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
         raise InputError(
             f"propagation is capped at {_MAX_EMITTERS} emitters "
             f"(state dimension {2 ** _MAX_EMITTERS})")
-    dim = 2 ** n
     if keep_states is None:
         keep_states = n <= _MAX_SNAPSHOT
     elif keep_states and n > _MAX_SNAPSHOT:
@@ -611,11 +619,7 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
         raise InputError("tolerances must be at most 1e-6")
     times = _time_grid(times)
     members, occupation, lift = _sectors(n)
-    rho_init = _check_density(rho0, members, "initial state")
-    top = max(k for k in range(n + 1) if np.any(rho_init[members[k]] != 0))
-    families = [d for d in range(top + 1)
-                if any(np.any(rho_init[np.ix_(members[k], members[k - d])]
-                              != 0) for k in range(d, top + 1))]
+    rho_init, families, top = _check_density(rho0, members, "initial state")
     # (k, l) -> (slice of the full state, block shape), with blocks of
     # equal shape adjacent so that their drift is one batched product
     layout = {}
@@ -640,32 +644,27 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     diagonals = [np.diagonal(blocks[k, k], axis1=1, axis2=2).real
                  for k in range(top + 1)]
 
-    # state invariants at every output time
-    pos_tol = _BOUND_TOL
+    # state invariants at every output time: the trace, then positivity
     trace = sum(diag.sum(axis=1) for diag in diagonals)
-    block_diagonal = families == [0]
-    if block_diagonal:
+    if families == [0]:
         # the state stays block diagonal: exact check per sector
-        positive = np.all([_positive(blocks[k, k]) for k in range(top + 1)],
-                          axis=0)
-    for i in range(nt):
-        if abs(trace[i] - 1.0) > _TRACE_TOL:
-            raise IntegrationError(
-                f"trace drifted beyond {_TRACE_TOL:g} at output time "
-                f"{times[i]:.6g}; tighten rtol/atol")
-        if block_diagonal:
-            bad = not positive[i]
-        else:
-            snap = _dense({key: arr[i:i + 1] for key, arr in blocks.items()},
-                          members, dim)[0]
-            bad = (np.min(np.diagonal(snap).real) < -pos_tol
-                   or float(np.sum(np.abs(snap) ** 2)) > 1.0 + pos_tol)
-            if not bad and dim <= 64:
-                bad = not _positive(snap)
-        if bad:
-            raise IntegrationError(
-                f"state positivity violated beyond {pos_tol:g} at output "
-                f"time {times[i]:.6g}; tighten rtol/atol")
+        bad = ~np.all([_positive(blocks[k, k], _BOUND_TOL)
+                       for k in range(top + 1)], axis=0)
+    else:
+        low, purity = _bounds(blocks)
+        bad = (low < -_BOUND_TOL) | (purity > 1.0 + _BOUND_TOL)
+        if n <= _MAX_SNAPSHOT:
+            # and exactly, assembled 16 output times at a time to bound memory
+            for i in range(0, nt, 16):
+                part = {key: arr[i:i + 16] for key, arr in blocks.items()}
+                bad[i:i + 16] |= ~_positive(_dense(part, members), _BOUND_TOL)
+    drift = np.abs(trace - 1.0) > _TRACE_TOL
+    if np.any(drift | bad):
+        i = np.argmax(drift | bad)
+        what, tol = (("trace drifted", _TRACE_TOL) if drift[i] else
+                     ("state positivity violated", _BOUND_TOL))
+        raise IntegrationError(f"{what} beyond {tol:g} at output time "
+                               f"{times[i]:.6g}; tighten rtol/atol")
 
     sz = 2.0 * sum(diag @ occupation[k]
                    for k, diag in enumerate(diagonals)) - 1.0
@@ -687,5 +686,5 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
 
     return Trajectory(times=times, sigma=sigma_lab, sigma_z=sz,
                       omega_ref=model.omega_ref,
-                      rho=_dense(blocks, members, dim) if keep_states else None,
+                      rho=_dense(blocks, members) if keep_states else None,
                       error_estimate=estimate)

@@ -741,6 +741,123 @@ def test_single_excitation_start_of_ten_emitters_is_checked_by_sector(
         assert seen and max(seen) < 2 ** n, name
 
 
+@pytest.mark.parametrize("lowest, fails", [(-2e-9, True), (-5e-10, False)])
+def test_coherent_start_positivity_bound_is_the_smallest_eigenvalue(lowest,
+                                                                    fails):
+    # every entry of the start is nonzero, so the full matrix is checked:
+    # its smallest eigenvalue may reach -1e-9 and no further
+    rng = np.random.default_rng(73)
+    model = random_model(rng, 2)
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rho = (v * np.array([lowest, 0.2, 0.3, 0.5 - lowest])) @ v.conj().T
+    assert np.all(rho != 0.0)
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(lowest, abs=1e-15)
+    outcome = (pytest.raises(InputError, match="semidefinite") if fails
+               else contextlib.nullcontext())
+    with outcome:
+        evolve_ensemble(model, rho, np.linspace(0.0, 1e-8, 3))
+
+
+def _coherent_start(n, seed):
+    # (|g...g> + |eg...g>) / sqrt(2): the families k - l = 0 and 1
+    amplitudes = np.zeros(2 ** n)
+    amplitudes[[0, 2 ** (n - 1)]] = 1.0
+    model = random_model(np.random.default_rng(seed), n)
+    return model, pure_density(amplitudes)
+
+
+def _recorded_path(monkeypatch, edit=lambda layout, path: None):
+    # the layout and path of every _integrate call, after `edit` has
+    # changed the path in place
+    real_integrate = polyemit.dynamics._integrate
+    seen = []
+
+    def integrate(model, lift, layout, *args):
+        path = real_integrate(model, lift, layout, *args)
+        edit(layout, path)
+        seen.append((layout, path))
+        return path
+
+    monkeypatch.setattr(polyemit.dynamics, "_integrate", integrate)
+    return seen
+
+
+def test_coherent_bounds_of_seven_emitters_are_those_of_the_dense_state(
+        monkeypatch):
+    # beyond 6 emitters a coherent state is not assembled: its smallest
+    # diagonal entry and purity are read off the carried blocks
+    n = 7
+    model, rho0 = _coherent_start(n, 72)
+    t = np.linspace(0.0, 1.2e-7, 7)
+    seen = _recorded_path(monkeypatch)
+    evolve_ensemble(model, rho0, t)
+    [(layout, path)] = seen
+    assert set(layout) == {(0, 0), (1, 1), (1, 0)}
+    blocks = {key: path[part].T.reshape(t.size, *shape)
+              for key, (part, shape) in layout.items()}
+    low, purity = polyemit.dynamics._bounds(blocks)
+
+    count = np.bitwise_count(np.arange(2 ** n))
+    members = [np.flatnonzero(count == k) for k in range(2)]
+    dense = np.zeros((t.size, 2 ** n, 2 ** n), dtype=complex)
+    for (k, l), arr in blocks.items():
+        dense[:, members[k][:, None], members[l]] = arr
+        dense[:, members[l][:, None], members[k]] = arr.conj().swapaxes(1, 2)
+    populated = np.concatenate(members)
+    diagonal = np.diagonal(dense, axis1=1, axis2=2).real[:, populated]
+    assert np.array_equal(low, diagonal.min(axis=1))
+    want = np.einsum("tij,tji->t", dense, dense).real  # tr(rho^2)
+    assert np.max(np.abs(purity - want)) < 1e-14
+    assert np.all(purity < 1.0) and purity[-1] < purity[0] - 1e-3
+
+
+@pytest.mark.parametrize("excess, fails", [(2e-7, True), (5e-8, False)])
+def test_coherent_purity_bound_of_seven_emitters(monkeypatch, excess, fails):
+    # at one interior time the coherence block (1, 0) is scaled until the
+    # purity is 1 + excess; trace and diagonal stay as they were
+    model, rho0 = _coherent_start(7, 72)
+    t = np.linspace(0.0, 1.2e-7, 5)
+
+    def edit(layout, path):
+        purity = sum((1 + (k != l)) * np.sum(np.abs(path[part, 2]) ** 2)
+                     for (k, l), (part, _) in layout.items())
+        part = layout[1, 0][0]
+        coherence = 2.0 * np.sum(np.abs(path[part, 2]) ** 2)
+        path[part, 2] *= math.sqrt(1.0 + (1.0 + excess - purity) / coherence)
+
+    _recorded_path(monkeypatch, edit)
+    outcome = (pytest.raises(IntegrationError,
+                             match=r"positivity .* at output time 6e-08;")
+               if fails else contextlib.nullcontext())
+    with outcome:
+        evolve_ensemble(model, rho0, t)
+
+
+def test_coherent_start_of_ten_emitters_is_checked_from_its_blocks(
+        monkeypatch):
+    # the input check factors the 1024-wide start once, by Cholesky; the
+    # output checks read the carried blocks and assemble no state
+    n = 10
+    model, rho0 = _coherent_start(n, 62)
+    calls = []
+
+    def recorder(module, name):
+        real = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            calls.append((name, np.shape(args[0])[-1:]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, recorded)
+
+    recorder(np.linalg, "eigvalsh")
+    recorder(np.linalg, "cholesky")
+    recorder(polyemit.dynamics, "_dense")
+    evolve_ensemble(model, rho0, np.linspace(0.0, 1e-8, 3), keep_states=False)
+    assert "_dense" not in {name for name, _ in calls}
+    wide = [call for call in calls if call[1] == (2 ** n,)]
+    assert wide == [("cholesky", (2 ** n,))] and calls[0] == wide[0]
+
+
 @pytest.mark.parametrize("case", ["solved", "step-control-failure"])
 def test_solve_leaves_no_cyclic_garbage(case, cyclic_garbage):
     # the solver, its stage arrays and the right-hand side with the jump
