@@ -40,8 +40,8 @@ w_ref * t products beyond ~1e12 rad lose phase digits; populations and
 <sigma_z> are frame independent and unaffected.
 
 Basis conventions: per emitter, index 0 is ground and 1 is excited;
-emitter 0 is the leftmost Kronecker factor; sigma = |g><e| and
-sigma_z = 2 n - 1.
+emitter a is bit n-1-a of a basis index (_bits), so emitter 0 is the
+leftmost Kronecker factor; sigma = |g><e| and sigma_z = 2 n - 1.
 """
 import itertools
 import math
@@ -56,7 +56,7 @@ from .errors import (InputError, IntegrationError, finite_array,
                      increasing_axis, is_number, positive_number)
 
 _MAX_EMITTERS = 10       # propagation cap, state dimension 2**10
-_MAX_SNAPSHOT = 6        # density matrices retained on trajectories
+_MAX_SNAPSHOT = 6        # snapshots; 2**6 states cap the exact coherent check
 _HERM_RTOL = 1e-8        # relative asymmetry allowed before rejection
 _PSD_RTOL = 1e-10        # decay-matrix eigenvalue floor, relative to norm
 _TRACE_TOL = 1e-9
@@ -71,16 +71,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def product_density(labels: str) -> np.ndarray:
     """Density matrix of a product state given per-emitter labels,
-    e.g. "eg" puts emitter 1 excited and emitter 2 in the ground state."""
-    single = {"g": np.array([1.0, 0.0], dtype=complex),
-              "e": np.array([0.0, 1.0], dtype=complex)}
-    if not labels or any(c not in single for c in labels):
+    e.g. "eg" puts emitter 1 excited and emitter 2 in the ground state:
+    one basis state, whose set bits (see _bits) are the excited emitters."""
+    if not labels or any(c not in ("g", "e") for c in labels):
         raise InputError(
             f"unknown state label in {labels!r}; use 'g' and 'e' only")
-    vec = np.ones(1, dtype=complex)
-    for c in labels:
-        vec = np.kron(vec, single[c])
-    return np.outer(vec, vec.conj())
+    state = int(_bits(len(labels)) @ [c == "e" for c in labels])
+    rho = np.zeros((2 ** len(labels),) * 2, dtype=complex)
+    rho[state, state] = 1.0
+    return rho
 
 
 def pure_density(amplitudes) -> np.ndarray:
@@ -97,7 +96,7 @@ def pure_density(amplitudes) -> np.ndarray:
 
 
 def _hermitize(mat: np.ndarray, name: str) -> np.ndarray:
-    scale = float(np.max(np.abs(mat)))
+    scale = float(np.max(np.abs(mat), initial=0.0))
     if scale > 0.0:
         asym = float(np.max(np.abs(mat - mat.conj().T)))
         if asym > _HERM_RTOL * scale:
@@ -305,41 +304,41 @@ def _time_grid(times) -> np.ndarray:
     return increasing_axis(times, "time grid")
 
 
-def _check_density(rho: np.ndarray, members: list, what: str) -> tuple:
-    """rho as a Hermitian, unit-trace, positive semidefinite density over
-    the basis that members splits into excitation sectors (see _sectors),
-    the families k - l >= 0 in which it has an exactly nonzero entry, and
-    the highest sector it populates. Positivity (_positive at 1e-9) is
-    checked on the (k, k) blocks up to that sector when k = l is the only
-    family, otherwise on the full matrix.
-    """
-    dim = sum(m.size for m in members)
-    rho = finite_array(rho, what, (dim, dim))
-    rho = _hermitize(rho, what)
-    if abs(np.trace(rho) - 1.0) > _TRACE_TOL:
+def _check_density(rho: np.ndarray, n: int, what: str) -> tuple:
+    """The support of rho (the basis states with an exactly nonzero entry,
+    ascending) and rho's block over it, checked as a Hermitian, unit-trace,
+    positive semidefinite (_positive at 1e-9) density; every other entry
+    is zero, so it decides as rho would. Also the families k - l >= 0 in
+    which the block is nonzero, and the highest sector (bit count) it has."""
+    rho = finite_array(rho, what, (2 ** n, 2 ** n))
+    nonzero = rho != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    block = _hermitize(rho[np.ix_(support, support)], what)
+    if abs(np.trace(block) - 1.0) > _TRACE_TOL:
         raise InputError(f"{what} must have unit trace within {_TRACE_TOL:g}")
-    sector = np.empty(dim, dtype=np.intp)
-    for k, m in enumerate(members):
-        sector[m] = k
-    rows, cols = (sector[i] for i in np.nonzero(rho))
+    if not _positive(block, 1e-9):
+        raise InputError(f"{what} must be positive semidefinite")
+    sector = np.bitwise_count(support).astype(np.intp)
+    rows, cols = (sector[i] for i in np.nonzero(block))
     top = int(rows.max())
     families = np.flatnonzero(np.bincount(rows - cols + top)[top:]).tolist()
-    blocks = ([rho[np.ix_(m, m)] for m in members[:top + 1]]
-              if families == [0] else [rho])
-    if not all(_positive(blk, 1e-9) for blk in blocks):
-        raise InputError(f"{what} must be positive semidefinite")
-    return rho, families, top
+    return support, block, families, top
+
+
+def _bits(n: int) -> np.ndarray:
+    """Emitter a's bit in a basis index, 2**(n-1-a): set when a is excited."""
+    return 1 << (n - 1 - np.arange(n))
 
 
 def _sectors(n: int) -> tuple:
     """Excitation sectors of the 2**n basis, read off the bit patterns.
 
-    members[k] lists the basis indices with k excited emitters, ascending
-    (emitter a is excited when bit n-1-a is set), and occupation[k] is
-    their (C(n,k), n) excitation table. lift[k] = (free, up), two
-    (C(n,k), n-k) index arrays: free holds the unexcited emitters of each
-    member, ascending, and up that member's place in sector k+1 once the
-    emitter beside it is raised.
+    members[k] lists the basis indices with k excited emitters (k set
+    bits, see _bits), ascending, and occupation[k] is their (C(n,k), n)
+    excitation table. lift[k] = (free, up), two (C(n,k), n-k) index
+    arrays: free holds the unexcited emitters of each member, ascending,
+    and up that member's place in sector k+1 once the emitter beside it
+    is raised.
     """
     index = np.arange(2 ** n)
     count = np.bitwise_count(index)
@@ -347,7 +346,7 @@ def _sectors(n: int) -> tuple:
     place = np.empty(index.size, dtype=np.intp)
     for m in members:
         place[m] = np.arange(m.size)
-    bits = 1 << (n - 1 - np.arange(n))
+    bits = _bits(n)
     occupation = [(m[:, None] & bits) != 0 for m in members]
     lift = []
     for k in range(n):
@@ -423,7 +422,7 @@ def _sector_operators(model: EmitterEnsembleModel, lift: list,
 
 
 def _dense(blocks: dict, members: list) -> np.ndarray:
-    """Full (nt, dim, dim) states from the carried (k, l) blocks, k >= l."""
+    """States of the carried (k, l) blocks, k >= l, sector k at members[k]."""
     nt = next(iter(blocks.values())).shape[0]
     dim = sum(m.size for m in members)
     out = np.zeros((nt, dim, dim), dtype=complex)
@@ -565,10 +564,11 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     """Master-equation propagation of the ensemble state, sector by sector.
 
     The state is split into blocks rho_(k,l) between the sectors of k and
-    l excited emitters. Only the families k - l in which rho0 has an
-    exactly nonzero entry are carried, up to the highest excitation rho0
-    populates, and of each Hermitian pair of families only k >= l; all
-    other blocks stay exactly zero. Each block obeys
+    l excited emitters. rho0 is only read, and checked on its support
+    (_check_density); only the families k - l in which it has an exactly
+    nonzero entry are carried, up to the highest excitation it populates,
+    and of each Hermitian pair of families only k >= l; all other blocks
+    stay exactly zero. Each block obeys
 
         d rho_kl/dt = D_k rho_kl + rho_kl D_l^+
                       + sum_ab gamma_ab sigma_b rho_(k+1,l+1) sigma_a^+
@@ -588,11 +588,11 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
 
     Expectations are evaluated on the requested grid, and at every output
     time the trace must stay at one (within 1e-9) and the state positive,
-    no eigenvalue below -1e-7 (_positive). A start with only the k = l
-    family stays block diagonal, so every (k, k) block is checked;
-    otherwise the smallest diagonal entry and the purity, read off the
-    blocks, are bounded, and up to 6 emitters the assembled state is
-    checked too. The first failing time, trace before positivity, raises
+    no eigenvalue below -1e-7 (_positive): each (k, k) block of a start
+    with only the k = l family, which stays block diagonal; otherwise the
+    smallest diagonal entry and the purity, read off the blocks, and the
+    assembled state of the populated sectors when they span at most 64
+    states. The first failing time, trace before positivity, raises
     IntegrationError (loosened rtol/atol surface here first), and so do
     step-control failure and model coefficients that overflow float64.
 
@@ -619,7 +619,7 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
         raise InputError("tolerances must be at most 1e-6")
     times = _time_grid(times)
     members, occupation, lift = _sectors(n)
-    rho_init, families, top = _check_density(rho0, members, "initial state")
+    support, init, families, top = _check_density(rho0, n, "initial state")
     # (k, l) -> (slice of the full state, block shape), with blocks of
     # equal shape adjacent so that their drift is one batched product
     layout = {}
@@ -632,12 +632,16 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
         layout[k, l] = (slice(size, size + shape[0] * shape[1]), shape)
         size += shape[0] * shape[1]
     tau = times - times[0]
-    y0 = np.concatenate([rho_init[np.ix_(members[k], members[l])].ravel()
-                         for k, l in layout])
-    if times.size == 1:
-        path = y0[:, None]
-    else:
-        path = _integrate(model, lift, layout, size, y0, tau, rtol, atol)
+    # y0 from the checked block, each state of the support at its place
+    sector = np.bitwise_count(support)
+    pick = [np.flatnonzero(sector == k) for k in range(top + 1)]
+    place = [np.searchsorted(m, support[i]) for m, i in zip(members, pick)]
+    y0 = np.zeros(size, dtype=complex)
+    for (k, l), (part, shape) in layout.items():
+        y0[part].reshape(shape)[np.ix_(place[k], place[l])] = \
+            init[np.ix_(pick[k], pick[l])]
+    path = (y0[:, None] if times.size == 1 else
+            _integrate(model, lift, layout, size, y0, tau, rtol, atol))
     nt = times.size
     blocks = {(k, l): path[part].T.reshape(nt, *shape)
               for (k, l), (part, shape) in layout.items()}
@@ -653,11 +657,14 @@ def evolve_ensemble(model: EmitterEnsembleModel, rho0, times,
     else:
         low, purity = _bounds(blocks)
         bad = (low < -_BOUND_TOL) | (purity > 1.0 + _BOUND_TOL)
-        if n <= _MAX_SNAPSHOT:
-            # and exactly, assembled 16 output times at a time to bound memory
+        span = np.cumsum([m.size for m in members[:top + 1]])
+        if span[-1] <= 2 ** _MAX_SNAPSHOT:
+            # and exactly, on the populated sectors only, 16 output times at
+            # a time to bound memory
+            sectors = np.split(np.arange(span[-1]), span[:-1])
             for i in range(0, nt, 16):
                 part = {key: arr[i:i + 16] for key, arr in blocks.items()}
-                bad[i:i + 16] |= ~_positive(_dense(part, members), _BOUND_TOL)
+                bad[i:i + 16] |= ~_positive(_dense(part, sectors), _BOUND_TOL)
     drift = np.abs(trace - 1.0) > _TRACE_TOL
     if np.any(drift | bad):
         i = np.argmax(drift | bad)

@@ -103,13 +103,6 @@ class CouplingReport:
     method: str = "none"
     xi_error: float = 0.0
 
-    def to_dict(self) -> dict:
-        def c(z):
-            return None if z is None else {"re": z.real, "im": z.imag,
-                                           "unit": "rad/s"}
-        return {"xi": c(self.xi), "gamma_cross": c(self.gamma_cross),
-                "method": self.method, "xi_error": self.xi_error}
-
 
 def emission_rate(e: MultipoleEmitter, jet: GreensJet) -> RateReport:
     """Spontaneous decay rate from a coincident Green jet of any batch shape.

@@ -1077,6 +1077,33 @@ def test_dynamics_spec_validation(tmp_path, capsys):
                            {"model": _model_doc(2, [[1e7, 0], [0, 1e7]]),
                             "initial": "e"})
     assert main(["dynamics", "--ensemble", wrong_len, "--t-max", "1e-8"]) == 2
+    # each refusal of the spec's shape or of the model's names its key or
+    # its rule
+    model = _model_doc(1, [[1e7]])
+    for spec, expect in (
+            ([model], "ensemble spec must be a JSON object"),
+            ({"emitters": [], "initial": "e"},
+             "emitters must be a non-empty list"),
+            ({"model": model, "initial": "e", "initial_amplitudes": [0, 1]},
+             "give exactly one of initial or initial_amplitudes"),
+            ({"model": model},
+             "give exactly one of initial or initial_amplitudes"),
+            ({"model": model, "initial_amplitudes": "01"},
+             "initial_amplitudes must be a list"),
+            ({"model": model, "initial_amplitudes": [0, 0, 1]},
+             "need 2 amplitudes for 1 emitters"),
+            ({"model": [model], "initial": "e"}, "model must be an object"),
+            ({"model": dict(model, spin=1), "initial": "e"},
+             "unknown model keys ['spin']"),
+            ({"model": {key: value for key, value in model.items()
+                        if key != "xi_rad_per_s"}, "initial": "e"},
+             "model needs ['xi_rad_per_s']"),
+            ({"model": dict(model, gamma_rad_per_s=[[1e7]]), "initial": "e"},
+             "gamma_rad_per_s must be an object with re and im matrices")):
+        path = write_json(tmp_path / "shape.json", spec)
+        capsys.readouterr()
+        assert main(["dynamics", "--ensemble", path, "--t-max", "1e-8"]) == 2
+        assert expect in capsys.readouterr().err
     # a bool or a numeric string is not a number, as in grid files
     array = "must be a finite real number, or an array of them"
     scalar = "must be a positive finite number"

@@ -677,6 +677,8 @@ def test_ensemble_input_guards():
     t = np.linspace(0.0, 1e-7, 5)
     with pytest.raises(InputError, match="trace"):
         evolve_ensemble(model, np.diag([0.7, 0.4, 0.0, 0.0]), t)
+    with pytest.raises(InputError, match="trace"):  # an empty support
+        evolve_ensemble(model, np.zeros((4, 4)), t)
     with pytest.raises(InputError, match="Hermitian"):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         rho[0, 1] = 0.3
@@ -702,9 +704,30 @@ def test_ensemble_input_guards():
         evolve_ensemble(seven, rho7, t, keep_states=True)
 
 
+def test_one_output_time_reports_the_start(monkeypatch):
+    # a one-point grid integrates nothing: its expectations are rho0's own
+    def integrate(*args):
+        raise AssertionError("a one-point grid must not be integrated")
+
+    monkeypatch.setattr(polyemit.dynamics, "_integrate", integrate)
+    rng = np.random.default_rng(74)
+    n = 3
+    model = random_model(rng, n)
+    rho0 = random_density(rng, 2 ** n)
+    traj = evolve_ensemble(model, rho0, [2e-8])
+    ops = lowering_operators(n)
+    sigma = [np.trace(rho0 @ op) for op in ops]
+    sigma_z = [2.0 * np.trace(rho0 @ op.conj().T @ op).real - 1.0
+               for op in ops]
+    assert traj.times.tolist() == [2e-8]
+    assert np.max(np.abs(traj.sigma[0] - sigma)) < 1e-14
+    assert np.max(np.abs(traj.sigma_z[0] - sigma_z)) < 1e-14
+    assert np.max(np.abs(traj.rho[0] - rho0)) < 1e-15
+
+
 def test_block_diagonal_start_with_negative_sector_eigenvalue_is_rejected():
-    # no coherence between sectors: positivity is checked on each (k, k)
-    # block. The one-excitation block [[0.3, 0.4], [0.4, 0.2]] has the
+    # no coherence between sectors: positivity is checked on the support,
+    # states 0-2. The one-excitation block [[0.3, 0.4], [0.4, 0.2]] has the
     # eigenvalue 0.25 - sqrt(0.1625) < 0 although every diagonal entry of
     # the state is nonnegative.
     model = random_model(np.random.default_rng(5), 2)
@@ -713,7 +736,7 @@ def test_block_diagonal_start_with_negative_sector_eigenvalue_is_rejected():
     rho[1, 2] = rho[2, 1] = 0.4
     with pytest.raises(InputError, match="semidefinite"):
         evolve_ensemble(model, rho, t)
-    # coherence with the ground state: the full matrix is checked
+    # coherence with the ground state: the same support is checked
     rho[0, 1] = rho[1, 0] = 0.01
     with pytest.raises(InputError, match="semidefinite"):
         evolve_ensemble(model, rho, t)
@@ -784,8 +807,8 @@ def _recorded_path(monkeypatch, edit=lambda layout, path: None):
 
 def test_coherent_bounds_of_seven_emitters_are_those_of_the_dense_state(
         monkeypatch):
-    # beyond 6 emitters a coherent state is not assembled: its smallest
-    # diagonal entry and purity are read off the carried blocks
+    # a coherent state's smallest diagonal entry and purity are read off
+    # the carried blocks, at any number of emitters
     n = 7
     model, rho0 = _coherent_start(n, 72)
     t = np.linspace(0.0, 1.2e-7, 7)
@@ -835,27 +858,31 @@ def test_coherent_purity_bound_of_seven_emitters(monkeypatch, excess, fails):
 
 def test_coherent_start_of_ten_emitters_is_checked_from_its_blocks(
         monkeypatch):
-    # the input check factors the 1024-wide start once, by Cholesky; the
-    # output checks read the carried blocks and assemble no state
+    # the start is checked on its support, two basis states, and each
+    # output on the sectors it populates, 0 and 1, which span 11 states:
+    # no matrix wider than that is factored, diagonalized or assembled,
+    # and the caller's start is left as it was
     n = 10
     model, rho0 = _coherent_start(n, 62)
-    calls = []
+    start = rho0.copy()
+    widths = []
 
-    def recorder(module, name):
+    def recorder(module, name, width):
         real = getattr(module, name)
 
         def recorded(*args, **kwargs):
-            calls.append((name, np.shape(args[0])[-1:]))
+            widths.append((name, width(*args)))
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, recorded)
 
-    recorder(np.linalg, "eigvalsh")
-    recorder(np.linalg, "cholesky")
-    recorder(polyemit.dynamics, "_dense")
+    recorder(np.linalg, "eigvalsh", lambda a, *_: np.shape(a)[-1])
+    recorder(np.linalg, "cholesky", lambda a, *_: np.shape(a)[-1])
+    recorder(polyemit.dynamics, "_dense",
+             lambda blocks, members: sum(m.size for m in members))
     evolve_ensemble(model, rho0, np.linspace(0.0, 1e-8, 3), keep_states=False)
-    assert "_dense" not in {name for name, _ in calls}
-    wide = [call for call in calls if call[1] == (2 ** n,)]
-    assert wide == [("cholesky", (2 ** n,))] and calls[0] == wide[0]
+    assert {name for name, _ in widths} >= {"cholesky", "_dense"}
+    assert max(width for _, width in widths) == n + 1
+    assert np.array_equal(rho0, start)
 
 
 @pytest.mark.parametrize("case", ["solved", "step-control-failure"])

@@ -807,14 +807,23 @@ def test_ring_coefficients_are_circulant_with_dft_eigenvalues():
 SUBSETS = ("d", "m", "q", "dm", "dq", "mq", "dmq")
 
 
-@pytest.mark.parametrize("index", [1.0, 1.5])
+def sellmeier(w):
+    # one Lorentz resonance at 2 W0: real on the real axis below it and on
+    # the whole imaginary axis
+    return np.sqrt(1.0 + 1.2 * (2.0 * W0) ** 2 / ((2.0 * W0) ** 2 - w * w)
+                   + 0j)
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5, lambda w: 1.5, sellmeier])
 def test_ensemble_entries_are_the_per_pair_formulas(rng, index):
     # random ensembles of 3 to 8 emitters over all seven channel subsets:
     # every entry a <= b is collective_rate or coupling_strength of its
     # pair, bit for bit, each entry b > a is its conjugate, and so the
-    # pair formulas of (b, a) up to roundoff
+    # pair formulas of (b, a) up to roundoff. A dispersive (callable)
+    # index integrates each coupling alone, so 3 to 5 emitters, which
+    # still cover every subset, are enough
     med = Medium(index)
-    for size in range(3, 9):
+    for size in range(3, 6 if callable(index) else 9):
         ems = [random_emitter(rng, rng.uniform(-200e-9, 200e-9, 3),
                               omega0=W0 * (1 + 1e-3 * rng.standard_normal()),
                               channels=SUBSETS[(size + i) % 7])
