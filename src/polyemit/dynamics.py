@@ -307,19 +307,33 @@ def _time_grid(times) -> np.ndarray:
 def _check_density(rho: np.ndarray, n: int, what: str) -> tuple:
     """The support of rho (the basis states with an exactly nonzero entry,
     ascending) and rho's block over it, checked as a Hermitian, unit-trace,
-    positive semidefinite (_positive at 1e-9) density; every other entry
-    is zero, so it decides as rho would. Also the families k - l >= 0 in
-    which the block is nonzero, and the highest sector (bit count) it has."""
+    positive semidefinite density; every other entry is zero, so it decides
+    as rho would. The block is positive when each group of states that its
+    nonzero entries link is (_positive at 1e-9, the groups of one size in
+    one stacked call). Also the families k - l >= 0 in which the block is
+    nonzero, and the highest sector (bit count) it has."""
     rho = finite_array(rho, what, (2 ** n, 2 ** n))
     nonzero = rho != 0
     support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     block = _hermitize(rho[np.ix_(support, support)], what)
     if abs(np.trace(block) - 1.0) > _TRACE_TOL:
         raise InputError(f"{what} must have unit trace within {_TRACE_TOL:g}")
-    if not _positive(block, 1e-9):
-        raise InputError(f"{what} must be positive semidefinite")
+    # group labels: least linked label, pointer jumping, to a fixed point
+    linked, label, last = block != 0, np.arange(support.size), None
+    while not np.array_equal(label, last):
+        last = label
+        label = np.minimum(label, np.where(linked, label, label.size).min(1))
+        label = label[label]
+    width = np.bincount(label)[label]
+    order = np.lexsort((label, width))
+    for size in np.unique(width):
+        take = order[width[order] == size].reshape(-1, size)
+        stack = block if size == support.size else block[take[:, :, None],
+                                                         take[:, None]]
+        if not _positive(stack, 1e-9).all():
+            raise InputError(f"{what} must be positive semidefinite")
     sector = np.bitwise_count(support).astype(np.intp)
-    rows, cols = (sector[i] for i in np.nonzero(block))
+    rows, cols = (sector[i] for i in np.nonzero(linked))
     top = int(rows.max())
     families = np.flatnonzero(np.bincount(rows - cols + top)[top:]).tolist()
     return support, block, families, top

@@ -36,13 +36,9 @@ value), and the block names may come in any order. The block data
 starts at a multiple of 64 bytes, so each loaded block is an aligned,
 read-only view of the file's bytes, with no copy.
 
-load_grid also reads the two JSON formats before it, UTF-8 documents
-with the same fields and the blocks inside: in format_version 2
-"blocks" maps each name to one base64 string (the standard RFC 4648
-alphabet, no padding) of the block's raw bytes; in format_version 1 to
-nested lists (N, 3, 3, [re, im]) of JSON numbers, where a bool, null or
-string in place of a number is refused, as is a ragged block. An old
-file converts once, by save_grid(load_grid(old_bytes)).
+load_grid reads this format only. Any other bytes, the JSON documents of
+format versions 1 and 2 that save_grid wrote before among them, are
+refused at the magic.
 
 The header fields pass TensorGrid's own checks, named by their document
 keys: frequency_rad_per_s and symmetry_rtol errors.positive_number, each
@@ -66,18 +62,15 @@ dipole-only queries: jets carry the value block and nothing else.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .errors import (GridDomainError, GridFormatError, InputError,
-                     finite_point, increasing_axis, is_number,
-                     positive_number)
+                     finite_point, increasing_axis, positive_number)
 from .homogeneous import Medium, coincident_im_jet, eval_homogeneous
 from .jets import GreensJet
 
@@ -203,7 +196,7 @@ class TensorGrid:
                     f"{self.derivative_semantics!r} semantics")
             arr = np.asarray(self.blocks[key], dtype=complex)
             if not isinstance(_owner(arr), bytes):
-                # a view of immutable bytes (a v2 or v3 block) needs no
+                # a view of immutable bytes (a loaded block) needs no
                 # private copy
                 arr = arr.copy()
             if arr.shape != want:
@@ -392,167 +385,54 @@ def save_grid(grid: TensorGrid) -> bytes:
         for key in keys)])
 
 
-def _read_json(text: str, what: str = "grid file"):
-    def reject_constant(token: str):
-        raise GridFormatError(f"non-finite number {token!r} in {what}")
-
-    try:
-        return json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise GridFormatError(f"{what} is not valid JSON: {exc}") from None
-
-
-def _locate_block_defect(key: str, payload, n_nodes: int):
-    """Pinpoint why a v1 block payload failed the vectorized parse."""
-    if len(payload) != n_nodes:
-        raise GridFormatError(
-            f"blocks.{key}: expected {n_nodes} nodes, got {len(payload)}")
-    for i, node in enumerate(payload):
-        if not isinstance(node, list) or len(node) != 3:
-            raise GridFormatError(f"blocks.{key}[{i}]: expected 3 rows")
-        for j, row in enumerate(node):
-            if not isinstance(row, list) or len(row) != 3:
-                raise GridFormatError(
-                    f"blocks.{key}[{i}][{j}]: expected 3 entries")
-            for k, entry in enumerate(row):
-                ok = (isinstance(entry, list) and len(entry) == 2
-                      and all(is_number(v) for v in entry))
-                if not ok:
-                    raise GridFormatError(
-                        f"blocks.{key}[{i}][{j}][{k}]: expected [re, im]")
-    raise GridFormatError(f"blocks.{key}: malformed block data")
-
-
-def _parse_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
-    """A v1 block, json's nested lists, as a complex array of the grid's
-    shape. It is a view of the [re, im] pairs, which keeps -0.0 (re + 1j *
-    im drops it); TensorGrid checks that every entry is finite."""
-    if not isinstance(payload, list):
-        raise GridFormatError(f"blocks.{key}: expected a list of nodes")
-    try:
-        arr = np.asarray(payload, dtype=float)
-    except OverflowError:
-        raise GridFormatError(
-            f"blocks.{key}: integer too large for a float") from None
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (n_nodes, 3, 3, 2):
-        _locate_block_defect(key, payload, n_nodes)
-    # asarray also converts true, false, null and numeric strings; of
-    # json's values, is_number holds for exactly the ints and floats
-    entries = chain.from_iterable(chain.from_iterable(payload))
-    if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
-        _locate_block_defect(key, payload, n_nodes)
-    return arr.view(complex).reshape(shape + (3, 3))
-
-
-def _decode_block(key: str, payload, n_nodes: int, shape: tuple) -> np.ndarray:
-    """A v2 block, one base64 string of the (N, 3, 3) [re, im] pairs, as a
-    complex array of the grid's shape; TensorGrid checks that every entry
-    is finite."""
-    if not isinstance(payload, str):
-        raise GridFormatError(f"blocks.{key}: expected a base64 string")
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise GridFormatError(f"blocks.{key}: invalid base64: {exc}") from None
-    if len(raw) != n_nodes * _NODE_BYTES:
-        raise GridFormatError(
-            f"blocks.{key}: expected {n_nodes * _NODE_BYTES} bytes for "
-            f"{n_nodes} nodes, got {len(raw)}")
-    # some Pythons' strict decoding ignores "=" after a complete quantum;
-    # N x 144 bytes is a multiple of 3, so its base64 carries no padding
-    if 3 * len(payload) != 4 * len(raw):
-        raise GridFormatError(
-            f"blocks.{key}: invalid base64: {len(payload)} characters for "
-            f"{len(raw)} bytes (surplus padding)")
-    return np.frombuffer(raw, dtype=_BLOCK_DTYPE).reshape(shape + (3, 3))
-
-
-def _view_blocks(names, data: bytes, offset: int, n_nodes: int,
-                 shape: tuple) -> dict:
-    """The v3 blocks: for each name in list order, the next N x 144 bytes
-    of data from offset on, as a read-only view of the grid's shape.
-    TensorGrid checks the names against the semantics, and that every
-    entry is finite."""
-    if not (isinstance(names, list) and all(isinstance(k, str) for k in names)
-            and len(set(names)) == len(names) and "value" in names):
-        raise GridFormatError(
-            "blocks: expected a list of distinct block names with 'value'")
-    size = n_nodes * _NODE_BYTES
-    if len(data) - offset != len(names) * size:
-        raise GridFormatError(
-            f"blocks: expected {len(names) * size} bytes for {len(names)} "
-            f"blocks of {n_nodes} nodes, got {len(data) - offset}")
-    return {key: np.frombuffer(data, _BLOCK_DTYPE, 9 * n_nodes,
-                               offset + i * size).reshape(shape + (3, 3))
-            for i, key in enumerate(names)}
-
-
-def _load_v3(data: bytes) -> TensorGrid:
-    """A v3 file: the magic, the header line, the raw blocks."""
-    if not data.startswith(_MAGIC):
-        raise GridFormatError(
-            f"magic: expected {_MAGIC!r}, got {data[:len(_MAGIC)]!r}")
-    end = data.find(b"\n", len(_MAGIC))
-    if end < 0:
-        raise GridFormatError("header: no terminating newline")
-    try:
-        text = data[len(_MAGIC):end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GridFormatError(f"header is not UTF-8: {exc}") from None
-    doc = _read_json(text, "header")
-    if not isinstance(doc, dict):
-        raise GridFormatError("header must be a JSON object")
-    if (end + 1) % _ALIGN:
-        raise GridFormatError(
-            f"header: block data starts at byte {end + 1}, not at a "
-            f"multiple of {_ALIGN}")
-    return _grid_from_doc(doc, data, end + 1)
-
-
 def load_grid(source) -> TensorGrid:
-    """Parse a grid file into a fully validated, unit-aware TensorGrid.
+    """Parse a grid file of format version 3 into a fully validated,
+    unit-aware TensorGrid.
 
-    Accepts bytes, str, or a binary file-like object, in format version
-    1, 2 or 3 (bytes only, told apart by its magic). Structural problems
-    (malformed header, missing semantics declaration, non-monotone axes,
-    ragged, undecodable, mis-sized or non-finite blocks) are rejected
-    with a diagnostic naming the offending field.
+    Accepts bytes (or a bytearray or memoryview) or a binary file-like
+    object. Structural problems (a missing magic, a malformed header, a
+    missing semantics declaration, non-monotone axes, mis-sized or
+    non-finite blocks) are rejected with a diagnostic naming the
+    offending field.
     """
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        source = bytes(source)
-        if source[:1] == _MAGIC[:1]:
-            return _load_v3(source)
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GridFormatError(f"grid file is not UTF-8: {exc}") from None
-    if not isinstance(source, str):
+    if not isinstance(source, (bytes, bytearray, memoryview)):
         raise InputError(
-            "load_grid expects bytes, str, or a binary file-like object")
-    doc = _read_json(source)
-    del source  # the text is not needed while the blocks decode
-    if not isinstance(doc, dict):
-        raise GridFormatError("grid file top level must be a JSON object")
-    return _grid_from_doc(doc)
-
-
-def _grid_from_doc(doc: dict, data: Optional[bytes] = None,
-                   offset: int = 0) -> TensorGrid:
-    """Check a decoded document and build its grid: a v1 or v2 document,
-    or, with data given, a v3 header whose blocks are data from offset
-    on."""
-    versions = (1, 2) if data is None else (3,)
-    version = doc.get("format_version")
-    if isinstance(version, bool) or version not in versions:
+            "load_grid expects the bytes of grid format version 3 or a "
+            f"binary file-like object, got {type(source).__name__}")
+    data = bytes(source)
+    if not data.startswith(_MAGIC):
         raise GridFormatError(
-            f"format_version: expected {' or '.join(map(str, versions))}, "
-            f"got {version!r}")
+            f"magic: expected {_MAGIC!r} of grid format version 3, got "
+            f"{data[:len(_MAGIC)]!r}")
+    start = data.find(b"\n", len(_MAGIC)) + 1  # where the block data starts
+    if not start:
+        raise GridFormatError("header: no terminating newline")
+    try:
+        text = data[len(_MAGIC):start - 1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"header is not UTF-8: {exc}") from None
 
-    # read before the blocks, whose parse needs the node count
+    def reject_constant(token: str):
+        raise GridFormatError(f"non-finite number {token!r} in header")
+
+    try:
+        doc = json.loads(text, parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise GridFormatError(f"header is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GridFormatError("header must be a JSON object")
+    if start % _ALIGN:
+        raise GridFormatError(
+            f"header: block data starts at byte {start}, not at a "
+            f"multiple of {_ALIGN}")
+    version = doc.get("format_version")
+    # the int 3 alone: not 3.0, and not a bool
+    if type(version) is not int or version != 3:
+        raise GridFormatError(f"format_version: expected 3, got {version!r}")
+
+    # read before the blocks, whose views need the node count
     axes_doc = doc.get("axes")
     if not isinstance(axes_doc, dict):
         raise GridFormatError("axes: expected an object with x, y, z")
@@ -569,15 +449,21 @@ def _grid_from_doc(doc: dict, data: Optional[bytes] = None,
     shape = tuple(len(a) for a in axes)
     n_nodes = int(np.prod(shape))
 
-    blocks_doc = doc.get("blocks")
-    if data is not None:
-        blocks = _view_blocks(blocks_doc, data, offset, n_nodes, shape)
-    elif not isinstance(blocks_doc, dict) or "value" not in blocks_doc:
-        raise GridFormatError("blocks: expected an object with a 'value' block")
-    else:
-        read_block = _decode_block if version == 2 else _parse_block
-        blocks = {key: read_block(key, payload, n_nodes, shape)
-                  for key, payload in blocks_doc.items()}
+    # each listed block, N x 144 bytes in list order, as a read-only view;
+    # TensorGrid checks the names against the semantics, and finiteness
+    names = doc.get("blocks")
+    if not (isinstance(names, list) and all(isinstance(k, str) for k in names)
+            and len(set(names)) == len(names) and "value" in names):
+        raise GridFormatError(
+            "blocks: expected a list of distinct block names with 'value'")
+    size = n_nodes * _NODE_BYTES
+    if len(data) - start != len(names) * size:
+        raise GridFormatError(
+            f"blocks: expected {len(names) * size} bytes for {len(names)} "
+            f"blocks of {n_nodes} nodes, got {len(data) - start}")
+    blocks = {key: np.frombuffer(data, _BLOCK_DTYPE, 9 * n_nodes,
+                                 start + i * size).reshape(shape + (3, 3))
+              for i, key in enumerate(names)}
 
     return TensorGrid(
         frequency=doc.get("frequency_rad_per_s"),

@@ -20,9 +20,13 @@ that is:
     lowering_operators, the dense per-emitter lowering operators;
   * csv_cell: one CSV cell by isinstance dispatch alone, the oracle of
     polyemit.cli._fmt and its exact-float shortcut;
-  * reference_save and reference_save_v2: a grid as a format-version-1
-    and a format-version-2 document, the writers of every v1 and v2 file
-    the grid reader tests load (polyemit.grid.save_grid writes v3).
+  * far_field_rate: the collective decay entry gamma_ab of two emitters
+    in a uniform medium as a sphere integral of their far-field
+    amplitudes, with no Green jet, the oracle of
+    polyemit.rates.collective_rate;
+  * v3_split and v3_file: a grid file of format version 3 as its header
+    document and block bytes, and back, the reference reader and writer
+    of the layout polyemit.grid.save_grid writes and load_grid reads.
 
 The engine pieces (_adaptive, _integrate_to_infinity, _coefficient_rows,
 _pole_coefficients, _roundoff_floor) are imported from
@@ -39,7 +43,6 @@ point). The package never takes the real-axis route.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 import math
@@ -48,7 +51,9 @@ from typing import Callable
 import mpmath
 import numpy as np
 
+from polyemit.constants import C0
 from polyemit.dynamics import _MAX_EMITTERS, Trajectory, _time_grid
+from polyemit.emitter import SPECTRAL_NORM
 from polyemit.errors import InputError, ModelDomainError, QuadratureError
 from polyemit.homogeneous import (SERIES_SWITCH, Medium,
                                   _lossless_wavenumber)
@@ -396,42 +401,66 @@ def csv_cell(value) -> str:
     return text
 
 
-def _header(grid, version: int) -> dict:
-    """The header fields of a grid's v1 or v2 document."""
-    doc = {
-        "format_version": version, "frequency_rad_per_s": grid.frequency,
-        "length_unit": grid.length_unit,
-        "value_unit_exponent": grid.value_unit_exponent,
-        "derivative_semantics": grid.derivative_semantics,
-        "symmetry_rtol": grid.symmetry_tol,
-        "axes": {name: (float(arr[0]) if fx else [float(v) for v in arr])
-                 for name, arr, fx in zip("xyz", grid.axes, grid.fixed_axes)},
-    }
-    if grid.provenance is not None:
-        doc["provenance"] = grid.provenance
-    return doc
+# ---------------------------------------------------------------------------
+# far field
+
+# (cos theta nodes, weights) of the Gauss-Legendre rule, and the count of
+# trapezoid nodes in phi
+_POLAR = np.polynomial.legendre.leggauss(48)
+_AZIMUTHS = 96
 
 
-def _canonical(doc: dict) -> bytes:
-    return json.dumps(doc, ensure_ascii=False, sort_keys=True,
-                      separators=(",", ":"), allow_nan=False).encode("utf-8")
+def far_field_rate(a, b, index: float, omega: float) -> complex:
+    """gamma_ab of emitters a and b in a uniform medium of real index at
+    the frequency omega, from their far-field amplitudes alone:
+
+        2 pi w^2 SPECTRAL_NORM (k / 16 pi^2)
+            * int conj(f_a(n)) . f_b(n) exp(i k n . (r_a - r_b)) dOmega
+
+    with k = index w / c, f(n) = (I - n n)[d - i k T n] and
+    T = Q + (i/w) M, so T n = Q n + (i/w) m x n. The plane-wave phase of
+    the pair enters once. The sphere is sampled by 48 Gauss-Legendre nodes
+    in cos(theta) by 96 trapezoid nodes in phi."""
+    k = index * omega / C0
+    cos, w_cos = _POLAR
+    phi = 2.0 * math.pi * np.arange(_AZIMUTHS) / _AZIMUTHS
+    sin = np.sqrt(1.0 - cos ** 2)[:, None]
+    n = np.stack(np.broadcast_arrays(sin * np.cos(phi), sin * np.sin(phi),
+                                     cos[:, None]), axis=-1).reshape(-1, 3)
+    weights = np.repeat(w_cos, _AZIMUTHS) * (2.0 * math.pi / _AZIMUTHS)
+
+    def amplitude(e):
+        t_n = n @ e.Q.T + (1j / omega) * np.cross(e.m, n)
+        v = e.d - 1j * k * t_n
+        return v - n * np.sum(n * v, axis=1, keepdims=True)
+
+    phase = np.exp(1j * k * (n @ (a.position - b.position)))
+    integral = np.sum(weights * phase
+                      * np.sum(amplitude(a).conj() * amplitude(b), axis=1))
+    return (2.0 * math.pi * omega ** 2 * SPECTRAL_NORM
+            * k / (16.0 * math.pi ** 2) * complex(integral))
 
 
-def reference_save(grid) -> bytes:
-    """A TensorGrid as canonical format-version-1 bytes: json.dumps of the
-    whole document with sorted keys, compact separators and every block
-    entry a nested [re, im] list."""
-    return _canonical(dict(_header(grid, 1), blocks={
-        k: [[[[float(e.real), float(e.imag)] for e in row] for row in node]
-            for node in grid.blocks[k].reshape(-1, 3, 3)]
-        for k in sorted(grid.blocks)}))
+# ---------------------------------------------------------------------------
+# grid files
+
+V3_MAGIC = b"\x93PEGRID"
 
 
-def reference_save_v2(grid) -> bytes:
-    """A TensorGrid as canonical format-version-2 bytes, as save_grid wrote
-    them before format version 3: the v1 document with each block one
-    base64 string of its raw little-endian [re, im] pairs."""
-    return _canonical(dict(_header(grid, 2), blocks={
-        k: base64.b64encode(np.ascontiguousarray(
-            arr, dtype="<c16").tobytes()).decode("ascii")
-        for k, arr in grid.blocks.items()}))
+def v3_split(data: bytes) -> tuple:
+    """A v3 file as its header document and its block bytes."""
+    assert data.startswith(V3_MAGIC)
+    end = data.index(b"\n") + 1
+    return json.loads(data[len(V3_MAGIC):end]), data[end:]
+
+
+def v3_file(header, blocks: bytes, align: int = 64) -> bytes:
+    """v3 bytes: the magic, header text (a document is written compact,
+    in its own key order), space padding and a newline up to a multiple
+    of align, the blocks."""
+    if isinstance(header, dict):
+        header = json.dumps(header, ensure_ascii=False, separators=(",", ":"))
+    if isinstance(header, str):
+        header = header.encode("utf-8")
+    head = V3_MAGIC + header
+    return head + b" " * (-(len(head) + 1) % align) + b"\n" + blocks

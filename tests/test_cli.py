@@ -5,6 +5,7 @@ atomic-dipole emitter at 2 pi * 384 THz in vacuum, frozen from an
 independent evaluation of w^3 d^2 / (3 pi hbar eps0 c^3) with CODATA
 constants: 4257926.9227325665 1/s.
 """
+import base64
 import dataclasses
 import inspect
 import json
@@ -38,7 +39,7 @@ from polyemit.rates import (build_ensemble, collective_rate,
                             coupling_strength, emission_rate, enhancement_map,
                             free_space_rates, lamb_shift)
 
-from oracles import csv_cell, reference_save, reference_save_v2
+from oracles import csv_cell, v3_file, v3_split
 
 W384 = 2 * math.pi * 384e12
 GAMMA_ED_UNIT_ATOMIC = 4257926.9227325665
@@ -1293,18 +1294,14 @@ def test_validate_good_grid(grid_file, capsys):
     assert all(r[1] == "true" for r in rows)
 
 
-def v1_doc(grid_file):
-    """The grid of grid_file as a format-version-1 document, whose blocks
-    are nested [re, im] lists."""
-    with open(grid_file, "rb") as fh:
-        return json.loads(reference_save(load_grid(fh)))
-
-
 def test_validate_broken_grid_exits_2(grid_file, tmp_path, capsys):
-    doc = v1_doc(grid_file)
-    doc["blocks"]["value"][0][0][1][0] = 1.0  # asymmetric entry
-    bad = write_json(tmp_path / "broken.json", doc)
-    assert main(["validate", "--grid", bad, "--format", "json"]) == 2
+    with open(grid_file, "rb") as fh:
+        grid = load_grid(fh)
+    blocks = {k: np.array(v) for k, v in grid.blocks.items()}
+    blocks["value"][0, 0, 0, 1, 0] = 1.0  # asymmetric entry
+    bad = tmp_path / "broken.bin"
+    bad.write_bytes(save_grid(dataclasses.replace(grid, blocks=blocks)))
+    assert main(["validate", "--grid", str(bad), "--format", "json"]) == 2
     out = json.loads(capsys.readouterr().out)
     names = {c["name"]: c["passed"] for c in out["checks"]}
     assert names["value-symmetry"] is False
@@ -1323,43 +1320,38 @@ def test_validate_huge_integer_exits_2(grid_file, tmp_path, capsys):
             ("frequency_rad_per_s must be a positive finite number",
              lambda d: d.update(frequency_rad_per_s=huge)),
             ("axes.x must be a nonempty finite strictly increasing",
-             lambda d: d["axes"]["x"].__setitem__(-1, huge)),
-            ("blocks.value: integer too large",
-             lambda d: d["blocks"]["value"][0][0][0].__setitem__(0, huge))):
-        doc = v1_doc(grid_file)
-        mutate(doc)
-        bad = write_json(tmp_path / "huge.json", doc)
-        assert main(["validate", "--grid", bad]) == 2
+             lambda d: d["axes"]["x"].__setitem__(-1, huge))):
+        with open(grid_file, "rb") as fh:
+            header, blocks = v3_split(fh.read())
+        mutate(header)
+        bad = tmp_path / "huge.bin"
+        bad.write_bytes(v3_file(header, blocks))
+        assert main(["validate", "--grid", str(bad)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
 
-def test_v1_and_v2_grids_give_identical_outputs(grid_file, tmp_path,
-                                                monkeypatch, capsys):
-    # and v3 too; the output echoes the --grid path, so every file is
-    # grid.json
+def test_v1_and_v2_grid_documents_exit_2(grid_file, emitter_file, tmp_path,
+                                         capsys):
+    # the JSON documents save_grid wrote before format version 3: the
+    # header fields with the blocks inside, as nested [re, im] lists (v1)
+    # or base64 strings (v2)
     with open(grid_file, "rb") as fh:
-        grid = load_grid(fh)
-    emitter = write_json(tmp_path / "emitter.json",
-                         {"position_m": [0.0, 0.0, 0.0],
-                          "omega0_rad_per_s": W384,
-                          "d_atomic": [1.0, 0.0, 0.0],
-                          "m_bohr_magnetons": [0.0, 1.0, 0.0],
-                          "Q_atomic": [[1.0, 0.0, 0.0], [0.0, -0.5, 0.0],
-                                       [0.0, 0.0, -0.5]]})
-    outputs = {}
-    for version, data in (("v1", reference_save(grid)),
-                          ("v2", reference_save_v2(grid)),
-                          ("v3", save_grid(grid))):
-        (tmp_path / version).mkdir()
-        (tmp_path / version / "grid.json").write_bytes(data)
-        monkeypatch.chdir(tmp_path / version)
-        for fmt in ("csv", "json"):
-            assert main(["validate", "--grid", "grid.json",
-                         "--format", fmt]) == 0
-            assert main(["map", "--grid", "grid.json", "--emitter", emitter,
-                         "--format", fmt]) == 0
-        outputs[version] = capsys.readouterr().out
-    assert outputs["v1"] == outputs["v2"] == outputs["v3"]
+        header, data = v3_split(fh.read())
+    size = len(data) // len(header["blocks"])
+    raw = {key: data[i * size:(i + 1) * size]
+           for i, key in enumerate(header["blocks"])}
+    for version, encode in (
+            (1, lambda b: np.frombuffer(b, "<f8").reshape(
+                -1, 3, 3, 2).tolist()),
+            (2, lambda b: base64.b64encode(b).decode("ascii"))):
+        doc = dict(header, format_version=version,
+                   blocks={key: encode(b) for key, b in raw.items()})
+        old = write_json(tmp_path / f"v{version}.json", doc)
+        for argv in (["validate", "--grid", old],
+                     ["map", "--grid", old, "--emitter", emitter_file]):
+            assert main(argv) == 2
+            assert "of grid format version 3, got b'{" in \
+                capsys.readouterr().err
 
 
 # --- output discipline -------------------------------------------------------------

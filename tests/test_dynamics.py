@@ -742,6 +742,45 @@ def test_block_diagonal_start_with_negative_sector_eigenvalue_is_rejected():
         evolve_ensemble(model, rho, t)
 
 
+def test_block_diagonal_start_is_checked_by_its_groups(monkeypatch):
+    # the states that nonzero entries link are decided group by group, the
+    # groups of one size stacked: the maximally mixed start of ten emitters
+    # is 1024 groups of one state, factored in one stacked call
+    shapes = {"eigvalsh": [], "cholesky": []}
+
+    def recorder(name):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+    recorder("eigvalsh")
+    recorder("cholesky")
+    rho = np.eye(1024, dtype=complex) / 1024
+    support, block, families, top = polyemit.dynamics._check_density(
+        rho, 10, "initial state")
+    assert shapes == {"eigvalsh": [], "cholesky": [(1024, 1, 1)]}
+    assert np.array_equal(support, np.arange(1024))
+    assert np.array_equal(block, rho) and families == [0] and top == 10
+
+    # groups of one, two and four states (2-5, 3-6 and 5-6 link 2, 3, 5
+    # and 6); a negative eigenvalue in any one group refuses the start
+    for i, j in ((2, 5), (3, 6), (5, 6), (100, 900)):
+        rho[i, j] = rho[j, i] = 1e-4
+    shapes["cholesky"].clear()
+    polyemit.dynamics._check_density(rho, 10, "initial state")
+    assert sorted(shapes["cholesky"]) == [(1, 2, 2), (1, 4, 4), (1018, 1, 1)]
+    for i, j in ((100, 900), (5, 6)):
+        bad = rho.copy()
+        bad[i, j] = bad[j, i] = 2e-3  # above the diagonal entries, 1/1024
+        with pytest.raises(InputError, match="semidefinite"):
+            polyemit.dynamics._check_density(bad, 10, "initial state")
+    # the spectrum is computed only for the stack whose factorization fails
+    assert shapes["eigvalsh"] == [(1, 2, 2), (1, 4, 4)]
+
+
 def test_single_excitation_start_of_ten_emitters_is_checked_by_sector(
         monkeypatch):
     sizes = {"eigvalsh": [], "cholesky": []}

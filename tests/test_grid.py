@@ -1,15 +1,14 @@
 """Grid ingest, serialization, interpolation, and the uniform-medium
 producer."""
 
-import base64
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
 import tracemalloc
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -22,27 +21,31 @@ from polyemit.grid import (TensorGrid, grid_from_homogeneous, load_grid,
 from polyemit.homogeneous import Medium, coincident_im_jet
 from polyemit.rates import emission_rate, enhancement_map
 
-from oracles import reference_save, reference_save_v2
+from oracles import V3_MAGIC as MAGIC, v3_file, v3_split
 
 W0 = 2.4e15
 
 
-def dumps(doc):
-    return json.dumps(doc).encode("utf-8")
+def raw(blocks):
+    """Block bytes: each (N, 3, 3) array's little-endian [re, im] pairs."""
+    return b"".join(np.asarray(b, dtype="<c16").tobytes() for b in blocks)
 
 
-def base_doc():
-    """Valid minimal split-semantics document: 2 x 1 nodes, fixed z."""
-    node = [[[0.1, 0.0] for _ in range(3)] for _ in range(3)]
+def base_header():
+    """Header of a valid minimal split-semantics file: 2 x 1 nodes, fixed
+    z, the value block BASE_BLOCKS."""
     return {
-        "format_version": 1,
+        "format_version": 3,
         "frequency_rad_per_s": W0,
         "length_unit": "nm",
         "value_unit_exponent": -1,
         "derivative_semantics": "split",
         "axes": {"x": [0.0, 10.0], "y": [0.0], "z": 0.0},
-        "blocks": {"value": [node, [row[:] for row in node]]},
+        "blocks": ["value"],
     }
+
+
+BASE_BLOCKS = raw([np.full((2, 3, 3), 0.1)])
 
 
 def hand_grid(rng, shape=(4, 3), unit="nm", semantics="split", extra=()):
@@ -57,6 +60,27 @@ def hand_grid(rng, shape=(4, 3), unit="nm", semantics="split", extra=()):
         derivative_semantics=semantics,
         axes=(np.arange(nx) * 10.0, np.arange(ny) * 5.0, np.array([2.0])),
         fixed_axes=(False, False, True), blocks=blocks)
+
+
+def outcome(data):
+    try:
+        return ("grid", load_grid(data))
+    except Exception as exc:  # any exception type is an outcome to compare
+        return ("raises", type(exc), str(exc))
+
+
+def same_grid(a, b):
+    """equals, and every block bit for bit (equals lets -0.0 match 0.0)."""
+    return a.equals(b) and all(a.blocks[k].tobytes() == b.blocks[k].tobytes()
+                               for k in a.blocks)
+
+
+def compact(doc):
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+
+
+def dumps(doc):
+    return json.dumps(doc).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +121,9 @@ def test_roundtrip_preserves_imaginary_residue():
 
 
 def test_minimal_file_unit_conversion():
-    doc = base_doc()
     v = 1.0 / (6.0 * math.pi)
-    eye = [[[v if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
-    doc["axes"] = {"x": [0.0], "y": [0.0], "z": 0.0}
-    doc["blocks"] = {"value": [eye]}
-    g = load_grid(dumps(doc))
+    header = dict(base_header(), axes={"x": [0.0], "y": [0.0], "z": 0.0})
+    g = load_grid(v3_file(header, raw([v * np.eye(3)[None]])))
     assert g.shape == (1, 1, 1)
     # nm^-1 -> m^-1
     np.testing.assert_allclose(g.block_si("value")[0, 0, 0].real,
@@ -116,22 +137,30 @@ def test_minimal_file_unit_conversion():
 # loader rejection diagnostics
 
 def test_load_rejects_malformed():
-    cases = [
-        (b"{nope", "not valid JSON"),
-        (b"\xff\xfe{}", "not UTF-8"),
-        (b"[1, 2]", "top level"),
-    ]
-    for data, frag in cases:
-        with pytest.raises(GridFormatError, match=frag):
+    # bytes without the v3 magic, the JSON documents of format versions 1
+    # and 2 among them, and text are not grid files of format version 3
+    doc = dict(base_header(), format_version=1,
+               blocks={"value": [[[[0.1, 0.0]] * 3] * 3] * 2})
+    for data in (b"{nope", b"\xff\xfe{}", b"[1, 2]", b"", dumps(doc),
+                 dumps(dict(doc, format_version=2,
+                            blocks={"value": "mpmZmZmZuT8AAAAAAAAAAA"}))):
+        with pytest.raises(GridFormatError, match=re.escape(
+                f"magic: expected {MAGIC!r} of grid format version 3, "
+                f"got {data[:7]!r}")):
             load_grid(data)
+    text = v3_file(base_header(), BASE_BLOCKS).decode("latin-1")
+    for source in (text, io.StringIO(text), None):
+        with pytest.raises(InputError, match="load_grid expects the bytes "
+                                             "of grid format version 3"):
+            load_grid(source)
 
-    def reject(mutate, frag):
-        doc = base_doc()
-        mutate(doc)
+    def reject(mutate, frag, blocks=BASE_BLOCKS):
+        header = base_header()
+        mutate(header)
         with pytest.raises(GridFormatError, match=frag):
-            load_grid(dumps(doc))
+            load_grid(v3_file(header, blocks))
 
-    reject(lambda d: d.update(format_version=3), "format_version")
+    reject(lambda d: d.update(format_version=1), "format_version")
     reject(lambda d: d.pop("derivative_semantics"), "derivative_semantics")
     reject(lambda d: d.update(derivative_semantics="both"),
            "derivative_semantics")
@@ -140,6 +169,8 @@ def test_load_rejects_malformed():
     reject(lambda d: d.update(length_unit=["nm"]), "length_unit")
     reject(lambda d: d.update(length_unit={"nm": 1}), "length_unit")
     reject(lambda d: d.update(value_unit_exponent=1.5), "value_unit_exponent")
+    reject(lambda d: d.update(value_unit_exponent=-1.0),
+           "value_unit_exponent must be an integer")
     reject(lambda d: d.update(frequency_rad_per_s="fast"),
            "frequency_rad_per_s")
     reject(lambda d: d.update(frequency_rad_per_s=-1.0),
@@ -147,16 +178,14 @@ def test_load_rejects_malformed():
     reject(lambda d: d["axes"].update(x=[10.0, 0.0]), "strictly increasing")
     reject(lambda d: d["axes"].update(x=5.0), "only z may be a fixed scalar")
     reject(lambda d: d["axes"].pop("y"), "axes.y")
-    reject(lambda d: d["blocks"]["value"].pop(), "expected 2 nodes, got 1")
-    reject(lambda d: d["blocks"]["value"][1][0].pop(), r"value\[1\]\[0\]")
-    reject(lambda d: d["blocks"]["value"][0][2][1].__setitem__(slice(None),
-                                                               [0.5]),
-           r"value\[0\]\[2\]\[1\]")
-    reject(lambda d: d["blocks"].update(d3_x=d["blocks"]["value"]),
-           "unrecognized")
-    reject(lambda d: d.update(derivative_semantics="total") or
-           d["blocks"].update(d1_x_src=[row[:] for row in d["blocks"]["value"]]),
-           "unrecognized")
+    reject(lambda d: None, re.escape("blocks: expected 288 bytes for 1 "
+                                     "blocks of 2 nodes, got 144"),
+           BASE_BLOCKS[:144])
+    reject(lambda d: d.update(blocks=["value", "d3_x"]), "unrecognized",
+           2 * BASE_BLOCKS)
+    reject(lambda d: d.update(derivative_semantics="total",
+                              blocks=["value", "d1_x_src"]),
+           "unrecognized", 2 * BASE_BLOCKS)
 
     huge = 10 ** 400  # an integer literal no float can hold
     scalar = "must be a positive finite number"
@@ -173,11 +202,6 @@ def test_load_rejects_malformed():
     reject(lambda d: d.update(symmetry_rtol="1e-6"), f"symmetry_rtol {scalar}")
     reject(lambda d: d["axes"].update(z=True), f"axes.z {axis}")
     reject(lambda d: d["axes"].update(x=[0, True]), f"axes.x {axis}")
-    reject(lambda d: d["blocks"]["value"][1][0][2].__setitem__(1, huge),
-           "blocks.value: integer too large")
-    for entry in ([True, False], ["1", 0]):
-        reject(lambda d: d["blocks"]["value"][0][0].__setitem__(0, entry),
-               re.escape("blocks.value[0][0][0]: expected [re, im]"))
 
     # exponents whose SI scale unit^(exponent - order) no float can hold
     reject(lambda d: d.update(value_unit_exponent=400), "value_unit_exponent")
@@ -187,47 +211,17 @@ def test_load_rejects_malformed():
 
 
 def test_load_rejects_nonfinite():
-    raw = dumps(base_doc()).decode()
-    raw = raw.replace("0.1", "NaN", 1)
-    with pytest.raises(GridFormatError, match="non-finite"):
-        load_grid(raw)
-
-
-# ---------------------------------------------------------------------------
-# the format-version-1 reader
-
-# json words the rest of this message, differently across Python versions
-NOT_JSON = "grid file is not valid JSON: "
-
-
-def outcome(text):
-    try:
-        return ("grid", load_grid(text))
-    except Exception as exc:  # any exception type is an outcome to compare
-        return ("raises", type(exc), str(exc))
-
-
-def same_grid(a, b):
-    """equals, and every block bit for bit (equals lets -0.0 match 0.0)."""
-    return a.equals(b) and all(a.blocks[k].tobytes() == b.blocks[k].tobytes()
-                               for k in a.blocks)
-
-
-def assert_outcome(text, want):
-    """load_grid(text) gives want: a grid bit for bit, or a GridFormatError
-    with want as its text (its prefix, for want NOT_JSON)."""
-    got = outcome(text)
-    if isinstance(want, TensorGrid):
-        assert got[0] == "grid", got
-        assert same_grid(got[1], want)
-    else:
-        assert got[:2] == ("raises", GridFormatError), got
-        assert (got[2].startswith(want) if want == NOT_JSON
-                else got[2] == want), got
-
-
-def compact(doc):
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+    for bad in (math.nan, math.inf, -math.inf):
+        parts = np.frombuffer(BASE_BLOCKS, dtype="<f8").copy()
+        parts[7] = bad
+        with pytest.raises(GridFormatError,
+                           match="blocks.value: non-finite entries"):
+            load_grid(v3_file(base_header(), parts.tobytes()))
+        # the block bytes are counted before any entry is read
+        with pytest.raises(GridFormatError, match=re.escape(
+                "blocks: expected 288 bytes for 1 blocks of 2 nodes, got "
+                "287")):
+            load_grid(v3_file(base_header(), parts.tobytes()[:-1]))
 
 
 def test_roundtrip_keeps_negative_zeros():
@@ -246,270 +240,79 @@ def test_roundtrip_keeps_negative_zeros():
     parts = loaded.blocks["value"].view(float)
     assert np.count_nonzero((parts == 0.0) & np.signbit(parts)) == 4
     assert save_grid(loaded) == data
-    # the v1 writer spells each as -0.0, and the v1 reader keeps them
-    v1 = reference_save(g)
-    assert len(re.findall(rb"-0\.0[,\]]", v1)) == 4
-    assert same_grid(load_grid(v1), g)
-
-
-def test_v1_reader_outcomes_are_pinned():
-    # every document loads to the grid, or fails with the text, that it
-    # gave while a hand-written block reader ran beside json.loads. Three
-    # outcomes changed: a bool or a numeric string in a block entry loaded
-    # as a number and is now refused where it stands, null there is
-    # refused there too (it loaded as NaN and failed the finiteness
-    # check), and the format_version refusal names both versions
-    rng = np.random.default_rng(1010)
-    g0 = hand_grid(rng, shape=(2, 2), extra=("d1_x", "d2_xy"))
-    base = reference_save(g0).decode()
-    doc = json.loads(base)
-    value = doc["blocks"]["value"]
-    not_entry = "blocks.value[0][0][0]: expected [re, im]"
-    three_entries = "blocks.value[0][0]: expected 3 entries"
-    nan_text = "non-finite number 'NaN' in grid file"
-    scalar = "frequency_rad_per_s must be a positive finite number, got "
-
-    def replaced(**fields):
-        return dataclasses.replace(g0, **fields)
-
-    def first_re(x):
-        # g0 with the real part of the first value entry set to x
-        blocks = {k: np.array(v) for k, v in g0.blocks.items()}
-        blocks["value"].real[0, 0, 0, 0, 0] = x
-        return replaced(blocks=blocks)
-
-    cases = [(base, g0)]
-
-    # number tokens: the real part of the first value entry, and the
-    # frequency
-    entry = re.compile(r'("value":\[\[\[\[)([^,]*)')
-    for token, want in (
-            ("01", NOT_JSON), ("1.", NOT_JSON), (".5", NOT_JSON),
-            ("+1", NOT_JSON), ("1e", NOT_JSON), ("-", NOT_JSON),
-            ("1 2", NOT_JSON), ("NaN", nan_text),
-            ("Infinity", "non-finite number 'Infinity' in grid file"),
-            ("-Infinity", "non-finite number '-Infinity' in grid file"),
-            ("true", not_entry), ("null", not_entry), ('"0.5"', not_entry),
-            ("1e400", "blocks.value: non-finite entries"),
-            ("-0", first_re(0.0)), ("-0.0", first_re(-0.0)),
-            ("4.9e-324", first_re(5e-324)),
-            ("2.2250738585072014e-308", first_re(2.2250738585072014e-308)),
-            ("1E+5", first_re(1e5)), ("7", first_re(7.0)),
-            ("12345678901234567890", first_re(float(12345678901234567890))),
-            ("1e-400", first_re(0.0))):
-        cases.append((entry.sub(lambda m: m.group(1) + token, base, 1), want))
-    for token, want in (("01", NOT_JSON), ("NaN", nan_text),
-                        ("1e400", scalar + "inf"), ("true", scalar + "True"),
-                        ("[]", scalar + "[]")):
-        cases.append((re.sub(r'(?<="frequency_rad_per_s":)[^,]*', token,
-                             base, 1), want))
-
-    # bracket layout, in the text, bare and with whitespace around every
-    # bracket and comma
-    first = re.search(r'"value":\[\[\[(\[([^,]*),([^\]]*)\])', base)
-    a, b = first.group(2), first.group(3)
-    for new, want in ((f"[{a},]{b}", NOT_JSON), (f"[{a}]{b}", NOT_JSON),
-                      (f"{a},[{b}]", three_entries), (f"[{a} {b}]", NOT_JSON),
-                      (f"[[{a},{b}]]", not_entry),
-                      (f"[{a},{b}],[{a},{b}]", three_entries),
-                      (f"[{a},{b},{a}]", not_entry),
-                      (f"[{a}],[{b}]", three_entries),
-                      (f"[{a},{b}]]", NOT_JSON), ("[]", not_entry)):
-        for text in (new, re.sub(r"([\[\],])", r" \1 ", new)):
-            cases.append((base[:first.start(1)] + text + base[first.end(1):],
-                          want))
-    # a number before the block's opening bracket or after its closing one
-    for old, new in (('"value":[', '"value":7['), ('"value":[', '"value":- ['),
-                     ('"value":[', '"value":7 \n['), ("]]]]}", "]]]]7}")):
-        cases.append((base.replace(old, new, 1), NOT_JSON))
-    for old, new in (("],[", "]["), ("],[", "],,["), ("],[", ",["),
-                     ("]]],[[[", "]]][[["), ("]]]]", "]]],]")):
-        cases.append((base.replace(old, new, 1), NOT_JSON))
-
-    # bracket layout, built from the document
-    def mutated(mutate):
-        d = json.loads(base)
-        mutate(d)
-        return compact(d)
-
-    no_value = "blocks: expected an object with a 'value' block"
-    for mutate, want in (
-            (lambda d: d["blocks"]["value"].pop(),
-             "blocks.value: expected 4 nodes, got 3"),
-            (lambda d: d["blocks"]["value"].append(value[0]),
-             "blocks.value: expected 4 nodes, got 5"),
-            (lambda d: d["blocks"].update(value=[]),
-             "blocks.value: expected 4 nodes, got 0"),
-            (lambda d: d["blocks"]["value"][2].pop(),
-             "blocks.value[2]: expected 3 rows"),
-            (lambda d: d["blocks"]["value"][1][2].pop(),
-             "blocks.value[1][2]: expected 3 entries"),
-            (lambda d: d["blocks"]["value"][1][2].append([0.5, 0.5]),
-             "blocks.value[1][2]: expected 3 entries"),
-            (lambda d: d["blocks"]["value"][3][0].__setitem__(1, [[1, 2]]),
-             "blocks.value[3][0][1]: expected [re, im]"),
-            (lambda d: d["blocks"]["value"][0][0].__setitem__(0, [0.5]),
-             not_entry),
-            (lambda d: d["blocks"]["value"].__setitem__(0, 0.5),
-             "blocks.value[0]: expected 3 rows"),
-            (lambda d: d["blocks"].update(d1_x="data"),
-             "blocks.d1_x: expected a list of nodes"),
-            (lambda d: d["blocks"].update(d1_x={}),
-             "blocks.d1_x: expected a list of nodes"),
-            (lambda d: d.update(blocks=[value]), no_value),
-            (lambda d: d.update(blocks={"d1_x": value}), no_value),
-            (lambda d: d["blocks"].update(d3_x=value),
-             "blocks.d3_x: unrecognized under 'split' semantics"),
-            (lambda d: d.update(format_version=True),
-             "format_version: expected 1 or 2, got True"),
-            (lambda d: d.update(length_unit=["nm"]),
-             "length_unit ['nm'] is not one of 'nm', 'um', 'm'")):
-        cases.append((mutated(mutate), want))
-
-    # the whole document
-    cases += [
-        (base + " \r\n\t", g0), ("\n " + base, g0),
-        ("\ufeff" + base, NOT_JSON),
-        (base + "x", NOT_JSON), (base + "{}", NOT_JSON),
-        ("[" + base + "]", "grid file top level must be a JSON object"),
-        (base.replace("]]]]}", "]]]],}", 1), NOT_JSON),
-        (base[:-1] + ',}', NOT_JSON),
-        ("{}", "format_version: expected 1 or 2, got None"),
-        ("{", NOT_JSON), ("", NOT_JSON),
-    ]
-
-    # any JSON whitespace, keys in any order, repeated keys
-    cases += [
-        (json.dumps(doc), g0),
-        (json.dumps(doc, indent=2), g0),
-        (json.dumps(doc, indent=2).replace("\n", "\r\n"), g0),
-        (json.dumps(doc, indent="\t"), g0),
-        (re.sub(r"([\[\],:])", r"\1 \n", base), g0),
-        (compact(dict(reversed(list(doc.items())))), g0),
-        (compact(dict(doc, blocks=dict(reversed(
-            list(doc["blocks"].items()))))), g0),
-        ('{"format_version":7,"blocks":{"value":[],"d1_x":[]},'
-         + base[1:], g0),
-        (base[:-1] + ',"length_unit":"m","format_version":1}',
-         replaced(length_unit="m")),
-        (base.replace('"value":', '"value":[],"value":', 1), g0),
-        ('{"blocks":{"value":[[[[NaN,0]]]]},' + base[1:], nan_text),
-        ('{"provenance":NaN,' + base[1:], nan_text),
-    ]
-
-    # provenance is free-form
-    for prov in ('"blocks":[[[[1,2]]]]', {"blocks": value[:1]},
-                 "Grün ∂G/∂r ✓ 😀",
-                 ["]]]],{", {"a": [1, None, True]}]):
-        cases.append((compact(dict(doc, provenance=prov)),
-                      replaced(provenance=prov)))
-
-    # integer entries, negative zero and subnormals throughout a block
-    tiny = [[[[0, -0.0], [5e-324, -5e-324], [1, -2]]] * 3] * 4
-    row = [complex(0.0, -0.0), complex(5e-324, -5e-324), complex(1.0, -2.0)]
-    cases.append((compact(dict(doc, blocks=dict(doc["blocks"], value=tiny))),
-                  replaced(blocks=dict(g0.blocks, value=np.array(
-                      [[row] * 3] * 4).reshape(2, 2, 1, 3, 3)))))
-
-    for text, want in cases:
-        assert_outcome(text, want)
-
-
-def test_ragged_block_is_reported_before_a_non_finite_one():
-    # blocks are parsed in document order, and finiteness is TensorGrid's
-    # check, made once every block has parsed: the ragged block is the one
-    # reported, whichever block comes first
-    rng = np.random.default_rng(2525)
-    doc = json.loads(reference_save(hand_grid(rng, shape=(2, 2),
-                                              extra=("d1_x",))))
-    doc["blocks"]["d1_x"][1][2].pop()
-    doc["blocks"]["value"][0][0][0][0] = 0.25
-    for keys in (("d1_x", "value"), ("value", "d1_x")):
-        text = compact(dict(doc, blocks={k: doc["blocks"][k] for k in keys}))
-        text = text.replace('"value":[[[[0.25,', '"value":[[[[1e400,', 1)
-        assert "1e400" in text
-        with pytest.raises(GridFormatError,
-                           match=re.escape("blocks.d1_x[1][2]: expected 3 "
-                                           "entries")):
-            load_grid(text)
-    # alone, the non-finite block is refused by TensorGrid's check
-    doc["blocks"]["d1_x"][1][2].append([0.0, 0.0])
-    text = compact(doc).replace('"value":[[[[0.25,', '"value":[[[[1e400,', 1)
-    with pytest.raises(GridFormatError, match=re.escape(
-            "blocks.value: non-finite entries")):
-        load_grid(text)
-
-
-# ---------------------------------------------------------------------------
-# the format-version-2 reader
-
-def test_v2_reader_refuses_bad_blocks():
-    rng = np.random.default_rng(2626)
-    g = hand_grid(rng, shape=(2, 2), extra=("d1_x",))
-    doc = json.loads(reference_save_v2(g))
-    assert doc["format_version"] == 2
-    # each block is one JSON string, so an indented copy is the same grid
-    assert same_grid(load_grid(json.dumps(doc, indent=2)), g)
-
-    block = doc["blocks"]["d1_x"]
-    parts = np.frombuffer(base64.b64decode(block), dtype="<f8").copy()
-    parts[5] = math.nan
-    nan = base64.b64encode(parts.tobytes()).decode("ascii")
-    invalid = "blocks.d1_x: invalid base64: "
-    length = "blocks.d1_x: expected 576 bytes for 4 nodes, got "
-    cases = [
-        # not the base64 alphabet
-        (2, block[:6] + "!" + block[7:], invalid),
-        (2, block[:6] + "é" + block[7:], invalid),
-        (2, block[:6] + "\n" + block[7:], invalid),
-        # bad padding
-        (2, block[:-1], invalid),
-        (2, block[:6] + "=" + block[7:], invalid),
-        # surplus padding, which some strict decoders ignore
-        (2, block + "=", invalid),
-        (2, block + "====", invalid),
-        # valid base64 of the wrong length
-        (2, block[:-4], length + "573"),
-        (2, block + "AAAA", length + "579"),
-        (2, "", length + "0"),
-        # a block of the other version
-        (2, json.loads(reference_save(g))["blocks"]["d1_x"],
-         "blocks.d1_x: expected a base64 string"),
-        (2, None, "blocks.d1_x: expected a base64 string"),
-        (1, block, "blocks.d1_x: expected a list of nodes"),
-        # a NaN bit pattern
-        (2, nan, "blocks.d1_x: non-finite entries"),
-    ]
-    for version, payload, want in cases:
-        text = compact(dict(doc, format_version=version,
-                            blocks=dict(doc["blocks"], d1_x=payload)))
-        got = outcome(text)
-        assert got[:2] == ("raises", GridFormatError), (payload, got)
-        assert got[2].startswith(want), (payload, got)
 
 
 # ---------------------------------------------------------------------------
 # the format-version-3 container
 
-MAGIC = b"\x93PEGRID"
+# json words the rest of this message, differently across Python versions
+NOT_JSON = "header is not valid JSON: "
 
 
-def v3_split(data):
-    """A v3 file as its header document and its block bytes."""
-    assert data.startswith(MAGIC)
-    end = data.index(b"\n") + 1
-    return json.loads(data[len(MAGIC):end]), data[end:]
+def test_v3_header_outcomes_are_pinned():
+    # every header text loads to the grid, or fails with the text, given
+    # here: number tokens, the whole header, any JSON whitespace, keys in
+    # any order, repeated keys, free-form provenance, and block names in
+    # any order with their bytes in that order
+    rng = np.random.default_rng(1010)
+    g0 = hand_grid(rng, shape=(2, 2), extra=("d1_x", "d2_xy"))
+    doc, data = v3_split(save_grid(g0))
+    base = compact(doc)
+    nan_text = "non-finite number 'NaN' in header"
+    scalar = "frequency_rad_per_s must be a positive finite number, got "
 
+    def replaced(**fields):
+        return dataclasses.replace(g0, **fields)
 
-def v3_file(header, blocks, align=64):
-    """v3 bytes: the magic, header text (a document is written compact),
-    space padding and a newline up to a multiple of align, the blocks."""
-    if isinstance(header, dict):
-        header = compact(header)
-    if isinstance(header, str):
-        header = header.encode("utf-8")
-    head = MAGIC + header
-    return head + b" " * (-(len(head) + 1) % align) + b"\n" + blocks
+    cases = [(base, g0)]
+    for token, want in (("01", NOT_JSON), ("NaN", nan_text),
+                        ("1e400", scalar + "inf"), ("true", scalar + "True"),
+                        ("[]", scalar + "[]"), ("2.4E+15", g0),
+                        ("2400000000000000", g0)):
+        cases.append((re.sub(r'(?<="frequency_rad_per_s":)[^,]*', token,
+                             base, 1), want))
+    cases += [
+        (base + " \r\t", g0), (" \r" + base, g0),
+        ("\ufeff" + base, NOT_JSON),
+        (base + "x", NOT_JSON), (base + "{}", NOT_JSON),
+        ("[" + base + "]", "header must be a JSON object"),
+        (base[:-1] + ',}', NOT_JSON),
+        ("{}", "format_version: expected 3, got None"),
+        ("{", NOT_JSON),
+        (json.dumps(doc), g0),
+        (json.dumps(doc, indent=2).replace("\n", " "), g0),
+        (json.dumps(doc, indent=2).replace("\n", "\r"), g0),
+        (json.dumps(doc, indent="\t").replace("\n", "\t"), g0),
+        (compact(dict(reversed(list(doc.items())))), g0),
+        ('{"format_version":7,"blocks":["value"],' + base[1:], g0),
+        (base[:-1] + ',"length_unit":"m","format_version":3}',
+         replaced(length_unit="m")),
+        ('{"provenance":NaN,' + base[1:], nan_text),
+    ]
+    # provenance is free-form
+    for prov in ('"blocks":[[[[1,2]]]]', {"blocks": [[[[1, 2]]]]},
+                 "Grün ∂G/∂r ✓ 😀", ["]]]],{", {"a": [1, None, True]}]):
+        cases.append((compact(dict(doc, provenance=prov)),
+                      replaced(provenance=prov)))
+    for header, want in cases:
+        got = outcome(v3_file(header, data))
+        if isinstance(want, TensorGrid):
+            assert got[0] == "grid", (header, got)
+            assert same_grid(got[1], want)
+            assert save_grid(got[1]) == save_grid(want)
+        else:
+            assert got[:2] == ("raises", GridFormatError), (header, got)
+            assert (got[2].startswith(want) if want == NOT_JSON
+                    else got[2] == want), (header, got)
+
+    # the block names in any order, their bytes following that order
+    size = len(data) // len(doc["blocks"])
+    parts = dict(zip(doc["blocks"], (data[i:i + size]
+                                     for i in range(0, len(data), size))))
+    for names in itertools.permutations(doc["blocks"]):
+        loaded = load_grid(v3_file(dict(doc, blocks=list(names)),
+                                   b"".join(parts[k] for k in names)))
+        assert same_grid(loaded, g0)
 
 
 def test_v3_layout_and_zero_copy_views():
@@ -556,34 +359,6 @@ def test_v3_layout_and_zero_copy_views():
         assert all(arr.flags.aligned for arr in loaded.blocks.values())
 
 
-def test_v1_v2_and_v3_files_load_alike_and_convert():
-    rng = np.random.default_rng(3030)
-    g = hand_grid(rng, shape=(2, 3), extra=("d1_x", "d1_x_src", "d2_yy"))
-    blocks = {k: np.array(v) for k, v in g.blocks.items()}
-    blocks["value"][0, 0, 0, 1, 2] = complex(-0.0, 5e-324)
-    blocks["d1_x"][1, 2, 0, 0, 0] = complex(-5e-324, -0.0)
-    g = dataclasses.replace(g, blocks=blocks,
-                            provenance={"note": "Grün ∂G ✓", "n": [1, None]})
-    v3 = save_grid(g)
-    for data in (reference_save(g), reference_save_v2(g), v3):
-        loaded = load_grid(data)
-        assert same_grid(loaded, g)
-        assert save_grid(loaded) == v3
-    # the header may use any JSON whitespace and key order, and list the
-    # blocks in any order, their bytes following that order
-    doc, raw = v3_split(v3)
-    size = len(raw) // len(doc["blocks"])
-    parts = dict(zip(doc["blocks"], (raw[i:i + size]
-                                     for i in range(0, len(raw), size))))
-    names = doc["blocks"][::-1]
-    shuffled = dict(reversed(list(doc.items())), blocks=names)
-    for header in (json.dumps(shuffled, indent=2).replace("\n", " "),
-                   " " + compact(shuffled) + "\t"):
-        data = v3_file(header, b"".join(parts[k] for k in names))
-        assert same_grid(load_grid(data), g)
-        assert save_grid(load_grid(data)) == v3
-
-
 def test_v3_reader_refuses_bad_files():
     rng = np.random.default_rng(3131)
     g = hand_grid(rng, shape=(2, 2), extra=("d1_x",))
@@ -621,6 +396,8 @@ def test_v3_reader_refuses_bad_files():
          "format_version: expected 3, got 2"),
         (v3_file(dict(doc, format_version=3.5), raw),
          "format_version: expected 3, got 3.5"),
+        (v3_file(dict(doc, format_version=3.0), raw),
+         "format_version: expected 3, got 3.0"),
         # the block names
         (v3_file(dict(doc, blocks={"d1_x": 0, "value": 1}), raw), names),
         (v3_file(dict(doc, blocks="value"), raw), names),
@@ -657,9 +434,10 @@ def test_v3_reader_refuses_bad_files():
 
 
 def test_save_matches_reference_writer_on_random_bit_patterns():
-    # the v3 bytes and the v2 and v1 documents of a grid load to that grid,
-    # bit for bit, with signed zeros and subnormals among random finite
-    # bit patterns
+    # save_grid writes the reference writer's bytes (oracles.v3_file of
+    # the header written out here, sorted keys, and the blocks' raw bytes
+    # in sorted name order), and they load to the grid bit for bit, with
+    # signed zeros and subnormals among random finite bit patterns
     rng = np.random.default_rng(77)
     keys = ["value", *all_block_keys()]
     for shape in ((1, 1), (3, 2)):
@@ -680,21 +458,27 @@ def test_save_matches_reference_writer_on_random_bit_patterns():
             fixed_axes=(False, False, True),
             blocks=dict(zip(keys, entries)),
             provenance={"note": "Grün ∂G ✓", "blocks": [[[[1, 2]]]]})
+        header = {
+            "axes": {"x": [float(v) for v in g.axes[0]],
+                     "y": [float(v) for v in g.axes[1]], "z": 1e-3},
+            "blocks": sorted(keys), "derivative_semantics": "split",
+            "format_version": 3, "frequency_rad_per_s": W0,
+            "length_unit": "um",
+            "provenance": {"blocks": [[[[1, 2]]]], "note": "Grün ∂G ✓"},
+            "symmetry_rtol": 1e-6, "value_unit_exponent": -3}
         data = save_grid(g)
-        assert data == save_grid(g)
+        assert data == v3_file(header, raw(
+            g.blocks[k] for k in sorted(keys)))
         assert same_grid(load_grid(data), g)
-        assert same_grid(load_grid(reference_save_v2(g)), g)
-        assert same_grid(load_grid(reference_save(g)), g)
 
 
 def test_blocks_are_private_and_read_only():
-    # a v3 or a decoded v2 block is a read-only view of immutable bytes and
-    # is kept as it is; any other array is copied, so its owner cannot
-    # change the grid afterwards
+    # a loaded block is a read-only view of immutable bytes and is kept as
+    # it is; any other array is copied, so its owner cannot change the
+    # grid afterwards
     rng = np.random.default_rng(2727)
     g = hand_grid(rng, extra=("d1_x",))
-    for arr in chain(load_grid(save_grid(g)).blocks.values(),
-                     load_grid(reference_save_v2(g)).blocks.values()):
+    for arr in load_grid(save_grid(g)).blocks.values():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0, 0, 0, 0] = 1.0
@@ -1023,28 +807,19 @@ def test_fd_step_follows_the_number_rule(step):
 
 
 def test_producer_fd_grid_bytes_are_pinned():
-    # v1, v2 and v3 bytes of two finite-difference grids, as the stencils
-    # and their summation order give them: a change to either shows here.
-    # The v1 and v2 bytes are the oracle writers', pinned while save_grid
-    # wrote v2
+    # the bytes of two finite-difference grids, as the stencils and their
+    # summation order give them: a change to either shows here
     pins = [
         (Medium(1.5), (np.linspace(0, 60e-9, 4), np.linspace(0, 40e-9, 3),
                        0.0), 2e-9,
-         "217325c8f5c18dd2f07905e6c49c00bbdd808644ede5ffedd322f3fe8d1fa6fb",
-         "11770537d2e4d1d559c329a5aa6b802c0ac6ec342a412cb87e6b9335c51bc625",
          "8ca643103312f406546b1bc580363b74c0b104e0f57f268abcfa1bca6ac6b363"),
         (Medium(2.0), (np.linspace(0, 30e-9, 2), np.linspace(0, 30e-9, 2),
                        0.0), 1e-9,
-         "37901698fbeb7e9d5609a28f603c3af62f37596877b6c4d243852e67c9750399",
-         "0846d0764ff71701a893b1392615928292941770172e70dfa3a3006ae3b1c008",
          "2472ef303113d624a8f9417f22e26655cb9d5757785ddb970dad0e2679c1ab58"),
     ]
-    for medium, axes, h, want_v1, want_v2, want_v3 in pins:
+    for medium, axes, h, want in pins:
         grid = grid_from_homogeneous(medium, 2.4e15, axes, fd_step=h)
-        assert hashlib.sha256(reference_save(grid)).hexdigest() == want_v1, h
-        assert hashlib.sha256(
-            reference_save_v2(grid)).hexdigest() == want_v2, h
-        assert hashlib.sha256(save_grid(grid)).hexdigest() == want_v3, h
+        assert hashlib.sha256(save_grid(grid)).hexdigest() == want, h
 
 
 def test_producer_fd_grid_has_no_negative_zeros():

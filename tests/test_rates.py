@@ -2,6 +2,7 @@
 shifts, Hermiticity, and free-space anchors."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from polyemit.rates import (build_ensemble, collective_rate,
                             coupling_strength, emission_rate, enhancement_map,
                             free_space_rates, lamb_shift)
 
-from oracles import pv_spectral_form
+from oracles import far_field_rate, pv_spectral_form
 
 W0 = 2.4e15
 
@@ -620,6 +621,35 @@ def test_collective_rate_inert(rng):
     inert = MultipoleEmitter(position=[0, 0, 0], omega0=W0)
     jet = coincident_im_jet(W0, Medium(1.0))
     assert collective_rate(e, inert, jet).gamma_cross == 0
+
+
+FAR_FIELD_CHANNELS = {"ED": "d", "MD": "m", "EQ": "q", "ED+MD+EQ": "dmq"}
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5])
+@pytest.mark.parametrize("bra, ket",
+                         list(itertools.product(FAR_FIELD_CHANNELS, repeat=2)))
+def test_collective_rate_is_the_far_field_integral(bra, ket, index):
+    # ROADMAP item 14, step 1: gamma_ab against the sphere integral of the
+    # two far-field amplitudes (oracles.far_field_rate), which evaluates no
+    # Green jet, from 5 nm to 1.5 um (kR from 0.04 to 18) in seeded
+    # orientations; the bound was fixed before the first run
+    names = list(FAR_FIELD_CHANNELS)
+    rng = np.random.default_rng([names.index(bra), names.index(ket),
+                                 int(10 * index)])
+    med = Medium(index)
+    for sep in (5e-9, 100e-9, 1.5e-6):
+        u = rng.standard_normal(3)
+        a = random_emitter(rng, channels=FAR_FIELD_CHANNELS[bra])
+        b = random_emitter(rng, pos=sep * u / np.linalg.norm(u),
+                           channels=FAR_FIELD_CHANNELS[ket])
+        got = collective_rate(a, b, homogeneous_pair_model(
+            med, a.position, b.position)).gamma_cross
+        gaa, gbb = (emission_rate(e, coincident_im_jet(W0, med)).gamma_total
+                    for e in (a, b))
+        want = far_field_rate(a, b, index, W0)
+        assert abs(got - want) <= 1e-12 * math.sqrt(gaa * gbb), (sep, got,
+                                                                want)
 
 
 # ---------------------------------------------------------------------------
